@@ -33,6 +33,20 @@ val commit : t -> Vyrd_sched.Tid.t -> unit
 (** Committed (visible) value of a variable. *)
 val lookup : t -> string -> Repr.t option
 
+(** [read t ~reader var] is [lookup t var] made by a view component whose
+    reader bit is [reader]: the bit is ORed into the variable's readers, so
+    a later publish of a changed value marks the component stale.  A miss
+    registers the reader too, for the variable's first write. *)
+val read : t -> reader:int -> string -> Repr.t option
+
+(** [take_stale t ~owner] returns the reader bits of every variable
+    published with a changed value since [owner]'s previous call, and
+    clears them.  One reader at a time owns the bits: when [owner] did not
+    make the previous call, or after {!restore}, the result is [-1] (every
+    bit), since registrations made for someone else say nothing about
+    [owner]'s components. *)
+val take_stale : t -> owner:int -> int
+
 val fold : (string -> Repr.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** [take_dirty t] returns the variables whose visible value changed since
@@ -47,6 +61,7 @@ val snapshot : t -> Repr.t
 (** [restore t repr] replaces [t]'s contents with a snapshot.  All restored
     variables are marked dirty, so the next view recomputation rebuilds any
     incremental projection table from scratch (the checker also resets the
-    cached tables themselves).
+    cached tables themselves).  Reader registrations are dropped, so the
+    next {!take_stale} reports every bit.
     @raise Ckpt.Malformed when [repr] is not a replay snapshot. *)
 val restore : t -> Repr.t -> unit

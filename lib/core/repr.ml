@@ -6,10 +6,27 @@ type t =
   | Pair of t * t
   | List of t list
 
-(* The checker compares a viewI against a viewS at every commit; shortcut
-   on physical equality first so shared subtrees (persistent spec states,
-   interned strings) don't pay a full structural walk. *)
-let equal a b = a == b || a = b
+(* The checker compares a viewI against a viewS at every commit.  The walk
+   checks physical equality at every node, so shared subtrees (persistent
+   spec states, interned leaves, memoized component views) are skipped;
+   polymorphic [=] would shortcut only at the root. *)
+let rec equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y -> Int.equal x y
+  | Str x, Str y -> String.equal x y
+  | Pair (a1, a2), Pair (b1, b2) -> equal a1 b1 && equal a2 b2
+  | List xs, List ys -> equal_list xs ys
+  | (Unit | Bool _ | Int _ | Str _ | Pair _ | List _), _ -> false
+
+and equal_list xs ys =
+  xs == ys
+  ||
+  match (xs, ys) with
+  | x :: xs, y :: ys -> equal x y && equal_list xs ys
+  | [], _ | _ :: _, _ -> false
 let compare a b = if a == b then 0 else Stdlib.compare a b
 
 let rec pp ppf = function

@@ -17,7 +17,10 @@ type t =
   | Pair of t * t
   | List of t list
 
+(** Structural equality, [equal a b = (a = b)], that skips any pair of
+    physically equal subtrees on the way down. *)
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -31,7 +31,9 @@ module type S = sig
 
   (** [apply state ~mid ~args ~ret] takes the unique transition of mutator
       (or internal) method [mid] that returns [ret], or explains why no such
-      transition exists. *)
+      transition exists.  It never mutates [state]: the checker keeps
+      earlier states for observer windows, and a {!Spec_compose} product
+      keeps the component views it computed for them. *)
   val apply : state -> mid:string -> args:Repr.t list -> ret:Repr.t -> (state, string) result
 
   (** [observe state ~mid ~args ~ret] tells whether observer [mid] may

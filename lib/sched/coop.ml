@@ -34,8 +34,9 @@ type crwlock = {
 }
 
 type state = {
-  decide : choice -> int;  (* scheduling decisions over labeled candidates *)
-  mutable last_ran : Tid.t option;  (* tid of the previously executed slice *)
+  decide : (choice -> int) option;  (* a caller's policy; [None] draws from [rng] *)
+  rng : Prng.t;
+  mutable last_ran : Tid.t;  (* tid of the previously executed slice, or -1 *)
   runq : (Tid.t * task) Vec.t;
   mutable current : Tid.t;
   mutable live : int;
@@ -55,6 +56,22 @@ let fresh_tid st =
 let record_exn st e bt = if st.first_exn = None then st.first_exn <- Some (e, bt)
 
 let make_runnable st tid k = Vec.push st.runq (tid, Resume k)
+
+(* Index of the next pick from [q], a run queue or a lock's waiters.  The
+   seeded default draws straight from the queue's length and allocates
+   nothing; only a caller-supplied [decide] is shown a [choice].  [running]
+   is offered for run-queue picks only. *)
+let choose st q ~run_queue =
+  match st.decide with
+  | None -> Prng.int st.rng (Vec.length q)
+  | Some decide ->
+    let candidates = Array.init (Vec.length q) (fun i -> fst (Vec.get q i)) in
+    let running =
+      if run_queue && Array.exists (Tid.equal st.last_ran) candidates then
+        Some st.last_ran
+      else None
+    in
+    decide { candidates; running }
 
 (* A scheduling point.  Inside an [atomically] section control must not
    transfer, so the yield is suppressed. *)
@@ -124,10 +141,7 @@ let new_mutex st ?(name = "mutex") () : Sched.mutex =
     if m.cm_depth = 0 then
       if Vec.is_empty m.cm_waiters then m.cm_owner <- None
       else begin
-        let candidates =
-          Array.init (Vec.length m.cm_waiters) (fun i -> fst (Vec.get m.cm_waiters i))
-        in
-        let i = st.decide { candidates; running = None } in
+        let i = choose st m.cm_waiters ~run_queue:false in
         let tid, k = Vec.swap_remove m.cm_waiters i in
         m.cm_owner <- Some tid;
         m.cm_depth <- 1;
@@ -159,11 +173,7 @@ let new_rwlock st ?(name = "rwlock") () : Sched.rwlock =
     }
   in
   let wake_one_writer () =
-    let candidates =
-      Array.init (Vec.length l.crw_write_waiters) (fun i ->
-          fst (Vec.get l.crw_write_waiters i))
-    in
-    let i = st.decide { candidates; running = None } in
+    let i = choose st l.crw_write_waiters ~run_queue:false in
     let tid, k = Vec.swap_remove l.crw_write_waiters i in
     l.crw_writer <- Some tid;
     make_runnable st tid k
@@ -232,17 +242,11 @@ let sched_of_state st : Sched.t =
   }
 
 let run_with_stats ?(seed = 0) ?(max_steps = 20_000_000) ?decide main =
-  let decide =
-    match decide with
-    | Some f -> f
-    | None ->
-      let rng = Prng.create seed in
-      fun c -> Prng.int rng (Array.length c.candidates)
-  in
   let st =
     {
       decide;
-      last_ran = None;
+      rng = Prng.create seed;
+      last_ran = -1;
       runq = Vec.create ();
       current = 0;
       live = 0;
@@ -255,6 +259,8 @@ let run_with_stats ?(seed = 0) ?(max_steps = 20_000_000) ?decide main =
     }
   in
   let sched = sched_of_state st in
+  (* allocated once: a [Yield] is performed at every scheduling point *)
+  let on_yield = Some (fun k -> make_runnable st st.current k) in
   let handler : (unit, unit) handler =
     {
       retc = (fun () -> st.live <- st.live - 1);
@@ -265,10 +271,7 @@ let run_with_stats ?(seed = 0) ?(max_steps = 20_000_000) ?decide main =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Yield ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                make_runnable st st.current k)
+          | Yield -> (on_yield : ((a, unit) continuation -> unit) option)
           | Spawn f ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -295,18 +298,10 @@ let run_with_stats ?(seed = 0) ?(max_steps = 20_000_000) ?decide main =
     else begin
       st.steps <- st.steps + 1;
       if st.steps > st.max_steps then raise (Livelock st.steps);
-      let candidates =
-        Array.init (Vec.length st.runq) (fun i -> fst (Vec.get st.runq i))
-      in
-      let running =
-        match st.last_ran with
-        | Some t when Array.exists (Tid.equal t) candidates -> Some t
-        | Some _ | None -> None
-      in
-      let i = st.decide { candidates; running } in
+      let i = choose st st.runq ~run_queue:true in
       let tid, task = Vec.swap_remove st.runq i in
       st.current <- tid;
-      st.last_ran <- Some tid;
+      st.last_ran <- tid;
       (match task with Start f -> exec_start f | Resume k -> continue k ());
       loop ()
     end

@@ -106,10 +106,91 @@ let test_composite_unknown_method_ill_formed () =
   Alcotest.(check string) "unknown method" "ill-formed"
     (Report.tag (Checker.check ~mode:`Io log spec))
 
+(* --- the three-way product of the benchmark ------------------------------ *)
+
+module Harness = Vyrd_harness.Harness
+module Subjects = Vyrd_harness.Subjects
+
+let three = [ Subjects.multiset_vector; Subjects.jvector; Subjects.string_buffer ]
+
+let compose3 () =
+  match three with
+  | [] -> assert false
+  | s0 :: rest ->
+    List.fold_left
+      (fun (spec, view) (s : Subjects.t) ->
+        (Spec_compose.pair spec s.spec, Spec_compose.pair_views view s.view))
+      (s0.spec, s0.view) rest
+
+let three_log ~bug seed =
+  let log = Log.create ~level:`View () in
+  Harness.run_into ~log
+    { Harness.threads = 4; ops_per_thread = 40; key_pool = 8; key_range = 16; seed;
+      log_level = `View }
+    (List.map (fun (s : Subjects.t) -> s.build ~bug) three);
+  log
+
+let test_routing_memo () =
+  let spec, _ = compose3 () in
+  let module P = (val spec) in
+  let raises mid =
+    match P.kind mid with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  for round = 1 to 2 do
+    List.iter
+      (fun (mid, kind) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d: %s routed" round mid)
+          true (P.kind mid = kind))
+      [ ("insert", Spec.Mutator); ("add", Spec.Mutator); ("size", Spec.Observer);
+        ("append_str", Spec.Mutator); ("char_at", Spec.Observer) ];
+    Alcotest.(check bool) (Printf.sprintf "round %d: unknown raises" round) true (raises "frobnicate")
+  done
+
+(* One product spec value shared by checkers on two domains at once (as the
+   farm lanes and the benchmark's set-up do) gives the verdicts of checking
+   alone, and so does the from-scratch reference. *)
+let test_shared_spec_across_domains () =
+  let spec, view = compose3 () in
+  let logs =
+    Array.init 16 (fun i -> three_log ~bug:(i mod 2 = 1) (i + 1))
+  in
+  let verdicts spec order =
+    List.map
+      (fun i ->
+        let report, idx = Checker.check_indexed ~mode:`View ~view logs.(i) spec in
+        (i, Report.tag report, idx))
+      order
+    |> List.sort compare
+  in
+  let forward = List.init (Array.length logs) Fun.id in
+  let alone = verdicts (fst (compose3 ())) forward in
+  Alcotest.(check bool) "some seeded fault is convicted" true
+    (List.exists (fun (_, tag, _) -> tag <> "pass") alone);
+  let other = Domain.spawn (fun () -> verdicts spec (List.rev forward)) in
+  let here = verdicts spec forward in
+  let there = Domain.join other in
+  let show = List.map (fun (i, tag, idx) ->
+      Printf.sprintf "%d:%s@%s" i tag (match idx with Some n -> string_of_int n | None -> "-"))
+  in
+  Alcotest.(check (list string)) "this domain" (show alone) (show here);
+  Alcotest.(check (list string)) "other domain" (show alone) (show there);
+  Array.iteri
+    (fun i log ->
+      Alcotest.(check bool)
+        (Printf.sprintf "reference agrees on log %d" i)
+        true
+        (Reference.agrees_with_checker_indexed ~view log spec))
+    logs
+
 let suite =
   [
     ("composite correct", `Quick, test_composite_correct);
     ("composite detects component bug", `Quick, test_composite_detects_component_bug);
     ("composite routes methods", `Quick, test_composite_routes_methods);
     ("composite rejects unknown methods", `Quick, test_composite_unknown_method_ill_formed);
+    ("routing memo keeps unknown methods raising", `Quick, test_routing_memo);
+    ("shared product spec on two domains", `Quick, test_shared_spec_across_domains);
   ]

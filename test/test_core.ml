@@ -42,6 +42,45 @@ let repr_sorted_list_canonical =
          let shuffled = List.rev vs in
          Repr.equal (Repr.sorted_list vs) (Repr.sorted_list shuffled)))
 
+(* Pairs of trees built over a shared pool of subtrees, so that physically
+   equal, structurally equal and differing subtrees all meet. *)
+let shared_trees_gen =
+  let open QCheck2.Gen in
+  let* pool = list_size (int_range 1 4) repr_gen in
+  let tree =
+    sized_size (int_bound 16) @@ fix (fun self n ->
+        let leaf =
+          oneof
+            [ oneofl pool; return Repr.Unit; map (fun b -> Repr.Bool b) bool;
+              map (fun i -> Repr.Int i) (int_range 0 2);
+              map (fun s -> Repr.Str s) (oneofl [ ""; "a"; "b" ]) ]
+        in
+        if n = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (1, map2 (fun a b -> Repr.Pair (a, b)) (self (n / 2)) (self (n / 2)));
+              (1, map (fun vs -> Repr.List vs) (list_size (int_range 0 3) (self (n / 2))));
+            ])
+  in
+  let rec copy = function
+    | Repr.Pair (a, b) -> Repr.Pair (copy a, copy b)
+    | Repr.List vs -> Repr.List (List.map copy vs)
+    | Repr.Bool b -> Repr.Bool b
+    | Repr.Int i -> Repr.Int i
+    | Repr.Str s -> Repr.Str (String.init (String.length s) (String.get s))
+    | Repr.Unit -> Repr.Unit
+  in
+  oneof [ pair tree tree; map (fun a -> (a, copy a)) tree; map (fun a -> (a, a)) tree ]
+
+let repr_equal_structural =
+  qcheck
+    (QCheck2.Test.make ~name:"Repr.equal is structural equality" ~count:1000
+       ~print:(fun (a, b) -> Repr.to_string a ^ " vs " ^ Repr.to_string b)
+       shared_trees_gen
+       (fun (a, b) -> Repr.equal a b = (a = b) && Repr.equal b a = (a = b)))
+
 let test_repr_parse_errors () =
   List.iter
     (fun s ->
@@ -203,6 +242,139 @@ let test_keyed_view_incremental () =
   let v3 = View.recompute eval r in
   Alcotest.(check bool) "stable" true (Repr.equal v2 v3);
   Alcotest.(check int) "no new projections" 2 (View.projections eval)
+
+(* --- memoized [Full] views ---------------------------------------------------- *)
+
+let var i = Printf.sprintf "v%d" i
+
+(* Three [Full] components over v0..v7 with overlapping, data-dependent
+   read sets; v8 and v9 are read by none.  [counts.(i)] counts component
+   i's evaluations. *)
+let memo_view counts =
+  let int_of lookup v = match lookup v with Some (Repr.Int i) -> i | _ -> -1 in
+  let counted i f =
+    View.Full
+      (fun lookup ->
+        counts.(i) <- counts.(i) + 1;
+        f lookup)
+  in
+  let a =
+    counted 0 (fun lookup ->
+        let v0 = int_of lookup "v0" in
+        (* reads v2 only while v0 is odd *)
+        Repr.List
+          [ Repr.Int v0; Repr.Int (int_of lookup "v1");
+            (if v0 land 1 = 1 then Repr.Int (int_of lookup "v2") else Repr.Unit) ])
+  in
+  let b =
+    counted 1 (fun lookup ->
+        Repr.List (List.map (fun v -> Repr.Int (int_of lookup v)) [ "v3"; "v4"; "v5" ]))
+  in
+  let c =
+    counted 2 (fun lookup ->
+        (* follows a pointer: v6 names the variable read next *)
+        let next = match lookup "v6" with Some (Repr.Int i) -> var (i mod 8) | _ -> "v7" in
+        Repr.Pair (Repr.Int (int_of lookup "v2"), Repr.Int (int_of lookup next)))
+  in
+  View.Pair (a, View.Pair (b, c))
+
+let test_memo_recomputes_stale_only () =
+  let counts = Array.make 3 0 in
+  let eval = View.make_eval (memo_view counts) in
+  let r = Replay.create () in
+  let step writes =
+    List.iter (fun (v, x) -> Replay.write r 1 (var v) (Repr.Int x)) writes;
+    ignore (View.recompute eval r);
+    Array.to_list counts
+  in
+  let check what want got = Alcotest.(check (list int)) what want got in
+  check "first commit evaluates all" [ 1; 1; 1 ] (step [ (0, 0) ]);
+  check "nothing written" [ 1; 1; 1 ] (step []);
+  check "v3 is b's" [ 1; 2; 1 ] (step [ (3, 1) ]);
+  check "same value again" [ 1; 2; 1 ] (step [ (3, 1) ]);
+  check "unread variables" [ 1; 2; 1 ] (step [ (8, 1); (9, 2) ]);
+  check "first write after a miss" [ 1; 2; 2 ] (step [ (7, 5) ]);
+  check "v2 while v0 is even: c only" [ 1; 2; 3 ] (step [ (2, 4) ]);
+  check "v0 odd" [ 2; 2; 3 ] (step [ (0, 1) ]);
+  check "v2 now read by a and c" [ 3; 2; 4 ] (step [ (2, 5) ]);
+  check "pointer moves c to v4" [ 3; 2; 5 ] (step [ (6, 4) ]);
+  check "v4 is read by b and c" [ 3; 3; 6 ] (step [ (4, 9) ]);
+  View.reset eval;
+  check "reset drops every memo" [ 4; 4; 7 ] (step []);
+  Replay.restore r (Replay.snapshot r);
+  check "restore invalidates the reader bits" [ 5; 5; 8 ] (step []);
+  check "and registers them again" [ 5; 5; 8 ] (step [ (9, 0) ])
+
+type memo_op =
+  | Write of int * int * int  (* tid, variable, value *)
+  | Commit of int
+  | Begin of int
+  | End of int
+  | Save
+  | Restore of bool  (* also [View.reset] the memoized evaluator *)
+
+let memo_op_gen =
+  let open QCheck2.Gen in
+  let tid = int_range 1 3 in
+  frequency
+    [
+      (8, map3 (fun t v x -> Write (t, v, x)) tid (int_range 0 9) (int_range 0 3));
+      (4, map (fun t -> Commit t) tid);
+      (1, map (fun t -> Begin t) tid);
+      (1, map (fun t -> End t) tid);
+      (1, return Save);
+      (1, map (fun b -> Restore b) bool);
+    ]
+
+let show_memo_op = function
+  | Write (t, v, x) -> Printf.sprintf "w%d:v%d=%d" t v x
+  | Commit t -> Printf.sprintf "c%d" t
+  | Begin t -> Printf.sprintf "b%d" t
+  | End t -> Printf.sprintf "e%d" t
+  | Save -> "save"
+  | Restore b -> Printf.sprintf "restore(reset=%b)" b
+
+(* After every commit the memoized evaluator must give what a fresh one
+   gives on a twin replay fed the same operations. *)
+let memo_differential =
+  qcheck
+    (QCheck2.Test.make ~name:"memoized Full views equal fresh recomputes" ~count:300
+       ~print:(fun ops -> String.concat " " (List.map show_memo_op ops))
+       QCheck2.Gen.(list_size (int_range 0 120) memo_op_gen)
+       (fun ops ->
+         let counts = Array.make 3 0 in
+         let view = memo_view counts in
+         let eval = View.make_eval view in
+         let r = Replay.create () and twin = Replay.create () in
+         let saved = ref None in
+         let both f =
+           List.iter (fun t -> try f t with Replay.Ill_formed _ -> ()) [ r; twin ]
+         in
+         List.for_all
+           (function
+             | Write (tid, v, x) ->
+               both (fun t -> Replay.write t tid (var v) (Repr.Int x));
+               true
+             | Begin tid ->
+               both (fun t -> Replay.block_begin t tid);
+               true
+             | End tid ->
+               both (fun t -> Replay.block_end t tid);
+               true
+             | Save ->
+               saved := Some (Replay.snapshot r);
+               true
+             | Restore reset ->
+               Option.iter
+                 (fun snap ->
+                   both (fun t -> Replay.restore t snap);
+                   if reset then View.reset eval)
+                 !saved;
+               true
+             | Commit tid ->
+               both (fun t -> Replay.commit t tid);
+               Repr.equal (View.recompute eval r) (View.recompute (View.make_eval view) twin))
+           ops))
 
 (* --- Timeline --------------------------------------------------------------- *)
 
@@ -441,4 +613,7 @@ let suite =
     ("long-run state pruning", `Quick, test_long_run_state_pruning);
     ("view mode requires a view", `Quick, test_view_mode_requires_view);
     checker_deterministic;
+    repr_equal_structural;
+    ("memo recomputes stale components only", `Quick, test_memo_recomputes_stale_only);
+    memo_differential;
   ]

@@ -19,6 +19,7 @@ let () =
       ("native-stress", Test_native_stress.suite);
       ("explore", Test_explore.suite);
       ("compose", Test_compose.suite);
+      ("golden", Test_golden.suite);
       ("model", Test_model.suite);
       ("log", Test_log.suite);
       ("faults", Test_faults.suite);
