@@ -574,16 +574,16 @@ let pipeline_codec () =
   let n = Array.length events in
   let lines = Array.map Event.to_line events in
   let text_bytes = Array.fold_left (fun a l -> a + String.length l + 1) 0 lines in
-  let buf = Buffer.create (n * 16) in
+  let buf = Bincodec.writer ~size:(n * 16) () in
   Array.iter (Bincodec.put_event buf) events;
-  let bin = Buffer.contents buf in
+  let bin = Bincodec.contents buf in
   let enc_text =
     measure_ns "codec/text-encode" (fun () ->
         Array.iter (fun ev -> ignore (Event.to_line ev)) events)
   in
   let enc_bin =
     measure_ns "codec/bin-encode" (fun () ->
-        Buffer.clear buf;
+        Bincodec.clear buf;
         Array.iter (Bincodec.put_event buf) events)
   in
   let dec_text =
@@ -592,12 +592,7 @@ let pipeline_codec () =
   in
   let dec_bin =
     measure_ns "codec/bin-decode" (fun () ->
-        let pos = ref 0 in
-        let len = String.length bin in
-        while !pos < len do
-          let _, p = Bincodec.get_event bin !pos in
-          pos := p
-        done)
+        ignore (Bincodec.iter_events bin ignore : int))
   in
   Fmt.pr "%d events at `Full level; %d bytes text, %d bytes binary (%.2fx smaller)@.@."
     n text_bytes (String.length bin)
@@ -695,11 +690,11 @@ let pipeline_drain ?(ops = 20_000) () =
   Farm.attach farm log;
   (* wire-equivalent byte accounting for the bytes/s sidecar figure *)
   let bin_bytes = ref 0 in
-  let bin_buf = Buffer.create 64 in
+  let bin_buf = Bincodec.writer ~size:64 () in
   Log.subscribe log (fun ev ->
-      Buffer.clear bin_buf;
+      Bincodec.clear bin_buf;
       Bincodec.put_event bin_buf ev;
-      bin_bytes := !bin_bytes + Buffer.length bin_buf);
+      bin_bytes := !bin_bytes + Bincodec.length bin_buf);
   let cfg =
     { Harness.threads = 8; ops_per_thread = ops; key_pool = 12; key_range = 32;
       seed = 11; log_level = level }

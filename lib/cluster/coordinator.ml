@@ -347,7 +347,7 @@ let drop_leg t leg =
   | None -> note_dead t leg.l_worker
   | Some st -> scrape t leg.l_worker st
 
-let serve_data_session t (s : session) (hello : Wire.hello) =
+let serve_data_session t (s : session) r (hello : Wire.hello) =
   let fd = s.sc_fd in
   if hello.Wire.h_version <> Wire.version then
     raise
@@ -419,9 +419,9 @@ let serve_data_session t (s : session) (hello : Wire.hello) =
   (* batches are NOT idempotent: the failed batch is already in the spool,
      so the reopening resume replays it into the replacement worker —
      re-sending it on the wire would feed those events twice *)
-  let forward_batch evs =
+  let forward_batch evs n =
     let l = ensure_leg () in
-    try Client.send_batch l.l_client evs
+    try Client.send_batch ~len:n l.l_client evs
     with
     | Client.Server_error _ | Unix.Unix_error _ | Wire.Closed | Wire.Timeout
     | Bincodec.Corrupt _
@@ -450,25 +450,31 @@ let serve_data_session t (s : session) (hello : Wire.hello) =
     end
   in
   let finished = ref false in
+  (* [evs.(0 .. n - 1)] may be the reader's array: spooled and forwarded
+     (both encode synchronously) before the next [recv] reuses it *)
+  let on_batch evs n =
+    Metrics.incr t.m_batches;
+    Metrics.add t.m_events n;
+    (* spool before forward: the spool must be a superset of whatever
+       any worker ever saw, or failover could lose events *)
+    for i = 0 to n - 1 do
+      Segment.append writer evs.(i)
+    done;
+    forward_batch evs n;
+    maybe_checkpoint ();
+    ungranted := !ungranted + n;
+    if !ungranted >= grant_at then begin
+      Wire.send_server fd (Wire.Credit !ungranted);
+      ungranted := 0
+    end
+  in
   while not !finished do
-    let payload = Wire.read_frame fd in
-    Metrics.add t.m_bytes (String.length payload + 8);
-    match Wire.decode_client payload with
-    | Wire.Batch evs ->
-        let n = Array.length evs in
-        Metrics.incr t.m_batches;
-        Metrics.add t.m_events n;
-        (* spool before forward: the spool must be a superset of whatever
-           any worker ever saw, or failover could lose events *)
-        Array.iter (fun ev -> Segment.append writer ev) evs;
-        forward_batch evs;
-        maybe_checkpoint ();
-        ungranted := !ungranted + n;
-        if !ungranted >= grant_at then begin
-          Wire.send_server fd (Wire.Credit !ungranted);
-          ungranted := 0
-        end
-    | Wire.Heartbeat ->
+    let msg = Wire.recv r fd in
+    Metrics.add t.m_bytes (Wire.frame_bytes r);
+    match msg with
+    | Wire.Events (evs, n) -> on_batch evs n
+    | Wire.Message (Wire.Batch evs) -> on_batch evs (Array.length evs)
+    | Wire.Message Wire.Heartbeat ->
         (* keep both the client session and the worker leg alive *)
         (match !leg with
         | Some l -> (
@@ -482,7 +488,7 @@ let serve_data_session t (s : session) (hello : Wire.hello) =
               Metrics.incr t.m_reassignments)
         | None -> ());
         Wire.send_server fd Wire.Heartbeat_ack
-    | Wire.Checkpoint_request ->
+    | Wire.Message Wire.Checkpoint_request ->
         let events, state = forwarding Client.request_checkpoint in
         (match state with
         | Some repr when events = Segment.writer_events writer ->
@@ -493,7 +499,7 @@ let serve_data_session t (s : session) (hello : Wire.hello) =
         Wire.send_server fd
           (Wire.Checkpoint_state
              { cs_events = Segment.writer_events writer; cs_state = state })
-    | Wire.Finish ->
+    | Wire.Message Wire.Finish ->
         Segment.flush writer;
         let outcome = forwarding Client.finish in
         (match !leg with
@@ -540,10 +546,11 @@ let serve_data_session t (s : session) (hello : Wire.hello) =
         clean := true;
         Wire.send_server fd verdict;
         finished := true
-    | Wire.Hello _ -> raise (Bincodec.Corrupt "unexpected second hello")
-    | Wire.Resume_session _ ->
+    | Wire.Message (Wire.Hello _) ->
+        raise (Bincodec.Corrupt "unexpected second hello")
+    | Wire.Message (Wire.Resume_session _) ->
         raise (Bincodec.Corrupt "resume is not supported on a coordinator session")
-    | Wire.Drain | Wire.Status_request | Wire.Register _ ->
+    | Wire.Message (Wire.Drain | Wire.Status_request | Wire.Register _) ->
         raise (Bincodec.Corrupt "control message on a data session")
   done
 
@@ -558,24 +565,25 @@ let status t =
 
 (* A status/control connection to the coordinator itself: answer aggregated
    cluster health until the peer goes away. *)
-let control_loop t (s : session) =
+let control_loop t (s : session) r =
   let fd = s.sc_fd in
   let finished = ref false in
   while not !finished do
-    match Wire.decode_client (Wire.read_frame fd) with
-    | Wire.Status_request -> Wire.send_server fd (Wire.Status (status t))
-    | Wire.Heartbeat -> Wire.send_server fd Wire.Heartbeat_ack
-    | Wire.Finish -> finished := true
+    match Wire.recv r fd with
+    | Wire.Message Wire.Status_request -> Wire.send_server fd (Wire.Status (status t))
+    | Wire.Message Wire.Heartbeat -> Wire.send_server fd Wire.Heartbeat_ack
+    | Wire.Message Wire.Finish -> finished := true
     | exception Wire.Closed -> finished := true
     | _ -> raise (Bincodec.Corrupt "unexpected message on a status connection")
   done
 
 let serve_session t (s : session) =
-  match Wire.decode_client (Wire.read_frame s.sc_fd) with
-  | Wire.Hello hello -> serve_data_session t s hello
-  | Wire.Status_request ->
+  let r = Wire.reader () in
+  match Wire.recv r s.sc_fd with
+  | Wire.Message (Wire.Hello hello) -> serve_data_session t s r hello
+  | Wire.Message Wire.Status_request ->
       Wire.send_server s.sc_fd (Wire.Status (status t));
-      control_loop t s
+      control_loop t s r
   | _ -> raise (Bincodec.Corrupt "expected hello")
 
 let session_thread t s =

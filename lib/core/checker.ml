@@ -53,10 +53,11 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
     | `View, None -> invalid_arg "Checker.create: `View mode requires a view definition"
   in
   (* Specification states are kept only while an observer window may still
-     need them: [state_window] holds states [base .. base + length - 1],
+     test them: [state_window] holds states [base .. base + length - 1],
      where index i is the state after the first i commits of the witness
-     interleaving.  The prefix below every live observer's cursor is pruned
-     periodically, so memory stays bounded on long runs. *)
+     interleaving.  After every return event the prefix below the lowest
+     live window is dropped (see [prune_states]), so a lane holds only the
+     states some pending observer or open execution can still test. *)
   let state_window : Sp.state Vec.t = Vec.create () in
   let state_base = ref 0 in
   Vec.push state_window (Sp.snapshot (Sp.init ()));
@@ -115,19 +116,24 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
   let prune_states () =
     (* keep from the lowest index any live observer may still test — either
        a pending observer's cursor or the window start of an execution that
-       has not returned yet; the current state is always retained *)
-    let lowest =
-      Vec.fold_left
-        (fun acc (o : pending_observer) -> min acc o.o_next)
-        !commits_resolved pending_observers
-    in
-    let lowest =
-      Hashtbl.fold (fun _ oe acc -> min acc oe.oe_start) open_execs lowest
-    in
-    let drop = lowest - !state_base in
-    if drop > 1024 then begin
-      Vec.drop_prefix state_window drop;
-      state_base := lowest
+       has not returned yet; the current state is always retained.  Only a
+       return can raise that index (it closes an execution, resolves
+       commits and retires observers), so [on_return] calls this last. *)
+    if !state_base < !commits_resolved then begin
+      let lowest =
+        Vec.fold_left
+          (fun acc (o : pending_observer) -> if o.o_next < acc then o.o_next else acc)
+          !commits_resolved pending_observers
+      in
+      let lowest =
+        Hashtbl.fold
+          (fun _ oe acc -> if oe.oe_start < acc then oe.oe_start else acc)
+          open_execs lowest
+      in
+      if lowest > !state_base then begin
+        Vec.drop_prefix state_window (lowest - !state_base);
+        state_base := lowest
+      end
     end
   in
   let advance_observers () =
@@ -136,8 +142,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
       if step_observer (Vec.get pending_observers !i) then
         ignore (Vec.swap_remove pending_observers !i)
       else incr i
-    done;
-    prune_states ()
+    done
   in
 
   (* Resolve specification transitions for committed executions whose return
@@ -248,7 +253,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
         in
         if not (step_observer o) then Vec.push pending_observers o
       in
-      match (oe.oe_kind, oe.oe_commit) with
+      (match (oe.oe_kind, oe.oe_commit) with
       | (Spec.Mutator | Spec.Internal), Some pc ->
         pc.pc_ret <- Some value;
         resolve ()
@@ -259,7 +264,8 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
            mutation, so a genuinely missing commit annotation still
            surfaces as a violation. *)
         as_observer ()
-      | Spec.Observer, _ -> as_observer ())
+      | Spec.Observer, _ -> as_observer ());
+      prune_states ())
   in
 
   let feed ev =

@@ -8,6 +8,7 @@ type t = {
   batch_events : int;
   buf : Event.t array;  (* partial batch, [count] filled *)
   mutable count : int;
+  out : Bincodec.writer;  (* every outgoing frame is built here *)
   mutable credit : int;
   mutable sent : int;
   mutable bytes : int;
@@ -97,6 +98,7 @@ let connect ?(retries = 0) ?(backoff = 0.05) ?max_backoff ?jitter_seed
       batch_events;
       buf = Array.make batch_events (Event.Commit { tid = 0 });
       count = 0;
+      out = Bincodec.writer ~size:(64 + (16 * batch_events)) ();
       credit = a_credit;
       sent = 0;
       bytes = 0;
@@ -137,23 +139,26 @@ let rec await_credit t need =
     | Wire.Checkpoint_state _ | Wire.Status _ ->
       fail t "protocol error: unexpected server message while streaming"
 
-let write_msg t msg =
-  let payload = Wire.encode_client msg in
-  t.bytes <- t.bytes + String.length payload + 8;
-  match Wire.write_frame t.fd payload with
-  | () -> ()
+let write t send =
+  match send t.out t.fd with
+  | n -> t.bytes <- t.bytes + n
   | exception Unix.Unix_error (e, _, _) -> fail t (Unix.error_message e)
+
+let write_msg t msg = write t (fun w fd -> Wire.write_client w fd msg)
+
+(* One batch frame of [evs.(pos .. pos + len - 1)], once credit covers it. *)
+let write_events t evs ~pos ~len =
+  await_credit t len;
+  write t (fun w fd -> Wire.write_batch w fd evs ~pos ~len);
+  t.credit <- t.credit - len;
+  t.sent <- t.sent + len
 
 let flush t =
   if t.closed then raise (Server_error "session is closed");
   if t.count > 0 then begin
     let n = t.count in
-    await_credit t n;
-    let evs = Array.sub t.buf 0 n in
     t.count <- 0;
-    write_msg t (Wire.Batch evs);
-    t.credit <- t.credit - n;
-    t.sent <- t.sent + n
+    write_events t t.buf ~pos:0 ~len:n
   end
 
 let send t ev =
@@ -165,17 +170,14 @@ let send t ev =
 (* Forward a whole pre-assembled batch — the coordinator's relay path.
    Chunked at [batch_events] (clamped to the server's window at connect), so
    credit can always cover a chunk. *)
-let send_batch t evs =
+let send_batch ?len t evs =
+  let n = match len with Some n -> n | None -> Array.length evs in
+  if n < 0 || n > Array.length evs then invalid_arg "Client.send_batch: len";
   flush t;
-  let n = Array.length evs in
   let pos = ref 0 in
   while !pos < n do
     let k = min t.batch_events (n - !pos) in
-    await_credit t k;
-    let chunk = if k = n && !pos = 0 then evs else Array.sub evs !pos k in
-    write_msg t (Wire.Batch chunk);
-    t.credit <- t.credit - k;
-    t.sent <- t.sent + k;
+    write_events t evs ~pos:!pos ~len:k;
     pos := !pos + k
   done
 

@@ -62,9 +62,11 @@ val flush : t -> unit
 (** [send_batch t evs] forwards a whole pre-assembled batch, flushing any
     buffered singles first so order is preserved — the coordinator's relay
     path.  Chunked to the negotiated batch size so credit always covers a
-    chunk.
+    chunk; each chunk is encoded straight from [evs], which the caller may
+    reuse once this returns.
+    @param len forward only [evs.(0 .. len - 1)] (default: all of [evs]).
     @raise Server_error if the server failed the session. *)
-val send_batch : t -> Vyrd.Event.t array -> unit
+val send_batch : ?len:int -> t -> Vyrd.Event.t array -> unit
 
 (** [heartbeat t] keeps an idle session alive across the server's idle
     timeout (the ack is consumed by the next credit/verdict wait). *)

@@ -171,7 +171,7 @@ let recheck t ~path =
 (* A coordinator's control connection: Register/Status_request instead of a
    hello.  No farm, no checking slot; answers health polls and the drain
    order until the peer goes away. *)
-let control_loop t (s : session) =
+let control_loop t (s : session) r =
   let fd = s.s_fd in
   s.s_control <- true;
   (* polled at the coordinator's pace, not ours: disarm the data-session
@@ -180,13 +180,13 @@ let control_loop t (s : session) =
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.;
   let finished = ref false in
   while not !finished do
-    match Wire.recv_client fd with
-    | Wire.Status_request -> Wire.send_server fd (Wire.Status (status t))
-    | Wire.Drain ->
+    match Wire.recv r fd with
+    | Wire.Message Wire.Status_request -> Wire.send_server fd (Wire.Status (status t))
+    | Wire.Message Wire.Drain ->
       with_lock t (fun () -> t.draining <- true);
       Wire.send_server fd (Wire.Status (status t))
-    | Wire.Heartbeat -> Wire.send_server fd Wire.Heartbeat_ack
-    | Wire.Finish -> finished := true
+    | Wire.Message Wire.Heartbeat -> Wire.send_server fd Wire.Heartbeat_ack
+    | Wire.Message Wire.Finish -> finished := true
     | _ -> raise (Bincodec.Corrupt "unexpected message on a control connection")
     | exception Wire.Closed -> finished := true
   done
@@ -195,7 +195,7 @@ let control_loop t (s : session) =
    any protocol failure; the caller contains it.  Returns the spool path
    when the session was spilled and reached its verdict, so the caller can
    re-check it offline. *)
-let serve_data_session t (s : session) hello =
+let serve_data_session t (s : session) r hello =
   let fd = s.s_fd in
   if with_lock t (fun () -> t.draining) then
     raise (Bincodec.Corrupt "server is draining");
@@ -258,32 +258,42 @@ let serve_data_session t (s : session) hello =
   let ungranted = ref 0 in
   let grant_at = max 1 (t.cfg.window / 2) in
   let finished = ref false in
+  (* [evs.(0 .. n - 1)] live in the reader's array: both sinks are done
+     with them (the farm routed each event, the writer encoded it) before
+     the next [recv] overwrites it *)
+  let on_batch evs n =
+    (match !farm with
+    | Some f ->
+      for i = 0 to n - 1 do
+        Farm.feed f evs.(i)
+      done
+    | None ->
+      let w = Option.get !writer in
+      for i = 0 to n - 1 do
+        Segment.append w evs.(i)
+      done);
+    consumed := !consumed + n;
+    ungranted := !ungranted + n;
+    Metrics.add t.m_events n;
+    Metrics.incr t.m_batches;
+    Metrics.observe t.m_batch_events n;
+    if !ungranted >= grant_at then begin
+      Wire.send_server fd (Wire.Credit !ungranted);
+      Metrics.add t.m_credits !ungranted;
+      ungranted := 0
+    end
+  in
   while not !finished do
-    let payload = Wire.read_frame fd in
-    Metrics.add t.m_bytes (String.length payload + 8);
-    match Wire.decode_client payload with
-    | Wire.Hello _ -> raise (Bincodec.Corrupt "unexpected second hello")
-    | Wire.Heartbeat ->
+    let msg = Wire.recv r fd in
+    Metrics.add t.m_bytes (Wire.frame_bytes r);
+    match msg with
+    | Wire.Events (evs, n) -> on_batch evs n
+    | Wire.Message (Wire.Batch evs) -> on_batch evs (Array.length evs)
+    | Wire.Message (Wire.Hello _) -> raise (Bincodec.Corrupt "unexpected second hello")
+    | Wire.Message Wire.Heartbeat ->
       Metrics.incr t.m_heartbeats;
       Wire.send_server fd Wire.Heartbeat_ack
-    | Wire.Batch evs ->
-      let n = Array.length evs in
-      (match !farm with
-      | Some f -> Farm.feed_batch f evs
-      | None ->
-        let w = Option.get !writer in
-        Array.iter (Segment.append w) evs);
-      consumed := !consumed + n;
-      ungranted := !ungranted + n;
-      Metrics.add t.m_events n;
-      Metrics.incr t.m_batches;
-      Metrics.observe t.m_batch_events n;
-      if !ungranted >= grant_at then begin
-        Wire.send_server fd (Wire.Credit !ungranted);
-        Metrics.add t.m_credits !ungranted;
-        ungranted := 0
-      end
-    | Wire.Finish ->
+    | Wire.Message Wire.Finish ->
       let verdict =
         match !farm with
         | Some f ->
@@ -310,7 +320,7 @@ let serve_data_session t (s : session) hello =
       Wire.send_server fd (Wire.Verdict verdict);
       Metrics.incr t.m_verdicts;
       finished := true
-    | Wire.Resume_session path ->
+    | Wire.Message (Wire.Resume_session path) ->
       (* cluster failover: adopt the half-streamed session spooled by the
          coordinator.  Only valid as the session's first traffic — the
          fresh farm from the hello is replaced by one restored from the
@@ -349,14 +359,14 @@ let serve_data_session t (s : session) hello =
       | exception Sys_error msg -> raise (Bincodec.Corrupt ("resume: " ^ msg))
       | exception Invalid_argument msg ->
         raise (Bincodec.Corrupt ("resume: " ^ msg)))
-    | Wire.Checkpoint_request ->
+    | Wire.Message Wire.Checkpoint_request ->
       (* in-band barrier: by protocol order every batch before this request
          has been fed, so the snapshot covers exactly [consumed] events *)
       let state = match !farm with Some f -> Farm.checkpoint f | None -> None in
       Wire.send_server fd
         (Wire.Checkpoint_state { cs_events = !consumed; cs_state = state })
-    | Wire.Status_request -> Wire.send_server fd (Wire.Status (status t))
-    | Wire.Drain | Wire.Register _ ->
+    | Wire.Message Wire.Status_request -> Wire.send_server fd (Wire.Status (status t))
+    | Wire.Message (Wire.Drain | Wire.Register _) ->
       raise (Bincodec.Corrupt "control message on a data session")
   done;
   if checking then None else !spill_path
@@ -369,17 +379,18 @@ let serve_session t (s : session) =
   (* a peer that stops *reading* must not pin this thread in a blocking
      write (Credit/Verdict) past the idle timeout either *)
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.idle_timeout;
-  match Wire.recv_client fd with
-  | Wire.Hello hello -> serve_data_session t s hello
-  | Wire.Register name ->
+  let r = Wire.reader () in
+  match Wire.recv r fd with
+  | Wire.Message (Wire.Hello hello) -> serve_data_session t s r hello
+  | Wire.Message (Wire.Register name) ->
     with_lock t (fun () -> t.registered <- Some name);
     Wire.send_server fd (Wire.Status (status t));
-    control_loop t s;
+    control_loop t s r;
     None
-  | Wire.Status_request ->
+  | Wire.Message Wire.Status_request ->
     (* one-shot probe: answer, then keep serving polls *)
     Wire.send_server fd (Wire.Status (status t));
-    control_loop t s;
+    control_loop t s r;
     None
   | _ -> raise (Bincodec.Corrupt "expected hello")
 

@@ -58,302 +58,289 @@ type server_msg =
 
 (* ------------------------------------------------------ report codec *)
 
-let put_option put b = function
-  | None -> Buffer.add_char b '\000'
+let put_char = Bincodec.put_char
+let read_byte = Bincodec.read_byte
+
+let put_option put w = function
+  | None -> put_char w '\000'
   | Some v ->
-    Buffer.add_char b '\001';
-    put b v
+    put_char w '\001';
+    put w v
 
-let get_option get s pos =
-  if pos >= String.length s then corrupt "truncated option";
-  match s.[pos] with
-  | '\000' -> (None, pos + 1)
-  | '\001' ->
-    let v, pos = get s (pos + 1) in
-    (Some v, pos)
-  | c -> corrupt "unknown option tag 0x%02x" (Char.code c)
+let read_option read c =
+  match read_byte c "option" with
+  | '\000' -> None
+  | '\001' -> Some (read c)
+  | t -> corrupt "unknown option tag 0x%02x" (Char.code t)
 
-let put_exec b (e : Report.exec) =
-  Bincodec.put_uvarint b e.Report.e_tid;
-  Bincodec.put_string b e.Report.e_mid;
-  Bincodec.put_uvarint b (List.length e.Report.e_args);
-  List.iter (Bincodec.put_repr b) e.Report.e_args;
-  put_option Bincodec.put_repr b e.Report.e_ret
+let put_exec w (e : Report.exec) =
+  Bincodec.put_uvarint w e.Report.e_tid;
+  Bincodec.put_string w e.Report.e_mid;
+  Bincodec.put_uvarint w (List.length e.Report.e_args);
+  List.iter (Bincodec.put_repr w) e.Report.e_args;
+  put_option Bincodec.put_repr w e.Report.e_ret
 
-let get_exec s pos =
-  let e_tid, pos = Bincodec.get_uvarint s pos in
-  let e_mid, pos = Bincodec.get_string s pos in
-  let n, pos = Bincodec.get_uvarint s pos in
-  let rec items acc n pos =
-    if n = 0 then (List.rev acc, pos)
-    else
-      let v, pos = Bincodec.get_repr s pos in
-      items (v :: acc) (n - 1) pos
-  in
-  let e_args, pos = items [] n pos in
-  let e_ret, pos = get_option Bincodec.get_repr s pos in
-  ({ Report.e_tid; e_mid; e_args; e_ret }, pos)
+(* A count from the peer sizes nothing before it is bounded by the bytes
+   left: every item takes at least one. *)
+let read_count c what =
+  let n = Bincodec.read_uvarint c in
+  if n < 0 || n > Bincodec.remaining c then
+    corrupt "%s of %d items in %d bytes" what n (Bincodec.remaining c);
+  n
 
-let put_violation b (v : Report.violation) =
+let read_list read c = List.init (read_count c "list") (fun _ -> read c)
+
+let read_exec c =
+  let e_tid = Bincodec.read_uvarint c in
+  let e_mid = Bincodec.read_string c in
+  let e_args = read_list Bincodec.read_repr c in
+  let e_ret = read_option Bincodec.read_repr c in
+  { Report.e_tid; e_mid; e_args; e_ret }
+
+let put_violation w (v : Report.violation) =
   match v with
   | Report.Io_violation { exec; commit_ordinal; reason } ->
-    Buffer.add_char b '\000';
-    put_exec b exec;
-    Bincodec.put_uvarint b commit_ordinal;
-    Bincodec.put_string b reason
+    put_char w '\000';
+    put_exec w exec;
+    Bincodec.put_uvarint w commit_ordinal;
+    Bincodec.put_string w reason
   | Report.Observer_violation { exec; window = lo, hi } ->
-    Buffer.add_char b '\001';
-    put_exec b exec;
-    Bincodec.put_varint b lo;
-    Bincodec.put_varint b hi
+    put_char w '\001';
+    put_exec w exec;
+    Bincodec.put_varint w lo;
+    Bincodec.put_varint w hi
   | Report.View_violation { exec; commit_ordinal; view_i; view_s } ->
-    Buffer.add_char b '\002';
-    put_exec b exec;
-    Bincodec.put_uvarint b commit_ordinal;
-    Bincodec.put_repr b view_i;
-    Bincodec.put_repr b view_s
+    put_char w '\002';
+    put_exec w exec;
+    Bincodec.put_uvarint w commit_ordinal;
+    Bincodec.put_repr w view_i;
+    Bincodec.put_repr w view_s
   | Report.Invariant_violation { exec; commit_ordinal; invariant } ->
-    Buffer.add_char b '\003';
-    put_exec b exec;
-    Bincodec.put_uvarint b commit_ordinal;
-    Bincodec.put_string b invariant
+    put_char w '\003';
+    put_exec w exec;
+    Bincodec.put_uvarint w commit_ordinal;
+    Bincodec.put_string w invariant
   | Report.Ill_formed { event; reason } ->
-    Buffer.add_char b '\004';
-    put_option Bincodec.put_event b event;
-    Bincodec.put_string b reason
+    put_char w '\004';
+    put_option Bincodec.put_event w event;
+    Bincodec.put_string w reason
 
-let get_violation s pos =
-  if pos >= String.length s then corrupt "truncated violation";
-  match s.[pos] with
+let read_violation c =
+  match read_byte c "violation" with
   | '\000' ->
-    let exec, pos = get_exec s (pos + 1) in
-    let commit_ordinal, pos = Bincodec.get_uvarint s pos in
-    let reason, pos = Bincodec.get_string s pos in
-    (Report.Io_violation { exec; commit_ordinal; reason }, pos)
+    let exec = read_exec c in
+    let commit_ordinal = Bincodec.read_uvarint c in
+    let reason = Bincodec.read_string c in
+    Report.Io_violation { exec; commit_ordinal; reason }
   | '\001' ->
-    let exec, pos = get_exec s (pos + 1) in
-    let lo, pos = Bincodec.get_varint s pos in
-    let hi, pos = Bincodec.get_varint s pos in
-    (Report.Observer_violation { exec; window = (lo, hi) }, pos)
+    let exec = read_exec c in
+    let lo = Bincodec.read_varint c in
+    let hi = Bincodec.read_varint c in
+    Report.Observer_violation { exec; window = (lo, hi) }
   | '\002' ->
-    let exec, pos = get_exec s (pos + 1) in
-    let commit_ordinal, pos = Bincodec.get_uvarint s pos in
-    let view_i, pos = Bincodec.get_repr s pos in
-    let view_s, pos = Bincodec.get_repr s pos in
-    (Report.View_violation { exec; commit_ordinal; view_i; view_s }, pos)
+    let exec = read_exec c in
+    let commit_ordinal = Bincodec.read_uvarint c in
+    let view_i = Bincodec.read_repr c in
+    let view_s = Bincodec.read_repr c in
+    Report.View_violation { exec; commit_ordinal; view_i; view_s }
   | '\003' ->
-    let exec, pos = get_exec s (pos + 1) in
-    let commit_ordinal, pos = Bincodec.get_uvarint s pos in
-    let invariant, pos = Bincodec.get_string s pos in
-    (Report.Invariant_violation { exec; commit_ordinal; invariant }, pos)
+    let exec = read_exec c in
+    let commit_ordinal = Bincodec.read_uvarint c in
+    let invariant = Bincodec.read_string c in
+    Report.Invariant_violation { exec; commit_ordinal; invariant }
   | '\004' ->
-    let event, pos = get_option Bincodec.get_event s (pos + 1) in
-    let reason, pos = Bincodec.get_string s pos in
-    (Report.Ill_formed { event; reason }, pos)
-  | c -> corrupt "unknown violation tag 0x%02x" (Char.code c)
+    let event = read_option Bincodec.read_event c in
+    let reason = Bincodec.read_string c in
+    Report.Ill_formed { event; reason }
+  | t -> corrupt "unknown violation tag 0x%02x" (Char.code t)
 
-let put_report b (r : Report.t) =
+let put_report w (r : Report.t) =
   (match r.Report.outcome with
-  | Report.Pass -> Buffer.add_char b '\000'
+  | Report.Pass -> put_char w '\000'
   | Report.Fail v ->
-    Buffer.add_char b '\001';
-    put_violation b v);
+    put_char w '\001';
+    put_violation w v);
   let s = r.Report.stats in
-  Bincodec.put_uvarint b s.Report.events_processed;
-  Bincodec.put_uvarint b s.Report.methods_checked;
-  Bincodec.put_uvarint b s.Report.commits_resolved;
-  Bincodec.put_uvarint b (List.length s.Report.per_method);
+  Bincodec.put_uvarint w s.Report.events_processed;
+  Bincodec.put_uvarint w s.Report.methods_checked;
+  Bincodec.put_uvarint w s.Report.commits_resolved;
+  Bincodec.put_uvarint w (List.length s.Report.per_method);
   List.iter
     (fun (mid, n) ->
-      Bincodec.put_string b mid;
-      Bincodec.put_uvarint b n)
+      Bincodec.put_string w mid;
+      Bincodec.put_uvarint w n)
     s.Report.per_method;
-  Bincodec.put_uvarint b s.Report.queue_high_water
+  Bincodec.put_uvarint w s.Report.queue_high_water
 
-let get_report s pos =
-  if pos >= String.length s then corrupt "truncated report";
-  let outcome_tag = s.[pos] in
-  let outcome, pos =
-    match outcome_tag with
-    | '\000' -> (Report.Pass, pos + 1)
-    | '\001' ->
-      let v, pos = get_violation s (pos + 1) in
-      (Report.Fail v, pos)
-    | c -> corrupt "unknown outcome tag 0x%02x" (Char.code c)
+let read_report c =
+  let outcome =
+    match read_byte c "report" with
+    | '\000' -> Report.Pass
+    | '\001' -> Report.Fail (read_violation c)
+    | t -> corrupt "unknown outcome tag 0x%02x" (Char.code t)
   in
-  let events_processed, pos = Bincodec.get_uvarint s pos in
-  let methods_checked, pos = Bincodec.get_uvarint s pos in
-  let commits_resolved, pos = Bincodec.get_uvarint s pos in
-  let n, pos = Bincodec.get_uvarint s pos in
-  let rec items acc n pos =
-    if n = 0 then (List.rev acc, pos)
-    else
-      let mid, pos = Bincodec.get_string s pos in
-      let count, pos = Bincodec.get_uvarint s pos in
-      items ((mid, count) :: acc) (n - 1) pos
+  let events_processed = Bincodec.read_uvarint c in
+  let methods_checked = Bincodec.read_uvarint c in
+  let commits_resolved = Bincodec.read_uvarint c in
+  let per_method =
+    read_list
+      (fun c ->
+        let mid = Bincodec.read_string c in
+        (mid, Bincodec.read_uvarint c))
+      c
   in
-  let per_method, pos = items [] n pos in
-  let queue_high_water, pos = Bincodec.get_uvarint s pos in
-  ( {
-      Report.outcome;
-      stats =
-        {
-          Report.events_processed;
-          methods_checked;
-          commits_resolved;
-          per_method;
-          queue_high_water;
-        };
-    },
-    pos )
+  let queue_high_water = Bincodec.read_uvarint c in
+  {
+    Report.outcome;
+    stats =
+      { Report.events_processed; methods_checked; commits_resolved; per_method;
+        queue_high_water };
+  }
 
 (* ------------------------------------------------------ message codec *)
 
-let put_uvarint_option b = put_option (fun b n -> Bincodec.put_uvarint b n) b
-let get_uvarint_option = get_option (fun s pos -> Bincodec.get_uvarint s pos)
+let put_batch w evs ~pos ~len =
+  put_char w '\001';
+  Bincodec.put_uvarint w len;
+  for i = pos to pos + len - 1 do
+    Bincodec.put_event w (Array.unsafe_get evs i)
+  done
 
-let encode_client msg =
-  let b = Buffer.create 64 in
-  (match msg with
+let put_client w = function
   | Hello h ->
-    Buffer.add_char b '\000';
-    Bincodec.put_uvarint b h.h_version;
-    Buffer.add_char b (Char.chr (level_code h.h_level));
-    Bincodec.put_string b h.h_producer
-  | Batch evs ->
-    Buffer.add_char b '\001';
-    Bincodec.put_uvarint b (Array.length evs);
-    Array.iter (Bincodec.put_event b) evs
-  | Heartbeat -> Buffer.add_char b '\002'
-  | Finish -> Buffer.add_char b '\003'
+    put_char w '\000';
+    Bincodec.put_uvarint w h.h_version;
+    put_char w (Char.chr (level_code h.h_level));
+    Bincodec.put_string w h.h_producer
+  | Batch evs -> put_batch w evs ~pos:0 ~len:(Array.length evs)
+  | Heartbeat -> put_char w '\002'
+  | Finish -> put_char w '\003'
   | Resume_session path ->
-    Buffer.add_char b '\004';
-    Bincodec.put_string b path
-  | Checkpoint_request -> Buffer.add_char b '\005'
-  | Drain -> Buffer.add_char b '\006'
-  | Status_request -> Buffer.add_char b '\007'
+    put_char w '\004';
+    Bincodec.put_string w path
+  | Checkpoint_request -> put_char w '\005'
+  | Drain -> put_char w '\006'
+  | Status_request -> put_char w '\007'
   | Register name ->
-    Buffer.add_char b '\008';
-    Bincodec.put_string b name);
-  Buffer.contents b
+    put_char w '\008';
+    Bincodec.put_string w name
+
+let put_server w = function
+  | Hello_ack { a_version; a_session; a_credit; a_spilling } ->
+    put_char w '\000';
+    Bincodec.put_uvarint w a_version;
+    Bincodec.put_uvarint w a_session;
+    Bincodec.put_uvarint w a_credit;
+    put_char w (if a_spilling then '\001' else '\000')
+  | Credit n ->
+    put_char w '\001';
+    Bincodec.put_uvarint w n
+  | Heartbeat_ack -> put_char w '\002'
+  | Verdict v ->
+    put_char w '\003';
+    put_report w v.v_report;
+    put_option Bincodec.put_uvarint w v.v_fail_index;
+    Bincodec.put_uvarint w v.v_events;
+    put_option Bincodec.put_string w v.v_spilled
+  | Error msg ->
+    put_char w '\004';
+    Bincodec.put_string w msg
+  | Resume_ack { ra_events; ra_resumed_at; ra_replayed } ->
+    put_char w '\005';
+    Bincodec.put_uvarint w ra_events;
+    put_option Bincodec.put_uvarint w ra_resumed_at;
+    Bincodec.put_uvarint w ra_replayed
+  | Checkpoint_state { cs_events; cs_state } ->
+    put_char w '\006';
+    Bincodec.put_uvarint w cs_events;
+    put_option Bincodec.put_repr w cs_state
+  | Status { st_draining; st_active; st_checking; st_metrics } ->
+    put_char w '\007';
+    put_char w (if st_draining then '\001' else '\000');
+    Bincodec.put_uvarint w st_active;
+    Bincodec.put_uvarint w st_checking;
+    Bincodec.put_string w st_metrics
+
+let encode put msg =
+  let w = Bincodec.writer ~size:64 () in
+  put w msg;
+  Bincodec.contents w
+
+let encode_client = encode put_client
+let encode_server = encode put_server
+
+(* Every client message except [Batch], whose events the caller decodes
+   into storage of its choosing. *)
+let read_client_msg c = function
+  | '\000' ->
+    let h_version = Bincodec.read_uvarint c in
+    let h_level = level_of_code (Char.code (read_byte c "hello")) in
+    let h_producer = Bincodec.read_string c in
+    Hello { h_version; h_level; h_producer }
+  | '\002' -> Heartbeat
+  | '\003' -> Finish
+  | '\004' -> Resume_session (Bincodec.read_string c)
+  | '\005' -> Checkpoint_request
+  | '\006' -> Drain
+  | '\007' -> Status_request
+  | '\008' -> Register (Bincodec.read_string c)
+  | t -> corrupt "unknown client message tag 0x%02x" (Char.code t)
+
+let read_server c =
+  match read_byte c "message" with
+  | '\000' ->
+    let a_version = Bincodec.read_uvarint c in
+    let a_session = Bincodec.read_uvarint c in
+    let a_credit = Bincodec.read_uvarint c in
+    let a_spilling = read_byte c "hello-ack" <> '\000' in
+    Hello_ack { a_version; a_session; a_credit; a_spilling }
+  | '\001' -> Credit (Bincodec.read_uvarint c)
+  | '\002' -> Heartbeat_ack
+  | '\003' ->
+    let v_report = read_report c in
+    let v_fail_index = read_option Bincodec.read_uvarint c in
+    let v_events = Bincodec.read_uvarint c in
+    let v_spilled = read_option Bincodec.read_string c in
+    Verdict { v_report; v_fail_index; v_events; v_spilled }
+  | '\004' -> Error (Bincodec.read_string c)
+  | '\005' ->
+    let ra_events = Bincodec.read_uvarint c in
+    let ra_resumed_at = read_option Bincodec.read_uvarint c in
+    let ra_replayed = Bincodec.read_uvarint c in
+    Resume_ack { ra_events; ra_resumed_at; ra_replayed }
+  | '\006' ->
+    let cs_events = Bincodec.read_uvarint c in
+    let cs_state = read_option Bincodec.read_repr c in
+    Checkpoint_state { cs_events; cs_state }
+  | '\007' ->
+    let st_draining = read_byte c "status" <> '\000' in
+    let st_active = Bincodec.read_uvarint c in
+    let st_checking = Bincodec.read_uvarint c in
+    let st_metrics = Bincodec.read_string c in
+    Status { st_draining; st_active; st_checking; st_metrics }
+  | t -> corrupt "unknown server message tag 0x%02x" (Char.code t)
 
 (* A payload whose message ends before the payload does is as corrupt as a
    truncated one: trailing garbage means framing desynchronization. *)
-let finish_decode what (v, pos) s =
-  if pos <> String.length s then
-    corrupt "%s message payload has %d trailing bytes" what (String.length s - pos);
+let finish_decode what c v =
+  if Bincodec.remaining c <> 0 then
+    corrupt "%s message payload has %d trailing bytes" what (Bincodec.remaining c);
   v
 
-let decode_client s =
+let decode what read s =
   if s = "" then corrupt "empty message";
-  finish_decode "client"
-    (match s.[0] with
-    | '\000' ->
-      let h_version, pos = Bincodec.get_uvarint s 1 in
-      if pos >= String.length s then corrupt "truncated hello";
-      let h_level = level_of_code (Char.code s.[pos]) in
-      let h_producer, pos = Bincodec.get_string s (pos + 1) in
-      (Hello { h_version; h_level; h_producer }, pos)
-    | '\001' ->
-      let n, pos = Bincodec.get_uvarint s 1 in
-      if n > max_frame_bytes then corrupt "batch of %d events" n;
-      let evs, pos = Bincodec.get_events s ~pos ~count:n in
-      (Batch evs, pos)
-    | '\002' -> (Heartbeat, 1)
-    | '\003' -> (Finish, 1)
-    | '\004' ->
-      let path, pos = Bincodec.get_string s 1 in
-      (Resume_session path, pos)
-    | '\005' -> (Checkpoint_request, 1)
-    | '\006' -> (Drain, 1)
-    | '\007' -> (Status_request, 1)
-    | '\008' ->
-      let name, pos = Bincodec.get_string s 1 in
-      (Register name, pos)
-    | c -> corrupt "unknown client message tag 0x%02x" (Char.code c))
-    s
+  let c = Bincodec.cursor s in
+  finish_decode what c (read c)
 
-let encode_server msg =
-  let b = Buffer.create 64 in
-  (match msg with
-  | Hello_ack { a_version; a_session; a_credit; a_spilling } ->
-    Buffer.add_char b '\000';
-    Bincodec.put_uvarint b a_version;
-    Bincodec.put_uvarint b a_session;
-    Bincodec.put_uvarint b a_credit;
-    Buffer.add_char b (if a_spilling then '\001' else '\000')
-  | Credit n ->
-    Buffer.add_char b '\001';
-    Bincodec.put_uvarint b n
-  | Heartbeat_ack -> Buffer.add_char b '\002'
-  | Verdict v ->
-    Buffer.add_char b '\003';
-    put_report b v.v_report;
-    put_uvarint_option b v.v_fail_index;
-    Bincodec.put_uvarint b v.v_events;
-    put_option Bincodec.put_string b v.v_spilled
-  | Error msg ->
-    Buffer.add_char b '\004';
-    Bincodec.put_string b msg
-  | Resume_ack { ra_events; ra_resumed_at; ra_replayed } ->
-    Buffer.add_char b '\005';
-    Bincodec.put_uvarint b ra_events;
-    put_uvarint_option b ra_resumed_at;
-    Bincodec.put_uvarint b ra_replayed
-  | Checkpoint_state { cs_events; cs_state } ->
-    Buffer.add_char b '\006';
-    Bincodec.put_uvarint b cs_events;
-    put_option Bincodec.put_repr b cs_state
-  | Status { st_draining; st_active; st_checking; st_metrics } ->
-    Buffer.add_char b '\007';
-    Buffer.add_char b (if st_draining then '\001' else '\000');
-    Bincodec.put_uvarint b st_active;
-    Bincodec.put_uvarint b st_checking;
-    Bincodec.put_string b st_metrics);
-  Buffer.contents b
+let decode_client =
+  decode "client" (fun c ->
+      match read_byte c "message" with
+      | '\001' ->
+        let n = read_count c "batch" in
+        Batch (Array.init n (fun _ -> Bincodec.read_event c))
+      | t -> read_client_msg c t)
 
-let decode_server s =
-  if s = "" then corrupt "empty message";
-  finish_decode "server"
-    (match s.[0] with
-    | '\000' ->
-      let a_version, pos = Bincodec.get_uvarint s 1 in
-      let a_session, pos = Bincodec.get_uvarint s pos in
-      let a_credit, pos = Bincodec.get_uvarint s pos in
-      if pos >= String.length s then corrupt "truncated hello-ack";
-      let a_spilling = s.[pos] <> '\000' in
-      (Hello_ack { a_version; a_session; a_credit; a_spilling }, pos + 1)
-    | '\001' ->
-      let n, pos = Bincodec.get_uvarint s 1 in
-      (Credit n, pos)
-    | '\002' -> (Heartbeat_ack, 1)
-    | '\003' ->
-      let v_report, pos = get_report s 1 in
-      let v_fail_index, pos = get_uvarint_option s pos in
-      let v_events, pos = Bincodec.get_uvarint s pos in
-      let v_spilled, pos = get_option Bincodec.get_string s pos in
-      (Verdict { v_report; v_fail_index; v_events; v_spilled }, pos)
-    | '\004' ->
-      let msg, pos = Bincodec.get_string s 1 in
-      (Error msg, pos)
-    | '\005' ->
-      let ra_events, pos = Bincodec.get_uvarint s 1 in
-      let ra_resumed_at, pos = get_uvarint_option s pos in
-      let ra_replayed, pos = Bincodec.get_uvarint s pos in
-      (Resume_ack { ra_events; ra_resumed_at; ra_replayed }, pos)
-    | '\006' ->
-      let cs_events, pos = Bincodec.get_uvarint s 1 in
-      let cs_state, pos = get_option Bincodec.get_repr s pos in
-      (Checkpoint_state { cs_events; cs_state }, pos)
-    | '\007' ->
-      if String.length s < 2 then corrupt "truncated status";
-      let st_draining = s.[1] <> '\000' in
-      let st_active, pos = Bincodec.get_uvarint s 2 in
-      let st_checking, pos = Bincodec.get_uvarint s pos in
-      let st_metrics, pos = Bincodec.get_string s pos in
-      (Status { st_draining; st_active; st_checking; st_metrics }, pos)
-    | c -> corrupt "unknown server message tag 0x%02x" (Char.code c))
-    s
+let decode_server = decode "server" read_server
 
 (* -------------------------------------------------------------- frames *)
 
@@ -363,17 +350,18 @@ exception Timeout
 let frame_header_bytes = 8
 
 let frame payload =
-  let head = Bytes.create frame_header_bytes in
-  Bytes.set_int32_le head 0 (Int32.of_int (String.length payload land 0xffffffff));
-  Bytes.set_int32_le head 4 (Int32.of_int (Bincodec.crc32 payload land 0xffffffff));
-  Bytes.unsafe_to_string head ^ payload
+  let n = String.length payload in
+  let b = Bytes.create (frame_header_bytes + n) in
+  Bytes.set_int32_le b 0 (Int32.of_int (n land 0xffffffff));
+  Bytes.set_int32_le b 4 (Int32.of_int (Bincodec.crc32 payload land 0xffffffff));
+  Bytes.blit_string payload 0 b frame_header_bytes n;
+  Bytes.unsafe_to_string b
 
 (* [write] can send short on sockets; loop, restarting on EINTR. *)
-let write_all fd s =
-  let len = String.length s in
+let write_all fd b len =
   let pos = ref 0 in
   while !pos < len do
-    match Unix.write_substring fd s !pos (len - !pos) with
+    match Unix.write fd b !pos (len - !pos) with
     | 0 -> raise Closed
     | n -> pos := !pos + n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -383,12 +371,49 @@ let write_all fd s =
       raise Timeout
   done
 
-let write_frame fd payload = write_all fd (frame payload)
+(* Sending: the message is encoded into [w] behind a reserved header slot,
+   the header is patched in place and the frame leaves in one write.  [w]
+   is the caller's, so a connection reuses one buffer for every frame. *)
+let send_with w fd put msg =
+  Bincodec.begin_frame w ~header:frame_header_bytes;
+  put w msg;
+  Bincodec.seal_frame w ~header:frame_header_bytes;
+  let n = Bincodec.length w in
+  write_all fd (Bincodec.bytes w) n;
+  n
 
-(* Read exactly [n] bytes.  [`Eof] only when zero bytes had been read —
-   EOF mid-read is a torn frame, reported as [Corrupt] by the caller. *)
-let read_exactly fd n =
-  let buf = Bytes.create n in
+let write_client w fd msg = send_with w fd put_client msg
+
+let write_batch w fd evs ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length evs - len then
+    invalid_arg "Wire.write_batch: slice out of bounds";
+  send_with w fd (fun w evs -> put_batch w evs ~pos ~len) evs
+
+let send_client fd msg = ignore (write_client (Bincodec.writer ~size:64 ()) fd msg)
+let send_server fd msg = ignore (send_with (Bincodec.writer ~size:64 ()) fd put_server msg)
+
+(* Receiving: one frame at a time into [r_buf], which grows to the largest
+   frame seen and is then reused.  The cursor's slice ends at the current
+   payload, so bytes a longer earlier frame left behind are unreachable,
+   and every decoded string is a copy, so nothing aliases [r_buf] once a
+   message is returned. *)
+type reader = {
+  r_head : Bytes.t;
+  mutable r_buf : Bytes.t;
+  r_cur : Bincodec.cursor;
+  mutable r_events : Event.t array;
+  mutable r_frame : int;
+}
+
+let reader () =
+  { r_head = Bytes.create frame_header_bytes; r_buf = Bytes.empty;
+    r_cur = Bincodec.cursor ""; r_events = [||]; r_frame = 0 }
+
+let frame_bytes r = r.r_frame
+
+(* Read exactly [n] bytes into [buf]; returns how many arrived before EOF
+   (fewer than [n] only at end of stream). *)
+let read_into fd buf n =
   let pos = ref 0 in
   (try
      while !pos < n do
@@ -400,30 +425,57 @@ let read_exactly fd n =
          raise Timeout
      done
    with Exit -> ());
-  if !pos = n then `Ok (Bytes.unsafe_to_string buf)
-  else if !pos = 0 then `Eof
-  else `Torn !pos
+  !pos
 
-let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xffffffff
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
 
-let read_frame ?(max_bytes = max_frame_bytes) fd =
-  match read_exactly fd frame_header_bytes with
-  | `Eof -> raise Closed
-  | `Torn n -> corrupt "torn frame header (%d of %d bytes)" n frame_header_bytes
-  | `Ok head -> (
-    let len = get_u32 head 0 in
-    let crc = get_u32 head 4 in
+(* EOF before any header byte is a clean [Closed]; EOF anywhere later is a
+   torn frame.  The length is checked against [max_bytes] before the
+   buffer grows, and the CRC before anything decodes. *)
+let read_payload ?(max_bytes = max_frame_bytes) r fd =
+  match read_into fd r.r_head frame_header_bytes with
+  | 0 -> raise Closed
+  | got when got < frame_header_bytes ->
+    corrupt "torn frame header (%d of %d bytes)" got frame_header_bytes
+  | _ ->
+    let len = get_u32 r.r_head 0 in
+    let crc = get_u32 r.r_head 4 in
     if len > max_bytes then corrupt "frame of %d bytes exceeds the %d limit" len max_bytes;
-    match read_exactly fd len with
-    | `Eof | `Torn _ -> corrupt "torn frame payload (wanted %d bytes)" len
-    | `Ok payload ->
-      if Bincodec.crc32 payload <> crc then corrupt "frame checksum mismatch";
-      payload)
+    if len > Bytes.length r.r_buf then
+      r.r_buf <- Bytes.create (max len (min max_bytes (2 * Bytes.length r.r_buf)));
+    if read_into fd r.r_buf len < len then corrupt "torn frame payload (wanted %d bytes)" len;
+    let payload = Bytes.unsafe_to_string r.r_buf in
+    if Bincodec.crc32 ~len payload <> crc then corrupt "frame checksum mismatch";
+    r.r_frame <- frame_header_bytes + len;
+    Bincodec.retarget r.r_cur ~len payload;
+    r.r_cur
 
-let send_client fd msg = write_frame fd (encode_client msg)
-let send_server fd msg = write_frame fd (encode_server msg)
-let recv_client ?max_bytes fd = decode_client (read_frame ?max_bytes fd)
+let read_frame ?max_bytes fd =
+  let r = reader () in
+  let c = read_payload ?max_bytes r fd in
+  Bytes.sub_string r.r_buf 0 (Bincodec.remaining c)
+
 let recv_server ?max_bytes fd = decode_server (read_frame ?max_bytes fd)
+
+type inbound = Events of Event.t array * int | Message of client_msg
+
+let recv ?max_bytes r fd =
+  let c = read_payload ?max_bytes r fd in
+  if Bincodec.remaining c = 0 then corrupt "empty message";
+  match read_byte c "message" with
+  | '\001' ->
+    let n = read_count c "batch" in
+    for i = 0 to n - 1 do
+      let ev = Bincodec.read_event c in
+      if i = Array.length r.r_events then begin
+        let grown = Array.make (max 16 (2 * i)) ev in
+        Array.blit r.r_events 0 grown 0 i;
+        r.r_events <- grown
+      end;
+      Array.unsafe_set r.r_events i ev
+    done;
+    finish_decode "client" c (Events (r.r_events, n))
+  | t -> finish_decode "client" c (Message (read_client_msg c t))
 
 (* ----------------------------------------------------------- addresses *)
 

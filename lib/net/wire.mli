@@ -115,9 +115,9 @@ val encode_server : server_msg -> string
 val decode_server : string -> server_msg
 
 (** The report codec used inside {!Verdict} (exposed for tests). *)
-val put_report : Buffer.t -> Vyrd.Report.t -> unit
+val put_report : Vyrd_pipeline.Bincodec.writer -> Vyrd.Report.t -> unit
 
-val get_report : string -> int -> Vyrd.Report.t * int
+val read_report : Vyrd_pipeline.Bincodec.cursor -> Vyrd.Report.t
 
 (** {1 Framing} *)
 
@@ -131,20 +131,63 @@ exception Timeout
 (** [frame payload] is the framed bytes: length, CRC, payload. *)
 val frame : string -> string
 
-val write_frame : Unix.file_descr -> string -> unit
+(** {2 Sending on a reusable buffer}
 
-(** [read_frame fd] reads one whole frame and returns its payload.
+    [write_client w fd msg] clears [w], encodes [msg] into it behind an
+    8-byte header slot, patches the length and CRC in place and sends the
+    frame with one write; returns the frame's size in bytes.  [w] belongs
+    to the caller (one per connection) and may be reused as soon as this
+    returns.  The bytes sent equal [frame (encode_client msg)]. *)
+val write_client : Vyrd_pipeline.Bincodec.writer -> Unix.file_descr -> client_msg -> int
+
+(** [write_batch w fd evs ~pos ~len] is [write_client w fd (Batch sub)]
+    for [sub] the events [pos .. pos + len - 1], without copying them out.
+    @raise Invalid_argument when the slice is out of bounds. *)
+val write_batch :
+  Vyrd_pipeline.Bincodec.writer ->
+  Unix.file_descr ->
+  Vyrd.Event.t array ->
+  pos:int ->
+  len:int ->
+  int
+
+(** {2 Receiving into a reusable buffer} *)
+
+(** A connection's receive side: one payload buffer, grown to the largest
+    frame seen and reused for every later frame, plus the event array
+    {!recv} decodes batches into.  Owned by the one thread reading the
+    connection. *)
+type reader
+
+val reader : unit -> reader
+
+(** A received client message.  [Events (evs, n)]: a {!Batch} whose [n]
+    events are [evs.(0) .. evs.(n - 1)] — [evs] is the reader's own array,
+    valid until the next {!recv} on that reader.  [Message m] is any other
+    message (never a [Batch]). *)
+type inbound = Events of Vyrd.Event.t array * int | Message of client_msg
+
+(** [recv r fd] reads one frame into [r] and decodes it.  Every event is
+    fully materialized (no string aliases [r]'s buffer) before this
+    returns, and the decoder sees only the current payload.
     @raise Closed on EOF at a frame boundary.
-    @raise Vyrd_pipeline.Bincodec.Corrupt on a torn frame, an oversized
-      length, or a CRC mismatch.
+    @raise Vyrd_pipeline.Bincodec.Corrupt on a torn frame, a length over
+      [max_bytes] (checked before any allocation), a CRC mismatch (checked
+      before decoding) or a malformed payload.
     @raise Timeout when the descriptor's [SO_RCVTIMEO] expires. *)
+val recv : ?max_bytes:int -> reader -> Unix.file_descr -> inbound
+
+(** Size of the last frame {!recv} read, header included. *)
+val frame_bytes : reader -> int
+
+(** [read_frame fd] reads one whole frame and returns a copy of its
+    payload; it raises exactly what {!recv} raises before decoding. *)
 val read_frame : ?max_bytes:int -> Unix.file_descr -> string
 
-(** Convenience compositions used by both endpoints. *)
+(** Convenience compositions for cold paths (a fresh buffer per call). *)
 val send_client : Unix.file_descr -> client_msg -> unit
 
 val send_server : Unix.file_descr -> server_msg -> unit
-val recv_client : ?max_bytes:int -> Unix.file_descr -> client_msg
 val recv_server : ?max_bytes:int -> Unix.file_descr -> server_msg
 
 (** {1 Addresses} *)

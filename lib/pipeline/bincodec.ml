@@ -4,55 +4,131 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
 
+(* -------------------------------------------------------------- writer *)
+
+type writer = { mutable buf : Bytes.t; mutable len : int }
+
+let writer ?(size = 256) () = { buf = Bytes.create (max 16 size); len = 0 }
+let length w = w.len
+let clear w = w.len <- 0
+let contents w = Bytes.sub_string w.buf 0 w.len
+let bytes w = w.buf
+
+let grow w n =
+  let cap = ref (Bytes.length w.buf) in
+  while !cap < w.len + n do
+    cap := 2 * !cap
+  done;
+  let buf = Bytes.create !cap in
+  Bytes.blit w.buf 0 buf 0 w.len;
+  w.buf <- buf
+
+let ensure w n = if w.len + n > Bytes.length w.buf then grow w n
+
+let put_char w c =
+  ensure w 1;
+  Bytes.unsafe_set w.buf w.len c;
+  w.len <- w.len + 1
+
+let put_raw w s =
+  let n = String.length s in
+  ensure w n;
+  Bytes.unsafe_blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
+let set_u32 w off n =
+  if off < 0 || off > w.len - 4 then invalid_arg "Bincodec.set_u32";
+  Bytes.set_int32_le w.buf off (Int32.of_int (n land 0xffffffff))
+
+(* -------------------------------------------------------------- cursor *)
+
+type cursor = { mutable src : string; mutable pos : int; mutable stop : int }
+
+let check_slice what s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg ("Bincodec." ^ what ^ ": slice out of bounds")
+
+let cursor ?(pos = 0) ?len s =
+  let len = match len with Some l -> l | None -> String.length s - pos in
+  check_slice "cursor" s pos len;
+  { src = s; pos; stop = pos + len }
+
+let retarget c ?(pos = 0) ~len s =
+  check_slice "retarget" s pos len;
+  c.src <- s;
+  c.pos <- pos;
+  c.stop <- pos + len
+
+let remaining c = c.stop - c.pos
+
+let read_byte c what =
+  if c.pos >= c.stop then corrupt "truncated %s" what;
+  let b = String.unsafe_get c.src c.pos in
+  c.pos <- c.pos + 1;
+  b
+
 (* ------------------------------------------------------------- varints *)
 
 (* LEB128 over the 63-bit native int, treated as unsigned: [lsr] keeps the
-   loop total even when the top (sign) bit is set by the zigzag mapping. *)
-let put_uvarint b n =
-  let rec go n =
-    if n lsr 7 = 0 then Buffer.add_char b (Char.unsafe_chr (n land 0x7f))
-    else begin
-      Buffer.add_char b (Char.unsafe_chr (n land 0x7f lor 0x80));
-      go (n lsr 7)
-    end
-  in
-  go n
+   loop total even when the top (sign) bit is set by the zigzag mapping.
+   Nine bytes carry 63 bits, so one [ensure] covers the whole number. *)
+let rec put_uvarint_at b p n =
+  if n lsr 7 = 0 then begin
+    Bytes.unsafe_set b p (Char.unsafe_chr n);
+    p + 1
+  end
+  else begin
+    Bytes.unsafe_set b p (Char.unsafe_chr (n land 0x7f lor 0x80));
+    put_uvarint_at b (p + 1) (n lsr 7)
+  end
 
-let get_uvarint s pos =
-  let len = String.length s in
-  let rec go acc shift pos =
-    if pos >= len then corrupt "truncated varint";
-    if shift > 56 then corrupt "varint longer than 9 bytes";
-    let c = Char.code (String.unsafe_get s pos) in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
-  in
-  go 0 0 pos
+let put_uvarint w n =
+  ensure w 9;
+  w.len <- put_uvarint_at w.buf w.len n
+
+let rec read_uvarint_from c acc shift =
+  if c.pos >= c.stop then corrupt "truncated varint";
+  if shift > 56 then corrupt "varint longer than 9 bytes";
+  let b = Char.code (String.unsafe_get c.src c.pos) in
+  c.pos <- c.pos + 1;
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else read_uvarint_from c acc (shift + 7)
+
+let read_uvarint c = read_uvarint_from c 0 0
 
 (* Zigzag: 0,-1,1,-2,... -> 0,1,2,3,...; [asr 62] spreads the sign bit of
    the 63-bit int. *)
-let put_varint b n = put_uvarint b ((n lsl 1) lxor (n asr 62))
+let put_varint w n = put_uvarint w ((n lsl 1) lxor (n asr 62))
 
-let get_varint s pos =
-  let u, pos = get_uvarint s pos in
-  ((u lsr 1) lxor (- (u land 1)), pos)
+let read_varint c =
+  let u = read_uvarint c in
+  (u lsr 1) lxor (- (u land 1))
 
-let put_string b s =
-  put_uvarint b (String.length s);
-  Buffer.add_string b s
+(* ------------------------------------------------------------- strings *)
+
+let put_string w s =
+  put_uvarint w (String.length s);
+  put_raw w s
 
 (* [pos + n] can overflow to negative when a hostile 9-byte uvarint decodes
    near max_int, so bound [n] by the remaining bytes instead. *)
-let get_string s pos =
-  let n, pos = get_uvarint s pos in
-  if n < 0 || n > String.length s - pos then corrupt "truncated string (%d bytes)" n;
-  (String.sub s pos n, pos + n)
+let read_length c =
+  let n = read_uvarint c in
+  if n < 0 || n > c.stop - c.pos then corrupt "truncated string (%d bytes)" n;
+  n
+
+let read_string c =
+  let n = read_length c in
+  let s = String.sub c.src c.pos n in
+  c.pos <- c.pos + n;
+  s
 
 (* Method, variable and lock names repeat millions of times per log, so the
-   name positions of {!get_event} resolve through a direct-mapped cache of
+   name positions of {!read_event} resolve through a direct-mapped cache of
    previously decoded strings instead of allocating a fresh copy each time.
    Collisions and stale entries just fall back to [String.sub]; the cached
-   values are immutable, so cross-domain races are benign. *)
+   values are immutable, so cross-domain races are benign.  Either way the
+   result is a fresh or cached string, never an alias of the source. *)
 let intern_size = 4096
 let intern : string array = Array.make intern_size ""
 
@@ -71,202 +147,216 @@ let equal_sub s pos n t =
   in
   go 0
 
-let get_name s pos =
-  let n, pos = get_uvarint s pos in
-  if n < 0 || n > String.length s - pos then corrupt "truncated string (%d bytes)" n;
-  if n > 32 then (String.sub s pos n, pos + n)
+let read_name c =
+  let n = read_length c in
+  let s = c.src and pos = c.pos in
+  c.pos <- pos + n;
+  if n > 32 then String.sub s pos n
   else begin
     let h = hash_sub s pos n in
     let t = Array.unsafe_get intern h in
-    if equal_sub s pos n t then (t, pos + n)
+    if equal_sub s pos n t then t
     else begin
       let t = String.sub s pos n in
       Array.unsafe_set intern h t;
-      (t, pos + n)
+      t
     end
   end
 
 (* -------------------------------------------------------------- values *)
 
-let rec put_repr b = function
-  | Repr.Unit -> Buffer.add_char b '\000'
-  | Repr.Bool false -> Buffer.add_char b '\001'
-  | Repr.Bool true -> Buffer.add_char b '\002'
+let rec put_repr w = function
+  | Repr.Unit -> put_char w '\000'
+  | Repr.Bool false -> put_char w '\001'
+  | Repr.Bool true -> put_char w '\002'
   | Repr.Int n ->
-    Buffer.add_char b '\003';
-    put_varint b n
+    put_char w '\003';
+    put_varint w n
   | Repr.Str s ->
-    Buffer.add_char b '\004';
-    put_string b s
+    put_char w '\004';
+    put_string w s
   | Repr.Pair (x, y) ->
-    Buffer.add_char b '\005';
-    put_repr b x;
-    put_repr b y
+    put_char w '\005';
+    put_repr w x;
+    put_repr w y
   | Repr.List vs ->
-    Buffer.add_char b '\006';
-    put_uvarint b (List.length vs);
-    List.iter (put_repr b) vs
+    put_char w '\006';
+    put_reprs w vs
 
-let rec get_repr s pos =
-  if pos >= String.length s then corrupt "truncated value";
-  match s.[pos] with
-  | '\000' -> (Repr.Unit, pos + 1)
-  | '\001' -> (Repr.Bool false, pos + 1)
-  | '\002' -> (Repr.Bool true, pos + 1)
-  | '\003' ->
-    let n, pos = get_varint s (pos + 1) in
-    (Repr.Int n, pos)
-  | '\004' ->
-    let v, pos = get_string s (pos + 1) in
-    (Repr.Str v, pos)
+and put_reprs w vs =
+  put_uvarint w (List.length vs);
+  put_items w vs
+
+and put_items w = function
+  | [] -> ()
+  | v :: vs ->
+    put_repr w v;
+    put_items w vs
+
+let rec read_repr c =
+  match read_byte c "value" with
+  | '\000' -> Repr.Unit
+  | '\001' -> Repr.Bool false
+  | '\002' -> Repr.Bool true
+  | '\003' -> Repr.Int (read_varint c)
+  | '\004' -> Repr.Str (read_string c)
   | '\005' ->
-    let x, pos = get_repr s (pos + 1) in
-    let y, pos = get_repr s pos in
-    (Repr.Pair (x, y), pos)
-  | '\006' ->
-    let n, pos = get_uvarint s (pos + 1) in
-    let rec items acc n pos =
-      if n = 0 then (List.rev acc, pos)
-      else
-        let v, pos = get_repr s pos in
-        items (v :: acc) (n - 1) pos
-    in
-    let vs, pos = items [] n pos in
-    (Repr.List vs, pos)
-  | c -> corrupt "unknown value tag 0x%02x" (Char.code c)
+    let x = read_repr c in
+    let y = read_repr c in
+    Repr.Pair (x, y)
+  | '\006' -> Repr.List (read_reprs c)
+  | t -> corrupt "unknown value tag 0x%02x" (Char.code t)
+
+(* a varint count, then that many values; the one-element case (every
+   argument list of the benchmark's methods) skips the reversal *)
+and read_reprs c =
+  match read_uvarint c with
+  | 0 -> []
+  | 1 -> [ read_repr c ]
+  | n ->
+    let rec items acc n = if n = 0 then List.rev acc else items (read_repr c :: acc) (n - 1) in
+    items [] n
 
 (* -------------------------------------------------------------- events *)
 
-let put_event b ev =
-  let tagged tag tid =
-    Buffer.add_char b tag;
-    put_uvarint b tid
-  in
+let put_head w tag tid =
+  put_char w tag;
+  put_uvarint w tid
+
+let put_event w ev =
   match ev with
   | Event.Call { tid; mid; args } ->
-    tagged '\000' tid;
-    put_string b mid;
-    put_uvarint b (List.length args);
-    List.iter (put_repr b) args
+    put_head w '\000' tid;
+    put_string w mid;
+    put_reprs w args
   | Event.Return { tid; mid; value } ->
-    tagged '\001' tid;
-    put_string b mid;
-    put_repr b value
-  | Event.Commit { tid } -> tagged '\002' tid
+    put_head w '\001' tid;
+    put_string w mid;
+    put_repr w value
+  | Event.Commit { tid } -> put_head w '\002' tid
   | Event.Write { tid; var; value } ->
-    tagged '\003' tid;
-    put_string b var;
-    put_repr b value
-  | Event.Block_begin { tid } -> tagged '\004' tid
-  | Event.Block_end { tid } -> tagged '\005' tid
+    put_head w '\003' tid;
+    put_string w var;
+    put_repr w value
+  | Event.Block_begin { tid } -> put_head w '\004' tid
+  | Event.Block_end { tid } -> put_head w '\005' tid
   | Event.Read { tid; var } ->
-    tagged '\006' tid;
-    put_string b var
+    put_head w '\006' tid;
+    put_string w var
   | Event.Acquire { tid; lock } ->
-    tagged '\007' tid;
-    put_string b lock
+    put_head w '\007' tid;
+    put_string w lock
   | Event.Release { tid; lock } ->
-    tagged '\008' tid;
-    put_string b lock
+    put_head w '\008' tid;
+    put_string w lock
 
-let get_event s pos =
-  if pos >= String.length s then corrupt "truncated event";
-  let tag = s.[pos] in
-  let tid, pos = get_uvarint s (pos + 1) in
+let read_event c =
+  let tag = read_byte c "event" in
+  let tid = read_uvarint c in
   match tag with
   | '\000' ->
-    let mid, pos = get_name s pos in
-    let n, pos = get_uvarint s pos in
-    let rec items acc n pos =
-      if n = 0 then (List.rev acc, pos)
-      else
-        let v, pos = get_repr s pos in
-        items (v :: acc) (n - 1) pos
-    in
-    let args, pos = items [] n pos in
-    (Event.Call { tid; mid; args }, pos)
+    let mid = read_name c in
+    let args = read_reprs c in
+    Event.Call { tid; mid; args }
   | '\001' ->
-    let mid, pos = get_name s pos in
-    let value, pos = get_repr s pos in
-    (Event.Return { tid; mid; value }, pos)
-  | '\002' -> (Event.Commit { tid }, pos)
+    let mid = read_name c in
+    let value = read_repr c in
+    Event.Return { tid; mid; value }
+  | '\002' -> Event.Commit { tid }
   | '\003' ->
-    let var, pos = get_name s pos in
-    let value, pos = get_repr s pos in
-    (Event.Write { tid; var; value }, pos)
-  | '\004' -> (Event.Block_begin { tid }, pos)
-  | '\005' -> (Event.Block_end { tid }, pos)
-  | '\006' ->
-    let var, pos = get_name s pos in
-    (Event.Read { tid; var }, pos)
-  | '\007' ->
-    let lock, pos = get_name s pos in
-    (Event.Acquire { tid; lock }, pos)
-  | '\008' ->
-    let lock, pos = get_name s pos in
-    (Event.Release { tid; lock }, pos)
-  | c -> corrupt "unknown event tag 0x%02x" (Char.code c)
+    let var = read_name c in
+    let value = read_repr c in
+    Event.Write { tid; var; value }
+  | '\004' -> Event.Block_begin { tid }
+  | '\005' -> Event.Block_end { tid }
+  | '\006' -> Event.Read { tid; var = read_name c }
+  | '\007' -> Event.Acquire { tid; lock = read_name c }
+  | '\008' -> Event.Release { tid; lock = read_name c }
+  | t -> corrupt "unknown event tag 0x%02x" (Char.code t)
 
-let event_bytes ev =
-  let b = Buffer.create 32 in
-  put_event b ev;
-  Buffer.length b
-
-(* ------------------------------------------------------- batch decoding *)
+(* -------------------------------------------------------------- slices *)
 
 let iter_events ?(pos = 0) ?len s f =
-  let len = match len with Some l -> l | None -> String.length s - pos in
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Bincodec.iter_events: slice out of bounds";
-  let stop = pos + len in
-  let p = ref pos in
+  let c = cursor ~pos ?len s in
   let n = ref 0 in
-  while !p < stop do
-    let ev, p' = get_event s !p in
-    if p' > stop then corrupt "event runs past the end of its slice";
-    f ev;
-    incr n;
-    p := p'
+  while c.pos < c.stop do
+    f (read_event c);
+    incr n
   done;
   !n
 
-let get_events s ~pos ~count =
-  if count < 0 then invalid_arg "Bincodec.get_events: negative count";
-  if count = 0 then ([||], pos)
-  else begin
-    let p = ref pos in
-    let evs =
-      Array.init count (fun _ ->
-          let ev, p' = get_event s !p in
-          p := p';
-          ev)
-    in
-    (evs, !p)
-  end
-
-let iter_events_bytes buf ~pos ~len f =
-  (* Zero-copy entry for network/file read buffers: [Bytes.unsafe_to_string]
-     aliases the bytes without copying, and every event is materialized
-     before this call returns, so the aliasing is safe as long as the caller
-     does not mutate [buf] concurrently — the contract stated in the mli. *)
-  iter_events ~pos ~len (Bytes.unsafe_to_string buf) f
-
 (* ------------------------------------------------------------ checksum *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+(* Slice-by-8 CRC-32: table [k] (entries [k * 256 ..]) advances a byte's
+   contribution past [k] further bytes, so one step folds eight input bytes
+   with eight independent lookups instead of eight dependent ones. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
+
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let get_u32_le s i =
+  if Sys.big_endian then Int32.to_int (swap32 (get32u s i)) land 0xffffffff
+  else Int32.to_int (get32u s i) land 0xffffffff
 
 let crc32 ?(pos = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
-  let t = Lazy.force crc_table in
+  check_slice "crc32" s pos len;
+  let t = crc_tables in
   let c = ref 0xffffffff in
-  for i = pos to pos + len - 1 do
-    c := t.((!c lxor Char.code (String.unsafe_get s i)) land 0xff) lxor (!c lsr 8)
+  let i = ref pos in
+  let stop = pos + len in
+  while !i <= stop - 8 do
+    let lo = !c lxor get_u32_le s !i in
+    let hi = get_u32_le s (!i + 4) in
+    c :=
+      Array.unsafe_get t (0x700 + (lo land 0xff))
+      lxor Array.unsafe_get t (0x600 + ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get t (0x500 + ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get t (0x400 + (lo lsr 24))
+      lxor Array.unsafe_get t (0x300 + (hi land 0xff))
+      lxor Array.unsafe_get t (0x200 + ((hi lsr 8) land 0xff))
+      lxor Array.unsafe_get t (0x100 + ((hi lsr 16) land 0xff))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    c :=
+      Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s !i)) land 0xff)
+      lxor (!c lsr 8);
+    incr i
   done;
   !c lxor 0xffffffff
+
+(* ------------------------------------------------------------- frames *)
+
+(* Wire frames and segment frames both start [length (u32 LE) | crc32
+   (u32 LE)] of the payload after a [header]-byte slot: the frame is built
+   in one writer and the slot patched in place once the payload is in. *)
+let begin_frame w ~header =
+  if header < 8 then invalid_arg "Bincodec.begin_frame: header";
+  w.len <- 0;
+  ensure w header;
+  Bytes.fill w.buf 0 header '\000';
+  w.len <- header
+
+let seal_frame w ~header =
+  if header < 8 || header > w.len then invalid_arg "Bincodec.seal_frame: header";
+  let n = w.len - header in
+  set_u32 w 0 n;
+  set_u32 w 4 (crc32 ~pos:header ~len:n (Bytes.unsafe_to_string w.buf))

@@ -15,48 +15,94 @@
     - strings: varint byte length, then raw bytes (no escaping);
     - values and events: one tag byte, then the fields in order.
 
-    Decoding is total over arbitrary bytes: malformed input raises
-    {!Corrupt}, never an out-of-bounds access. *)
+    There is one encoder ([put_*], appending to a reusable {!writer}) and
+    one decoder ([read_*], advancing a {!cursor} over a slice).  Segment
+    files, wire frames and metrics snapshots all run on them.  Decoding is
+    total over arbitrary bytes: malformed input raises {!Corrupt}, never an
+    out-of-bounds access, and a cursor never reads past the end of its
+    slice — bytes after it (a reused buffer's leftovers) are unreachable. *)
 
 exception Corrupt of string
 
-(** {1 Varints} *)
+(** {1 Writers} *)
 
-(** [put_uvarint b n] appends the LEB128 encoding of [n] interpreted as an
-    unsigned 63-bit integer. *)
-val put_uvarint : Buffer.t -> int -> unit
+(** A growable byte buffer that is cleared and refilled rather than
+    reallocated: its capacity only grows. *)
+type writer
 
-(** [get_uvarint s pos] decodes one varint; returns the value and the first
-    position after it.  @raise Corrupt on truncation or overlong input. *)
-val get_uvarint : string -> int -> int * int
+val writer : ?size:int -> unit -> writer
+val length : writer -> int
 
-(** Zigzag-mapped signed varints — total over all of [int], including
-    [min_int] and [max_int]. *)
-val put_varint : Buffer.t -> int -> unit
+(** [clear w] empties [w], keeping its capacity. *)
+val clear : writer -> unit
 
-val get_varint : string -> int -> int * int
+(** [contents w] copies the written bytes into a fresh string. *)
+val contents : writer -> string
 
-(** {1 Strings} *)
+(** [bytes w] is the underlying buffer; bytes [0 .. length w - 1] are the
+    written ones.  Valid until the next write to [w] (which may replace
+    it). *)
+val bytes : writer -> Bytes.t
 
-(** [put_string b s] appends a varint byte length, then the raw bytes. *)
-val put_string : Buffer.t -> string -> unit
+val put_char : writer -> char -> unit
 
-val get_string : string -> int -> string * int
+(** [put_raw w s] appends the bytes of [s] as they are (no length). *)
+val put_raw : writer -> string -> unit
 
-(** {1 Values and events} *)
+(** [set_u32 w off n] overwrites bytes [off .. off + 3] with [n]'s low 32
+    bits, little-endian.  @raise Invalid_argument past the written bytes. *)
+val set_u32 : writer -> int -> int -> unit
 
-val put_repr : Buffer.t -> Vyrd.Repr.t -> unit
-val get_repr : string -> int -> Vyrd.Repr.t * int
-val put_event : Buffer.t -> Vyrd.Event.t -> unit
-val get_event : string -> int -> Vyrd.Event.t * int
+(** {1 Cursors} *)
 
-(** [event_bytes ev] is the encoded size of [ev] (convenience for sizing). *)
-val event_bytes : Vyrd.Event.t -> int
+(** A read position over a slice of a string.  The decoders below advance
+    it in place, so decoding allocates only the decoded values. *)
+type cursor
 
-(** {1 Batch decoding}
+(** [cursor ?pos ?len s] reads the slice [pos .. pos + len - 1] (default:
+    the rest of [s]).  @raise Invalid_argument when out of bounds. *)
+val cursor : ?pos:int -> ?len:int -> string -> cursor
 
-    The hot-path entries: decode a run of consecutive events in one tight
-    loop, without per-event closures or intermediate per-event strings. *)
+(** [retarget c ?pos ~len s] points [c] at a new slice.
+    @raise Invalid_argument when out of bounds. *)
+val retarget : cursor -> ?pos:int -> len:int -> string -> unit
+
+(** Bytes left in the slice. *)
+val remaining : cursor -> int
+
+(** [read_byte c what] @raise Corrupt ["truncated <what>"] at the end of
+    the slice. *)
+val read_byte : cursor -> string -> char
+
+(** {1 Varints}
+
+    [put_uvarint] encodes an int as an unsigned 63-bit number;
+    [put_varint] zigzag-maps it first, so both are total over all of
+    [int], including [min_int] and [max_int].  The readers raise
+    {!Corrupt} on truncation or a varint longer than 9 bytes. *)
+
+val put_uvarint : writer -> int -> unit
+val read_uvarint : cursor -> int
+val put_varint : writer -> int -> unit
+val read_varint : cursor -> int
+
+(** {1 Strings, values and events} *)
+
+(** [put_string w s] appends a varint byte length, then the raw bytes. *)
+val put_string : writer -> string -> unit
+
+(** The result is a fresh copy: it never aliases the cursor's source. *)
+val read_string : cursor -> string
+
+val put_repr : writer -> Vyrd.Repr.t -> unit
+val read_repr : cursor -> Vyrd.Repr.t
+val put_event : writer -> Vyrd.Event.t -> unit
+
+(** Every string of the result is a copy (or a cached copy of an equal
+    name), so the source bytes may be reused once this returns. *)
+val read_event : cursor -> Vyrd.Event.t
+
+(** {1 Slices} *)
 
 (** [iter_events ?pos ?len s f] decodes consecutive events from the slice
     and hands each to [f]; returns how many were decoded.  The slice must
@@ -65,19 +111,23 @@ val event_bytes : Vyrd.Event.t -> int
     @raise Invalid_argument when the slice is out of bounds. *)
 val iter_events : ?pos:int -> ?len:int -> string -> (Vyrd.Event.t -> unit) -> int
 
-(** [get_events s ~pos ~count] decodes exactly [count] events starting at
-    [pos]; returns them with the first position after the run.
-    @raise Corrupt on malformed input. *)
-val get_events : string -> pos:int -> count:int -> Vyrd.Event.t array * int
-
-(** [iter_events_bytes buf ~pos ~len f] is {!iter_events} directly over a
-    read buffer, {e zero-copy}: the bytes are aliased, not copied.  The
-    caller must not mutate [buf] until the call returns (every event is
-    materialized before then). *)
-val iter_events_bytes : Bytes.t -> pos:int -> len:int -> (Vyrd.Event.t -> unit) -> int
-
 (** {1 Checksums} *)
 
-(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a substring; guards
-    segment payloads against torn writes and bit rot. *)
+(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a substring, computed
+    eight bytes per step (slice-by-8); guards wire frames and segment
+    payloads against torn writes and bit rot.
+    @raise Invalid_argument when the range is out of bounds. *)
 val crc32 : ?pos:int -> ?len:int -> string -> int
+
+(** {1 Frames}
+
+    Wire frames and segment frames start with the payload's length and
+    CRC-32 (each u32 LE), inside a header of [header >= 8] bytes.  A frame
+    is built in one writer: [begin_frame w ~header] empties [w] and leaves
+    a zeroed header slot, the payload is appended, and [seal_frame w
+    ~header] writes the length and CRC of everything after the slot into
+    its first 8 bytes (the caller fills any further header bytes with
+    {!set_u32}).  The frame is then [bytes w], [0 .. length w - 1]. *)
+
+val begin_frame : writer -> header:int -> unit
+val seal_frame : writer -> header:int -> unit

@@ -158,21 +158,21 @@ let encode t =
         Hashtbl.fold (fun name e acc -> (name, e) :: acc) t.entries [])
     |> List.sort compare
   in
-  let b = Buffer.create 512 in
+  let b = Bincodec.writer ~size:512 () in
   Bincodec.put_uvarint b (List.length entries);
   List.iter
     (fun (name, e) ->
       match e with
       | Counter c ->
-        Buffer.add_char b '\000';
+        Bincodec.put_char b '\000';
         Bincodec.put_string b name;
         Bincodec.put_uvarint b (Atomic.get c)
       | Gauge g ->
-        Buffer.add_char b '\001';
+        Bincodec.put_char b '\001';
         Bincodec.put_string b name;
         Bincodec.put_uvarint b (Atomic.get g)
       | Histogram h ->
-        Buffer.add_char b '\002';
+        Bincodec.put_char b '\002';
         Bincodec.put_string b name;
         let filled = ref 0 in
         Array.iter (fun c -> if Atomic.get c > 0 then filled := !filled + 1) h.buckets;
@@ -189,47 +189,36 @@ let encode t =
         Bincodec.put_uvarint b (Atomic.get h.h_sum);
         Bincodec.put_uvarint b (Atomic.get h.h_max))
     entries;
-  Buffer.contents b
+  Bincodec.contents b
 
 let decode s =
   let corrupt msg = raise (Bincodec.Corrupt ("metrics snapshot: " ^ msg)) in
   let t = create () in
-  let n, pos = Bincodec.get_uvarint s 0 in
-  let pos = ref pos in
-  for _ = 1 to n do
-    if !pos >= String.length s then corrupt "truncated entry";
-    let kind = s.[!pos] in
-    let name, p = Bincodec.get_string s (!pos + 1) in
-    (match kind with
-    | '\000' ->
-      let v, p = Bincodec.get_uvarint s p in
-      add (counter t name) v;
-      pos := p
-    | '\001' ->
-      let v, p = Bincodec.get_uvarint s p in
-      record (gauge t name) v;
-      pos := p
+  let c = Bincodec.cursor s in
+  let uvarint () = Bincodec.read_uvarint c in
+  for _ = 1 to uvarint () do
+    let kind = Bincodec.read_byte c "entry" in
+    let name = Bincodec.read_string c in
+    match kind with
+    | '\000' -> add (counter t name) (uvarint ())
+    | '\001' -> record (gauge t name) (uvarint ())
     | '\002' ->
       let h = histogram t name in
-      let filled, p = Bincodec.get_uvarint s p in
-      let p = ref p in
-      for _ = 1 to filled do
-        let i, q = Bincodec.get_uvarint s !p in
-        let v, q = Bincodec.get_uvarint s q in
-        if i >= n_buckets then corrupt "histogram bucket out of range";
-        ignore (Atomic.fetch_and_add h.buckets.(i) v);
-        p := q
+      for _ = 1 to uvarint () do
+        let i = uvarint () in
+        let v = uvarint () in
+        if i < 0 || i >= n_buckets then corrupt "histogram bucket out of range";
+        ignore (Atomic.fetch_and_add h.buckets.(i) v)
       done;
-      let count, q = Bincodec.get_uvarint s !p in
-      let sum, q = Bincodec.get_uvarint s q in
-      let mx, q = Bincodec.get_uvarint s q in
+      let count = uvarint () in
+      let sum = uvarint () in
+      let mx = uvarint () in
       ignore (Atomic.fetch_and_add h.h_count count);
       ignore (Atomic.fetch_and_add h.h_sum sum);
-      record h.h_max mx;
-      pos := q
-    | c -> corrupt (Printf.sprintf "unknown entry kind 0x%02x" (Char.code c)))
+      record h.h_max mx
+    | k -> corrupt (Printf.sprintf "unknown entry kind 0x%02x" (Char.code k))
   done;
-  if !pos <> String.length s then corrupt "trailing bytes";
+  if Bincodec.remaining c <> 0 then corrupt "trailing bytes";
   t
 
 (* -------------------------------------------------------------- export *)

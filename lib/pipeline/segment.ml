@@ -28,7 +28,7 @@ type writer = {
   w_rotate : int option;
   w_level : Log.level;
   w_path : string;
-  w_buf : Buffer.t;
+  w_buf : Bincodec.writer;  (* the open segment, header slot first *)
   mutable w_buf_events : int;
   mutable w_oc : out_channel option;
   mutable w_file_index : int;
@@ -41,6 +41,23 @@ type writer = {
   mutable w_closed : bool;
 }
 
+(* Each frame is built in one writer behind its header slot and goes out
+   with one write, no copy. *)
+let start_frame b = Bincodec.begin_frame b ~header:frame_header_bytes
+
+let new_frame ?size () =
+  let b = Bincodec.writer ?size () in
+  start_frame b;
+  b
+
+let payload_bytes b = Bincodec.length b - frame_header_bytes
+
+let seal_frame b count =
+  Bincodec.seal_frame b ~header:frame_header_bytes;
+  Bincodec.set_u32 b 8 count
+
+let output_frame oc b = output oc (Bincodec.bytes b) 0 (Bincodec.length b)
+
 let create_writer ?(segment_bytes = 65536) ?rotate_bytes ~level path =
   if segment_bytes <= 0 then invalid_arg "Segment.create_writer: segment_bytes";
   (match rotate_bytes with
@@ -51,7 +68,7 @@ let create_writer ?(segment_bytes = 65536) ?rotate_bytes ~level path =
     w_rotate = rotate_bytes;
     w_level = level;
     w_path = path;
-    w_buf = Buffer.create (segment_bytes + 256);
+    w_buf = new_frame ~size:(frame_header_bytes + segment_bytes + 256) ();
     w_buf_events = 0;
     w_oc = None;
     w_file_index = 0;
@@ -91,22 +108,12 @@ let close_current_file w =
     w.w_oc <- None;
     w.w_file_index <- w.w_file_index + 1
 
-let put_u32 bytes off n =
-  Bytes.set_int32_le bytes off (Int32.of_int (n land 0xffffffff))
-
-let frame_bytes payload count =
-  let head = Bytes.create frame_header_bytes in
-  put_u32 head 0 (String.length payload);
-  put_u32 head 4 (Bincodec.crc32 payload);
-  put_u32 head 8 count;
-  head
-
-let write_frame w payload count =
+let write_frame w b count =
+  seal_frame b count;
   let oc = ensure_open w in
-  output_bytes oc (frame_bytes payload count);
-  output_string oc payload;
+  output_frame oc b;
   flush oc;
-  let n = frame_header_bytes + String.length payload in
+  let n = Bincodec.length b in
   w.w_file_bytes <- w.w_file_bytes + n;
   w.w_bytes <- w.w_bytes + n;
   match w.w_rotate with
@@ -115,33 +122,33 @@ let write_frame w payload count =
 
 let seal w =
   if w.w_buf_events > 0 then begin
-    let payload = Buffer.contents w.w_buf in
     let count = w.w_buf_events in
-    Buffer.clear w.w_buf;
     w.w_buf_events <- 0;
     w.w_segments <- w.w_segments + 1;
-    write_frame w payload count
+    (* the buffer restarts even when the write fails *)
+    Fun.protect ~finally:(fun () -> start_frame w.w_buf) (fun () ->
+        write_frame w w.w_buf count)
   end
 
-let checkpoint_payload ~events state =
-  let b = Buffer.create 256 in
+let checkpoint_frame ~events state =
+  let b = new_frame () in
   Bincodec.put_uvarint b events;
   Bincodec.put_repr b state;
-  Buffer.contents b
+  b
 
 let append_checkpoint w state =
   if w.w_closed then invalid_arg "Segment.append_checkpoint: writer is closed";
   (* seal first: the frame's event index covers everything appended so far *)
   seal w;
   w.w_checkpoints <- w.w_checkpoints + 1;
-  write_frame w (checkpoint_payload ~events:w.w_events state) checkpoint_flag
+  write_frame w (checkpoint_frame ~events:w.w_events state) checkpoint_flag
 
 let append w ev =
   if w.w_closed then invalid_arg "Segment.append: writer is closed";
   Bincodec.put_event w.w_buf ev;
   w.w_buf_events <- w.w_buf_events + 1;
   w.w_events <- w.w_events + 1;
-  if Buffer.length w.w_buf >= w.w_segment_bytes then seal w
+  if payload_bytes w.w_buf >= w.w_segment_bytes then seal w
 
 let flush w =
   if not w.w_closed then seal w
@@ -207,9 +214,10 @@ let decode_payload log payload count =
          (Printf.sprintf "segment declared %d events but contained %d" count !n))
 
 let decode_checkpoint payload =
-  let events, pos = Bincodec.get_uvarint payload 0 in
-  let state, pos = Bincodec.get_repr payload pos in
-  if pos <> String.length payload then
+  let c = Bincodec.cursor payload in
+  let events = Bincodec.read_uvarint c in
+  let state = Bincodec.read_repr c in
+  if Bincodec.remaining c <> 0 then
     raise (Bincodec.Corrupt "checkpoint frame has trailing bytes");
   (events, state)
 
@@ -368,6 +376,6 @@ let append_checkpoint_file path ~events state =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      let payload = checkpoint_payload ~events state in
-      output_bytes oc (frame_bytes payload checkpoint_flag);
-      output_string oc payload)
+      let b = checkpoint_frame ~events state in
+      seal_frame b checkpoint_flag;
+      output_frame oc b)

@@ -1,5 +1,8 @@
 (** Minimal growable array (the standard library gains [Dynarray] only in
-    OCaml 5.2; this container backs run queues and logs). *)
+    OCaml 5.2; this container backs run queues, logs and the checker's
+    state window).  Removing an element ([pop], [swap_remove], [clear],
+    [drop_prefix]) vacates its slot: the vector never keeps a removed
+    element reachable, and spare capacity holds no element either. *)
 
 type 'a t
 
@@ -30,7 +33,8 @@ val clear : 'a t -> unit
 (** [sub v ~pos ~len] copies a slice into a fresh list. *)
 val sub_list : 'a t -> pos:int -> len:int -> 'a list
 
-(** [drop_prefix v n] removes the first [n] elements in place (one blit, no
-    allocation), shifting the rest down.
+(** [drop_prefix v n] removes the first [n] elements in O([n]) without
+    moving the rest, so a vector used as a sliding window (push at the end,
+    drop from the front) costs O(1) amortized per element.
     @raise Invalid_argument when [n] is out of bounds. *)
 val drop_prefix : 'a t -> int -> unit

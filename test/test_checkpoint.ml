@@ -124,6 +124,124 @@ let test_snapshot_restore_roundtrip () =
         check_stats name straight.Report.stats rb.Report.stats)
     [ 1; 2; 3 ]
 
+(* A View-mode checker snapshot taken after the first 1600 events of
+   [Test_oracle.long_cycle ~pairs:1100] by the checker that still kept up
+   to 1024 prunable specification states: its window holds all 331 states
+   since the start.  It must restore and finish with the verdict and
+   first-violation index of an uninterrupted run. *)
+let wide_window_snapshot =
+  {|
+   (P "checker/1" (L 1600 330 330 385 (L (P "delete" 165) (P "insert" 165) (P
+   "lookup" 55)) 0 (L (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P
+   0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L
+   (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L
+   (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L
+   (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L
+   (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L
+   (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L)
+   (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1))
+   (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2))
+   (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3))
+   (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2))
+   (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1))
+   (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0
+   1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0
+   2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0
+   3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0
+   2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0
+   1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L
+   (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L
+   (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L
+   (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L
+   (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L
+   (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L)
+   (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1))
+   (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2))
+   (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3))
+   (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2))
+   (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1))
+   (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0
+   1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0
+   2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0
+   3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0
+   2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0
+   1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L
+   (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L
+   (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L
+   (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L
+   (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L
+   (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L)
+   (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1))
+   (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2))
+   (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3))
+   (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2))
+   (L (P 0 1)) (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1))
+   (L) (L (P 0 1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0
+   1)) (L (P 0 2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L) (L (P 0 1)) (L (P 0
+   2)) (L (P 0 3)) (L (P 0 2)) (L (P 0 1)) (L)) (L) (L (L 1 "insert" (L 0) 0
+   330 f) (L 2 "insert" (L 0) 0 330 f) (L 4 "lookup" (L 0) 1 330 f)) (L) (L (L
+   (P "A[0].elt" 0) (P "A[0].valid" t) (P "A[1].elt" 0) (P "A[1].valid" f) (P
+   "A[2].elt" 0) (P "A[2].valid" f)) (L))))
+  |}
+
+let window_states snapshot =
+  match snapshot with
+  | Repr.Pair (Repr.Str "checker/1", Repr.List fields) -> (
+    match List.nth fields 6 with Repr.List states -> List.length states | _ -> -1)
+  | _ -> -1
+
+let test_wide_window_snapshot_restores () =
+  let spec = Vyrd_multiset.Multiset_spec.spec in
+  let view = Vyrd_multiset.Multiset_vector.viewdef ~capacity:16 in
+  let base = Test_oracle.long_cycle ~pairs:1100 in
+  let cut = 1600 in
+  let wide =
+    String.split_on_char '\n' wide_window_snapshot
+    |> List.map String.trim
+    |> List.filter (( <> ) "")
+    |> String.concat " " |> Repr.of_text
+  in
+  Alcotest.(check int) "the recorded window" 331 (window_states wide);
+  (* a clean suffix, and one whose first delete after the cut lies *)
+  let lying =
+    let evs = Array.copy base in
+    let i = ref cut in
+    while
+      match evs.(!i) with Event.Return { mid = "delete"; _ } -> false | _ -> true
+    do
+      incr i
+    done;
+    (match evs.(!i) with
+    | Event.Return { tid; mid; _ } -> evs.(!i) <- Event.Return { tid; mid; value = Repr.Bool false }
+    | _ -> ());
+    evs
+  in
+  List.iter
+    (fun (name, evs) ->
+      let log = Log.of_events (Array.to_list evs) in
+      let straight, straight_at = Checker.check_indexed ~mode:`View ~view log spec in
+      let c = Checker.create ~mode:`View ~view spec in
+      for i = 0 to cut - 1 do
+        ignore (Checker.feed c evs.(i))
+      done;
+      (match Checker.snapshot c with
+      | Some own ->
+        Alcotest.(check bool) (name ^ ": today's window is tight") true
+          (window_states own < 8)
+      | None -> Alcotest.fail "no snapshot on a clean prefix");
+      let r = Checker.create ~mode:`View ~view spec in
+      Checker.restore r wide;
+      let fail_at = ref None in
+      for i = cut to Array.length evs - 1 do
+        match Checker.feed r evs.(i) with
+        | Some _ when !fail_at = None -> fail_at := Some i
+        | _ -> ()
+      done;
+      Alcotest.(check string) (name ^ ": verdict") (Report.tag straight)
+        (Report.tag (Checker.report r));
+      Alcotest.(check (option int)) (name ^ ": first violation") straight_at !fail_at)
+    [ ("clean suffix", base); ("lying delete", lying) ]
+
 (* --- resume = offline at every checkpoint position ------------------------ *)
 
 let resume_equals_offline_everywhere ~every name log =
@@ -509,6 +627,9 @@ let suite =
   [
     checkpoint_frame_roundtrip;
     ("checker snapshot/restore round trip", `Quick, test_snapshot_restore_roundtrip);
+    ( "snapshot with the older, wider window restores",
+      `Quick,
+      test_wide_window_snapshot_restores );
     ( "resume = offline at every checkpoint (correct)",
       `Quick,
       test_resume_equals_offline_correct );

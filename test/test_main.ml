@@ -20,6 +20,7 @@ let () =
       ("explore", Test_explore.suite);
       ("compose", Test_compose.suite);
       ("golden", Test_golden.suite);
+      ("frames", Test_frames.suite);
       ("model", Test_model.suite);
       ("log", Test_log.suite);
       ("faults", Test_faults.suite);

@@ -60,11 +60,12 @@ let sample_reports : Report.t list =
 let test_report_roundtrip () =
   List.iter
     (fun r ->
-      let b = Buffer.create 128 in
+      let b = Bincodec.writer () in
       Wire.put_report b r;
-      let r', pos = Wire.get_report (Buffer.contents b) 0 in
+      let c = Bincodec.cursor (Bincodec.contents b) in
+      let r' = Wire.read_report c in
       Alcotest.(check bool) (Report.tag r ^ " report survives") true (r = r');
-      Alcotest.(check int) "whole buffer consumed" (Buffer.length b) pos)
+      Alcotest.(check int) "whole buffer consumed" 0 (Bincodec.remaining c))
     sample_reports
 
 let test_server_msg_roundtrip () =
@@ -146,7 +147,8 @@ let test_frame_roundtrip_and_corruption () =
   let payload = Wire.encode_client (Wire.Hello
       { h_version = Wire.version; h_level = `View; h_producer = "t" }) in
   with_socketpair (fun a b ->
-      Wire.write_frame a payload;
+      let framed = Wire.frame payload in
+      ignore (Unix.write_substring a framed 0 (String.length framed));
       Alcotest.(check string) "frame round trip" payload (Wire.read_frame b));
   (* one flipped payload byte must be caught by the CRC *)
   with_socketpair (fun a b ->
@@ -399,14 +401,19 @@ let test_idle_timeout_fails_session_cleanly () =
 
 (* A valid session, as raw bytes. *)
 let session_bytes log =
-  let evs = Array.sub (Log.snapshot log) 0 (min 40 (Log.length log)) in
+  let evs = Log.snapshot log in
+  (* a large batch first, so the session's read buffer grows and the smaller
+     frames after it land on leftover bytes *)
+  let batch pos len = Wire.frame (Wire.encode_client (Wire.Batch (Array.sub evs pos len))) in
   String.concat ""
     [
       Wire.frame
         (Wire.encode_client
            (Wire.Hello
               { h_version = Wire.version; h_level = Log.level log; h_producer = "sweep" }));
-      Wire.frame (Wire.encode_client (Wire.Batch evs));
+      batch 0 30;
+      batch 30 6;
+      batch 36 4;
       Wire.frame (Wire.encode_client Wire.Finish);
     ]
 
@@ -471,6 +478,108 @@ let test_session_byte_sweep () =
         (Metrics.value (Metrics.counter (Server.metrics srv) "net.sessions_failed")
         >= !cuts))
 
+(* --- the reusable read buffer and writer ------------------------------------ *)
+
+(* [n] two-byte events (tag, tid < 128), so payloads line up byte for byte *)
+let commits n = Array.init n (fun i -> Event.Commit { tid = 1 + (i mod 3) })
+
+(* A Batch payload that claims [count] events but carries [evs]. *)
+let batch_payload ~count evs =
+  let b = Bincodec.writer () in
+  Bincodec.put_char b '\001';
+  Bincodec.put_uvarint b count;
+  Array.iter (Bincodec.put_event b) evs;
+  Bincodec.contents b
+
+(* Send [bytes] and hang up, then read from the other end with [r]. *)
+let recv_all r bytes f =
+  with_socketpair (fun a b ->
+      ignore (Unix.write_substring a bytes 0 (String.length bytes));
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      f (fun () -> Wire.recv r b))
+
+let expect_events what want = function
+  | Wire.Events (evs, n) ->
+    Alcotest.(check int) (what ^ ": count") (Array.length want) n;
+    Array.iteri
+      (fun i ev ->
+        if not (Event.equal ev evs.(i)) then Alcotest.failf "%s: event %d differs" what i)
+      want
+  | Wire.Message _ -> Alcotest.failf "%s: expected a batch" what
+
+let expect_corrupt what recv =
+  match recv () with
+  | Wire.Events (_, n) -> Alcotest.failf "%s yielded %d events" what n
+  | Wire.Message _ -> Alcotest.failf "%s yielded a message" what
+  | exception Bincodec.Corrupt _ -> ()
+
+let test_reused_read_buffer () =
+  let r = Wire.reader () in
+  let mixed = Array.sub (Log.snapshot (correct_log ())) 0 300 in
+  let small = Array.sub mixed 17 10 in
+  (* a large batch grows the buffer; the smaller frames after it decode to
+     exactly their own events *)
+  recv_all r
+    (String.concat ""
+       (List.map Wire.frame
+          [ Wire.encode_client (Wire.Batch mixed); Wire.encode_client (Wire.Batch small);
+            Wire.encode_client Wire.Finish ]))
+    (fun recv ->
+      expect_events "large batch" mixed (recv ());
+      expect_events "smaller batch after it" small (recv ());
+      match recv () with
+      | Wire.Message Wire.Finish -> ()
+      | _ -> Alcotest.fail "finish after the batches");
+  (* [filler] leaves 100 commits in the buffer at the offsets a lying frame
+     would read next, had the decoder looked past its own payload *)
+  let filler = Wire.frame (batch_payload ~count:100 (commits 100)) in
+  let after_filler what frame =
+    recv_all r (filler ^ frame) (fun recv ->
+        expect_events "filler" (commits 100) (recv ());
+        expect_corrupt what recv)
+  in
+  after_filler "count beyond the payload's events"
+    (Wire.frame (batch_payload ~count:60 (commits 50)));
+  after_filler "count beyond the payload's bytes"
+    (Wire.frame (batch_payload ~count:150 (commits 50)));
+  let whole = batch_payload ~count:50 (commits 50) in
+  for cut = 0 to String.length whole - 1 do
+    after_filler
+      (Printf.sprintf "payload cut at %d" cut)
+      (Wire.frame (String.sub whole 0 cut))
+  done;
+  let framed = Wire.frame whole in
+  for cut = 1 to String.length framed - 1 do
+    after_filler (Printf.sprintf "frame torn at %d" cut) (String.sub framed 0 cut)
+  done;
+  recv_all r filler (fun recv ->
+      expect_events "filler" (commits 100) (recv ());
+      match recv () with
+      | _ -> Alcotest.fail "read past a clean end of stream"
+      | exception Wire.Closed -> ())
+
+let test_writer_frames_match () =
+  let evs = Log.snapshot (correct_log ()) in
+  let w = Bincodec.writer ~size:16 () in
+  List.iter
+    (fun (pos, len) ->
+      let want = Wire.frame (Wire.encode_client (Wire.Batch (Array.sub evs pos len))) in
+      with_socketpair (fun a b ->
+          let n = Wire.write_batch w a evs ~pos ~len in
+          Alcotest.(check int) "frame size" (String.length want) n;
+          let got = Bytes.create n in
+          let rec fill off =
+            if off < n then fill (off + Unix.read b got off (n - off))
+          in
+          fill 0;
+          Alcotest.(check string)
+            (Printf.sprintf "write_batch pos=%d len=%d" pos len)
+            want (Bytes.to_string got)))
+    [ (0, 256); (5, 3); (0, 0); (100, 1); (1, 255) ];
+  match Wire.write_batch w Unix.stdout evs ~pos:1 ~len:(Array.length evs) with
+  | _ -> Alcotest.fail "write_batch accepted a slice past the end"
+  | exception Invalid_argument _ -> ()
+
 (* The server can only ever grant [window] credit in total, so a client batch
    larger than the window must be clamped at connect time or flush would wait
    for credit that cannot arrive. *)
@@ -494,10 +603,10 @@ let test_oversized_batch_clamped_to_window () =
    1, a pinned slot would force the follow-up submit into the spill path. *)
 let test_hostile_length_frame_releases_slot () =
   let hostile =
-    let b = Buffer.create 32 in
-    Buffer.add_char b '\001' (* Batch *);
+    let b = Bincodec.writer () in
+    Bincodec.put_char b '\001' (* Batch *);
     Bincodec.put_uvarint b 1;
-    Buffer.add_char b '\000' (* Call *);
+    Bincodec.put_char b '\000' (* Call *);
     Bincodec.put_uvarint b 0 (* tid *);
     Bincodec.put_uvarint b max_int (* method-name length *);
     String.concat ""
@@ -506,7 +615,7 @@ let test_hostile_length_frame_releases_slot () =
           (Wire.encode_client
              (Wire.Hello
                 { h_version = Wire.version; h_level = `View; h_producer = "evil" }));
-        Wire.frame (Buffer.contents b);
+        Wire.frame (Bincodec.contents b);
       ]
   in
   with_server ~max_sessions:1 (fun srv ->
@@ -538,10 +647,10 @@ let test_corrupt_reader_does_not_leak_fds () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let payload =
-        let b = Buffer.create 64 in
+        let b = Bincodec.writer () in
         Bincodec.put_event b (Event.Commit { tid = 1 });
         Bincodec.put_event b (Event.Commit { tid = 2 });
-        Buffer.contents b
+        Bincodec.contents b
       in
       let head = Bytes.create 12 in
       Bytes.set_int32_le head 0 (Int32.of_int (String.length payload));
@@ -762,6 +871,8 @@ let suite =
       `Quick,
       test_idle_timeout_fails_session_cleanly );
     ("session byte sweep never yields a verdict", `Quick, test_session_byte_sweep);
+    ("reused read buffer never decodes leftovers", `Quick, test_reused_read_buffer);
+    ("writer frames equal framed payloads", `Quick, test_writer_frames_match);
     ( "oversized batch is clamped to the window",
       `Quick,
       test_oversized_batch_clamped_to_window );

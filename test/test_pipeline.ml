@@ -21,13 +21,9 @@ let is_infix ~affix s =
 (* --- codec round trips --------------------------------------------------- *)
 
 let decode_all s =
-  let rec go acc pos =
-    if pos >= String.length s then List.rev acc
-    else
-      let ev, pos = Bincodec.get_event s pos in
-      go (ev :: acc) pos
-  in
-  go [] 0
+  let c = Bincodec.cursor s in
+  let rec go acc = if Bincodec.remaining c = 0 then List.rev acc else go (Bincodec.read_event c :: acc) in
+  go []
 
 let varint_roundtrip =
   qcheck
@@ -37,17 +33,17 @@ let varint_roundtrip =
            [ int; int_range (-200) 200;
              oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 1 ] ])
        (fun n ->
-         let b = Buffer.create 10 in
+         let b = Bincodec.writer () in
          Bincodec.put_varint b n;
-         let n', pos = Bincodec.get_varint (Buffer.contents b) 0 in
-         n' = n && pos = Buffer.length b))
+         let c = Bincodec.cursor (Bincodec.contents b) in
+         Bincodec.read_varint c = n && Bincodec.remaining c = 0))
 
 let test_varint_extremes () =
   List.iter
     (fun n ->
-      let b = Buffer.create 10 in
+      let b = Bincodec.writer () in
       Bincodec.put_varint b n;
-      let n', _ = Bincodec.get_varint (Buffer.contents b) 0 in
+      let n' = Bincodec.read_varint (Bincodec.cursor (Bincodec.contents b)) in
       Alcotest.(check int) (Printf.sprintf "varint %d" n) n n')
     [ min_int; max_int; min_int + 1; max_int - 1; 0; 1; -1; 63; -64; 1 lsl 40 ]
 
@@ -56,15 +52,15 @@ let event_roundtrip =
     (QCheck2.Test.make ~name:"binary event round trip" ~count:300
        QCheck2.Gen.(list_size (int_range 0 40) Test_log.event_gen)
        (fun evs ->
-         let b = Buffer.create 256 in
+         let b = Bincodec.writer () in
          List.iter (Bincodec.put_event b) evs;
-         let evs' = decode_all (Buffer.contents b) in
+         let evs' = decode_all (Bincodec.contents b) in
          List.length evs' = List.length evs && List.for_all2 Event.equal evs evs'))
 
 let test_decode_garbage_raises () =
   List.iter
     (fun s ->
-      match Bincodec.get_event s 0 with
+      match Bincodec.read_event (Bincodec.cursor s) with
       | _ -> Alcotest.failf "decoded garbage %S" s
       | exception Bincodec.Corrupt _ -> ())
     [ ""; "\255"; "\000\003"; "\000\001\004\255abc" ]
@@ -74,21 +70,70 @@ let test_decode_garbage_raises () =
 let test_decode_huge_length_raises () =
   List.iter
     (fun n ->
-      let b = Buffer.create 16 in
+      let b = Bincodec.writer () in
       Bincodec.put_uvarint b n;
-      Buffer.add_string b "abc";
-      let payload = Buffer.contents b in
-      (match Bincodec.get_string payload 0 with
-      | _ -> Alcotest.failf "get_string accepted length %d" n
+      Bincodec.put_raw b "abc";
+      let payload = Bincodec.contents b in
+      (match Bincodec.read_string (Bincodec.cursor payload) with
+      | _ -> Alcotest.failf "read_string accepted length %d" n
       | exception Bincodec.Corrupt _ -> ());
       (* same length smuggled in as a Call's method-name field *)
       let ev = Buffer.create 16 in
       Buffer.add_string ev "\000\000";
       Buffer.add_string ev payload;
-      match Bincodec.get_event (Buffer.contents ev) 0 with
-      | _ -> Alcotest.failf "get_event accepted name length %d" n
+      match Bincodec.read_event (Bincodec.cursor (Buffer.contents ev)) with
+      | _ -> Alcotest.failf "read_event accepted name length %d" n
       | exception Bincodec.Corrupt _ -> ())
     [ max_int; max_int - 1; max_int / 2; 1 lsl 40 ]
+
+(* --- CRC-32 ------------------------------------------------------------------ *)
+
+(* The bytewise definition, one bit at a time: the model the slice-by-8
+   tables must reproduce. *)
+let crc32_model s =
+  let c = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xffffffff
+
+let test_crc32_matches_model () =
+  Alcotest.(check int) "check value" 0xcbf43926 (Bincodec.crc32 "123456789");
+  Alcotest.(check int) "empty" 0 (Bincodec.crc32 "");
+  let rng = Prng.create 32 in
+  for trial = 0 to 19 do
+    let s = String.init (64 + trial) (fun _ -> Char.chr (Prng.int rng 256)) in
+    (* every alignment, every tail length 0..17 after 0, 1 and 5 blocks *)
+    for pos = 0 to 8 do
+      List.iter
+        (fun blocks ->
+          for tail = 0 to 17 do
+            let len = (8 * blocks) + tail in
+            if pos + len <= String.length s then
+              Alcotest.(check int)
+                (Printf.sprintf "crc pos=%d len=%d" pos len)
+                (crc32_model (String.sub s pos len))
+                (Bincodec.crc32 ~pos ~len s)
+          done)
+        [ 0; 1; 5 ]
+    done;
+    Alcotest.(check int) "whole string" (crc32_model s) (Bincodec.crc32 s)
+  done
+
+let test_crc32_rejects_bad_ranges () =
+  List.iter
+    (fun (pos, len, s) ->
+      match Bincodec.crc32 ?pos ?len s with
+      | c -> Alcotest.failf "crc32 read out of bounds and returned %d" c
+      | exception Invalid_argument _ -> ())
+    [ (Some 2, Some 4096, "abc"); (Some (-1), None, "abc"); (Some 0, Some (-1), "abc");
+      (Some 4, None, "abc"); (Some 1, Some 3, "abc"); (Some 1, Some max_int, "abc") ];
+  Alcotest.(check int) "empty range at the end" 0 (Bincodec.crc32 ~pos:3 ~len:0 "abc");
+  Alcotest.(check int) "range to the end" (crc32_model "bc") (Bincodec.crc32 ~pos:1 "abc")
 
 (* --- segment files: round trip, rotation, recovery ------------------------ *)
 
@@ -658,6 +703,8 @@ let suite =
     event_roundtrip;
     ("garbage input raises Corrupt", `Quick, test_decode_garbage_raises);
     ("huge length raises Corrupt", `Quick, test_decode_huge_length_raises);
+    ("crc32 = bytewise model at every alignment", `Quick, test_crc32_matches_model);
+    ("crc32 rejects out-of-bounds ranges", `Quick, test_crc32_rejects_bad_ranges);
     segment_file_roundtrip;
     ( "binary matches text on examples/logs",
       `Quick,

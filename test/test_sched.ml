@@ -370,6 +370,96 @@ let vec_pop_prop =
       let out = List.rev_map (fun _ -> Vec.pop v) xs in
       out = xs && Vec.is_empty v)
 
+(* Removed elements and spare capacity must not keep values alive: track
+   every element through a weak pointer and, after a full major GC, require
+   that exactly the elements still in the vector survive. *)
+let test_vec_drops_references () =
+  let n = 100 in
+  let weak = Weak.create n in
+  let fresh v =
+    for i = 0 to n - 1 do
+      let x = ref i in
+      Weak.set weak i (Some x);
+      Vec.push v x
+    done
+  in
+  let survivors v =
+    let live = List.map (fun x -> !x) (Vec.to_list v) in
+    Gc.full_major ();
+    List.iter
+      (fun i ->
+        match Weak.get weak i with
+        | Some _ when not (List.mem i live) -> Alcotest.failf "element %d outlived its removal" i
+        | None when List.mem i live -> Alcotest.failf "live element %d was collected" i
+        | _ -> ())
+      (List.init n Fun.id)
+  in
+  let v = Vec.create () in
+  fresh v;
+  Vec.drop_prefix v 99;
+  survivors v;
+  Vec.clear v;
+  survivors v;
+  fresh v;
+  for _ = 1 to 30 do
+    ignore (Vec.pop v)
+  done;
+  survivors v;
+  for _ = 1 to 30 do
+    ignore (Vec.swap_remove v 3)
+  done;
+  survivors v;
+  (* a sliding window: push at the end, drop from the front, many times
+     over the capacity, keeps only the window *)
+  Vec.clear v;
+  fresh v;
+  Vec.drop_prefix v 10;
+  for round = 1 to 40 do
+    Vec.push v (ref (-round));
+    Vec.drop_prefix v 1
+  done;
+  survivors v;
+  Alcotest.(check int) "window length" 90 (Vec.length v)
+
+let vec_window_prop =
+  let open QCheck2 in
+  qcheck "Vec push/drop_prefix/pop/swap_remove agree with a list model"
+    Gen.(list (pair (int_range 0 3) (int_range 0 20)))
+    (fun ops ->
+      let v = Vec.create () in
+      let model = ref [] in
+      let next = ref 0 in
+      List.iter
+        (fun (op, k) ->
+          let len = List.length !model in
+          match op with
+          | 0 ->
+            for _ = 0 to k do
+              Vec.push v !next;
+              model := !model @ [ !next ];
+              incr next
+            done
+          | 1 ->
+            let k = min k len in
+            Vec.drop_prefix v k;
+            model := List.filteri (fun i _ -> i >= k) !model
+          | 2 ->
+            if len > 0 then begin
+              ignore (Vec.pop v);
+              model := List.filteri (fun i _ -> i < len - 1) !model
+            end
+          | _ ->
+            if len > 0 then begin
+              let i = k mod len in
+              ignore (Vec.swap_remove v i);
+              let last = List.nth !model (len - 1) in
+              model :=
+                List.filteri (fun j _ -> j < len - 1) !model
+                |> List.mapi (fun j x -> if j = i then last else x)
+            end)
+        ops;
+      Vec.to_list v = !model && Vec.length v = List.length !model)
+
 let prng_bound_prop =
   let open QCheck2 in
   qcheck "Prng.int stays within bounds"
@@ -415,6 +505,8 @@ let suite =
     vec_model_prop;
     vec_swap_remove_prop;
     vec_pop_prop;
+    ("vec removals release their elements", `Quick, test_vec_drops_references);
+    vec_window_prop;
     prng_bound_prop;
     prng_determinism_prop;
   ]
