@@ -196,7 +196,11 @@ let table3 () =
       let online =
         measure_ns ~quota:0.8 (s.name ^ "/online") (fun () ->
             let log = Log.create ~level:`View () in
-            let o = Online.start ~mode:`View ~view:s.view log s.spec in
+            let farm =
+              Vyrd_pipeline.Farm.start ~level:`View
+                [ Vyrd_pipeline.Farm.shard ~mode:`View ~view:s.view s.name s.spec ]
+            in
+            Vyrd_pipeline.Farm.attach farm log;
             Vyrd_sched.Coop.run ~seed:1 ~max_steps:200_000_000 (fun sched ->
                 let ctx = Instrument.make sched log in
                 let b = (s.build ~bug:false) ctx in
@@ -219,7 +223,7 @@ let table3 () =
                       decr remaining;
                       if !remaining = 0 then stop := true)
                 done);
-            ignore (Online.finish o))
+            ignore (Vyrd_pipeline.Farm.finish farm))
       in
       let recorded = Harness.run (cfg `View 1) (s.build ~bug:false) in
       let offline =
@@ -306,7 +310,6 @@ let ablation_naive () =
     "k overlapping insert executions plus one overlapping lookup with an@.\
      unjustifiable return value: a black-box checker explores the whole@.\
      permutation tree; VYRD walks the annotated trace once.@.@.";
-  let open Vyrd_baselines in
   let ev_call tid mid args = Event.Call { tid; mid; args } in
   let ev_ret tid mid v = Event.Return { tid; mid; value = v } in
   let ev_commit tid = Event.Commit { tid } in
@@ -335,7 +338,10 @@ let ablation_naive () =
   Fmt.pr "%s@." (line 46);
   List.iter
     (fun k ->
-      let naive = Linearize.cost (Linearize.check ~budget:30_000_000 (naive_log k) spec) in
+      let _, naive =
+        Vyrd_lin.Enum.check ~budget:30_000_000
+          (Vyrd_lin.History.of_log (naive_log k)) spec
+      in
       let vyrd =
         let r = Checker.check ~mode:`Io (vyrd_log k) spec in
         r.Report.stats.methods_checked + 1

@@ -972,6 +972,37 @@ let shards_for subjects invariants level =
       | `Io | `None -> Farm.shard ~mode:`Io s.name s.spec)
     subjects
 
+(* The daemon main loop shared by [serve] and [cluster]: wait for
+   SIGINT/SIGTERM, then drain.  The signal handlers only flip flags:
+   [metrics ()] may take the registry mutex (and the cluster's polls its
+   workers), so dumping from inside a handler could re-enter a thread's
+   locked section and deadlock the daemon.  SIGUSR1 dumps happen here, on
+   the main wait loop.  [drain] stops accepting, finishes the open sessions
+   and returns the final metrics. *)
+let run_until_signalled ~name ~metrics ~active ~drain metrics_json =
+  let stop = ref false in
+  let handle _ = stop := true in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle handle);
+  let dump_requested = ref false in
+  Sys.set_signal Sys.sigusr1
+    (Sys.Signal_handle (fun _ -> dump_requested := true));
+  let dump_if_requested () =
+    if !dump_requested then begin
+      dump_requested := false;
+      Fmt.epr "%a@." Metrics.pp (metrics ())
+    end
+  in
+  while not !stop do
+    dump_if_requested ();
+    (try Thread.delay 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
+  done;
+  dump_if_requested ();
+  Fmt.pr "%s: draining %d open session(s)...@." name (active ());
+  let final = drain () in
+  Fmt.pr "%a@." Metrics.pp final;
+  Option.iter (fun f -> write_metrics_json f final) metrics_json
+
 let serve_cmd =
   let subjects_arg =
     Arg.(
@@ -1082,32 +1113,13 @@ let serve_cmd =
       Wire.pp_addr (Server.addr server)
       (List.length subjects) window max_sessions;
     Fmt.pr "vyrdd: SIGUSR1 dumps metrics; SIGINT/SIGTERM drains and exits@.";
-    let stop = ref false in
-    let handle _ = stop := true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle handle);
-    (* The handler only flips a flag: [Metrics.pp] takes the registry
-       mutex, and printing from the handler could re-enter a session
-       thread's locked section and deadlock the daemon.  The dump itself
-       happens below, on the main wait loop. *)
-    let dump_requested = ref false in
-    Sys.set_signal Sys.sigusr1
-      (Sys.Signal_handle (fun _ -> dump_requested := true));
-    let dump_if_requested () =
-      if !dump_requested then begin
-        dump_requested := false;
-        Fmt.epr "%a@." Metrics.pp metrics
-      end
-    in
-    while not !stop do
-      dump_if_requested ();
-      (try Thread.delay 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    done;
-    dump_if_requested ();
-    Fmt.pr "vyrdd: draining %d open session(s)...@." (Server.active server);
-    Server.stop server;
-    Fmt.pr "%a@." Metrics.pp metrics;
-    Option.iter (fun f -> write_metrics_json f metrics) metrics_json
+    run_until_signalled ~name:"vyrdd"
+      ~metrics:(fun () -> metrics)
+      ~active:(fun () -> Server.active server)
+      ~drain:(fun () ->
+        Server.stop server;
+        metrics)
+      metrics_json
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1230,6 +1242,10 @@ let cluster_cmd =
   let run addr names workers extern spool_dir slots window capacity
       checkpoint_events vnodes ring_seed keep_spools idle_timeout invariants
       metrics_json analyze =
+    if extern = [] && workers <= 0 then begin
+      Fmt.epr "--workers must be positive (or give --worker addresses)@.";
+      exit 2
+    end;
     let subjects = List.map resolve names in
     let spool_dir =
       match spool_dir with
@@ -1259,17 +1275,12 @@ let cluster_cmd =
     in
     let pool =
       if extern <> [] then None
-      else begin
-        if workers <= 0 then begin
-          Fmt.epr "--workers must be positive (or give --worker addresses)@.";
-          exit 2
-        end;
+      else
         Some
           (Supervisor.start ~count:workers ~capacity ~window ~analyze
              ~dir:spool_dir
              ~shards:(shards_for subjects invariants)
              ())
-      end
     in
     let members =
       match pool with
@@ -1300,33 +1311,15 @@ let cluster_cmd =
       spool_dir;
     Fmt.pr "vyrdc: SIGUSR1 dumps cluster-wide metrics; SIGINT/SIGTERM drains \
             and exits@.";
-    let stop = ref false in
-    let handle _ = stop := true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle handle);
-    (* Flag only — [Coordinator.aggregate] polls workers and [Metrics.pp]
-       takes the registry mutex; neither is safe from a signal handler
-       (see the vyrdd loop above).  Dump from the main wait loop. *)
-    let dump_requested = ref false in
-    Sys.set_signal Sys.sigusr1
-      (Sys.Signal_handle (fun _ -> dump_requested := true));
-    let dump_if_requested () =
-      if !dump_requested then begin
-        dump_requested := false;
-        Fmt.epr "%a@." Metrics.pp (Coordinator.aggregate coord)
-      end
-    in
-    while not !stop do
-      dump_if_requested ();
-      (try Thread.delay 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    done;
-    dump_if_requested ();
-    Fmt.pr "vyrdc: draining %d open session(s)...@." (Coordinator.active coord);
-    Coordinator.stop coord;
-    let agg = Coordinator.aggregate coord in
-    Option.iter (fun p -> Supervisor.stop p) pool;
-    Fmt.pr "%a@." Metrics.pp agg;
-    Option.iter (fun f -> write_metrics_json f agg) metrics_json
+    run_until_signalled ~name:"vyrdc"
+      ~metrics:(fun () -> Coordinator.aggregate coord)
+      ~active:(fun () -> Coordinator.active coord)
+      ~drain:(fun () ->
+        Coordinator.stop coord;
+        let agg = Coordinator.aggregate coord in
+        Option.iter (fun p -> Supervisor.stop p) pool;
+        agg)
+      metrics_json
   in
   Cmd.v
     (Cmd.info "cluster"

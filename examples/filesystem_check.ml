@@ -8,6 +8,7 @@
 open Vyrd
 open Vyrd_sched
 open Vyrd_scanfs
+module Farm = Vyrd_pipeline.Farm
 
 let disk_blocks = 16
 let names = [| "alpha"; "beta"; "gamma" |]
@@ -18,8 +19,13 @@ let payload rng key =
 
 let run_with_online ~bugs ~seed =
   let log = Log.create ~level:`View () in
-  (* the online verifier subscribes before the program starts *)
-  let online = Online.start ~mode:`View ~view:Scanfs.viewdef log Scanfs.spec in
+  (* the online verifier subscribes before the program starts: a one-shard
+     farm is the paper's single verification thread *)
+  let farm =
+    Farm.start ~level:`View
+      [ Farm.shard ~mode:`View ~view:Scanfs.viewdef "ScanFS" Scanfs.spec ]
+  in
+  Farm.attach farm log;
   Coop.run ~seed (fun s ->
       let ctx = Instrument.make s log in
       let fs = Scanfs.create_fs ~bugs ~disk_blocks ctx in
@@ -47,7 +53,7 @@ let run_with_online ~bugs ~seed =
             decr remaining;
             if !remaining = 0 then stop := true)
       done);
-  (Log.length log, Online.finish online)
+  (Log.length log, (Farm.finish farm).Farm.merged)
 
 let () =
   Fmt.pr "== ScanFS checked online ==@.@.";

@@ -71,6 +71,8 @@ let state t tid =
     Hashtbl.replace t.threads tid s;
     s
 
+(* Records [w] on [src -> dst] unless the edge already has a witness from
+   [w]'s thread or is full; true when [w] was recorded. *)
 let add_edge t ~src ~dst w =
   let e =
     match Hashtbl.find_opt t.etable (src, dst) with
@@ -85,8 +87,51 @@ let add_edge t ~src ~dst w =
     && List.length e.tids < max_witnesses_per_edge
   then begin
     e.tids <- w.tid :: e.tids;
-    e.witnesses_rev <- w :: e.witnesses_rev
+    e.witnesses_rev <- w :: e.witnesses_rev;
+    true
   end
+  else false
+
+(* Reentrancy depths change in place, so [held] keeps the order of first
+   acquisition, innermost first. *)
+let deepen s lock d =
+  s.held <- List.map (fun (l, n) -> if l = lock then (l, n + d) else (l, n)) s.held
+
+let acquire t ~index tid lock =
+  t.acquires <- t.acquires + 1;
+  Hashtbl.replace t.lock_names lock ();
+  let s = state t tid in
+  if List.mem_assoc lock s.held then begin
+    (* reentrant: the lock is already held, so no new ordering arises *)
+    deepen s lock 1;
+    []
+  end
+  else begin
+    let held = List.map fst s.held in
+    let w = { index; tid; held; meth = s.exec } in
+    s.held <- (lock, 1) :: s.held;
+    List.filter_map
+      (fun src -> if add_edge t ~src ~dst:lock w then Some (src, w) else None)
+      held
+  end
+
+let release t tid lock =
+  let s = state t tid in
+  match List.assoc_opt lock s.held with
+  | Some n when n > 1 -> deepen s lock (-1)
+  | Some _ -> s.held <- List.remove_assoc lock s.held
+  | None -> () (* unmatched release is the linter's business, not ours *)
+
+let reversal t ~src ~dst (w : witness) =
+  match Hashtbl.find_opt t.etable (dst, src) with
+  | None -> None
+  | Some e ->
+    let gate l = l <> src && l <> dst in
+    List.find_opt
+      (fun (w' : witness) ->
+        (not (Tid.equal w'.tid w.tid))
+        && not (List.exists (fun l -> gate l && List.mem l w'.held) w.held))
+      (List.rev e.witnesses_rev)
 
 let feed t ev =
   let index = t.index in
@@ -95,26 +140,8 @@ let feed t ev =
   | Event.Call { tid; mid; _ } ->
     (state t tid).exec <- Some { mid; call_index = index }
   | Event.Return { tid; _ } -> (state t tid).exec <- None
-  | Event.Acquire { tid; lock } -> (
-    t.acquires <- t.acquires + 1;
-    Hashtbl.replace t.lock_names lock ();
-    let s = state t tid in
-    match List.assoc_opt lock s.held with
-    | Some n ->
-      (* reentrant: the lock is already held, so no new ordering arises *)
-      s.held <- (lock, n + 1) :: List.remove_assoc lock s.held
-    | None ->
-      let held = List.map fst s.held in
-      let w = { index; tid; held; meth = s.exec } in
-      List.iter (fun src -> add_edge t ~src ~dst:lock w) held;
-      s.held <- (lock, 1) :: s.held)
-  | Event.Release { tid; lock } -> (
-    let s = state t tid in
-    match List.assoc_opt lock s.held with
-    | Some n when n > 1 ->
-      s.held <- (lock, n - 1) :: List.remove_assoc lock s.held
-    | Some _ -> s.held <- List.remove_assoc lock s.held
-    | None -> () (* unmatched release is the linter's business, not ours *))
+  | Event.Acquire { tid; lock } -> ignore (acquire t ~index tid lock)
+  | Event.Release { tid; lock } -> release t tid lock
   | Event.Commit _ | Event.Write _ | Event.Read _ | Event.Block_begin _
   | Event.Block_end _ -> ()
 

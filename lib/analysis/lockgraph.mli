@@ -69,6 +69,27 @@ val feed : t -> Vyrd.Event.t -> unit
 (** The graph and surviving cycles accumulated so far. *)
 val result : t -> result
 
+(** {1 Incremental core}
+
+    The lock-order state behind {!feed}, for a caller that keeps its own
+    stream position — the lock-reversal monitor feeds only lock events.
+    Held locks are tracked per thread with reentrancy depths. *)
+
+(** [acquire t ~index tid lock] records that [tid] acquired [lock] at
+    stream position [index], and returns the [(src, w)] pairs whose edge
+    [src -> lock] gained the witness [w], innermost held [src] first.  A
+    reentrant acquire adds nothing. *)
+val acquire : t -> index:int -> Vyrd_sched.Tid.t -> string -> (string * witness) list
+
+(** [release t tid lock] drops one reentrancy level; unmatched releases are
+    ignored. *)
+val release : t -> Vyrd_sched.Tid.t -> string -> unit
+
+(** [reversal t ~src ~dst w] is the earliest witness of the opposite edge
+    [dst -> src] that convicts [w], a witness of [src -> dst]: another
+    thread, and no gate lock (one outside the pair held across both). *)
+val reversal : t -> src:string -> dst:string -> witness -> witness option
+
 (** {1 Whole-log analysis} *)
 
 (** [analyze log] streams [log] through a fresh analysis.  Logs of any level

@@ -23,8 +23,8 @@
     [`View] mode presumes the log was recorded at level [`View] (or
     [`Full]): with call/return/commit-only logs the shadow replay would stay
     empty and every mutation would look like a view mismatch, so {!check}
-    (and {!Online.start}) reject such logs up front with [Invalid_argument]
-    rather than reporting spurious violations. *)
+    (and the pipeline farm's [start]) reject such logs up front with
+    [Invalid_argument] rather than reporting spurious violations. *)
 
 type mode = [ `Io | `View ]
 

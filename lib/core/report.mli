@@ -38,7 +38,7 @@ type stats = {
   queue_high_water : int;
       (** peak occupancy of the event queue that fed this checker — [0] for
           offline checking (no queue); bounded by the configured capacity
-          for {!Online} and the pipeline farm *)
+          for the pipeline farm *)
 }
 
 type outcome = Pass | Fail of violation

@@ -10,6 +10,11 @@
     implementations share nothing but {!History}, which is what makes their
     agreement on random histories a meaningful differential gate.
 
+    It is also the naive serialization search of paper §2, the strawman of
+    the E7 ablation ([bench ablation-naive]): run over [History.of_log log],
+    its transition count is the black-box cost that VYRD's commit-order
+    witness avoids.
+
     Cost is factorial, so {!check} refuses histories longer than [max_ops]
     (default {!default_max_ops}). *)
 

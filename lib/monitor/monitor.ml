@@ -1,6 +1,7 @@
 open Vyrd
 module Tid = Vyrd_sched.Tid
 module Pass = Vyrd_analysis.Pass
+module Lockgraph = Vyrd_analysis.Lockgraph
 module Metrics = Vyrd_pipeline.Metrics
 
 (* ------------------------------------------------------------- formulas *)
@@ -310,36 +311,26 @@ let finish t =
 
 (* --------------------------------------------- built-in: lock reversal *)
 
-(* Dynamic twin of the static {!Vyrd_analysis.Lockgraph}: per unordered lock
-   pair, remember the first acquisition witness per distinct thread in each
-   direction (bounded like the lockgraph's per-edge cap), and convict the
-   moment both directions have witnesses on distinct threads with no common
-   gate lock held across both — the same two suppressions, so the two
+(* Dynamic twin of the static {!Vyrd_analysis.Lockgraph}, reading its
+   incremental lock-order core: a lock pair is convicted the moment one of
+   its edges gains a witness that {!Lockgraph.reversal} pairs with a witness
+   of the opposite edge (distinct threads, no common gate lock), so the two
    analyses agree on two-lock cycles by construction. *)
 
-type lr_wit = { w_idx : int; w_tid : Tid.t; w_held : string list }
-
-type lr_pair = {
-  mutable fwd : lr_wit list;  (* acquired [hi] while holding [lo] *)
-  mutable bwd : lr_wit list;  (* acquired [lo] while holding [hi] *)
-  mutable convicted : bool;
-}
-
-let max_witnesses_per_dir = 8 (* = Lockgraph.max_witnesses_per_edge *)
-
 let lock_reversal () =
-  (* per-thread held locksets with reentrancy depths, as in the lockgraph *)
-  let held : (Tid.t, (string * int) list) Hashtbl.t = Hashtbl.create 8 in
-  let pairs : (string * string, lr_pair) Hashtbl.t = Hashtbl.create 8 in
+  let graph = Lockgraph.create () in
+  (* one instance per unordered lock pair seen, with its conviction flag *)
+  let convicted : (string * string, bool ref) Hashtbl.t = Hashtbl.create 8 in
   let flag = ref None (* pair convicted by the current event, if any *) in
   let last_detail = ref None in
-  let describe (earlier : lr_wit) earlier_dst (now : lr_wit) now_dst =
+  let describe (earlier : Lockgraph.witness) earlier_dst
+      (now : Lockgraph.witness) now_dst =
     Fmt.str
       "%s acquired %s @%d holding {%s}; %s acquired %s @%d holding {%s}"
-      (Tid.to_string earlier.w_tid) earlier_dst earlier.w_idx
-      (String.concat ", " earlier.w_held)
-      (Tid.to_string now.w_tid) now_dst now.w_idx
-      (String.concat ", " now.w_held)
+      (Tid.to_string earlier.tid) earlier_dst earlier.index
+      (String.concat ", " earlier.held)
+      (Tid.to_string now.tid) now_dst now.index
+      (String.concat ", " now.held)
   in
   let spawn t ((lo, hi) as key) =
     let name = Fmt.str "reversal(%s,%s)" lo hi in
@@ -353,68 +344,28 @@ let lock_reversal () =
     flag := None;
     match ev with
     | Event.Acquire { tid; lock } ->
-      let hs = Option.value ~default:[] (Hashtbl.find_opt held tid) in
-      (match List.assoc_opt lock hs with
-      | Some d ->
-        (* reentrant: no new ordering information *)
-        Hashtbl.replace held tid
-          (List.map (fun (l, n) -> if l = lock then (l, d + 1) else (l, n)) hs)
-      | None ->
-        let held_names = List.map fst hs in
-        let idx = t.n_fed in
-        List.iter
-          (fun src ->
-            let key = if src < lock then (src, lock) else (lock, src) in
-            let p =
-              match Hashtbl.find_opt pairs key with
-              | Some p -> p
-              | None ->
-                let p = { fwd = []; bwd = []; convicted = false } in
-                Hashtbl.add pairs key p;
-                spawn t key;
-                p
-            in
-            let forward = src = fst key in
-            let mine, theirs = if forward then (p.fwd, p.bwd) else (p.bwd, p.fwd) in
-            if
-              (not (List.exists (fun w -> Tid.equal w.w_tid tid) mine))
-              && List.length mine < max_witnesses_per_dir
-            then begin
-              let w = { w_idx = idx; w_tid = tid; w_held = held_names } in
-              if forward then p.fwd <- p.fwd @ [ w ] else p.bwd <- p.bwd @ [ w ];
-              if not p.convicted then
-                (* gate suppression: a lock outside the pair held across
-                   both witnesses serializes the pattern *)
-                let lo, hi = key in
-                let gates a b =
-                  List.filter
-                    (fun l -> l <> lo && l <> hi && List.mem l b.w_held)
-                    a.w_held
-                in
-                match
-                  List.find_opt
-                    (fun w' ->
-                      (not (Tid.equal w'.w_tid tid)) && gates w w' = [])
-                    theirs
-                with
-                | Some w' ->
-                  p.convicted <- true;
-                  flag := Some key;
-                  (* the opposite direction acquired the other lock of the pair *)
-                  let dst_theirs = if forward then lo else hi in
-                  last_detail := Some (describe w' dst_theirs w lock)
-                | None -> ()
-            end)
-          held_names;
-        Hashtbl.replace held tid ((lock, 1) :: hs))
-    | Event.Release { tid; lock } ->
-      let hs = Option.value ~default:[] (Hashtbl.find_opt held tid) in
-      (match List.assoc_opt lock hs with
-      | Some d when d > 1 ->
-        Hashtbl.replace held tid
-          (List.map (fun (l, n) -> if l = lock then (l, d - 1) else (l, n)) hs)
-      | Some _ -> Hashtbl.replace held tid (List.remove_assoc lock hs)
-      | None -> () (* unmatched release: the linter reports those *))
+      List.iter
+        (fun (src, w) ->
+          let key = if src < lock then (src, lock) else (lock, src) in
+          let c =
+            match Hashtbl.find_opt convicted key with
+            | Some c -> c
+            | None ->
+              let c = ref false in
+              Hashtbl.add convicted key c;
+              spawn t key;
+              c
+          in
+          if not !c then
+            match Lockgraph.reversal graph ~src ~dst:lock w with
+            | Some w' ->
+              c := true;
+              flag := Some key;
+              (* the opposite edge acquired [src] while holding [lock] *)
+              last_detail := Some (describe w' src w lock)
+            | None -> ())
+        (Lockgraph.acquire graph ~index:t.n_fed tid lock)
+    | Event.Release { tid; lock } -> Lockgraph.release graph tid lock
     | _ -> ()
   in
   { m_name = "lock-reversal"; insts = []; n_fed = 0; interest = lock_events;

@@ -100,8 +100,11 @@ val violations : t -> witness list
 
 (** Lock-acquisition-order reversal: order [l1 < l2] observed, later
     [l2 < l1] — convicted only from witnesses on distinct threads with no
-    common gate lock held across both, matching {!Vyrd_analysis.Lockgraph}
-    on two-lock cycles. *)
+    common gate lock held across both.  The pack holds no lock-order state
+    of its own: it reads {!Vyrd_analysis.Lockgraph}'s incremental core
+    ({!Vyrd_analysis.Lockgraph.acquire} and
+    {!Vyrd_analysis.Lockgraph.reversal}, at this monitor's stream index), so
+    it matches the lock-order graph on two-lock cycles by construction. *)
 val lock_reversal : unit -> t
 
 (** [always (acquire -> eventually release)] per lock, reentrancy-aware;

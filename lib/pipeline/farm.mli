@@ -1,11 +1,11 @@
 (** The checker farm: one verification domain per data structure.
 
-    {!Vyrd.Online} runs a single checker domain fed by one queue; the farm
-    generalizes it into the streaming pipeline the north star calls for:
-    the tagged event stream of a shared log is {e sharded} across one
-    checker domain per structure — the routing mirror of
-    {!Vyrd.Spec_compose}, which folds several structures into one product
-    specification.  Method events are routed to the component whose
+    This is the repository's one online checker.  A one-shard farm
+    {!attach}ed to a log is the paper's separate verification thread
+    reading the log tail (§4.2, Table 3); with more shards the tagged event
+    stream of a shared log is {e sharded} across one checker domain per
+    structure — the routing mirror of {!Vyrd.Spec_compose}, which folds
+    several structures into one product specification.  Method events are routed to the component whose
     specification knows the method name (namespaces must be disjoint, the
     {!Vyrd.Spec_compose} precondition); commit and commit-block events
     follow the thread's open call; shared-variable writes outside any call

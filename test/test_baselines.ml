@@ -1,16 +1,21 @@
-(* Tests for the two baselines: naive linearization search and
-   Atomizer-style reduction (paper §2 and §8). *)
+(* Tests for the two baselines: naive linearization search (the brute-force
+   {!Vyrd_lin.Enum}) and Atomizer-style reduction (paper §2 and §8). *)
 
 open Vyrd
 open Vyrd_sched
 open Vyrd_multiset
 open Vyrd_baselines
+module Enum = Vyrd_lin.Enum
+module History = Vyrd_lin.History
+module Jit = Vyrd_lin.Jit
 
 let ev_call tid mid args = Event.Call { tid; mid; args }
 let ev_ret tid mid value = Event.Return { tid; mid; value }
 let ev_commit tid = Event.Commit { tid }
 
 (* --- naive linearization ------------------------------------------------ *)
+
+let naive ?budget log = Enum.check ?budget (History.of_log log) Multiset_spec.spec
 
 let test_linearize_fig3 () =
   (* LookUp(3) overlapping Insert(3): true is justified by serializing the
@@ -24,9 +29,9 @@ let test_linearize_fig3 () =
         ev_ret 1 "lookup" (Repr.Bool true);
       ]
   in
-  match Linearize.check log Multiset_spec.spec with
-  | Linearize.Linearizable _ -> ()
-  | r -> Alcotest.failf "expected linearizable, explored %d" (Linearize.cost r)
+  match naive log with
+  | Jit.Linearizable, _ -> ()
+  | _, n -> Alcotest.failf "expected linearizable, explored %d" n
 
 let test_linearize_rejects () =
   (* lookup strictly after a delete must not see the element *)
@@ -41,9 +46,9 @@ let test_linearize_rejects () =
         ev_ret 3 "lookup" (Repr.Bool true);
       ]
   in
-  match Linearize.check log Multiset_spec.spec with
-  | Linearize.Not_linearizable _ -> ()
-  | r -> Alcotest.failf "expected not linearizable (%d explored)" (Linearize.cost r)
+  match naive log with
+  | Jit.Not_linearizable, _ -> ()
+  | _, n -> Alcotest.failf "expected not linearizable (%d explored)" n
 
 (* [k] fully-overlapping insert(i) executions plus an overlapping lookup
    whose return value is wrong in every serialization: certifying the
@@ -58,14 +63,19 @@ let overlapping_inserts k =
     @ [ ev_ret 99 "lookup" (Repr.Bool true) ])
 
 let test_linearize_cost_grows () =
-  let cost k =
-    Linearize.cost (Linearize.check (overlapping_inserts k) Multiset_spec.spec)
-  in
+  let cost k = snd (naive (overlapping_inserts k)) in
   let c4 = cost 4 and c6 = cost 6 and c8 = cost 8 in
   Alcotest.(check bool)
     (Printf.sprintf "super-linear growth: %d -> %d -> %d" c4 c6 c8)
     true
     (c6 > 8 * c4 && c8 > 8 * c6)
+
+let test_naive_costs_pinned () =
+  (* E7's naive column (bench ablation-naive), k = 2..8 *)
+  Alcotest.(check (list int))
+    "transitions explored"
+    [ 9; 31; 129; 651; 3913; 27399; 219201 ]
+    (List.init 7 (fun i -> snd (naive (overlapping_inserts (i + 2)))))
 
 let test_vyrd_cost_stays_linear () =
   (* the same trace, annotated with commits, is checked by VYRD in one pass:
@@ -86,11 +96,9 @@ let test_vyrd_cost_stays_linear () =
     report.Report.stats.methods_checked
 
 let test_linearize_budget () =
-  match
-    Linearize.check ~budget:50 (overlapping_inserts 10) Multiset_spec.spec
-  with
-  | Linearize.Budget_exhausted n -> Alcotest.(check bool) "cost counted" true (n > 50)
-  | r -> Alcotest.failf "expected budget exhaustion, got %d" (Linearize.cost r)
+  match naive ~budget:50 (overlapping_inserts 10) with
+  | Jit.Budget_exhausted, n -> Alcotest.(check bool) "cost counted" true (n > 50)
+  | _, n -> Alcotest.failf "expected budget exhaustion, got %d" n
 
 (* --- reduction / atomicity ---------------------------------------------- *)
 
@@ -178,6 +186,7 @@ let suite =
     ("linearize: fig3 accepted", `Quick, test_linearize_fig3);
     ("linearize: bad trace rejected", `Quick, test_linearize_rejects);
     ("linearize: cost grows super-linearly", `Quick, test_linearize_cost_grows);
+    ("linearize: E7 costs pinned for k = 2..8", `Quick, test_naive_costs_pinned);
     ("vyrd: cost stays linear", `Quick, test_vyrd_cost_stays_linear);
     ("linearize: budget guard", `Quick, test_linearize_budget);
     ("reduction rejects insert_pair (§8)", `Quick, test_reduction_rejects_insert_pair);

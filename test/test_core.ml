@@ -3,6 +3,7 @@
 
 open Vyrd
 module Tid = Vyrd_sched.Tid
+module Farm = Vyrd_pipeline.Farm
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 
@@ -426,7 +427,7 @@ let test_timeline_tail_window () =
   let t = Timeline.tail ~window:5 log ~until:40 in
   Alcotest.(check bool) "window label" true (contains ~sub:"events 35..39 of 50" t)
 
-(* --- Squeue / Online ------------------------------------------------------ *)
+(* --- Squeue / online farm ------------------------------------------------- *)
 
 let test_squeue_fifo () =
   let q = Squeue.create () in
@@ -454,7 +455,11 @@ let test_online_agrees_with_offline () =
   let view = Multiset_vector.viewdef ~capacity:8 in
   for seed = 0 to 4 do
     let log = Log.create ~level:`View () in
-    let online = Online.start ~mode:`View ~view log Multiset_spec.spec in
+    let online =
+      Farm.start ~level:`View
+        [ Farm.shard ~mode:`View ~view "multiset" Multiset_spec.spec ]
+    in
+    Farm.attach online log;
     Vyrd_sched.Coop.run ~seed (fun s ->
         let ctx = Instrument.make s log in
         let ms = Multiset_vector.create ~capacity:8 ctx in
@@ -467,7 +472,7 @@ let test_online_agrees_with_offline () =
                 else ignore (Multiset_vector.delete ms x)
               done)
         done);
-    let online_report = Online.finish online in
+    let online_report = (Farm.finish online).Farm.merged in
     let offline_report = Checker.check ~mode:`View ~view log Multiset_spec.spec in
     Alcotest.(check string)
       (Printf.sprintf "same verdict seed %d" seed)
@@ -481,11 +486,15 @@ let test_online_agrees_with_offline () =
 let test_online_reports_violation () =
   (* the online verifier must surface a violation found mid-stream *)
   let log = Log.create ~level:`Io () in
-  let online = Online.start ~mode:`Io log Vyrd_multiset.Multiset_spec.spec in
+  let online =
+    Farm.start ~level:`Io
+      [ Farm.shard "multiset" Vyrd_multiset.Multiset_spec.spec ]
+  in
+  Farm.attach online log;
   Log.append log (Event.Call { tid = 1; mid = "delete"; args = [ Repr.Int 5 ] });
   Log.append log (Event.Commit { tid = 1 });
   Log.append log (Event.Return { tid = 1; mid = "delete"; value = Repr.Bool true });
-  let report = Online.finish online in
+  let report = (Farm.finish online).Farm.merged in
   Alcotest.(check string) "violation surfaced" "io" (Report.tag report)
 
 let test_subscribe_sees_only_new_events () =

@@ -1,9 +1,9 @@
 (* The annotation-free linearizability backend (lib/lin): history extraction
    tolerating pending calls, the JIT backtracking checker against
-   hand-written histories and against two independent oracles (the naive
-   baseline on complete histories, brute-force enumeration on random small
-   histories with pending calls), the budget guard, conviction of a seeded
-   semantic mutant from calls and returns alone — also with every
+   hand-written histories and against an independent oracle (brute-force
+   enumeration, also the naive baseline of paper §2) on random small
+   histories with and without pending calls, the budget guard, conviction
+   of a seeded semantic mutant from calls and returns alone — also with every
    non-call/return event stripped from the log — and the farm-lane pass. *)
 
 open Vyrd
@@ -16,7 +16,6 @@ module History = Vyrd_lin.History
 module Jit = Vyrd_lin.Jit
 module Enum = Vyrd_lin.Enum
 module Backend = Vyrd_lin.Backend
-module Linearize = Vyrd_baselines.Linearize
 
 let qcheck t = QCheck_alcotest.to_alcotest t
 let ev_call tid mid args = Event.Call { tid; mid; args }
@@ -144,12 +143,7 @@ let test_jit_memo_prunes () =
     (Printf.sprintf "nodes %d stay far under 9! = 362880" r.Jit.stats.Jit.nodes)
     true
     (r.Jit.stats.Jit.nodes < 40_000);
-  let naive =
-    Linearize.cost
-      (Linearize.check ~budget:30_000_000
-         (Log.of_events (overlapping_inserts 9))
-         spec)
-  in
+  let _, naive = Enum.check ~budget:30_000_000 h spec in
   Alcotest.(check bool)
     (Printf.sprintf "an order of magnitude under the naive %d" naive)
     true
@@ -230,10 +224,8 @@ let prop_jit_matches_naive_on_complete =
       let evs = build_events ~seed ~threads ~ops ~allow_pending:false in
       let h = History.of_events (Array.of_list evs) in
       let j = (Jit.check ~budget:5_000_000 h spec).Jit.outcome in
-      match Linearize.check ~budget:5_000_000 (Log.of_events evs) spec with
-      | Linearize.Linearizable _ -> j = Jit.Linearizable
-      | Linearize.Not_linearizable _ -> j = Jit.Not_linearizable
-      | Linearize.Budget_exhausted _ -> false)
+      let e, _ = Enum.check ~budget:5_000_000 ~max_ops:12 h spec in
+      j <> Jit.Budget_exhausted && j = e)
 
 (* --- real workloads: clean runs pass, the semantic mutant falls ----------- *)
 

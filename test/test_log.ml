@@ -174,13 +174,6 @@ let test_view_check_accepts_view_and_full_logs () =
            (Checker.check ~mode:`View ~view:s.Subjects.view log s.Subjects.spec)))
     [ `View; `Full ]
 
-let test_online_rejects_io_log () =
-  let s = Subjects.multiset_vector in
-  let log = Log.create ~level:`Io () in
-  match Online.start ~mode:`View ~view:s.Subjects.view log s.Subjects.spec with
-  | (_ : Online.t) -> Alcotest.fail "Online.start `View accepted an `Io log"
-  | exception Invalid_argument _ -> ()
-
 let test_view_check_rejects_roundtripped_io_log () =
   (* regression for the original footgun scenario: record at `Io, serialize,
      load elsewhere, check in `View mode — must fail fast, not report
@@ -201,7 +194,6 @@ let suite =
     ( "view mode accepts view/full logs",
       `Quick,
       test_view_check_accepts_view_and_full_logs );
-    ("online view mode rejects io-level log", `Quick, test_online_rejects_io_log);
     ( "view mode rejects deserialized io log",
       `Quick,
       test_view_check_rejects_roundtripped_io_log );

@@ -248,6 +248,47 @@ let test_lock_reversal_single_thread_suppressed () =
     Alcotest.fail "one thread cannot deadlock with itself (reentrant)"
   | Monitor.Sat | Monitor.Pending -> ()
 
+(* Three threads reverse three lock pairs around a gate lock [g], with a
+   reentrant acquire and non-lock events in the stream.  The pins fix each
+   witness's stream index, thread and held sets, the latter in first-
+   acquisition order (the reentrant [a] stays behind [b]). *)
+let test_lock_reversal_witness_pinned () =
+  let acq tid lock = Event.Acquire { tid; lock }
+  and rel tid lock = Event.Release { tid; lock } in
+  let m = Monitor.lock_reversal () in
+  List.iter (Monitor.feed m)
+    [
+      Event.Call { tid = 1; mid = "m"; args = [] };
+      acq 1 "a"; acq 1 "b"; acq 1 "a"; acq 1 "c";
+      rel 1 "c"; rel 1 "a"; rel 1 "b"; rel 1 "a";
+      acq 3 "g"; acq 3 "b"; acq 3 "a";
+      rel 3 "a"; rel 3 "b"; rel 3 "g";
+      Event.Write { tid = 2; var = "x"; value = Repr.Int 1 };
+      acq 2 "c"; acq 2 "a"; rel 2 "a"; rel 2 "c";
+      acq 4 "g"; acq 4 "c"; acq 4 "b"; rel 4 "b"; rel 4 "c"; rel 4 "g";
+    ];
+  let pinned =
+    [
+      ( 11, Some 3,
+        Some "T1 acquired b @2 holding {a}; T3 acquired a @11 holding {b, g}" );
+      ( 17, Some 2,
+        Some "T1 acquired c @4 holding {b, a}; T2 acquired a @17 holding {c}" );
+      ( 22, Some 4,
+        Some "T1 acquired c @4 holding {b, a}; T4 acquired b @22 holding {c, g}"
+      );
+    ]
+  in
+  let got =
+    List.map
+      (fun (w : Monitor.witness) -> (w.at, w.tid, w.detail))
+      (Monitor.violations m)
+  in
+  Alcotest.(check (list (triple int (option int) (option string))))
+    "violations" pinned got;
+  match Monitor.finish m with
+  | Monitor.Viol w -> Alcotest.(check int) "first violation" 11 w.Monitor.at
+  | Monitor.Sat | Monitor.Pending -> Alcotest.fail "reversals not convicted"
+
 let test_resource_leak_convicts_at_end () =
   let m = Monitor.resource_leak () in
   List.iter (Monitor.feed m)
@@ -472,22 +513,24 @@ let test_observe_clamp_hidden_when_zero () =
    landing while any thread held it could deadlock the process.  The
    handler now only sets a flag and the main loop dumps.  Regression:
    storm the daemon with SIGUSR1 while it serves and while it drains, and
-   require a clean exit with at least one dump in the output. *)
-let test_serve_sigusr1_storm () =
+   require a clean exit with at least one dump in the output.  [serve] and
+   [cluster] share the main loop; both are stormed. *)
+let sigusr1_storm args () =
   let exe =
     List.find Sys.file_exists
       [ "../bin/vyrd_check.exe"; "_build/default/bin/vyrd_check.exe" ]
   in
   let sock = Filename.temp_file "vyrd_usr1" ".sock" in
   Sys.remove sock;
+  let spool = Filename.temp_file "vyrd_usr1" ".spool" in
+  Sys.remove spool;
   let out_path = Filename.temp_file "vyrd_usr1" ".out" in
   let out_fd = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let pid =
     Unix.create_process exe
-      [|
-        exe; "serve"; "--listen"; sock; "--subjects"; "Multiset-Vector";
-        "--monitor"; "lock-reversal";
-      |]
+      (Array.of_list
+         ((exe :: args ~spool)
+         @ [ "--listen"; sock; "--subjects"; "Multiset-Vector" ]))
       Unix.stdin out_fd out_fd
   in
   Unix.close out_fd;
@@ -497,6 +540,12 @@ let test_serve_sigusr1_storm () =
       (try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
        with Unix.Unix_error _ -> ());
       (try Sys.remove out_path with Sys_error _ -> ());
+      if Sys.file_exists spool then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat spool f))
+          (Sys.readdir spool);
+        Sys.rmdir spool
+      end;
       if Sys.file_exists sock then Sys.remove sock)
     (fun () ->
       let log =
@@ -561,6 +610,8 @@ let suite =
      test_lock_reversal_gate_suppressed);
     ("single thread suppresses the reversal", `Quick,
      test_lock_reversal_single_thread_suppressed);
+    ("lock-reversal witnesses pinned on three locks", `Quick,
+     test_lock_reversal_witness_pinned);
     ("resource leak convicts at stream end", `Quick,
      test_resource_leak_convicts_at_end);
     ("balanced reentrant acquires are clean", `Quick,
@@ -578,5 +629,8 @@ let suite =
     ("clamp counter hidden when zero", `Quick,
      test_observe_clamp_hidden_when_zero);
     ("SIGUSR1 storm during serve and drain", `Quick,
-     test_serve_sigusr1_storm);
+     sigusr1_storm (fun ~spool:_ -> [ "serve"; "--monitor"; "lock-reversal" ]));
+    ("SIGUSR1 storm during cluster and drain", `Quick,
+     sigusr1_storm (fun ~spool ->
+         [ "cluster"; "--workers"; "1"; "--spool-dir"; spool ]));
   ]

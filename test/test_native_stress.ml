@@ -30,7 +30,11 @@ let test_online_native () =
   (* online checking while the program runs under real threads *)
   let s = Subjects.blink_tree in
   let log = Log.create ~level:`View () in
-  let online = Online.start ~mode:`View ~view:s.view log s.spec in
+  let online =
+    Vyrd_pipeline.Farm.start ~level:`View
+      [ Vyrd_pipeline.Farm.shard ~mode:`View ~view:s.view s.name s.spec ]
+  in
+  Vyrd_pipeline.Farm.attach online log;
   let cfg = { Harness.default with threads = 4; ops_per_thread = 25; seed = 3 } in
   (* run_native builds its own log, so drive the engine directly *)
   ignore cfg;
@@ -55,7 +59,7 @@ let test_online_native () =
             done;
             if Atomic.fetch_and_add remaining (-1) = 1 then stop := true)
       done);
-  assert_pass "native online" (Online.finish online)
+  assert_pass "native online" (Vyrd_pipeline.Farm.finish online).merged
 
 let suite =
   [

@@ -847,6 +847,28 @@ let test_serve_sigterm_drains () =
       Alcotest.(check bool) "SIGTERM took the drain path" true
         (contains text "draining"))
 
+(* --- flag validation precedes binding -------------------------------------- *)
+
+let test_cluster_bad_workers_binds_nothing () =
+  let exe =
+    List.find Sys.file_exists
+      [ "../bin/vyrd_check.exe"; "_build/default/bin/vyrd_check.exe" ]
+  in
+  let sock = Filename.temp_file "vyrd_workers0" ".sock" in
+  Sys.remove sock;
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process exe
+      [| exe; "cluster"; "--listen"; sock; "--workers"; "0" |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  let _, status = Unix.waitpid [] pid in
+  let left = Sys.file_exists sock in
+  if left then Sys.remove sock;
+  Alcotest.(check bool) "rc 2" true (status = Unix.WEXITED 2);
+  Alcotest.(check bool) "no socket file left" false left
+
 let suite =
   [
     ("report codec round trip", `Quick, test_report_roundtrip);
@@ -888,4 +910,6 @@ let suite =
       `Quick,
       test_spill_reclaimed_after_recheck );
     ("SIGTERM drains the daemon like SIGINT", `Quick, test_serve_sigterm_drains);
+    ("cluster --workers 0 exits 2 before binding", `Quick,
+     test_cluster_bad_workers_binds_nothing);
   ]

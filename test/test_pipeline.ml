@@ -670,14 +670,19 @@ let test_farm_view_requires_view_level () =
   | (_ : Farm.t) -> Alcotest.fail "`View shards accepted an `Io-level stream"
   | exception Invalid_argument _ -> ()
 
-(* --- Online with a bounded queue ------------------------------------------ *)
+(* --- online checking with a bounded queue --------------------------------- *)
 
 let test_online_capacity_and_high_water () =
   let s = Subjects.multiset_vector in
   let log = Log.create ~level:`View () in
   let online =
-    Online.start ~capacity:256 ~mode:`View ~view:s.Subjects.view log s.Subjects.spec
+    Farm.start ~capacity:256 ~level:`View
+      [
+        Farm.shard ~mode:`View ~view:s.Subjects.view s.Subjects.name
+          s.Subjects.spec;
+      ]
   in
+  Farm.attach online log;
   Vyrd_sched.Coop.run ~seed:3 (fun sched ->
       let ctx = Instrument.make sched log in
       let b = s.Subjects.build ~bug:false ctx in
@@ -688,7 +693,7 @@ let test_online_capacity_and_high_water () =
               b.Harness.random_op rng (Prng.int rng 8)
             done)
       done);
-  let report = Online.finish online in
+  let report = (Farm.finish online).Farm.merged in
   Alcotest.(check bool) "passes" true (Report.is_pass report);
   let hw = report.Report.stats.Report.queue_high_water in
   Alcotest.(check bool)
