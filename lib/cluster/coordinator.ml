@@ -1,5 +1,6 @@
 module Wire = Vyrd_net.Wire
 module Client = Vyrd_net.Client
+module Listener = Vyrd_net.Listener
 module Segment = Vyrd_pipeline.Segment
 module Metrics = Vyrd_pipeline.Metrics
 module Bincodec = Vyrd_pipeline.Bincodec
@@ -41,26 +42,12 @@ let config ?(window = 8192) ?(checkpoint_events = 25_000) ?(worker_slots = 4)
     c_metrics = metrics;
   }
 
-type session = { sc_id : int; sc_fd : Unix.file_descr }
-
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
-  bound : Wire.addr;
-  mutable accept_thread : Thread.t option;
+  listener : Listener.t;
   mutable health_thread : Thread.t option;
-  lock : Mutex.t;
-  live : (int, session) Hashtbl.t;
-  threads : (int, Thread.t) Hashtbl.t;
-  mutable next_session : int;
-  mutable accepted : int;
-  mutable stopping : bool;
-  mutable stopped : bool;
-  mutable force_stop : bool;
   members : Member.t;
   ctrl_lock : Mutex.t;  (** serializes RPCs on workers' control connections *)
-  m_sessions : Metrics.counter;
-  m_failed : Metrics.counter;
   m_events : Metrics.counter;
   m_batches : Metrics.counter;
   m_bytes : Metrics.counter;
@@ -75,13 +62,8 @@ type t = {
   m_attached : Metrics.counter;
   m_dead : Metrics.counter;
   m_drained : Metrics.counter;
-  m_peak : Metrics.gauge;
   m_workers_peak : Metrics.gauge;
 }
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let with_ctrl t f =
   Mutex.lock t.ctrl_lock;
@@ -89,10 +71,10 @@ let with_ctrl t f =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let addr t = t.bound
+let addr t = Listener.addr t.listener
 let metrics t = t.cfg.c_metrics
-let sessions t = with_lock t (fun () -> t.accepted)
-let active t = with_lock t (fun () -> Hashtbl.length t.live)
+let sessions t = Listener.sessions t.listener
+let active t = Listener.active t.listener
 let workers t = Member.workers t.members
 let ring t = Member.ring t.members
 
@@ -231,14 +213,14 @@ let drain t name =
 
 let health_loop t =
   let period = max 0.05 t.cfg.c_health_period in
-  while not (with_lock t (fun () -> t.stopping)) do
+  while not (Listener.stopping t.listener) do
     List.iter
       (fun (w : Member.worker) ->
         if w.w_state <> Member.Dead then ignore (ctrl_rpc t w Wire.Status_request))
       (Member.workers t.members);
     (* sleep in slices so stop doesn't wait out a full period *)
     let slept = ref 0.0 in
-    while !slept < period && not (with_lock t (fun () -> t.stopping)) do
+    while !slept < period && not (Listener.stopping t.listener) do
       Thread.delay 0.05;
       slept := !slept +. 0.05
     done
@@ -260,7 +242,7 @@ let open_leg t ~key ~level ~writer =
   let avoid = ref [] in
   let dead_since = ref None in
   let rec loop () =
-    if with_lock t (fun () -> t.force_stop) then
+    if Listener.forcing t.listener then
       raise (Bincodec.Corrupt "coordinator is stopping");
     match Member.acquire t.members ~key ~avoid:!avoid with
     | Some w -> (
@@ -347,21 +329,16 @@ let drop_leg t leg =
   | None -> note_dead t leg.l_worker
   | Some st -> scrape t leg.l_worker st
 
-let serve_data_session t (s : session) r (hello : Wire.hello) =
-  let fd = s.sc_fd in
-  if hello.Wire.h_version <> Wire.version then
-    raise
-      (Bincodec.Corrupt
-         (Printf.sprintf "protocol version %d, expected %d"
-            hello.Wire.h_version Wire.version));
-  if with_lock t (fun () -> t.stopping) then
+let serve_data_session t (s : Listener.session) r (hello : Wire.hello) =
+  let fd = s.fd in
+  if Listener.stopping t.listener then
     raise (Bincodec.Corrupt "coordinator is stopping");
   let level = hello.Wire.h_level in
-  let key = Printf.sprintf "session-%06d" s.sc_id in
+  let key = Printf.sprintf "session-%06d" s.id in
   if not (Sys.file_exists t.cfg.c_spool_dir) then
     (try Unix.mkdir t.cfg.c_spool_dir 0o755 with Unix.Unix_error _ -> ());
   let spool =
-    Filename.concat t.cfg.c_spool_dir (Printf.sprintf "vyrdc-%06d.seg" s.sc_id)
+    Filename.concat t.cfg.c_spool_dir (Printf.sprintf "vyrdc-%06d.seg" s.id)
   in
   let writer = Segment.create_writer ~level spool in
   let leg = ref None in
@@ -382,7 +359,7 @@ let serve_data_session t (s : session) r (hello : Wire.hello) =
     (Wire.Hello_ack
        {
          a_version = Wire.version;
-         a_session = s.sc_id;
+         a_session = s.id;
          a_credit = t.cfg.c_window;
          a_spilling = false;
        });
@@ -557,197 +534,61 @@ let serve_data_session t (s : session) r (hello : Wire.hello) =
 let status t =
   let live = active t in
   {
-    Wire.st_draining = with_lock t (fun () -> t.stopping);
+    Wire.st_draining = Listener.stopping t.listener;
     st_active = live;
     st_checking = live;
     st_metrics = Metrics.encode (aggregate t);
   }
 
-(* A status/control connection to the coordinator itself: answer aggregated
-   cluster health until the peer goes away. *)
-let control_loop t (s : session) r =
-  let fd = s.sc_fd in
-  let finished = ref false in
-  while not !finished do
-    match Wire.recv r fd with
-    | Wire.Message Wire.Status_request -> Wire.send_server fd (Wire.Status (status t))
-    | Wire.Message Wire.Heartbeat -> Wire.send_server fd Wire.Heartbeat_ack
-    | Wire.Message Wire.Finish -> finished := true
-    | exception Wire.Closed -> finished := true
-    | _ -> raise (Bincodec.Corrupt "unexpected message on a status connection")
-  done
-
-let serve_session t (s : session) =
-  let r = Wire.reader () in
-  match Wire.recv r s.sc_fd with
-  | Wire.Message (Wire.Hello hello) -> serve_data_session t s r hello
-  | Wire.Message Wire.Status_request ->
-      Wire.send_server s.sc_fd (Wire.Status (status t));
-      control_loop t s r
-  | _ -> raise (Bincodec.Corrupt "expected hello")
-
-let session_thread t s =
-  (match serve_session t s with
-  | () -> ()
-  | exception e ->
-      Metrics.incr t.m_failed;
-      let msg =
-        match e with
-        | Bincodec.Corrupt m -> m
-        | Wire.Closed -> "connection closed mid-session"
-        | Wire.Timeout -> "session idle timeout"
-        | Unix.Unix_error (err, _, _) -> Unix.error_message err
-        | Sys_error m -> m
-        | e -> "unexpected exception: " ^ Printexc.to_string e
-      in
-      (* best effort: the peer may already be gone *)
-      (try Wire.send_server s.sc_fd (Wire.Error msg)
-       with Unix.Unix_error _ | Wire.Closed | Wire.Timeout -> ()));
-  close_quietly s.sc_fd;
-  with_lock t (fun () ->
-      Hashtbl.remove t.live s.sc_id;
-      Hashtbl.remove t.threads s.sc_id)
-
-let accept_loop t =
-  let stop = ref false in
-  while not !stop do
-    match Unix.accept ~cloexec:true t.listen_fd with
-    | fd, _ ->
-        if with_lock t (fun () -> t.stopping) then close_quietly fd
-        else begin
-          (if t.cfg.c_idle_timeout > 0. then
-             try
-               Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.c_idle_timeout
-             with Unix.Unix_error _ -> ());
-          let s =
-            with_lock t (fun () ->
-                let id = t.next_session in
-                t.next_session <- id + 1;
-                t.accepted <- t.accepted + 1;
-                let s = { sc_id = id; sc_fd = fd } in
-                Hashtbl.replace t.live id s;
-                s)
-          in
-          Metrics.incr t.m_sessions;
-          let th = Thread.create (fun () -> session_thread t s) () in
-          with_lock t (fun () ->
-              Metrics.record t.m_peak (Hashtbl.length t.live);
-              if Hashtbl.mem t.live s.sc_id then
-                Hashtbl.replace t.threads s.sc_id th)
-        end
-    | exception
-        Unix.Unix_error ((Unix.EINVAL | Unix.EBADF | Unix.ESHUTDOWN), _, _) ->
-        stop := true
-    | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) ->
-        if with_lock t (fun () -> t.stopping) then stop := true
-    | exception Unix.Unix_error (_, _, _) ->
-        if with_lock t (fun () -> t.stopping) then stop := true
-        else Thread.delay 0.1
-  done
-
 let start cfg =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   if not (Sys.file_exists cfg.c_spool_dir) then Unix.mkdir cfg.c_spool_dir 0o755;
-  let domain =
-    match cfg.c_addr with
-    | Wire.Unix_socket _ -> Unix.PF_UNIX
-    | Wire.Tcp _ -> Unix.PF_INET
+  let listener =
+    Listener.bind ~family:"cluster" ~metrics:cfg.c_metrics
+      ~idle_timeout:cfg.c_idle_timeout cfg.c_addr
   in
-  let listen_fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
-  match
-    (match cfg.c_addr with
-    | Wire.Unix_socket path -> if Sys.file_exists path then Unix.unlink path
-    | Wire.Tcp _ -> Unix.setsockopt listen_fd Unix.SO_REUSEADDR true);
-    Unix.bind listen_fd (Wire.sockaddr_of_addr cfg.c_addr);
-    Unix.listen listen_fd 64;
-    (match Unix.getsockname listen_fd with
-    | Unix.ADDR_UNIX path -> Wire.Unix_socket path
-    | Unix.ADDR_INET (ip, port) -> Wire.Tcp (Unix.string_of_inet_addr ip, port))
-  with
-  | exception e ->
-      close_quietly listen_fd;
-      raise e
-  | bound ->
-      let m = cfg.c_metrics in
-      let t =
-        {
-          cfg;
-          listen_fd;
-          bound;
-          accept_thread = None;
-          health_thread = None;
-          lock = Mutex.create ();
-          live = Hashtbl.create 16;
-          threads = Hashtbl.create 16;
-          next_session = 0;
-          accepted = 0;
-          stopping = false;
-          stopped = false;
-          force_stop = false;
-          members = Member.create ~vnodes:cfg.c_vnodes ~seed:cfg.c_seed ();
-          ctrl_lock = Mutex.create ();
-          m_sessions = Metrics.counter m "cluster.sessions";
-          m_failed = Metrics.counter m "cluster.sessions_failed";
-          m_events = Metrics.counter m "cluster.events";
-          m_batches = Metrics.counter m "cluster.batches";
-          m_bytes = Metrics.counter m "cluster.bytes_in";
-          m_verdicts = Metrics.counter m "cluster.verdicts";
-          m_routed = Metrics.counter m "cluster.sessions_routed";
-          m_leg_failures = Metrics.counter m "cluster.leg_failures";
-          m_reassignments = Metrics.counter m "cluster.reassignments";
-          m_resumes = Metrics.counter m "cluster.resumes";
-          m_resume_replayed = Metrics.counter m "cluster.resume_replayed";
-          m_resume_from_ck = Metrics.counter m "cluster.resume_from_checkpoint";
-          m_checkpoints = Metrics.counter m "cluster.checkpoints";
-          m_attached = Metrics.counter m "cluster.workers_attached";
-          m_dead = Metrics.counter m "cluster.workers_dead";
-          m_drained = Metrics.counter m "cluster.workers_drained";
-          m_peak = Metrics.gauge m "cluster.sessions_peak";
-          m_workers_peak = Metrics.gauge m "cluster.workers_peak";
-        }
-      in
-      t.accept_thread <- Some (Thread.create accept_loop t);
-      t.health_thread <- Some (Thread.create health_loop t);
-      t
+  let m = cfg.c_metrics in
+  let t =
+    {
+      cfg;
+      listener;
+      health_thread = None;
+      members = Member.create ~vnodes:cfg.c_vnodes ~seed:cfg.c_seed ();
+      ctrl_lock = Mutex.create ();
+      m_events = Metrics.counter m "cluster.events";
+      m_batches = Metrics.counter m "cluster.batches";
+      m_bytes = Metrics.counter m "cluster.bytes_in";
+      m_verdicts = Metrics.counter m "cluster.verdicts";
+      m_routed = Metrics.counter m "cluster.sessions_routed";
+      m_leg_failures = Metrics.counter m "cluster.leg_failures";
+      m_reassignments = Metrics.counter m "cluster.reassignments";
+      m_resumes = Metrics.counter m "cluster.resumes";
+      m_resume_replayed = Metrics.counter m "cluster.resume_replayed";
+      m_resume_from_ck = Metrics.counter m "cluster.resume_from_checkpoint";
+      m_checkpoints = Metrics.counter m "cluster.checkpoints";
+      m_attached = Metrics.counter m "cluster.workers_attached";
+      m_dead = Metrics.counter m "cluster.workers_dead";
+      m_drained = Metrics.counter m "cluster.workers_drained";
+      m_workers_peak = Metrics.gauge m "cluster.workers_peak";
+    }
+  in
+  Listener.serve listener
+    {
+      Listener.data =
+        (fun s r hello ->
+          serve_data_session t s r hello;
+          ignore);
+      status = (fun () -> status t);
+      control = (fun _ -> false);
+    };
+  t.health_thread <- Some (Thread.create health_loop t);
+  t
 
-let stop ?(deadline = 10.) t =
-  let already =
-    with_lock t (fun () ->
-        let s = t.stopped in
-        t.stopping <- true;
-        t.stopped <- true;
-        s)
-  in
-  if not already then begin
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_RECEIVE
-     with Unix.Unix_error _ -> ());
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    close_quietly t.listen_fd;
-    let until = Unix.gettimeofday () +. deadline in
-    while active t > 0 && Unix.gettimeofday () < until do
-      Thread.delay 0.02
-    done;
-    with_lock t (fun () -> t.force_stop <- true);
-    let stragglers =
-      with_lock t (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) t.live [])
-    in
-    List.iter
-      (fun s ->
-        try Unix.shutdown s.sc_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      stragglers;
-    let threads =
-      with_lock t (fun () -> Hashtbl.fold (fun _ th acc -> th :: acc) t.threads [])
-    in
-    List.iter Thread.join threads;
-    (match t.health_thread with Some th -> Thread.join th | None -> ());
-    List.iter
-      (fun (w : Member.worker) ->
-        (match w.w_ctrl with Some fd -> close_quietly fd | None -> ());
-        w.w_ctrl <- None)
-      (Member.workers t.members);
-    match t.bound with
-    | Wire.Unix_socket path ->
-        (try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Wire.Tcp _ -> ()
-  end
+let stop ?deadline t =
+  Listener.stop ?deadline t.listener;
+  Option.iter Thread.join t.health_thread;
+  with_ctrl t (fun () ->
+      List.iter
+        (fun (w : Member.worker) ->
+          Option.iter close_quietly w.w_ctrl;
+          w.w_ctrl <- None)
+        (Member.workers t.members))

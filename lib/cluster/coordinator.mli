@@ -70,8 +70,13 @@ val config :
 
 type t
 
-(** [start config] binds, listens, and spawns the accept and health-poll
-    threads.  Workers are attached separately with {!attach}.
+(** [start config] creates the spool directory, binds and listens through
+    {!Vyrd_net.Listener} (the accept loop, first-frame dispatch, failure
+    containment and [cluster.sessions*] / [cluster.accept_errors] metrics
+    are the ones vyrdd uses), and spawns the health-poll thread.  A
+    [Status_request] opens a control connection answered with the
+    aggregated cluster status; it is not counted by {!active}.  Workers are
+    attached separately with {!attach}.
     @raise Unix.Unix_error when the address cannot be bound. *)
 val start : config -> t
 
@@ -85,7 +90,10 @@ val metrics : t -> Metrics.t
     scraped snapshot (a fresh registry each call). *)
 val aggregate : t -> Metrics.t
 
+(** Connections accepted so far, control connections included. *)
 val sessions : t -> int
+
+(** Client data sessions currently open. *)
 val active : t -> int
 
 (** {1 Membership} *)
@@ -111,8 +119,9 @@ val ring : t -> Hashring.t
 
 (** {1 Shutdown} *)
 
-(** [stop t] mirrors {!Vyrd_net.Server.stop}: stop accepting, let open
+(** [stop t] runs {!Vyrd_net.Listener.stop}: stop accepting, let open
     sessions reach their verdicts for up to [deadline] seconds (default
-    10), force-close stragglers, close worker control connections, unlink
-    the socket.  Idempotent. *)
+    10), then force-close the stragglers — legs still being opened give up
+    first — and unlink the socket.  It then stops the health thread and
+    closes the worker control connections.  Idempotent. *)
 val stop : ?deadline:float -> t -> unit

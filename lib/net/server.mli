@@ -79,7 +79,8 @@ val config :
 
 type t
 
-(** [start config] binds, listens and spawns the accept loop.
+(** [start config] binds, listens and spawns the accept loop, all through
+    {!Listener} under the [net] metrics family.
     @raise Unix.Unix_error when the address cannot be bound. *)
 val start : config -> t
 
@@ -89,7 +90,7 @@ val addr : t -> Wire.addr
 
 val metrics : t -> Metrics.t
 
-(** Sessions accepted so far. *)
+(** Connections accepted so far, control connections included. *)
 val sessions : t -> int
 
 (** Data sessions currently open (control connections excluded). *)
@@ -99,7 +100,10 @@ val active : t -> int
 
     A coordinator opens a {e control connection} ({!Wire.Register} instead
     of a hello) to poll health ({!Wire.Status_request}) and order a drain
-    ({!Wire.Drain}).  These accessors expose the same state in-process. *)
+    ({!Wire.Drain}).  A control connection is not a session: it has no
+    idle timeout, {!active} and the status reply's [st_active] leave it
+    out, and {!stop} does not wait for it.  These accessors expose the same
+    state in-process. *)
 
 (** Stop accepting new data sessions (their hellos are refused with an
     error); live sessions keep running to their verdicts.  This is the

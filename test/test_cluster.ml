@@ -396,14 +396,16 @@ let rm_rf dir =
     try Unix.rmdir dir with Unix.Unix_error _ -> ()
   end
 
-let with_cluster ?(workers = 2) ?(slots = 4) ?checkpoint_events ?keep_spools f =
+let with_cluster ?(workers = 2) ?(slots = 4) ?checkpoint_events ?keep_spools
+    ?idle_timeout f =
   let dir = temp_dir "vyrd_cluster" in
   let sup = Supervisor.start ~count:workers ~max_sessions:slots ~dir ~shards () in
   let sock = Filename.concat dir "vyrdc.sock" in
   let metrics = Metrics.create () in
   let coord =
     Coordinator.start
-      (Coordinator.config ?checkpoint_events ?keep_spools ~worker_slots:slots
+      (Coordinator.config ?checkpoint_events ?keep_spools ?idle_timeout
+         ~worker_slots:slots
          ~metrics ~addr:(Wire.Unix_socket sock)
          ~spool_dir:(Filename.concat dir "spool") ())
   in
@@ -743,6 +745,35 @@ let test_cluster_status_scrape () =
                 (Metrics.value (Metrics.counter m "net.events") >= Log.length log)
           | _ -> Alcotest.fail "expected a status reply"))
 
+let test_cluster_status_connection_not_a_session () =
+  (* a status connection is polled at its peer's pace: it is no active
+     session, the client idle timeout does not apply to it, and closing it
+     is no failure *)
+  with_cluster ~idle_timeout:0.3 (fun coord _sup ->
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Wire.sockaddr_of_addr (Coordinator.addr coord));
+          let poll what =
+            Wire.send_client fd Wire.Status_request;
+            match Wire.recv_server fd with
+            | Wire.Status st ->
+                Alcotest.(check int) (what ^ ": st_active") 0 st.Wire.st_active;
+                Alcotest.(check int) (what ^ ": Coordinator.active") 0
+                  (Coordinator.active coord)
+            | _ -> Alcotest.failf "%s: expected a status reply" what
+          in
+          poll "first poll";
+          Thread.delay 0.6;
+          poll "poll after twice the idle timeout";
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          match Wire.recv_server fd with
+          | _ -> Alcotest.fail "reply after the status connection closed"
+          | exception Wire.Closed -> ());
+      Alcotest.(check int) "cluster.sessions_failed" 0
+        (Metrics.value
+           (Metrics.counter (Coordinator.metrics coord) "cluster.sessions_failed")))
+
 let suite =
   [
     Alcotest.test_case "ring: deterministic placement" `Quick test_ring_deterministic;
@@ -771,4 +802,6 @@ let suite =
       test_cluster_respawn_rejoins;
     Alcotest.test_case "cluster: spools reclaimed" `Quick test_cluster_spools_reclaimed;
     Alcotest.test_case "cluster: status scrape" `Quick test_cluster_status_scrape;
+    Alcotest.test_case "cluster: status connections are not sessions" `Quick
+      test_cluster_status_connection_not_a_session;
   ]
