@@ -335,7 +335,15 @@ let net_soak seconds json_out =
   Fmt.pr
     "@.%d sessions (%d spilled), %d events, %d convictions, %d mismatches@."
     !sessions !spilled !events !convicted !mismatches;
-  if !mismatches > 0 || !sessions = 0 || !convicted = 0 then begin
+  (* each lane a live session started is one spawn or one reuse of a
+     parked domain in the server's registry, and sequential sessions reuse *)
+  let lanes = (!sessions - !spilled) * List.length pipeline_subjects in
+  let spawns = Pmetrics.value (Pmetrics.counter metrics "farm.lane_spawns")
+  and reuses = Pmetrics.value (Pmetrics.counter metrics "farm.lane_reuses") in
+  Fmt.pr "%d lanes started: %d domains spawned, %d reused@." lanes spawns reuses;
+  let pool_ok = reuses > 0 && spawns + reuses = lanes in
+  if not pool_ok then Fmt.pr "!! lane pool: spawns + reuses <> lanes, or no reuse@.";
+  if !mismatches > 0 || !sessions = 0 || !convicted = 0 || not pool_ok then begin
     Fmt.pr "NET SOAK FAILED@.";
     exit 1
   end

@@ -29,6 +29,79 @@ type result = {
   analysis : Vyrd_analysis.Pass.summary list;
 }
 
+(* ------------------------------------------------------------ lane pool *)
+
+(* Every lane runs on a domain of one process-wide pool.  A lane takes a
+   parked domain when there is one and spawns a domain otherwise; when it
+   ends, its domain parks for the next lane unless [parked_cap] are parked
+   already, and exits instead.  A parked domain sleeps on a condition
+   variable, but it still takes part in every stop-the-world minor
+   collection of the process, so the cap holds one domain fewer than the
+   cores (the feeding thread keeps one).  Parked domains end with the
+   process. *)
+
+(* How a lane ended: its result, or what it raised. *)
+type 'a outcome = ('a, exn * Printexc.raw_backtrace) Stdlib.result
+
+(* A parked domain sleeps on its own slot until [submit] hands it a job. *)
+type worker = { mutable job : (unit -> unit -> unit) option; wake : Condition.t }
+
+let parked_cap = max 1 (Domain.recommended_domain_count () - 1)
+let pool_lock = Mutex.create ()
+let parked : worker list ref = ref []
+
+(* A job runs its lane and returns the step that publishes the lane's
+   outcome.  The domain decides to park or exit before it publishes, so a
+   caller that waits for the outcome and then starts the next farm finds
+   the domain already parked. *)
+let rec work w job =
+  let publish = job () in
+  let park =
+    Mutex.protect pool_lock (fun () ->
+        let park = List.length !parked < parked_cap in
+        if park then parked := w :: !parked;
+        park)
+  in
+  publish ();
+  if park then
+    work w
+      (Mutex.protect pool_lock (fun () ->
+           while Option.is_none w.job do
+             Condition.wait w.wake pool_lock
+           done;
+           let next = Option.get w.job in
+           w.job <- None;
+           next))
+
+(* [spawns] and [reuses] are the starting farm's counters. *)
+let submit ~spawns ~reuses job =
+  let woken =
+    Mutex.protect pool_lock (fun () ->
+        match !parked with
+        | w :: rest ->
+          parked := rest;
+          w.job <- Some job;
+          Condition.signal w.wake;
+          true
+        | [] -> false)
+  in
+  if woken then Metrics.incr reuses
+  else begin
+    (* nothing joins a pool domain: it publishes every outcome itself *)
+    ignore (Domain.spawn (fun () -> work { job = None; wake = Condition.create () } job));
+    Metrics.incr spawns
+  end
+
+(* Run [f] on a pool domain; its outcome arrives on the returned queue. *)
+let run_on ~spawns ~reuses f =
+  let reply = Squeue.create () in
+  submit ~spawns ~reuses (fun () ->
+      let outcome =
+        match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      fun () -> Squeue.push reply outcome);
+  reply
+
 (* Lane traffic: indexed events, plus checkpoint barriers.  A [Snap] token
    travels the ring like any event, so when the lane answers it has
    consumed exactly the events routed before the barrier. *)
@@ -45,7 +118,7 @@ type lane = {
      mutex handshake each.  Only the routing thread touches it. *)
   l_buf : msg array;
   mutable l_pending : int;
-  l_domain : (Report.t * int option * int) Domain.t;
+  l_done : (Report.t * int option * int) outcome Squeue.t;
 }
 
 (* The analysis lane: one extra domain running the incremental passes over
@@ -59,7 +132,7 @@ type alane = {
   a_ring : msg Ring.t;
   a_buf : msg array;
   mutable a_pending : int;
-  a_domain : Vyrd_analysis.Pass.summary list Domain.t;
+  a_done : Vyrd_analysis.Pass.summary list outcome Squeue.t;
 }
 
 type t = {
@@ -74,7 +147,7 @@ type t = {
   m_commits : Metrics.counter;
   m_skipped : Metrics.counter;
   mutable logs : Log.t list;  (* attached logs, for the dropped-by-level count *)
-  mutable finished : result option;
+  mutable finished : result outcome option;
 }
 
 (* Batch granularity for the per-shard checking-latency histogram. *)
@@ -85,10 +158,14 @@ let batch = 4096
    negligible next to the ring capacity. *)
 let route_batch = 256
 
+(* A lane whose checker (or pass) raises keeps draining its ring without
+   checking, so the feeder never blocks on it and a checkpoint barrier gets
+   its [None] answer; the exception surfaces from {!finish}. *)
 let consume index (sh : shard) checker ring metrics =
   let hist = Metrics.histogram metrics ("farm.batch_ns." ^ sh.sh_name) in
   let checked = Metrics.counter metrics "farm.events_checked" in
   let fail = ref None in
+  let raised = ref None in
   let count = ref 0 in
   let since = ref 0 in
   let t0 = ref (Mclock.now_ns ()) in
@@ -96,17 +173,26 @@ let consume index (sh : shard) checker ring metrics =
   let scratch : msg option array = Array.make route_batch None in
   let rec loop () =
     let n = Ring.pop_batch ring scratch in
-    if n = 0 then (Checker.report checker, !fail, !count)
+    if n = 0 then
+      match !raised with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> (Checker.report checker, !fail, !count)
     else begin
       let evs = ref 0 in
       for k = 0 to n - 1 do
         (match scratch.(k) with
         | Some (Ev (idx, ev)) ->
           incr evs;
-          (match Checker.feed checker ev with
-          | Some _ when !fail = None -> fail := Some idx
-          | _ -> ())
-        | Some (Snap reply) -> Squeue.push reply (index, Checker.snapshot checker)
+          (match !raised with
+          | Some _ -> ()
+          | None -> (
+            match Checker.feed checker ev with
+            | Some _ when !fail = None -> fail := Some idx
+            | _ -> ()
+            | exception e -> raised := Some (e, Printexc.get_raw_backtrace ())))
+        | Some (Snap reply) ->
+          Squeue.push reply
+            (index, match !raised with None -> Checker.snapshot checker | Some _ -> None)
         | None -> ());
         scratch.(k) <- None
       done;
@@ -126,17 +212,25 @@ let consume index (sh : shard) checker ring metrics =
 
 let consume_analysis (passes : Vyrd_analysis.Pass.t list) ring metrics =
   let fed = Metrics.counter metrics "analysis.events" in
+  let raised = ref None in
   let scratch : msg option array = Array.make route_batch None in
   let rec loop () =
     let n = Ring.pop_batch ring scratch in
-    if n = 0 then List.map (fun (p : Vyrd_analysis.Pass.t) -> p.finish ()) passes
+    if n = 0 then
+      match !raised with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> List.map (fun (p : Vyrd_analysis.Pass.t) -> p.finish ()) passes
     else begin
       let evs = ref 0 in
       for k = 0 to n - 1 do
         (match scratch.(k) with
         | Some (Ev (_, ev)) ->
           incr evs;
-          List.iter (fun (p : Vyrd_analysis.Pass.t) -> p.feed ev) passes
+          (match !raised with
+          | Some _ -> ()
+          | None -> (
+            try List.iter (fun (p : Vyrd_analysis.Pass.t) -> p.feed ev) passes
+            with e -> raised := Some (e, Printexc.get_raw_backtrace ())))
         | Some (Snap _) | None -> ());
         scratch.(k) <- None
       done;
@@ -219,16 +313,29 @@ let start ?(capacity = 4096) ?metrics ?restore ?(passes = []) ~level shards =
   (match restore with
   | Some (_, _, states) -> List.iter2 Checker.restore checkers states
   | None -> ());
+  let spawns = Metrics.counter metrics "farm.lane_spawns"
+  and reuses = Metrics.counter metrics "farm.lane_reuses" in
+  (* a lane that cannot start (no domain left) ends the ones already
+     running, so no domain is left blocked on a ring nobody will close *)
+  let rings = ref [] in
+  let start_lane ring f =
+    match run_on ~spawns ~reuses f with
+    | reply ->
+      rings := ring :: !rings;
+      reply
+    | exception e ->
+      List.iter Ring.close !rings;
+      raise e
+  in
   let dummy = Ev (-1, Event.Commit { tid = -1 }) in
   let lanes =
     Array.of_list
       (List.mapi
          (fun i (sh, checker) ->
            let ring = Ring.create ~capacity () in
-           let domain = Domain.spawn (fun () -> consume i sh checker ring metrics) in
+           let l_done = start_lane ring (fun () -> consume i sh checker ring metrics) in
            { l_index = i; l_shard = sh; l_ring = ring;
-             l_buf = Array.make route_batch dummy; l_pending = 0;
-             l_domain = domain })
+             l_buf = Array.make route_batch dummy; l_pending = 0; l_done })
          (List.combine shards checkers))
   in
   let alane =
@@ -239,9 +346,8 @@ let start ?(capacity = 4096) ?metrics ?restore ?(passes = []) ~level shards =
       Metrics.record
         (Metrics.gauge metrics "analysis.passes")
         (List.length passes);
-      let domain = Domain.spawn (fun () -> consume_analysis passes ring metrics) in
-      Some { a_ring = ring; a_buf = Array.make route_batch dummy; a_pending = 0;
-             a_domain = domain }
+      let a_done = start_lane ring (fun () -> consume_analysis passes ring metrics) in
+      Some { a_ring = ring; a_buf = Array.make route_batch dummy; a_pending = 0; a_done }
   in
   let t =
     {
@@ -480,59 +586,75 @@ let min_fail_index (r : result) =
       | None, x | x, None -> x)
     None r.shards
 
+let value = function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+(* The merged result from every lane's outcome, folded into the metrics
+   registry; raises the first lane's exception in lane order, the analysis
+   lane's last, before anything is recorded. *)
+let collect t lanes analysis =
+  let results =
+    Array.to_list
+      (Array.map2
+         (fun l o ->
+           let report, fail_idx, consumed = value o in
+           {
+             sr_name = l.l_shard.sh_name;
+             sr_report = report;
+             sr_fail_index = fail_idx;
+             sr_high_water = Ring.high_water l.l_ring;
+             sr_stall_ns = Ring.stall_ns l.l_ring;
+             sr_events = consumed;
+           })
+         t.lanes lanes)
+  in
+  let summaries = Option.map value analysis in
+  let merged = merge results t.fed in
+  (* fold the end-of-run readings into the metrics registry *)
+  let stall = Metrics.counter t.metrics "farm.stall_ns" in
+  let violations = Metrics.counter t.metrics "farm.violations" in
+  List.iter
+    (fun sr ->
+      Metrics.record
+        (Metrics.gauge t.metrics ("farm.high_water." ^ sr.sr_name))
+        sr.sr_high_water;
+      Metrics.add stall sr.sr_stall_ns;
+      if not (Report.is_pass sr.sr_report) then Metrics.incr violations)
+    results;
+  let dropped = Metrics.counter t.metrics "log.events_dropped_by_level" in
+  List.iter (fun log -> Metrics.add dropped (Log.dropped log)) t.logs;
+  let analysis =
+    match summaries with
+    | None -> []
+    | Some summaries ->
+      let errors = Metrics.counter t.metrics "analysis.errors" in
+      let warnings = Metrics.counter t.metrics "analysis.warnings" in
+      List.iter
+        (fun (s : Vyrd_analysis.Pass.summary) ->
+          Metrics.add errors s.errors;
+          Metrics.add warnings s.warnings;
+          Metrics.record
+            (Metrics.gauge t.metrics ("analysis.errors." ^ s.pass))
+            s.errors)
+        summaries;
+      summaries
+  in
+  { merged; shards = results; fed = t.fed; analysis }
+
 let finish t =
   match t.finished with
-  | Some r -> r
+  | Some r -> value r
   | None ->
     flush t;
+    (* every ring closes before the first wait, so a lane that raised
+       cannot strand the others in [pop_batch] *)
     Array.iter (fun l -> Ring.close l.l_ring) t.lanes;
-    let results =
-      Array.to_list
-        (Array.map
-           (fun l ->
-             let report, fail_idx, consumed = Domain.join l.l_domain in
-             {
-               sr_name = l.l_shard.sh_name;
-               sr_report = report;
-               sr_fail_index = fail_idx;
-               sr_high_water = Ring.high_water l.l_ring;
-               sr_stall_ns = Ring.stall_ns l.l_ring;
-               sr_events = consumed;
-             })
-           t.lanes)
+    Option.iter (fun a -> Ring.close a.a_ring) t.alane;
+    let lanes = Array.map (fun l -> Squeue.pop l.l_done) t.lanes in
+    let analysis = Option.map (fun a -> Squeue.pop a.a_done) t.alane in
+    let r =
+      match collect t lanes analysis with
+      | r -> Ok r
+      | exception e -> Error (e, Printexc.get_raw_backtrace ())
     in
-    let merged = merge results t.fed in
-    (* fold the end-of-run readings into the metrics registry *)
-    let stall = Metrics.counter t.metrics "farm.stall_ns" in
-    let violations = Metrics.counter t.metrics "farm.violations" in
-    List.iter
-      (fun sr ->
-        Metrics.record
-          (Metrics.gauge t.metrics ("farm.high_water." ^ sr.sr_name))
-          sr.sr_high_water;
-        Metrics.add stall sr.sr_stall_ns;
-        if not (Report.is_pass sr.sr_report) then Metrics.incr violations)
-      results;
-    let dropped = Metrics.counter t.metrics "log.events_dropped_by_level" in
-    List.iter (fun log -> Metrics.add dropped (Log.dropped log)) t.logs;
-    let analysis =
-      match t.alane with
-      | None -> []
-      | Some a ->
-        Ring.close a.a_ring;
-        let summaries = Domain.join a.a_domain in
-        let errors = Metrics.counter t.metrics "analysis.errors" in
-        let warnings = Metrics.counter t.metrics "analysis.warnings" in
-        List.iter
-          (fun (s : Vyrd_analysis.Pass.summary) ->
-            Metrics.add errors s.errors;
-            Metrics.add warnings s.warnings;
-            Metrics.record
-              (Metrics.gauge t.metrics ("analysis.errors." ^ s.pass))
-              s.errors)
-          summaries;
-        summaries
-    in
-    let r = { merged; shards = results; fed = t.fed; analysis } in
     t.finished <- Some r;
-    r
+    value r

@@ -1,9 +1,9 @@
-(** The checker farm: one verification domain per data structure.
+(** The checker farm: one verification lane per data structure.
 
     This is the repository's one online checker.  A one-shard farm
     {!attach}ed to a log is the paper's separate verification thread
     reading the log tail (§4.2, Table 3); with more shards the tagged event
-    stream of a shared log is {e sharded} across one checker domain per
+    stream of a shared log is {e sharded} across one checker lane per
     structure — the routing mirror of {!Vyrd.Spec_compose}, which folds
     several structures into one product specification.  Method events are routed to the component whose
     specification knows the method name (namespaces must be disjoint, the
@@ -17,8 +17,19 @@
     outruns a shard blocks at the log append until that shard catches up,
     so memory stays bounded under any load (blocking backpressure).
 
-    {!finish} implements the drain protocol: close every ring, join every
-    domain, and merge the per-shard reports {e deterministically} — the
+    Each lane (and the analysis lane) runs on a domain of one process-wide
+    pool.  A lane takes a parked domain when there is one, so a service that
+    starts farm after farm pays a fresh domain's spawn and minor-heap first
+    touch only once; otherwise it spawns one (counted in [farm.lane_reuses]
+    and [farm.lane_spawns] of the starting farm's registry).  When a lane
+    ends, its domain parks for the next lane, unless
+    [max 1 (Domain.recommended_domain_count () - 1)] domains are parked in
+    the process already; then it exits.  The cap is process-wide because a
+    parked domain still takes part in every stop-the-world minor collection
+    of the process.  Parked domains end with the process.
+
+    {!finish} implements the drain protocol: close every ring, wait for
+    every lane, and merge the per-shard reports {e deterministically} — the
     merged outcome is the violation whose triggering event has the lowest
     global log index, ties broken by shard order, independent of domain
     scheduling. *)
@@ -42,16 +53,16 @@ val shard :
 
 type t
 
-(** [start ~level shards] spawns one checker domain per shard.
+(** [start ~level shards] starts one checker lane per shard.
     @param capacity per-shard ring bound (default 4096).
-    @param metrics registry fed by the router and the checker domains.
+    @param metrics registry fed by the router and the checker lanes.
     @param level the level of the log about to be streamed — [`View]-mode
       shards reject sub-[`View] levels up front, like {!Vyrd.Checker.check}.
     @param restore a farm checkpoint produced by {!checkpoint} with the
       {e same} shard list: the router's event cursor and thread routing and
       every lane's checker state resume where the checkpoint was taken, so
       only the event suffix needs to be fed.  Lane checkers are restored in
-      the calling thread, before any domain spawns.
+      the calling thread, before any lane starts.
     @raise Invalid_argument on an empty shard list, a [`View] shard without
       a view, or a [`View] shard with a sub-[`View] level.
     @param passes incremental {!Vyrd_analysis.Pass} instances to run
@@ -64,8 +75,8 @@ type t
       metrics family.
     @raise Vyrd.Ckpt.Malformed when [restore] is not a farm checkpoint for
       this shard list (wrong tag, lane names, counts, or lane payloads) —
-      no domains have been spawned when it raises, so the caller can fall
-      back to an older checkpoint or a plain {!start}. *)
+      no lane has started when it raises, so the caller can fall back to an
+      older checkpoint or a plain {!start}. *)
 val start :
   ?capacity:int ->
   ?metrics:Metrics.t ->
@@ -100,7 +111,7 @@ val feed_batch : t -> Vyrd.Event.t array -> unit
 
 (** [flush t] pushes every lane's pending slice into its ring.  Only needed
     when the feeder wants previously routed events to become visible to the
-    checker domains {e now} (e.g. before polling for an early verdict) —
+    checker lanes {e now} (e.g. before polling for an early verdict) —
     {!checkpoint} and {!finish} flush on their own. *)
 val flush : t -> unit
 
@@ -131,7 +142,14 @@ type result = {
       (** one summary per attached pass; [[]] when none were attached *)
 }
 
-(** Close every ring, join every domain, merge.  Idempotent. *)
+(** Close every ring (the analysis lane's included), wait for every lane,
+    merge.  Idempotent.  When a lane raised — say a user specification's
+    [apply] failed with an exception other than [Invalid_argument], which
+    the checker reports as an ill-formed log — [finish] re-raises the first such exception in
+    lane order, the analysis lane last, once every lane has ended; later
+    calls raise it again.  A lane that raised stops checking but keeps
+    draining its ring, so {!feed} never blocks on it and {!checkpoint}
+    answers [None]. *)
 val finish : t -> result
 
 (** Lowest global fail index across the shards, when any failed. *)

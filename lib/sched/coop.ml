@@ -42,6 +42,7 @@ type state = {
   mutable live : int;
   mutable next_tid : int;
   mutable steps : int;
+  mutable predrawn : int;  (* run-queue pick drawn by [sched_point], or -1 *)
   mutable in_atomic : bool;
   mutable first_exn : (exn * Printexc.raw_backtrace) option;
   max_steps : int;
@@ -57,13 +58,17 @@ let record_exn st e bt = if st.first_exn = None then st.first_exn <- Some (e, bt
 
 let make_runnable st tid k = Vec.push st.runq (tid, Resume k)
 
+(* The seeded default's pick among [n] candidates: the one draw shared by
+   [choose] and [sched_point]'s pre-drawn pick. *)
+let default_pick st n = Prng.int st.rng n
+
 (* Index of the next pick from [q], a run queue or a lock's waiters.  The
    seeded default draws straight from the queue's length and allocates
    nothing; only a caller-supplied [decide] is shown a [choice].  [running]
    is offered for run-queue picks only. *)
 let choose st q ~run_queue =
   match st.decide with
-  | None -> Prng.int st.rng (Vec.length q)
+  | None -> default_pick st (Vec.length q)
   | Some decide ->
     let candidates = Array.init (Vec.length q) (fun i -> fst (Vec.get q i)) in
     let running =
@@ -74,8 +79,25 @@ let choose st q ~run_queue =
     decide { candidates; running }
 
 (* A scheduling point.  Inside an [atomically] section control must not
-   transfer, so the yield is suppressed. *)
-let sched_point st = if not st.in_atomic then perform Yield
+   transfer, so the yield is suppressed.  The seeded default draws the
+   trampoline's pick here, over the run queue plus the yielder, which
+   [Yield] would push last: when the draw is the yielder itself, the step
+   is counted and the fiber just carries on, without capturing and
+   resuming its continuation.  Same PRNG draw, same run queue, same
+   [steps]; the step that would exceed [max_steps] still goes through the
+   trampoline, which raises [Livelock] at the same count. *)
+let sched_point st =
+  if not st.in_atomic then
+    match st.decide with
+    | None when st.steps < st.max_steps ->
+      let n = Vec.length st.runq in
+      let i = default_pick st (n + 1) in
+      if i = n then st.steps <- st.steps + 1
+      else begin
+        st.predrawn <- i;
+        perform Yield
+      end
+    | None | Some _ -> perform Yield
 
 let deadlock_message st =
   let buf = Buffer.create 128 in
@@ -252,6 +274,7 @@ let run_with_stats ?(seed = 0) ?(max_steps = 20_000_000) ?decide main =
       live = 0;
       next_tid = 0;
       steps = 0;
+      predrawn = -1;
       in_atomic = false;
       first_exn = None;
       max_steps;
@@ -259,7 +282,11 @@ let run_with_stats ?(seed = 0) ?(max_steps = 20_000_000) ?decide main =
     }
   in
   let sched = sched_of_state st in
-  (* allocated once: a [Yield] is performed at every scheduling point *)
+  (* allocated once: a [Yield] is performed at every scheduling point.
+     The yielder goes last in the run queue, so the last index of
+     [sched_point]'s draw (over the queue plus the yielder) names it: a
+     re-pick there leaves the queue as pushing the yielder and
+     [swap_remove]-ing it back out would.  Keep the append last. *)
   let on_yield = Some (fun k -> make_runnable st st.current k) in
   let handler : (unit, unit) handler =
     {
@@ -298,7 +325,14 @@ let run_with_stats ?(seed = 0) ?(max_steps = 20_000_000) ?decide main =
     else begin
       st.steps <- st.steps + 1;
       if st.steps > st.max_steps then raise (Livelock st.steps);
-      let i = choose st st.runq ~run_queue:true in
+      let i =
+        if st.predrawn < 0 then choose st st.runq ~run_queue:true
+        else begin
+          let i = st.predrawn in
+          st.predrawn <- -1;
+          i
+        end
+      in
       let tid, task = Vec.swap_remove st.runq i in
       st.current <- tid;
       st.last_ran <- tid;

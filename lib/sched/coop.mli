@@ -37,6 +37,14 @@ type choice = { candidates : Tid.t array; running : Tid.t option }
     {!Explore} supplies scripted policies to enumerate schedules
     systematically.
 
+    The default takes a shortcut at a yield: it draws the pick over the run
+    queue plus the yielding thread itself, and when the draw picks the
+    yielder, the step is counted and the thread simply continues, with no
+    continuation captured and resumed.  A [decide] that draws
+    [Prng.int rng (Array.length candidates)] from [Prng.create seed] goes
+    through the general path and reproduces the default exactly: the same
+    schedule, the same [steps], the same [Livelock] count.
+
     @param seed scheduling seed (default [0]); ignored when [decide] is given
     @param max_steps livelock guard (default [20_000_000]) *)
 val run :

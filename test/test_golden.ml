@@ -11,6 +11,7 @@ open Vyrd
 open Vyrd_sched
 module Harness = Vyrd_harness.Harness
 module Subjects = Vyrd_harness.Subjects
+module Mutants = Vyrd_harness.Mutants
 
 let digest_lines add =
   let buf = Buffer.create 4096 in
@@ -182,4 +183,149 @@ let test_golden () =
       | Some want -> Alcotest.(check string) name want (run ()))
     cases
 
-let suite = [ Alcotest.test_case "schedules and PRNG streams match the golden digests" `Quick test_golden ]
+(* --- the Coop re-pick fast path against the general path ----------------- *)
+
+(* A [?decide] that draws from its own [Prng.create seed] sends every step
+   through the trampoline, the path the seeded default skips when its draw
+   re-picks the yielder, so it must reproduce the default exactly. *)
+let oracle seed =
+  let rng = Prng.create seed in
+  fun (c : Coop.choice) -> Prng.int rng (Array.length c.candidates)
+
+(* The harness's shape: daemons loop until the workers are done, and four
+   workers run random ops over every subject. *)
+let workload subjects seed log (s : Sched.t) =
+  let ctx = Instrument.make s log in
+  let bs = Array.of_list (List.map (fun (sub : Subjects.t) -> sub.build ~bug:false ctx) subjects) in
+  let stop = ref false and remaining = ref 4 in
+  Array.iter
+    (fun (b : Harness.built) ->
+      Option.iter
+        (fun step ->
+          s.spawn (fun () ->
+              while not !stop do
+                step ();
+                s.yield ()
+              done))
+        b.daemon)
+    bs;
+  for t = 1 to 4 do
+    s.spawn (fun () ->
+        let rng = Prng.create ((seed * 7919) + t) in
+        for _ = 1 to 30 do
+          let b = bs.(Prng.int rng (Array.length bs)) in
+          b.random_op rng (Prng.int rng 16)
+        done;
+        decr remaining;
+        if !remaining = 0 then stop := true)
+  done
+
+(* The run's [`Full] log text, and its step count or the [Livelock] count. *)
+let coop_run ?max_steps ?decide subjects seed =
+  let log = Log.create ~level:`Full () in
+  let steps =
+    match Coop.run_with_stats ~seed ?max_steps ?decide (workload subjects seed log) with
+    | st -> Ok st.steps
+    | exception Coop.Livelock n -> Error n
+  in
+  let buf = Buffer.create 4096 in
+  Log.iter
+    (fun ev ->
+      Buffer.add_string buf (Event.to_line ev);
+      Buffer.add_char buf '\n')
+    log;
+  (Buffer.contents buf, steps)
+
+let steps_t = Alcotest.(result int int)
+
+let test_fast_path_matches_oracle () =
+  List.iter
+    (fun (name, subjects) ->
+      for seed = 1 to 50 do
+        let what = Printf.sprintf "%s seed=%d" name seed in
+        let log, steps = coop_run subjects seed in
+        let log', steps' = coop_run ~decide:(oracle seed) subjects seed in
+        Alcotest.(check bool) (what ^ ": identical `Full log") true (String.equal log log');
+        Alcotest.check steps_t (what ^ ": stats.steps") steps' steps;
+        (* cut the run short: both raise Livelock at the same count, having
+           logged the same prefix *)
+        let max_steps = Result.get_ok steps / 2 in
+        let log, steps = coop_run ~max_steps subjects seed in
+        let log', steps' = coop_run ~max_steps ~decide:(oracle seed) subjects seed in
+        Alcotest.(check bool) (what ^ ": identical prefix at the cut") true (String.equal log log');
+        Alcotest.check steps_t (what ^ ": Livelock count") (Error (max_steps + 1)) steps';
+        Alcotest.check steps_t (what ^ ": Livelock count") steps' steps
+      done)
+    [ ("composite", composite); ("Multiset-BinaryTree", [ Subjects.multiset_btree ]) ]
+
+(* --- the quick mutant matrix ---------------------------------------------- *)
+
+(* Every coop and explore cell of [Mutants.run_all Mutants.quick]: seeded
+   sweeps and bounded exploration, so a change to the engine that moves a
+   schedule moves a cell.  Native cells are real-thread nondeterminism and
+   stay unpinned. *)
+let pinned_matrix =
+  [
+    "blink_tree.torn_split coop/io detected=false runs=80 methods=- violation=-";
+    "blink_tree.torn_split coop/view detected=true runs=1 methods=23 violation=view";
+    "blink_tree.torn_split coop/race detected=true runs=2 methods=- violation=node[4]";
+    "blink_tree.torn_split coop/lin detected=false runs=40 methods=- violation=-";
+    "blink_tree.torn_split explore/view detected=true runs=1 methods=80 violation=view";
+    "cache.gated_lock_inversion coop/deadlock detected=false runs=12 methods=- violation=-";
+    "cache.gated_lock_inversion coop/view detected=false runs=10 methods=- violation=-";
+    "cache.gated_lock_inversion coop/lin detected=false runs=10 methods=- violation=-";
+    "cache.gated_lock_inversion coop/monitor detected=false runs=12 methods=- violation=-";
+    "cache.lock_order_inversion coop/deadlock detected=true runs=80 methods=- violation=seed=0";
+    "cache.lock_order_inversion explore/deadlock detected=true runs=6000 methods=- violation=hangs=454";
+    "cache.lock_order_inversion coop/monitor detected=true runs=3 methods=- violation=lock-reversal@1061";
+    "cache.stale_writeback coop/io detected=true runs=1 methods=50 violation=observer";
+    "cache.stale_writeback coop/view detected=true runs=1 methods=7 violation=invariant";
+    "cache.stale_writeback coop/race detected=false runs=20 methods=- violation=-";
+    "cache.stale_writeback coop/lin detected=true runs=1 methods=159 violation=not-linearizable nodes=6661";
+    "cache.stale_writeback explore/view detected=true runs=3 methods=3 violation=invariant";
+    "cache.unreleased_lock coop/monitor detected=true runs=1 methods=- violation=resource-leak@4";
+    "cache.unreleased_lock coop/view detected=false runs=10 methods=- violation=-";
+    "instrument.dropped_block coop/io detected=false runs=80 methods=- violation=-";
+    "instrument.dropped_block coop/view detected=true runs=2 methods=67 violation=view";
+    "instrument.dropped_block coop/race detected=false runs=20 methods=- violation=-";
+    "instrument.dropped_block coop/lin detected=false runs=40 methods=- violation=-";
+    "instrument.dropped_block explore/view detected=false runs=15000 methods=- violation=-";
+    "multiset_btree.misplaced_commit coop/io detected=false runs=80 methods=- violation=-";
+    "multiset_btree.misplaced_commit coop/view detected=true runs=1 methods=8 violation=view";
+    "multiset_btree.misplaced_commit coop/race detected=false runs=20 methods=- violation=-";
+    "multiset_btree.misplaced_commit coop/lin detected=false runs=40 methods=- violation=-";
+    "multiset_btree.misplaced_commit explore/view detected=true runs=1 methods=32 violation=view";
+    "multiset_vector.lost_update coop/io detected=true runs=1 methods=14 violation=observer";
+    "multiset_vector.lost_update coop/view detected=true runs=1 methods=1 violation=view";
+    "multiset_vector.lost_update coop/race detected=true runs=1 methods=- violation=A[0].elt";
+    "multiset_vector.lost_update coop/lin detected=true runs=1 methods=100 violation=not-linearizable nodes=266";
+    "multiset_vector.lost_update explore/view detected=true runs=132 methods=4 violation=view";
+  ]
+
+let render_cell fault (c : Mutants.cell) =
+  let opt f = function Some x -> f x | None -> "-" in
+  Printf.sprintf "%s %s/%s detected=%b runs=%d methods=%s violation=%s" fault c.regime
+    c.mode c.detected c.runs (opt string_of_int c.methods_checked) (opt Fun.id c.tag)
+
+let test_quick_matrix_pinned () =
+  let cells =
+    List.concat_map
+      (fun (row : Mutants.row) ->
+        List.filter_map
+          (fun (c : Mutants.cell) ->
+            if c.regime = "coop" || c.regime = "explore" then
+              Some (render_cell (Vyrd_faults.Faults.name row.fault) c)
+            else None)
+          row.cells)
+      (Mutants.run_all Mutants.quick)
+  in
+  Alcotest.(check (list string)) "coop and explore cells" pinned_matrix cells
+
+let suite =
+  [
+    Alcotest.test_case "schedules and PRNG streams match the golden digests" `Quick test_golden;
+    Alcotest.test_case "coop fast path = ?decide oracle (logs, steps, Livelock)" `Quick
+      test_fast_path_matches_oracle;
+    Alcotest.test_case "quick mutant matrix: coop and explore cells pinned" `Quick
+      test_quick_matrix_pinned;
+  ]

@@ -1033,6 +1033,47 @@ let test_cluster_bad_workers_binds_nothing () =
   Alcotest.(check bool) "rc 2" true (status = Unix.WEXITED 2);
   Alcotest.(check bool) "no socket file left" false left
 
+(* A session spilled under overload, then resumed from its spool by a later
+   session: every farm of both starts its lanes on the process's lane pool,
+   reusing the parked domain of the farm before it, and stop returns. *)
+let test_spill_then_resume_reuses_lanes () =
+  let log = buggy_log () in
+  let metrics = Metrics.create () in
+  let dir = Filename.temp_file "vyrd_pool" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_server ~max_sessions:1 ~spill_dir:dir ~metrics (fun srv ->
+      let addr = Server.addr srv in
+      (* the holder takes the one checking slot, so the next session spills *)
+      let holder = Client.connect ~level:(Log.level log) addr in
+      let path =
+        match Client.submit_log addr log with
+        | Client.Spilled { path; _ } -> path
+        | Client.Checked _ -> Alcotest.fail "a full server checked live"
+      in
+      (match Client.finish holder with
+      | Client.Checked { report; _ } ->
+        Alcotest.(check bool) "the empty holder passes" true (Report.is_pass report)
+      | Client.Spilled _ -> Alcotest.fail "the holder spilled");
+      (* the holder's slot is released after its verdict is sent *)
+      quiesce (fun () -> Server.active srv);
+      let c = Client.connect ~level:(Log.level log) addr in
+      let events, _, _ = Client.resume_session c ~path in
+      Alcotest.(check int) "the resume adopted the whole spool" (Log.length log) events;
+      (match Client.finish c with
+      | Client.Spilled _ -> Alcotest.fail "the resumed session spilled"
+      | Client.Checked { report; fail_index } ->
+        Alcotest.(check bool) "the resumed verdict convicts" false (Report.is_pass report);
+        Alcotest.(check (option int)) "same fail index as the local farm"
+          (local_fail_index log) fail_index);
+      (* holder, the resuming session's hello farm, then its resumed farm:
+         one lane each, the last two on the domain the one before parked *)
+      let v name = Metrics.value (Metrics.counter metrics name) in
+      let spawns = v "farm.lane_spawns" and reuses = v "farm.lane_reuses" in
+      Alcotest.(check int) "every lane started on the pool" 3 (spawns + reuses);
+      Alcotest.(check bool) (Printf.sprintf "%d reuses of 3 lanes" reuses) true (reuses >= 2))
+
 let suite =
   [
     ("report codec round trip", `Quick, test_report_roundtrip);
@@ -1092,4 +1133,7 @@ let suite =
     ( "listener: both daemons register its metrics",
       `Quick,
       test_daemons_register_listener_metrics );
+    ( "spill then resume reuses parked lane domains",
+      `Quick,
+      test_spill_then_resume_reuses_lanes );
   ]

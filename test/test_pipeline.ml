@@ -701,6 +701,139 @@ let test_online_capacity_and_high_water () =
     true
     (hw > 0 && hw <= 256)
 
+(* --- lane pool ------------------------------------------------------------- *)
+
+(* Every farm's lanes run on the process-wide pool, which keeps at most this
+   many domains parked. *)
+let pool_cap = max 1 (Domain.recommended_domain_count () - 1)
+
+let lane_counts metrics =
+  ( Metrics.value (Metrics.counter metrics "farm.lane_spawns"),
+    Metrics.value (Metrics.counter metrics "farm.lane_reuses") )
+
+let test_pool_reuses_one_domain () =
+  (* sequential one-lane farms: after the first, each finds the previous
+     farm's domain parked *)
+  let s = Subjects.multiset_vector in
+  let metrics = Metrics.create () in
+  for i = 0 to 9 do
+    let log =
+      Harness.run
+        { Harness.default with threads = 3; ops_per_thread = 20; seed = i }
+        (s.Subjects.build ~bug:(i mod 2 = 1))
+    in
+    let farm =
+      Farm.start ~metrics ~capacity:64 ~level:`View
+        [ Farm.shard ~mode:`View ~view:s.Subjects.view s.Subjects.name s.Subjects.spec ]
+    in
+    Log.iter (Farm.feed farm) log;
+    let r = Farm.finish farm in
+    let want = Checker.check ~mode:`View ~view:s.Subjects.view log s.Subjects.spec in
+    Alcotest.(check string)
+      (Printf.sprintf "farm %d: verdict = offline verdict" i)
+      (Report.tag want) (Report.tag r.Farm.merged)
+  done;
+  let spawns, reuses = lane_counts metrics in
+  Alcotest.(check int) "every lane started on the pool" 10 (spawns + reuses);
+  Alcotest.(check bool) (Printf.sprintf "%d reuses of 10 lanes" reuses) true (reuses >= 9)
+
+let test_pool_concurrent_farms_reverse_finish () =
+  (* 4 two-lane farms all started before any is fed, finished last-first:
+     8 lanes live at once, and finishing never waits on a parked domain *)
+  let logs =
+    List.init 4 (fun seed ->
+        if seed mod 2 = 0 then run_both ~seed ()
+        else run_both ~ms_bugs:[ Vyrd_multiset.Multiset_vector.Racy_find_slot ] ~seed ())
+  in
+  let wants = List.map farm_check logs in
+  let round () =
+    let metrics = Metrics.create () in
+    let farms =
+      List.map
+        (fun log -> Farm.start ~metrics ~capacity:64 ~level:(Log.level log) (shards ()))
+        logs
+    in
+    List.iter2 (fun farm log -> Array.iter (Farm.feed farm) (Log.snapshot log)) farms logs;
+    List.iter
+      (fun (farm, want) ->
+        Alcotest.(check string) "verdict = one farm at a time"
+          (Report.tag want.Farm.merged)
+          (Report.tag (Farm.finish farm).Farm.merged))
+      (List.rev (List.combine farms wants));
+    lane_counts metrics
+  in
+  ignore (round ());
+  (* every lane of the first round has parked or exited: the second round
+     finds exactly the cap's worth parked *)
+  let spawns, reuses = round () in
+  Alcotest.(check int) "every lane started on the pool" 8 (spawns + reuses);
+  Alcotest.(check int)
+    (Printf.sprintf "reuses = parked domains, cap %d" pool_cap)
+    (min pool_cap 8) reuses
+
+(* A specification whose [apply] fails with [Failure] on argument 13 — not
+   the [Invalid_argument] the checker turns into an ill-formed verdict. *)
+module Boom = struct
+  type state = int
+
+  let name = "boom"
+  let init () = 0
+  let kind = function "op" -> Spec.Mutator | m -> invalid_arg m
+
+  let apply st ~mid:_ ~args ~ret:_ =
+    match args with [ Repr.Int 13 ] -> failwith "boom" | _ -> Ok (st + 1)
+
+  let observe _ ~mid:_ ~args:_ ~ret:_ = true
+  let view st = Repr.Int st
+  let snapshot st = st
+  let save st = Some (Repr.Int st)
+  let load = function Repr.Int n -> n | _ -> invalid_arg "Boom.load"
+end
+
+let boom_ops n =
+  List.concat_map
+    (fun k ->
+      [
+        Event.Call { tid = 1; mid = "op"; args = [ Repr.Int k ] };
+        Event.Commit { tid = 1 };
+        Event.Return { tid = 1; mid = "op"; value = Repr.Unit };
+      ])
+    (List.init n Fun.id)
+
+let test_finish_reraises_lane_exception () =
+  let metrics = Metrics.create () in
+  let farm =
+    Farm.start ~metrics ~capacity:16 ~passes:(Vyrd_analysis.Pass.for_level `Full)
+      ~level:`Full
+      [ Farm.shard "boom" (module Boom : Spec.S) ]
+  in
+  (* far more events after the raise than the ring holds: the failed lane
+     keeps draining, so the feeder never blocks *)
+  List.iter (Farm.feed farm) (boom_ops 400);
+  Alcotest.(check bool) "a failed lane answers the barrier with None" true
+    (Farm.checkpoint farm = None);
+  (match Farm.finish farm with
+  | (_ : Farm.result) -> Alcotest.fail "finish swallowed the lane's exception"
+  | exception Failure m -> Alcotest.(check string) "the lane's exception" "boom" m);
+  (match Farm.finish farm with
+  | (_ : Farm.result) -> Alcotest.fail "a second finish returned a result"
+  | exception Failure _ -> ());
+  (* no lane is stranded: the next farm checks on the parked domains *)
+  let log =
+    run_both ~ms_bugs:[ Vyrd_multiset.Multiset_vector.Racy_find_slot ] ~seed:0 ()
+  in
+  let want = farm_check log in
+  let farm = Farm.start ~metrics ~capacity:64 ~level:(Log.level log) (shards ()) in
+  Array.iter (Farm.feed farm) (Log.snapshot log);
+  let r = Farm.finish farm in
+  Alcotest.(check string) "next farm's verdict" (Report.tag want.Farm.merged)
+    (Report.tag r.Farm.merged);
+  Alcotest.(check (option int)) "next farm's fail index" (Farm.min_fail_index want)
+    (Farm.min_fail_index r);
+  let spawns, reuses = lane_counts metrics in
+  Alcotest.(check int) "every lane started on the pool" 4 (spawns + reuses);
+  Alcotest.(check bool) "the next farm reused a domain" true (reuses >= 1)
+
 let suite =
   [
     varint_roundtrip;
@@ -734,4 +867,9 @@ let suite =
     ("farm finish is idempotent", `Quick, test_farm_finish_idempotent);
     ("farm `View shards reject `Io streams", `Quick, test_farm_view_requires_view_level);
     ("online bounded queue records high water", `Quick, test_online_capacity_and_high_water);
+    ("pool: sequential farms reuse one domain", `Quick, test_pool_reuses_one_domain);
+    ( "pool: concurrent farms finished in reverse",
+      `Quick,
+      test_pool_concurrent_farms_reverse_finish );
+    ("farm finish re-raises a lane's exception", `Quick, test_finish_reraises_lane_exception);
   ]
