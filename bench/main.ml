@@ -1082,12 +1082,13 @@ let hotpath ?(json_out = Some "BENCH_hotpath.json") ~baseline ~max_regress
 (* ---------------------------------------------- checkpoint/resume bench *)
 
 (* The replay work the checkpoint frames save: spool a ~1M-event composed
-   workload with a checkpoint frame every n/10 events, then compare a full
-   re-check of the recovered spool against resuming from the frame at the
-   90% mark (only the final tenth is replayed).  Both sides run over the
-   same pre-read [Segment.resumable] through the same feed loop, so the
-   ratio isolates checking work from disk recovery.  EXPERIMENTS.md tracks
-   the shape; BENCH_checkpoint.json carries the raw numbers for CI. *)
+   workload, annotate it with a farm checkpoint frame every n/10 events,
+   then compare a full re-check of the recovered spool against resuming
+   from the frame at the 90% mark (only the final tenth is replayed).  Both
+   sides run over the same pre-read [Segment.resumable] through the same
+   one-shard farm, so the ratio isolates checking work from disk recovery.
+   EXPERIMENTS.md tracks the shape; BENCH_checkpoint.json carries the raw
+   numbers for CI. *)
 let checkpoint_bench ?(json_out = Some "BENCH_checkpoint.json") ?(ops = 20_000) () =
   Fmt.pr "@.Checkpoint: resume at the 90%% frame vs full re-check of a spool@.@.";
   let module Resume = Vyrd_pipeline.Resume in
@@ -1101,18 +1102,20 @@ let checkpoint_bench ?(json_out = Some "BENCH_checkpoint.json") ?(ops = 20_000) 
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let spool = Resume.check_to_spool ~mode:`View ~view ~every ~path log spec in
+  let shards _level = [ Farm.shard ~mode:`View ~view "composed" spec ] in
+  Segment.write_file path log;
+  let spool = Resume.resume ~annotate_every:every ~shards ~path () in
   Fmt.pr "%d events spooled with %d checkpoint frame(s) (every %d events)@.@." n
     spool.Resume.checkpoints every;
   let rz = Segment.read_from_checkpoint path in
   (* [at:0] admits no checkpoint, so this is the full replay through the
      identical code path *)
   let t0 = Unix.gettimeofday () in
-  let full = Resume.resume_recovered ~mode:`View ~view ~at:0 rz spec in
+  let full = Resume.resume_recovered ~at:0 ~shards rz in
   let full_dt = Unix.gettimeofday () -. t0 in
   let at = n * 9 / 10 in
   let t0 = Unix.gettimeofday () in
-  let resumed = Resume.resume_recovered ~mode:`View ~view ~at rz spec in
+  let resumed = Resume.resume_recovered ~at ~shards rz in
   let resume_dt = Unix.gettimeofday () -. t0 in
   let speedup = full_dt /. resume_dt in
   Fmt.pr "%-30s %10s %12s %12s@." "configuration" "wall ms" "events/s" "replayed";

@@ -229,7 +229,8 @@ let check_cmd =
           ~doc:
             "Resume a binary spool from its latest usable checkpoint frame \
              and check only the event suffix, instead of replaying from \
-             event zero.  The verdict is identical either way.")
+             event zero.  The verdict is identical either way.  Combine \
+             with $(b,--checkpoint-events) to also annotate the suffix.")
   in
   let checkpoint_events =
     Arg.(
@@ -238,8 +239,10 @@ let check_cmd =
       & info [ "checkpoint-events" ] ~docv:"N"
           ~doc:
             "Check a binary spool and append a checkpoint frame to it every \
-             $(docv) events, so the next check of the same spool can \
-             $(b,--resume).")
+             $(docv) events, plus one covering the whole spool, so the next \
+             check of the same spool can $(b,--resume).  Without \
+             $(b,--resume) the check replays from event zero; with it, \
+             frames are appended past the resume point.")
   in
   let run subject mode backend lin_budget invariants explain resume
       checkpoint_events monitor_specs file =
@@ -258,12 +261,6 @@ let check_cmd =
       exit 2
     end;
     if resume || checkpoint_events <> None then begin
-      if resume && checkpoint_events <> None then begin
-        Fmt.epr
-          "--resume and --checkpoint-events are exclusive: annotate first, \
-           then resume@.";
-        exit 2
-      end;
       if not (Sys.file_exists file && Segment.is_binary file) then begin
         Fmt.epr
           "%s: checkpoints live in binary segment spools; record with \
@@ -275,13 +272,16 @@ let check_cmd =
       let invariants =
         match mode with `View when invariants -> subject.invariants | _ -> []
       in
+      (* the one-shard farm [pipeline --subjects] runs, so the spools it
+         checkpoints resume here *)
+      let shards _level =
+        [ Farm.shard ~mode ?view ~invariants subject.name subject.spec ]
+      in
       let outcome =
         match
-          match checkpoint_events with
-          | Some every ->
-            Resume.annotate ~mode ?view ~invariants ~every ~path:file
-              subject.spec
-          | None -> Resume.resume ~mode ?view ~invariants ~path:file subject.spec
+          Resume.resume
+            ?at:(if resume then None else Some 0)
+            ?annotate_every:checkpoint_events ~shards ~path:file ()
         with
         | o -> o
         | exception Invalid_argument msg ->
@@ -295,27 +295,27 @@ let check_cmd =
           exit 2
       in
       Fmt.pr "%a@." Report.pp outcome.Resume.report;
-      (match checkpoint_events with
-      | Some every ->
-        if outcome.Resume.truncated then
-          Fmt.pr
-            "truncated spool: checked %d recovered events, no checkpoints \
-             appended@."
-            outcome.Resume.total
-        else
-          Fmt.pr "annotated %d checkpoint frame(s) at %d-event spacing over %d events@."
-            outcome.Resume.checkpoints every outcome.Resume.total
-      | None -> (
+      if resume then (
         match outcome.Resume.resumed_at with
         | Some at ->
-          Fmt.pr
-            "resumed at event %d: replayed %d of %d events (%d checkpoint(s) \
-             on the spool)@."
-            at outcome.Resume.replayed outcome.Resume.total
-            outcome.Resume.checkpoints
+          Fmt.pr "resumed at event %d: replayed %d of %d events@." at
+            outcome.Resume.replayed outcome.Resume.total
         | None ->
           Fmt.pr "no usable checkpoint: full replay of %d events@."
-            outcome.Resume.total));
+            outcome.Resume.total);
+      Option.iter
+        (fun every ->
+          if outcome.Resume.truncated then
+            Fmt.pr
+              "truncated spool: checked %d recovered events, no checkpoints \
+               appended@."
+              outcome.Resume.total
+          else
+            Fmt.pr
+              "annotated %d checkpoint frame(s) at %d-event spacing over %d \
+               replayed events@."
+              outcome.Resume.checkpoints every outcome.Resume.replayed)
+        checkpoint_events;
       Option.iter
         (Fmt.pr "violating event at stream index %d@.")
         outcome.Resume.fail_index;

@@ -246,29 +246,28 @@ let net_soak seconds json_out =
         mismatch seed
           (Printf.sprintf "spool re-check %s, offline %s" (Report.tag rechecked)
              (Report.tag offline));
-      (* kill-and-resume: re-check the spool only to the halfway mark,
-         checkpoint there, abandon the checker (the simulated kill), then
-         resume — the resumed verdict and fail index must match offline *)
-      let half = Log.length r.Segment.log / 2 in
+      (* kill-and-resume: re-check the spool only to the halfway mark on
+         a one-shard farm, checkpoint there, abandon the farm (the
+         simulated kill), then resume — the resumed verdict and fail index
+         must match offline *)
+      let events = Log.snapshot r.Segment.log in
+      let half = Array.length events / 2 in
       if half > 0 then begin
-        let checker = Checker.create ~mode:`View ~view spec in
-        let stop = ref false in
-        (try
-           Log.iter
-             (let i = ref 0 in
-              fun ev ->
-                if (not !stop) && !i < half then begin
-                  incr i;
-                  if Checker.feed checker ev <> None then stop := true
-                end)
-             r.Segment.log
-         with Invalid_argument _ -> stop := true);
-        (match (!stop, Checker.snapshot checker) with
-        | false, Some state -> Segment.append_checkpoint_file path ~events:half state
-        | _ -> ());
-        match
-          Vyrd_pipeline.Resume.resume ~mode:`View ~view ~path spec
-        with
+        let shards _level = [ Farm.shard ~mode:`View ~view "subject" spec ] in
+        let level = Log.level r.Segment.log in
+        let farm = Farm.start ~level (shards level) in
+        for i = 0 to half - 1 do
+          Farm.feed farm events.(i)
+        done;
+        let checkpointed =
+          match Farm.checkpoint farm with
+          | Some state ->
+            Segment.append_checkpoint_file path ~events:half state;
+            true
+          | None -> false
+        in
+        (try ignore (Farm.finish farm : Farm.result) with Invalid_argument _ -> ());
+        match Vyrd_pipeline.Resume.resume ~shards ~path () with
         | outcome ->
           let offline_fail =
             match offline.Report.outcome with
@@ -288,11 +287,8 @@ let net_soak seconds json_out =
                  (Report.tag offline));
           if outcome.Vyrd_pipeline.Resume.fail_index <> offline_fail then
             mismatch seed "resumed fail index diverges from offline";
-          if
-            (not !stop)
-            && Log.length r.Segment.log > 1
-            && outcome.Vyrd_pipeline.Resume.resumed_at = None
-          then mismatch seed "resume ignored the appended checkpoint frame"
+          if checkpointed && outcome.Vyrd_pipeline.Resume.resumed_at = None then
+            mismatch seed "resume ignored the appended checkpoint frame"
         | exception
             ( Vyrd_pipeline.Bincodec.Corrupt _ | Invalid_argument _
             | Sys_error _ ) ->

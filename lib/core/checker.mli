@@ -39,12 +39,6 @@ type invariant = string * (View.lookup -> bool)
     @param view required when [mode = `View]. *)
 val create : ?mode:mode -> ?view:View.t -> ?invariants:invariant list -> Spec.t -> t
 
-(** [require_view_level ~who log] rejects logs recorded below level [`View]
-    — the configuration against which view-mode checking can only produce
-    spurious mismatches.  [who] prefixes the error message.
-    @raise Invalid_argument on [`None]/[`Io]-level logs. *)
-val require_view_level : who:string -> Log.t -> unit
-
 (** [feed t ev] processes one event.  Returns the first violation when this
     event triggers it; afterwards the checker ignores further events. *)
 val feed : t -> Event.t -> Report.violation option

@@ -116,21 +116,12 @@ let trivial_report events =
       };
   }
 
-let min_fail_index (result : Farm.result) =
-  List.fold_left
-    (fun acc (sr : Farm.shard_result) ->
-      match (acc, sr.Farm.sr_fail_index) with
-      | None, i -> i
-      | Some a, Some b -> Some (min a b)
-      | Some _, None -> acc)
-    None result.Farm.shards
-
 (* Offline re-check of one spilled spool through the session farm template,
    resuming from its latest usable checkpoint and leaving fresh checkpoint
    frames behind so the *next* pass over the same spool is O(suffix). *)
 let recheck t ~path =
   let outcome =
-    Resume.resume_farm ~capacity:t.cfg.capacity ~metrics:t.cfg.metrics
+    Resume.resume ~capacity:t.cfg.capacity ~metrics:t.cfg.metrics
       ~annotate_every:t.cfg.checkpoint_events ~shards:t.cfg.shards ~path ()
   in
   Metrics.incr t.m_rechecks;
@@ -252,7 +243,7 @@ let serve_data_session t (s : Listener.session) r hello =
           count_monitor_summaries t result;
           {
             Wire.v_report = result.Farm.merged;
-            v_fail_index = min_fail_index result;
+            v_fail_index = Farm.min_fail_index result;
             v_events = !consumed;
             v_spilled = None;
           }
@@ -291,7 +282,7 @@ let serve_data_session t (s : Listener.session) r hello =
         @ t.cfg.monitors ()
       in
       (match
-         Resume.resume_farm_open ~capacity:t.cfg.capacity
+         Resume.resume_open ~capacity:t.cfg.capacity
            ~metrics:t.cfg.metrics ~passes ~shards:t.cfg.shards ~path ()
        with
       | rf ->

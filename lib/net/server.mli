@@ -118,7 +118,7 @@ val registered : t -> string option
 
 (** [recheck t ~path] checks the spilled spool at [path] through the
     server's farm template, resuming from its latest usable checkpoint
-    frame ({!Vyrd_pipeline.Resume.resume_farm}) and appending fresh
+    frame ({!Vyrd_pipeline.Resume.resume}) and appending fresh
     checkpoints every [checkpoint_events].  This is the routine the
     [recheck_spills] mode runs opportunistically after a spilled session's
     verdict, under the same [max_sessions] slot accounting as live

@@ -533,7 +533,7 @@ let checkpoint t =
 (* Deterministic merge: the violation whose triggering event has the lowest
    global index wins, ties broken by shard order — independent of how the
    checker domains were scheduled. *)
-let merge lanes_results fed =
+let merge lanes_results =
   let stats =
     List.fold_left
       (fun (acc : Report.stats) (sr : shard_result) ->
@@ -575,7 +575,6 @@ let merge lanes_results fed =
   let outcome =
     match first with Some (_, v) -> Report.Fail v | None -> Report.Pass
   in
-  ignore fed;
   { Report.outcome; stats }
 
 let min_fail_index (r : result) =
@@ -608,7 +607,7 @@ let collect t lanes analysis =
          t.lanes lanes)
   in
   let summaries = Option.map value analysis in
-  let merged = merge results t.fed in
+  let merged = merge results in
   (* fold the end-of-run readings into the metrics registry *)
   let stall = Metrics.counter t.metrics "farm.stall_ns" in
   let violations = Metrics.counter t.metrics "farm.violations" in

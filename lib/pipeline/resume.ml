@@ -10,265 +10,94 @@ type outcome = {
   checkpoints : int;
 }
 
-let require_every every who = if every <= 0 then invalid_arg (who ^ ": every")
-
-(* ------------------------------------------------- checkpoint producers *)
-
-let check_to_spool ?mode ?view ?invariants ?segment_bytes ?rotate_bytes ~every
-    ~path log spec =
-  require_every every "Resume.check_to_spool";
-  (match mode with
-  | Some `View -> Checker.require_view_level ~who:"Resume.check_to_spool" log
-  | _ -> ());
-  let t = Checker.create ?mode ?view ?invariants spec in
-  let w = Segment.create_writer ?segment_bytes ?rotate_bytes ~level:(Log.level log) path in
-  let fail = ref None in
-  let count = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Segment.close w)
-    (fun () ->
-      Log.iter
-        (fun ev ->
-          let idx = !count in
-          incr count;
-          Segment.append w ev;
-          (match Checker.feed t ev with
-          | Some _ when !fail = None -> fail := Some idx
-          | _ -> ());
-          if !count mod every = 0 then
-            match Checker.snapshot t with
-            | Some st -> Segment.append_checkpoint w st
-            | None -> ())
-        log);
-  {
-    report = Checker.report t;
-    fail_index = !fail;
-    total = !count;
-    replayed = !count;
-    resumed_at = None;
-    truncated = false;
-    checkpoints = Segment.writer_checkpoints w;
-  }
-
-let annotate ?mode ?view ?invariants ~every ~path spec =
-  require_every every "Resume.annotate";
-  let r = Segment.read_prefix path in
-  let log = r.Segment.log in
-  (match mode with
-  | Some `View -> Checker.require_view_level ~who:"Resume.annotate" log
-  | _ -> ());
-  let t = Checker.create ?mode ?view ?invariants spec in
-  let fail = ref None in
-  let count = ref 0 in
-  let checkpoints = ref 0 in
-  (* appending after a torn tail would bury the frames behind the
-     corruption the reader stops at, so a truncated spool is only checked,
-     not annotated *)
-  let can_annotate = not r.Segment.truncated in
-  Log.iter
-    (fun ev ->
-      let idx = !count in
-      incr count;
-      (match Checker.feed t ev with
-      | Some _ when !fail = None -> fail := Some idx
-      | _ -> ());
-      if can_annotate && !count mod every = 0 then
-        match Checker.snapshot t with
-        | Some st ->
-          Segment.append_checkpoint_file path ~events:!count st;
-          incr checkpoints
-        | None -> ())
-    log;
-  {
-    report = Checker.report t;
-    fail_index = !fail;
-    total = !count;
-    replayed = !count;
-    resumed_at = None;
-    truncated = r.Segment.truncated;
-    checkpoints = !checkpoints;
-  }
-
-(* --------------------------------------------------------------- resume *)
-
-let resume_recovered ?mode ?view ?invariants ?at (rz : Segment.resumable) spec =
-  let log = rz.Segment.r_recovered.Segment.log in
-  (match mode with
-  | Some `View -> Checker.require_view_level ~who:"Resume.resume" log
-  | _ -> ());
-  let events = Log.snapshot log in
-  let total = Array.length events in
-  let limit = match at with Some n -> min n total | None -> total in
-  let run ~from ~resumed_at restore_state =
-    let t = Checker.create ?mode ?view ?invariants spec in
-    Option.iter (Checker.restore t) restore_state;
-    let fail = ref None in
-    for i = from to total - 1 do
-      match Checker.feed t events.(i) with
-      | Some _ when !fail = None -> fail := Some i
-      | _ -> ()
-    done;
-    {
-      report = Checker.report t;
-      fail_index = !fail;
-      total;
-      replayed = total - from;
-      resumed_at;
-      truncated = rz.Segment.r_recovered.Segment.truncated;
-      checkpoints = List.length rz.Segment.r_checkpoints;
-    }
-  in
-  (* newest usable checkpoint first; a checkpoint that fails to restore
-     falls back to the next older one, then to a full replay — the verdict
-     can only cost replay work, never change *)
-  let candidates =
-    List.filter (fun c -> c.Segment.ck_events <= limit) rz.Segment.r_checkpoints
-    |> List.rev
-  in
-  let rec attempt = function
-    | [] -> run ~from:0 ~resumed_at:None None
-    | (ck : Segment.checkpoint) :: rest -> (
-      match
-        run ~from:ck.Segment.ck_events ~resumed_at:(Some ck.Segment.ck_events)
-          (Some ck.Segment.ck_state)
-      with
-      | outcome -> outcome
-      | exception (Ckpt.Malformed _ | Invalid_argument _) -> attempt rest)
-  in
-  attempt candidates
-
-let resume ?mode ?view ?invariants ?at ~path spec =
-  resume_recovered ?mode ?view ?invariants ?at (Segment.read_from_checkpoint path) spec
-
-(* ---------------------------------------------------------- farm resume *)
-
 type resumed_farm = {
   rf_farm : Farm.t;
   rf_total : int;
   rf_replayed : int;
   rf_resumed_at : int option;
-  rf_truncated : bool;
-  rf_checkpoints : int;
 }
 
-(* Same fallback chain as [resume_farm], but the farm is handed back live —
-   the suffix has been fed and nothing finished — so a worker adopting a
-   half-streamed session can keep feeding it events from the wire.  A
-   checkpoint that restores at [Farm.start] but then breaks mid-feed still
-   falls back: the partial farm is finished (reaping its domains) before the
-   next candidate is tried. *)
-let resume_farm_open ?capacity ?metrics ?passes ?at ~shards ~path () =
-  let rz = Segment.read_from_checkpoint path in
+(* The one re-check core.  The spool's checkpoints covering at most [at]
+   events are tried newest first: each restores into a fresh farm, which is
+   fed the event suffix and handed to [close].  A checkpoint that fails —
+   at restore, mid-feed or in [close] — falls back to the next older one and
+   finally to a full replay, so damage costs replay work, never a verdict.
+   With [every], a barrier checkpoint is taken at every multiple of [every]
+   events and at the end of the spool; the frames come back oldest first
+   next to [close]'s result.  A partial farm is finished (reaping its
+   domains) before the next candidate is tried. *)
+let run ?capacity ?metrics ?passes ?at ?every ~shards (rz : Segment.resumable) close =
   let log = rz.Segment.r_recovered.Segment.log in
   let level = Log.level log in
   let shards = shards level in
   let events = Log.snapshot log in
   let total = Array.length events in
   let limit = match at with Some n -> min n total | None -> total in
-  let truncated = rz.Segment.r_recovered.Segment.truncated in
-  let run ~from ~resumed_at restore_state =
-    let farm =
-      Farm.start ?capacity ?metrics ?passes ?restore:restore_state ~level shards
-    in
+  let attempt ~from restore =
+    let farm = Farm.start ?capacity ?metrics ?passes ?restore ~level shards in
+    let frames = ref [] in
     (try
        for i = from to total - 1 do
-         Farm.feed farm events.(i)
+         Farm.feed farm events.(i);
+         match every with
+         | Some n when (i + 1) mod n = 0 || i + 1 = total -> (
+           match Farm.checkpoint farm with
+           | Some st -> frames := (i + 1, st) :: !frames
+           | None -> ())
+         | _ -> ()
        done
      with e ->
        ignore (Farm.finish farm : Farm.result);
        raise e);
-    {
-      rf_farm = farm;
-      rf_total = total;
-      rf_replayed = total - from;
-      rf_resumed_at = resumed_at;
-      rf_truncated = truncated;
-      rf_checkpoints = List.length rz.Segment.r_checkpoints;
-    }
-  in
-  let candidates =
-    List.filter (fun c -> c.Segment.ck_events <= limit) rz.Segment.r_checkpoints
-    |> List.rev
-  in
-  let rec attempt = function
-    | [] -> run ~from:0 ~resumed_at:None None
-    | (ck : Segment.checkpoint) :: rest -> (
-      match
-        run ~from:ck.Segment.ck_events ~resumed_at:(Some ck.Segment.ck_events)
-          (Some ck.Segment.ck_state)
-      with
-      | outcome -> outcome
-      | exception (Ckpt.Malformed _ | Invalid_argument _) -> attempt rest)
-  in
-  attempt candidates
-
-let resume_farm ?capacity ?metrics ?at ?annotate_every ~shards ~path () =
-  (match annotate_every with
-  | Some n when n <= 0 -> invalid_arg "Resume.resume_farm: annotate_every"
-  | _ -> ());
-  let rz = Segment.read_from_checkpoint path in
-  let log = rz.Segment.r_recovered.Segment.log in
-  let level = Log.level log in
-  let shards = shards level in
-  let events = Log.snapshot log in
-  let total = Array.length events in
-  let limit = match at with Some n -> min n total | None -> total in
-  let truncated = rz.Segment.r_recovered.Segment.truncated in
-  let can_annotate = annotate_every <> None && not truncated in
-  let run ~from ~resumed_at restore_state =
-    let farm = Farm.start ?capacity ?metrics ?restore:restore_state ~level shards in
-    let annotations = ref [] in
-    let next_annotation =
-      ref
-        (match annotate_every with
-        | Some n -> from + n
-        | None -> max_int)
+    let rf =
+      { rf_farm = farm; rf_total = total; rf_replayed = total - from;
+        rf_resumed_at = Option.map (fun _ -> from) restore }
     in
-    for i = from to total - 1 do
-      Farm.feed farm events.(i);
-      if i + 1 >= !next_annotation then begin
-        (match Farm.checkpoint farm with
-        | Some st -> annotations := (i + 1, st) :: !annotations
-        | None -> ());
-        next_annotation :=
-          !next_annotation + Option.value ~default:max_int annotate_every
-      end
-    done;
-    (* a final checkpoint covering the whole spool makes the next re-check
-       O(1) in replay work; must be taken before [finish] closes the lanes *)
-    if can_annotate && total > from then
-      (match Farm.checkpoint farm with
-      | Some st when (match !annotations with (n, _) :: _ -> n < total | [] -> true)
-        ->
-        annotations := (total, st) :: !annotations
-      | _ -> ());
-    let result = Farm.finish farm in
-    if can_annotate then
-      List.iter
-        (fun (n, st) -> Segment.append_checkpoint_file path ~events:n st)
-        (List.rev !annotations);
+    (close rf, List.rev !frames)
+  in
+  let rec chain = function
+    | [] -> attempt ~from:0 None
+    | (ck : Segment.checkpoint) :: older -> (
+      match attempt ~from:ck.Segment.ck_events (Some ck.Segment.ck_state) with
+      | v -> v
+      | exception (Ckpt.Malformed _ | Invalid_argument _) -> chain older)
+  in
+  chain
+    (List.filter (fun c -> c.Segment.ck_events <= limit) rz.Segment.r_checkpoints
+    |> List.rev)
+
+let resume_open ?capacity ?metrics ?passes ?at ~shards ~path () =
+  fst (run ?capacity ?metrics ?passes ?at ~shards (Segment.read_from_checkpoint path) Fun.id)
+
+let check ?capacity ?metrics ?at ?every ~shards rz =
+  let (rf, result), frames =
+    run ?capacity ?metrics ?at ?every ~shards rz (fun rf -> (rf, Farm.finish rf.rf_farm))
+  in
+  let outcome =
     {
       report = result.Farm.merged;
       fail_index = Farm.min_fail_index result;
-      total;
-      replayed = total - from;
-      resumed_at;
-      truncated;
-      checkpoints = List.length rz.Segment.r_checkpoints;
+      total = rf.rf_total;
+      replayed = rf.rf_replayed;
+      resumed_at = rf.rf_resumed_at;
+      truncated = rz.Segment.r_recovered.Segment.truncated;
+      checkpoints = List.length frames;
     }
   in
-  let candidates =
-    List.filter (fun c -> c.Segment.ck_events <= limit) rz.Segment.r_checkpoints
-    |> List.rev
-  in
-  let rec attempt = function
-    | [] -> run ~from:0 ~resumed_at:None None
-    | (ck : Segment.checkpoint) :: rest -> (
-      match
-        run ~from:ck.Segment.ck_events ~resumed_at:(Some ck.Segment.ck_events)
-          (Some ck.Segment.ck_state)
-      with
-      | outcome -> outcome
-      | exception (Ckpt.Malformed _ | Invalid_argument _) -> attempt rest)
-  in
-  attempt candidates
+  (outcome, frames)
+
+let resume_recovered ?capacity ?metrics ?at ~shards rz =
+  fst (check ?capacity ?metrics ?at ~shards rz)
+
+let resume ?capacity ?metrics ?at ?annotate_every ~shards ~path () =
+  (match annotate_every with
+  | Some n when n <= 0 -> invalid_arg "Resume.resume: annotate_every"
+  | _ -> ());
+  let rz = Segment.read_from_checkpoint path in
+  (* appending after a torn tail would bury the frames behind the
+     corruption the reader stops at, so a truncated spool is only checked:
+     no barriers are taken for frames that would not be written *)
+  let every = if rz.Segment.r_recovered.Segment.truncated then None else annotate_every in
+  let outcome, frames = check ?capacity ?metrics ?at ?every ~shards rz in
+  List.iter (fun (n, st) -> Segment.append_checkpoint_file path ~events:n st) frames;
+  outcome

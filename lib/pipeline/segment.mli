@@ -70,7 +70,7 @@ val writer_checkpoints : writer -> int
     {e checkpoint frame}: same [len|crc|count] framing, but with bit 31 of
     the count word set and a payload of [events-so-far (uvarint) | state
     ({!Bincodec.put_repr})].  The frame means "after the first
-    [writer_events w] events of this stream, the checker state was
+    [writer_events w] events of this stream, the farm state was
     [state]".  Readers that are only after the events skip these frames;
     {!read_from_checkpoint} collects them. *)
 val append_checkpoint : writer -> Vyrd.Repr.t -> unit
@@ -103,7 +103,7 @@ val read_prefix : string -> recovered
 
 (** {1 Checkpoints}
 
-    A checkpoint frame carries an opaque checker state together with the
+    A checkpoint frame carries an opaque farm checkpoint together with the
     number of stream events it covers.  Corruption handling follows the
     segment rules: a torn or CRC-invalid checkpoint frame ends the clean
     prefix exactly like a torn event segment (everything before it is
@@ -113,7 +113,7 @@ val read_prefix : string -> recovered
 
 type checkpoint = {
   ck_events : int;  (** stream events preceding (covered by) this frame *)
-  ck_state : Vyrd.Repr.t;  (** opaque checker snapshot *)
+  ck_state : Vyrd.Repr.t;  (** opaque farm checkpoint *)
 }
 
 type resumable = {

@@ -5,7 +5,9 @@
    log, resume-verdict = offline-verdict with the same fail index and
    stats; a corrupted checkpoint frame can only cost replay work, never
    change a verdict; the farm-level checkpoint/restore and the
-   annotate-then-resume spool protocol agree with a fresh farm; and the
+   annotate-then-resume spool protocol agree with a fresh farm; a spool
+   checkpointed by a live farm resumes through the one-shard re-check, and
+   an older checker/1 frame falls back to a full replay; and the
    metrics-registry regressions (mutex leaked on a kind mismatch, invalid
    \ddd JSON escapes) stay fixed. *)
 
@@ -244,13 +246,20 @@ let test_wide_window_snapshot_restores () =
 
 (* --- resume = offline at every checkpoint position ------------------------ *)
 
+(* the one-shard farm a single-structure re-check runs *)
+let shards _level =
+  [ Farm.shard ~mode:`View ~view:subject.Subjects.view subject.Subjects.name
+      subject.Subjects.spec ]
+
+(* spool [log] and annotate it with farm checkpoints every [every] events *)
+let spool_with_checkpoints ~every ~path log =
+  Segment.write_file path log;
+  Resume.resume ~annotate_every:every ~shards ~path ()
+
 let resume_equals_offline_everywhere ~every name log =
   with_spool @@ fun path ->
   let off, off_fail = offline log in
-  let spool =
-    Resume.check_to_spool ~mode:`View ~view:subject.Subjects.view ~every ~path
-      log subject.Subjects.spec
-  in
+  let spool = spool_with_checkpoints ~every ~path log in
   Alcotest.(check string) (name ^ ": spooled check = offline") (Report.tag off)
     (Report.tag spool.Resume.report);
   Alcotest.(check (option int)) (name ^ ": spooled fail index") off_fail
@@ -261,10 +270,7 @@ let resume_equals_offline_everywhere ~every name log =
   List.iter
     (fun (ck : Segment.checkpoint) ->
       let at = ck.Segment.ck_events in
-      let o =
-        Resume.resume_recovered ~mode:`View ~view:subject.Subjects.view ~at rz
-          subject.Subjects.spec
-      in
+      let o = Resume.resume_recovered ~at ~shards rz in
       let pos = Printf.sprintf "%s, checkpoint at %d" name at in
       Alcotest.(check (option int)) (pos ^ ": resumed there") (Some at)
         o.Resume.resumed_at;
@@ -325,10 +331,7 @@ let write_file path s =
 let test_corrupt_checkpoint_never_changes_verdict () =
   let log = correct_log () in
   with_spool @@ fun path ->
-  ignore
-    (Resume.check_to_spool ~mode:`View ~view:subject.Subjects.view ~every:200
-       ~path log subject.Subjects.spec
-      : Resume.outcome);
+  ignore (spool_with_checkpoints ~every:200 ~path log : Resume.outcome);
   let original = read_file path in
   let frame_off, frame_len = find_checkpoint_frame original in
   let stride = max 1 (frame_len / 128) in
@@ -337,10 +340,7 @@ let test_corrupt_checkpoint_never_changes_verdict () =
     let flipped = Bytes.of_string original in
     Bytes.set flipped !p (Char.chr (Char.code original.[!p] lxor 0xff));
     write_file path (Bytes.to_string flipped);
-    (match
-       Resume.resume ~mode:`View ~view:subject.Subjects.view ~path
-         subject.Subjects.spec
-     with
+    (match Resume.resume ~shards ~path () with
     | outcome ->
       (* whatever prefix the damaged spool still cleanly recovers, the
          resumed verdict must be the offline verdict of that prefix *)
@@ -467,13 +467,13 @@ let test_resume_farm_annotates_then_resumes () =
   Segment.close w;
   let shards _level = farm_shards () in
   (* first pass: nothing to resume from; annotates as it replays *)
-  let o1 = Resume.resume_farm ~annotate_every:200 ~shards ~path () in
+  let o1 = Resume.resume ~annotate_every:200 ~shards ~path () in
   Alcotest.(check (option int)) "first pass replays from zero" None
     o1.Resume.resumed_at;
   Alcotest.(check int) "first pass replays everything" (Log.length log)
     o1.Resume.replayed;
   (* second pass: the final annotation covers the whole spool *)
-  let o2 = Resume.resume_farm ~shards ~path () in
+  let o2 = Resume.resume ~shards ~path () in
   Alcotest.(check (option int)) "second pass resumes at the end"
     (Some (Log.length log)) o2.Resume.resumed_at;
   Alcotest.(check int) "second pass replays nothing" 0 o2.Resume.replayed;
@@ -481,6 +481,85 @@ let test_resume_farm_annotates_then_resumes () =
     (Report.tag o2.Resume.report);
   Alcotest.(check (option int)) "fail indices agree" o1.Resume.fail_index
     o2.Resume.fail_index
+
+(* --- one checkpoint payload, read by every re-check ------------------------ *)
+
+(* A spool checkpointed the way [vyrd_check pipeline] and the coordinator
+   write it — farm barriers interleaved by a log listener subscribed after
+   the farm and the writer — resumes at its newest frame through the
+   one-shard re-check [vyrd_check check --resume] runs. *)
+let test_farm_checkpointed_spool_resumes_one_shard () =
+  with_spool @@ fun path ->
+  let log = Log.create ~level:`View () in
+  let farm = Farm.start ~level:`View (shards `View) in
+  Farm.attach farm log;
+  let w = Segment.create_writer ~level:`View path in
+  Segment.attach w log;
+  let seen = ref 0 and newest = ref None in
+  Log.subscribe log (fun _ ->
+      incr seen;
+      if !seen mod 200 = 0 then
+        match Farm.checkpoint farm with
+        | Some st ->
+          Segment.append_checkpoint w st;
+          newest := Some !seen
+        | None -> ());
+  Harness.run_into ~log
+    { Harness.default with threads = 4; ops_per_thread = 25; log_level = `View }
+    [ subject.Subjects.build ~bug:false ];
+  Segment.close w;
+  let live = Farm.finish farm in
+  let off, off_fail = offline log in
+  Alcotest.(check bool) "frames were interleaved" true (!newest <> None);
+  let o = Resume.resume ~shards ~path () in
+  Alcotest.(check (option int)) "resumed at the newest frame" !newest
+    o.Resume.resumed_at;
+  Alcotest.(check int) "replayed the suffix only"
+    (Log.length log - Option.get !newest)
+    o.Resume.replayed;
+  Alcotest.(check string) "live verdict = offline" (Report.tag off)
+    (Report.tag live.Farm.merged);
+  Alcotest.(check string) "resumed verdict = offline" (Report.tag off)
+    (Report.tag o.Resume.report);
+  Alcotest.(check (option int)) "fail index" off_fail o.Resume.fail_index;
+  check_stats "resumed" off.Report.stats o.Resume.report.Report.stats
+
+(* A spool from before farm checkpoints were the one payload carries a
+   [checker/1] frame: the farm cannot restore it, so the re-check falls
+   back to a full replay — same verdict and fail index as offline. *)
+let test_legacy_checker_frame_replays_in_full () =
+  List.iter
+    (fun (name, log, cut) ->
+      with_spool @@ fun path ->
+      let events = Log.snapshot log in
+      let c =
+        Checker.create ~mode:`View ~view:subject.Subjects.view subject.Subjects.spec
+      in
+      let w = Segment.create_writer ~level:(Log.level log) path in
+      Array.iteri
+        (fun i ev ->
+          if i = cut then (
+            match Checker.snapshot c with
+            | Some st -> Segment.append_checkpoint w st
+            | None -> Alcotest.fail (name ^ ": snapshot refused before the cut"));
+          ignore (Checker.feed c ev);
+          Segment.append w ev)
+        events;
+      Segment.close w;
+      (match (Segment.read_from_checkpoint path).Segment.r_checkpoints with
+      | [ { Segment.ck_events; ck_state = Repr.Pair (Repr.Str "checker/1", _) } ] ->
+        Alcotest.(check int) (name ^ ": frame position") cut ck_events
+      | _ -> Alcotest.fail (name ^ ": expected one checker/1 frame"));
+      let off, off_fail = offline log in
+      let o = Resume.resume ~shards ~path () in
+      Alcotest.(check (option int)) (name ^ ": full replay") None o.Resume.resumed_at;
+      Alcotest.(check int) (name ^ ": replayed everything") (Array.length events)
+        o.Resume.replayed;
+      Alcotest.(check string) (name ^ ": verdict") (Report.tag off)
+        (Report.tag o.Resume.report);
+      Alcotest.(check (option int)) (name ^ ": fail index") off_fail
+        o.Resume.fail_index)
+    [ ("correct run", correct_log (), 100); ("buggy run", buggy_log (), 10) ]
 
 (* --- metrics-registry regressions ----------------------------------------- *)
 
@@ -654,4 +733,10 @@ let suite =
     ( "metrics: to_json escapes hostile names",
       `Quick,
       test_to_json_escapes_hostile_names );
+    ( "farm-checkpointed spool resumes one-shard",
+      `Quick,
+      test_farm_checkpointed_spool_resumes_one_shard );
+    ( "legacy checker/1 frame replays in full",
+      `Quick,
+      test_legacy_checker_frame_replays_in_full );
   ]

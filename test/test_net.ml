@@ -1074,6 +1074,58 @@ let test_spill_then_resume_reuses_lanes () =
       Alcotest.(check int) "every lane started on the pool" 3 (spawns + reuses);
       Alcotest.(check bool) (Printf.sprintf "%d reuses of 3 lanes" reuses) true (reuses >= 2))
 
+(* --- vyrd_check check --resume reads every spool's checkpoints ----------- *)
+
+(* Both ways a spool gets farm checkpoint frames from the CLI — [check
+   --checkpoint-events] on a recorded spool, and [pipeline
+   --checkpoint-events] while it runs — leave frames that [check --resume]
+   resumes from. *)
+let test_cli_check_resumes_every_spool () =
+  let exe =
+    List.find Sys.file_exists
+      [ "../bin/vyrd_check.exe"; "_build/default/bin/vyrd_check.exe" ]
+  in
+  let dir = Filename.temp_file "vyrd_cli_resume" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let out_path = Filename.concat dir "out" in
+  let run args =
+    let out_fd =
+      Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
+    in
+    let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_fd out_fd in
+    Unix.close out_fd;
+    let _, status = Unix.waitpid [] pid in
+    let ic = open_in out_path in
+    let text =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    in
+    let what = String.concat " " args in
+    if status <> Unix.WEXITED 0 then
+      Alcotest.fail (Printf.sprintf "%s failed:\n%s" what text);
+    (what, text)
+  in
+  let resumes (what, text) =
+    Alcotest.(check bool) (what ^ " resumed from a frame") true
+      (contains text "resumed at event")
+  in
+  let recorded = Filename.concat dir "recorded.seg" in
+  ignore
+    (run
+       [ "record"; "-s"; "Multiset-Vector"; "--binary"; "--threads"; "4"; "--ops";
+         "30"; "--out"; recorded ]);
+  ignore (run [ "check"; "-s"; "Multiset-Vector"; "--checkpoint-events"; "200"; recorded ]);
+  resumes (run [ "check"; "-s"; "Multiset-Vector"; "--resume"; recorded ]);
+  let piped = Filename.concat dir "pipeline.seg" in
+  ignore
+    (run
+       [ "pipeline"; "--subjects"; "Multiset-Vector"; "--threads"; "4"; "--ops";
+         "30"; "--segments"; piped; "--checkpoint-events"; "200" ]);
+  resumes (run [ "check"; "-s"; "Multiset-Vector"; "--resume"; piped ])
+
 let suite =
   [
     ("report codec round trip", `Quick, test_report_roundtrip);
@@ -1136,4 +1188,7 @@ let suite =
     ( "spill then resume reuses parked lane domains",
       `Quick,
       test_spill_then_resume_reuses_lanes );
+    ( "check --resume reads recorded and pipeline spools",
+      `Quick,
+      test_cli_check_resumes_every_spool );
   ]
