@@ -546,6 +546,9 @@ module S = struct
     | "compress" -> Spec.Internal
     | m -> invalid_arg ("blink-tree spec: unknown method " ^ m)
 
+  type meth = string
+  let meth = Spec.by_name kind
+
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt
 
   let apply st ~mid ~args ~ret =

@@ -396,6 +396,9 @@ let spec ~chunks : Spec.t =
       | "flush" | "evict" -> Spec.Internal
       | m -> invalid_arg ("cache spec: unknown method " ^ m)
 
+    type meth = string
+    let meth = Spec.by_name kind
+
     let bad fmt = Printf.ksprintf (fun m -> Error m) fmt
     let contents st h = match IntMap.find_opt h st with Some s -> s | None -> ""
 

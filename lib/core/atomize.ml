@@ -16,6 +16,9 @@ let spec (type i) (ops : i ops) : Spec.t =
     let init () = ops.az_create ()
     let kind = ops.az_kind
 
+    type meth = string
+    let meth = Spec.by_name kind
+
     (* [apply] must not destroy the argument state: the checker keeps a
        history of states for observer windows, so we mutate a copy. *)
     let apply state ~mid ~args ~ret =

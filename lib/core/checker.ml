@@ -13,36 +13,48 @@ type t = {
   c_restore : Repr.t -> unit;
 }
 
+(* One method of the checked specification, resolved once per checker: the
+   name as logged, the specification's handle, its kind, and how many of its
+   executions have been checked. *)
+type 'm slot = { s_name : string; s_meth : 'm; s_kind : Spec.kind; mutable s_count : int }
+
+module Names = Hashtbl.Make (String)
+
 (* One committed mutator execution waiting for its specification transition.
    Transitions happen in commit order; [ret] arrives with the method's
    return event. *)
-type pending_commit = {
+type 'm pending_commit = {
   pc_tid : Tid.t;
-  pc_mid : string;
+  pc_slot : 'm slot;
   pc_args : Repr.t list;
-  pc_kind : Spec.kind;
   mutable pc_ret : Repr.t option;
   pc_view_i : Repr.t option;  (* viewI snapshot taken at the commit action *)
 }
 
 (* An observer whose return value still awaits a matching spec state.
    Eligible state ordinals are [o_start..o_end] (Fig. 7). *)
-type pending_observer = {
-  o_exec : Report.exec;
+type 'm pending_observer = {
+  o_tid : Tid.t;
+  o_slot : 'm slot;
+  o_args : Repr.t list;
+  o_ret : Repr.t;
   o_start : int;
   o_end : int;
   mutable o_next : int;
 }
 
-type open_exec = {
-  oe_mid : string;
+type 'm open_exec = {
+  oe_slot : 'm slot;
   oe_args : Repr.t list;
-  oe_kind : Spec.kind;
   oe_start : int;  (* commits logged when the call was made *)
-  mutable oe_commit : pending_commit option;
+  mutable oe_commit : 'm pending_commit option;
 }
 
 type invariant = string * (View.lookup -> bool)
+
+(* Reports name the execution; the record is built only for a verdict. *)
+let exec_of tid slot args ret : Report.exec =
+  { e_tid = tid; e_mid = slot.s_name; e_args = args; e_ret = ret }
 
 let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
   let module Sp = (val spec) in
@@ -68,47 +80,59 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
   in
   let push_state s = Vec.push state_window s in
   let replay = Replay.create () in
-  let open_execs : (Tid.t, open_exec) Hashtbl.t = Hashtbl.create 16 in
-  let pending_commits : pending_commit Queue.t = Queue.create () in
-  let pending_observers : pending_observer Vec.t = Vec.create () in
+  let lookup = Replay.lookup replay in
+  let broken (_, pred) = not (pred lookup) in
+  (* The method table: a name is resolved by the specification on its
+     first call and found here by every later one.  Unknown names are not
+     kept, so they raise at every resolution. *)
+  let methods : Sp.meth slot Names.t = Names.create 16 in
+  let slot_of mid =
+    match Names.find methods mid with
+    | slot -> slot
+    | exception Not_found ->
+      let m = Sp.meth mid in
+      let slot = { s_name = mid; s_meth = m; s_kind = Sp.kind m; s_count = 0 } in
+      Names.add methods mid slot;
+      slot
+  in
+  let open_execs : Sp.meth open_exec Tid.Tbl.t = Tid.Tbl.create 16 in
+  let pending_commits : Sp.meth pending_commit Queue.t = Queue.create () in
+  let pending_observers : Sp.meth pending_observer Vec.t = Vec.create () in
   let commits_logged = ref 0 in
   let commits_resolved = ref 0 in
   let events_processed = ref 0 in
   let methods_checked = ref 0 in
-  let per_method : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let count_method mid =
+  let count_method slot =
     incr methods_checked;
-    Hashtbl.replace per_method mid
-      (1 + Option.value ~default:0 (Hashtbl.find_opt per_method mid))
+    slot.s_count <- slot.s_count + 1
   in
   let violation = ref None in
-  let fail v = if !violation = None then violation := Some v in
-  let exec_of ~tid ~mid ~args ~ret : Report.exec =
-    { e_tid = tid; e_mid = mid; e_args = args; e_ret = ret }
-  in
+  let clean () = match !violation with None -> true | Some _ -> false in
+  let fail v = if clean () then violation := Some v in
   let ill_formed ?event reason = fail (Report.Ill_formed { event; reason }) in
 
   (* Advance one pending observer as far as current resolution allows;
      true when it reached a verdict and should be dropped. *)
-  let step_observer (o : pending_observer) =
-    let limit = min !commits_resolved o.o_end in
+  let step_observer o =
+    let limit = Int.min !commits_resolved o.o_end in
     let rec go () =
       if o.o_next > o.o_end then begin
-        fail (Report.Observer_violation { exec = o.o_exec; window = (o.o_start, o.o_end) });
+        fail
+          (Report.Observer_violation
+             { exec = exec_of o.o_tid o.o_slot o.o_args (Some o.o_ret);
+               window = (o.o_start, o.o_end) });
         true
       end
       else if o.o_next > limit then false (* wait for more resolutions *)
+      else if
+        Sp.observe (state_at o.o_next) ~mid:o.o_slot.s_meth ~args:o.o_args ~ret:o.o_ret
+      then begin
+        count_method o.o_slot;
+        true
+      end
       else begin
-        let s = state_at o.o_next in
-        let ret = Option.get o.o_exec.e_ret in
-        if Sp.observe s ~mid:o.o_exec.e_mid ~args:o.o_exec.e_args ~ret then begin
-          count_method o.o_exec.e_mid;
-          true
-        end
-        else begin
-          o.o_next <- o.o_next + 1;
-          go ()
-        end
+        o.o_next <- o.o_next + 1;
+        go ()
       end
     in
     go ()
@@ -122,11 +146,11 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
     if !state_base < !commits_resolved then begin
       let lowest =
         Vec.fold_left
-          (fun acc (o : pending_observer) -> if o.o_next < acc then o.o_next else acc)
+          (fun acc o -> if o.o_next < acc then o.o_next else acc)
           !commits_resolved pending_observers
       in
       let lowest =
-        Hashtbl.fold
+        Tid.Tbl.fold
           (fun _ oe acc -> if oe.oe_start < acc then oe.oe_start else acc)
           open_execs lowest
       in
@@ -138,7 +162,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
   in
   let advance_observers () =
     let i = ref 0 in
-    while !violation = None && !i < Vec.length pending_observers do
+    while clean () && !i < Vec.length pending_observers do
       if step_observer (Vec.get pending_observers !i) then
         ignore (Vec.swap_remove pending_observers !i)
       else incr i
@@ -148,16 +172,23 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
   (* Resolve specification transitions for committed executions whose return
      value has arrived, in commit order. *)
   let rec resolve () =
-    if !violation = None then
-      match Queue.peek_opt pending_commits with
-      | Some pc when pc.pc_ret <> None ->
+    match !violation with
+    | Some _ -> ()
+    | None when Queue.is_empty pending_commits -> ()
+    | None -> (
+      let pc = Queue.peek pending_commits in
+      match pc.pc_ret with
+      | None -> ()
+      | Some ret -> (
         ignore (Queue.pop pending_commits);
-        let ret = Option.get pc.pc_ret in
         let ordinal = !commits_resolved + 1 in
         let cur = state_at !commits_resolved in
-        let exec = exec_of ~tid:pc.pc_tid ~mid:pc.pc_mid ~args:pc.pc_args ~ret:(Some ret) in
-        (match Sp.apply cur ~mid:pc.pc_mid ~args:pc.pc_args ~ret with
-        | Error reason -> fail (Report.Io_violation { exec; commit_ordinal = ordinal; reason })
+        match Sp.apply cur ~mid:pc.pc_slot.s_meth ~args:pc.pc_args ~ret with
+        | Error reason ->
+          fail
+            (Report.Io_violation
+               { exec = exec_of pc.pc_tid pc.pc_slot pc.pc_args pc.pc_ret;
+                 commit_ordinal = ordinal; reason })
         | Ok next ->
           push_state (Sp.snapshot next);
           commits_resolved := ordinal;
@@ -166,110 +197,101 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
             let view_s = Sp.view next in
             if not (Repr.equal view_i view_s) then
               fail
-                (Report.View_violation { exec; commit_ordinal = ordinal; view_i; view_s })
+                (Report.View_violation
+                   { exec = exec_of pc.pc_tid pc.pc_slot pc.pc_args pc.pc_ret;
+                     commit_ordinal = ordinal; view_i; view_s })
           | None -> ());
-          if !violation = None then begin
-            count_method pc.pc_mid;
+          if clean () then begin
+            count_method pc.pc_slot;
             advance_observers ();
             resolve ()
-          end)
-      | Some _ | None -> ()
+          end))
   in
 
   let on_call ev tid mid args =
-    match Hashtbl.find_opt open_execs tid with
-    | Some open_e ->
+    if Tid.Tbl.mem open_execs tid then
       ill_formed ~event:ev
         (Printf.sprintf "%s called %s while %s is still executing"
-           (Tid.to_string tid) mid open_e.oe_mid)
-    | None ->
-      (match Sp.kind mid with
-      | kind ->
-        Hashtbl.replace open_execs tid
-          { oe_mid = mid; oe_args = args; oe_kind = kind; oe_start = !commits_logged;
-            oe_commit = None }
-      | exception Invalid_argument m -> ill_formed ~event:ev m)
+           (Tid.to_string tid) mid (Tid.Tbl.find open_execs tid).oe_slot.s_name)
+    else
+      match slot_of mid with
+      | slot ->
+        Tid.Tbl.add open_execs tid
+          { oe_slot = slot; oe_args = args; oe_start = !commits_logged; oe_commit = None }
+      | exception Invalid_argument m -> ill_formed ~event:ev m
   in
 
   let on_commit ev tid =
-    match Hashtbl.find_opt open_execs tid with
-    | None ->
+    match Tid.Tbl.find open_execs tid with
+    | exception Not_found ->
       ill_formed ~event:ev
         (Tid.to_string tid ^ " committed outside any method execution")
-    | Some oe -> (
-      match oe.oe_kind with
-      | Spec.Observer ->
+    | oe -> (
+      match (oe.oe_slot.s_kind, oe.oe_commit) with
+      | Spec.Observer, _ ->
         ill_formed ~event:ev
-          (Printf.sprintf "observer %s carries a commit annotation" oe.oe_mid)
-      | Spec.Mutator | Spec.Internal ->
-        if oe.oe_commit <> None then
-          ill_formed ~event:ev
-            (Printf.sprintf "%s has two commit actions in one execution of %s"
-               (Tid.to_string tid) oe.oe_mid)
-        else begin
-          Replay.commit replay tid;
-          let view_i = Option.map (fun ev' -> View.recompute ev' replay) view_eval in
-          (match
-             List.find_opt
-               (fun (_, pred) -> not (pred (Replay.lookup replay)))
-               invariants
-           with
+          (Printf.sprintf "observer %s carries a commit annotation" oe.oe_slot.s_name)
+      | (Spec.Mutator | Spec.Internal), Some _ ->
+        ill_formed ~event:ev
+          (Printf.sprintf "%s has two commit actions in one execution of %s"
+             (Tid.to_string tid) oe.oe_slot.s_name)
+      | (Spec.Mutator | Spec.Internal), None ->
+        Replay.commit replay tid;
+        let view_i =
+          match view_eval with Some e -> Some (View.recompute e replay) | None -> None
+        in
+        (match invariants with
+        | [] -> ()
+        | _ -> (
+          match List.find_opt broken invariants with
           | Some (name, _) ->
             fail
               (Report.Invariant_violation
-                 {
-                   exec =
-                     exec_of ~tid ~mid:oe.oe_mid ~args:oe.oe_args ~ret:None;
+                 { exec = exec_of tid oe.oe_slot oe.oe_args None;
                    commit_ordinal = !commits_logged + 1;
-                   invariant = name;
-                 })
-          | None -> ());
-          incr commits_logged;
-          let pc =
-            { pc_tid = tid; pc_mid = oe.oe_mid; pc_args = oe.oe_args;
-              pc_kind = oe.oe_kind; pc_ret = None; pc_view_i = view_i }
-          in
-          Queue.push pc pending_commits;
-          oe.oe_commit <- Some pc
-        end)
+                   invariant = name })
+          | None -> ()));
+        incr commits_logged;
+        let pc =
+          { pc_tid = tid; pc_slot = oe.oe_slot; pc_args = oe.oe_args; pc_ret = None;
+            pc_view_i = view_i }
+        in
+        Queue.push pc pending_commits;
+        oe.oe_commit <- Some pc)
   in
 
   let on_return ev tid mid value =
-    match Hashtbl.find_opt open_execs tid with
-    | None ->
+    match Tid.Tbl.find open_execs tid with
+    | exception Not_found ->
       ill_formed ~event:ev (Tid.to_string tid ^ " returned from " ^ mid ^ " without a call")
-    | Some oe when oe.oe_mid <> mid ->
+    | oe when not (String.equal oe.oe_slot.s_name mid) ->
       ill_formed ~event:ev
         (Printf.sprintf "%s returned from %s while executing %s" (Tid.to_string tid)
-           mid oe.oe_mid)
-    | Some oe -> (
-      Hashtbl.remove open_execs tid;
-      let as_observer () =
-        let o =
-          { o_exec = exec_of ~tid ~mid ~args:oe.oe_args ~ret:(Some value);
-            o_start = oe.oe_start;
-            o_end = !commits_logged;
-            o_next = oe.oe_start }
-        in
-        if not (step_observer o) then Vec.push pending_observers o
-      in
-      (match (oe.oe_kind, oe.oe_commit) with
+           mid oe.oe_slot.s_name)
+    | oe ->
+      Tid.Tbl.remove open_execs tid;
+      (match (oe.oe_slot.s_kind, oe.oe_commit) with
       | (Spec.Mutator | Spec.Internal), Some pc ->
         pc.pc_ret <- Some value;
         resolve ()
-      | (Spec.Mutator | Spec.Internal), None ->
+      | (Spec.Mutator | Spec.Internal), None | Spec.Observer, _ ->
         (* An execution that never committed performed no transition: it is
            checked like an observer (window semantics).  The specification's
            [observe] rejects return values that would have required a
            mutation, so a genuinely missing commit annotation still
            surfaces as a violation. *)
-        as_observer ()
-      | Spec.Observer, _ -> as_observer ());
-      prune_states ())
+        let o =
+          { o_tid = tid; o_slot = oe.oe_slot; o_args = oe.oe_args; o_ret = value;
+            o_start = oe.oe_start; o_end = !commits_logged; o_next = oe.oe_start }
+        in
+        if not (step_observer o) then Vec.push pending_observers o);
+      prune_states ()
   in
 
   let feed ev =
-    if !violation = None then begin
+    match !violation with
+    | Some _ -> None
+    | None ->
       incr events_processed;
       (try
          match ev with
@@ -282,8 +304,6 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
          | Event.Read _ | Event.Acquire _ | Event.Release _ -> ()
        with Replay.Ill_formed reason -> ill_formed ~event:ev reason);
       !violation
-    end
-    else None
   in
   (* ---------------------------------------------------------- checkpoints
 
@@ -297,14 +317,28 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
      marks every variable dirty, so the first recomputation rebuilds it. *)
   let format_tag = "checker/1" in
   let kind_code = function Spec.Mutator -> 0 | Spec.Observer -> 1 | Spec.Internal -> 2 in
-  let kind_of_code = function
-    | 0 -> Spec.Mutator
-    | 1 -> Spec.Observer
-    | 2 -> Spec.Internal
-    | n -> Ckpt.malformed "checker snapshot: unknown method kind %d" n
+  (* a method name read back from a snapshot must resolve, and to the kind
+     the snapshot recorded for it, if any *)
+  let slot_in ?kind mid =
+    let mid = Ckpt.str mid in
+    match slot_of mid with
+    | exception Invalid_argument m -> Ckpt.malformed "checker snapshot: %s" m
+    | slot ->
+      (match kind with
+      | Some k when kind_code slot.s_kind <> Ckpt.int k ->
+        Ckpt.malformed "checker snapshot: %s recorded with kind %d" mid (Ckpt.int k)
+      | Some _ | None -> ());
+      slot
+  in
+  (* per-method counts, sorted by name: the [Report.stats] field *)
+  let per_method () =
+    Names.fold
+      (fun _ slot acc -> if slot.s_count > 0 then (slot.s_name, slot.s_count) :: acc else acc)
+      methods []
+    |> List.sort compare
   in
   let snapshot () =
-    if !violation <> None then None
+    if not (clean ()) then None
     else
       match
         List.rev
@@ -317,38 +351,35 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
       | states ->
         let enc_pc pc =
           Repr.List
-            [ Repr.Int pc.pc_tid; Repr.Str pc.pc_mid; Repr.List pc.pc_args;
-              Repr.Int (kind_code pc.pc_kind); Ckpt.of_opt pc.pc_ret;
+            [ Repr.Int pc.pc_tid; Repr.Str pc.pc_slot.s_name; Repr.List pc.pc_args;
+              Repr.Int (kind_code pc.pc_slot.s_kind); Ckpt.of_opt pc.pc_ret;
               Ckpt.of_opt pc.pc_view_i ]
         in
         let pcs =
           List.rev (Queue.fold (fun acc pc -> enc_pc pc :: acc) [] pending_commits)
         in
         let oes =
-          Hashtbl.fold (fun tid oe acc -> (tid, oe) :: acc) open_execs []
-          |> List.sort compare
+          Tid.Tbl.fold (fun tid oe acc -> (tid, oe) :: acc) open_execs []
+          |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
           |> List.map (fun (tid, oe) ->
                  Repr.List
-                   [ Repr.Int tid; Repr.Str oe.oe_mid; Repr.List oe.oe_args;
-                     Repr.Int (kind_code oe.oe_kind); Repr.Int oe.oe_start;
-                     Repr.Bool (oe.oe_commit <> None) ])
+                   [ Repr.Int tid; Repr.Str oe.oe_slot.s_name; Repr.List oe.oe_args;
+                     Repr.Int (kind_code oe.oe_slot.s_kind); Repr.Int oe.oe_start;
+                     Repr.Bool (Option.is_some oe.oe_commit) ])
         in
         let obs =
           List.rev
             (Vec.fold_left
-               (fun acc (o : pending_observer) ->
+               (fun acc o ->
                  Repr.List
-                   [ Repr.Int o.o_exec.Report.e_tid; Repr.Str o.o_exec.Report.e_mid;
-                     Repr.List o.o_exec.Report.e_args;
-                     Ckpt.of_opt o.o_exec.Report.e_ret; Repr.Int o.o_start;
-                     Repr.Int o.o_end; Repr.Int o.o_next ]
+                   [ Repr.Int o.o_tid; Repr.Str o.o_slot.s_name; Repr.List o.o_args;
+                     Ckpt.of_opt (Some o.o_ret); Repr.Int o.o_start; Repr.Int o.o_end;
+                     Repr.Int o.o_next ]
                  :: acc)
                [] pending_observers)
         in
         let pm =
-          Hashtbl.fold (fun mid n acc -> (mid, n) :: acc) per_method []
-          |> List.sort compare
-          |> List.map (fun (mid, n) -> Repr.Pair (Repr.Str mid, Repr.Int n))
+          List.map (fun (mid, n) -> Repr.Pair (Repr.Str mid, Repr.Int n)) (per_method ())
         in
         Some
           (Ckpt.tagged format_tag
@@ -363,7 +394,8 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
     match Ckpt.list (Ckpt.untag format_tag repr) with
     | [ ep; cl; cr; mc; pm; sb; states; pcs; oes; obs; rp ] ->
       (* parse (and validate) everything before mutating, so most malformed
-         checkpoints reject without touching the checker *)
+         checkpoints reject without touching the checker; resolving a name
+         only fills the method table, which holds no checking state *)
       let ep = Ckpt.int ep and cl = Ckpt.int cl and cr = Ckpt.int cr in
       let mc = Ckpt.int mc and sb = Ckpt.int sb in
       let states =
@@ -383,22 +415,21 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
       let dec_pc r =
         match Ckpt.list r with
         | [ tid; mid; args; kind; ret; view_i ] ->
-          { pc_tid = Ckpt.int tid; pc_mid = Ckpt.str mid; pc_args = Ckpt.list args;
-            pc_kind = kind_of_code (Ckpt.int kind); pc_ret = Ckpt.opt ret;
-            pc_view_i = Ckpt.opt view_i }
+          { pc_tid = Ckpt.int tid; pc_slot = slot_in mid ~kind; pc_args = Ckpt.list args;
+            pc_ret = Ckpt.opt ret; pc_view_i = Ckpt.opt view_i }
         | _ -> Ckpt.malformed "checker snapshot: bad pending commit"
       in
       let pcs = List.map dec_pc (Ckpt.list pcs) in
       (* a pending commit whose return has not arrived belongs to exactly
          one still-open execution of the same thread: re-link the alias *)
-      let pc_by_tid = Hashtbl.create 8 in
+      let pc_by_tid = Tid.Tbl.create 8 in
       List.iter
         (fun pc ->
-          if pc.pc_ret = None then begin
-            if Hashtbl.mem pc_by_tid pc.pc_tid then
+          if Option.is_none pc.pc_ret then begin
+            if Tid.Tbl.mem pc_by_tid pc.pc_tid then
               Ckpt.malformed "checker snapshot: two open commits on %s"
                 (Tid.to_string pc.pc_tid);
-            Hashtbl.replace pc_by_tid pc.pc_tid pc
+            Tid.Tbl.replace pc_by_tid pc.pc_tid pc
           end)
         pcs;
       let dec_oe r =
@@ -411,7 +442,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
               start sb;
           let commit =
             if Ckpt.bool has_commit then (
-              match Hashtbl.find_opt pc_by_tid tid with
+              match Tid.Tbl.find_opt pc_by_tid tid with
               | Some pc -> Some pc
               | None ->
                 Ckpt.malformed "checker snapshot: open execution on %s has no commit"
@@ -419,8 +450,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
             else None
           in
           ( tid,
-            { oe_mid = Ckpt.str mid; oe_args = Ckpt.list args;
-              oe_kind = kind_of_code (Ckpt.int kind); oe_start = start;
+            { oe_slot = slot_in mid ~kind; oe_args = Ckpt.list args; oe_start = start;
               oe_commit = commit } )
         | _ -> Ckpt.malformed "checker snapshot: bad open execution"
       in
@@ -430,15 +460,12 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
         | [ tid; mid; args; ret; start; end_; next ] ->
           let ret =
             match Ckpt.opt ret with
-            | Some v -> Some v
+            | Some v -> v
             | None -> Ckpt.malformed "checker snapshot: observer without return value"
           in
           let o =
-            { o_exec =
-                { Report.e_tid = Ckpt.int tid; e_mid = Ckpt.str mid;
-                  e_args = Ckpt.list args; e_ret = ret };
-              o_start = Ckpt.int start; o_end = Ckpt.int end_;
-              o_next = Ckpt.int next }
+            { o_tid = Ckpt.int tid; o_slot = slot_in mid; o_args = Ckpt.list args; o_ret = ret;
+              o_start = Ckpt.int start; o_end = Ckpt.int end_; o_next = Ckpt.int next }
           in
           if o.o_next < sb || o.o_next < o.o_start || o.o_end > cl then
             Ckpt.malformed "checker snapshot: observer window outside retained states";
@@ -450,7 +477,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
         List.map
           (fun r ->
             let m, n = Ckpt.pair r in
-            (Ckpt.str m, Ckpt.int n))
+            (slot_in m, Ckpt.int n))
           (Ckpt.list pm)
       in
       violation := None;
@@ -458,15 +485,15 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
       commits_logged := cl;
       commits_resolved := cr;
       methods_checked := mc;
-      Hashtbl.reset per_method;
-      List.iter (fun (m, n) -> Hashtbl.replace per_method m n) pm;
+      Names.iter (fun _ slot -> slot.s_count <- 0) methods;
+      List.iter (fun (slot, n) -> slot.s_count <- n) pm;
       state_base := sb;
       Vec.clear state_window;
       List.iter (Vec.push state_window) states;
       Queue.clear pending_commits;
       List.iter (fun pc -> Queue.push pc pending_commits) pcs;
-      Hashtbl.reset open_execs;
-      List.iter (fun (tid, oe) -> Hashtbl.replace open_execs tid oe) oes;
+      Tid.Tbl.reset open_execs;
+      List.iter (fun (tid, oe) -> Tid.Tbl.replace open_execs tid oe) oes;
       Vec.clear pending_observers;
       List.iter (Vec.push pending_observers) obs;
       Replay.restore replay rp;
@@ -479,9 +506,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
       { events_processed = !events_processed;
         methods_checked = !methods_checked;
         commits_resolved = !commits_resolved;
-        per_method =
-          Hashtbl.fold (fun mid n acc -> (mid, n) :: acc) per_method []
-          |> List.sort compare;
+        per_method = per_method ();
         queue_high_water = 0 }
     in
     match !violation with

@@ -74,7 +74,8 @@ val snapshot : t -> Repr.t option
 (** [restore t repr] replaces [t]'s state with a snapshot.  [t] must have
     been created with the same arguments as the snapshotting checker.
     @raise Ckpt.Malformed (or [Invalid_argument] from the spec's [load])
-    when [repr] is not a usable snapshot; [t] may then be partially
+    when [repr] is not a usable snapshot, including one that names a method
+    the spec does not resolve, or records it with another kind; [t] may then be partially
     mutated — discard it and fall back to an older checkpoint or a fresh
     full-replay checker. *)
 val restore : t -> Repr.t -> unit

@@ -38,11 +38,25 @@ let locked t f =
     Mutex.unlock t.lock;
     raise e
 
+(* The per-event path allocates nothing: it locks inline, where [locked]
+   would build a closure, and binds each listener before calling it, where
+   [(Vec.get t.listeners i) ev] would be an over-application that builds
+   one too. *)
 let append t ev =
-  if admits t.lvl ev then
-    locked t (fun () ->
-        Vec.push t.events ev;
-        Vec.iter (fun f -> f ev) t.listeners)
+  if admits t.lvl ev then begin
+    Mutex.lock t.lock;
+    match
+      Vec.push t.events ev;
+      for i = 0 to Vec.length t.listeners - 1 do
+        let listener = Vec.get t.listeners i in
+        listener ev
+      done
+    with
+    | () -> Mutex.unlock t.lock
+    | exception e ->
+      Mutex.unlock t.lock;
+      raise e
+  end
   else Atomic.incr t.dropped
 
 let length t = locked t (fun () -> Vec.length t.events)

@@ -29,7 +29,7 @@ let executions (module Sp : Spec.S) events =
           fail "event %d: %s calls %s inside another execution" i
             (Tid.to_string tid) mid
         else (
-          match Sp.kind mid with
+          match Sp.kind (Sp.meth mid) with
           | _ ->
             Hashtbl.replace open_calls tid (mid, args, i, None);
             go (i + 1) acc rest
@@ -41,7 +41,7 @@ let executions (module Sp : Spec.S) events =
           fail "event %d: second commit in %s's execution of %s" i (Tid.to_string tid)
             mid
         | Some (mid, args, call_at, None) ->
-          if Sp.kind mid = Spec.Observer then
+          if Sp.kind (Sp.meth mid) = Spec.Observer then
             fail "event %d: observer %s carries a commit annotation" i mid
           else begin
             Hashtbl.replace open_calls tid (mid, args, call_at, Some i);
@@ -58,7 +58,7 @@ let executions (module Sp : Spec.S) events =
           Hashtbl.remove open_calls tid;
           let x =
             { x_tid = tid; x_mid = mid; x_args = args; x_ret = value;
-              x_kind = Sp.kind mid; x_call_at = call_at; x_ret_at = i;
+              x_kind = Sp.kind (Sp.meth mid); x_call_at = call_at; x_ret_at = i;
               x_commit_at = commit_at }
           in
           go (i + 1) (x :: acc) rest)
@@ -108,7 +108,7 @@ let check ?view log spec =
       (fun acc x ->
         let* states = acc in
         let current = List.hd states in
-        match Sp.apply current ~mid:x.x_mid ~args:x.x_args ~ret:x.x_ret with
+        match Sp.apply current ~mid:(Sp.meth x.x_mid) ~args:x.x_args ~ret:x.x_ret with
         | Error reason ->
           fail "commit of %s %s: %s" (Tid.to_string x.x_tid) x.x_mid reason
         | Ok next ->
@@ -148,7 +148,7 @@ let check ?view log spec =
     let hi = commits_before x.x_ret_at in
     let rec any i =
       i <= hi
-      && (Sp.observe states.(i) ~mid:x.x_mid ~args:x.x_args ~ret:x.x_ret
+      && (Sp.observe states.(i) ~mid:(Sp.meth x.x_mid) ~args:x.x_args ~ret:x.x_ret
          || any (i + 1))
     in
     if any lo then Ok ()
@@ -229,14 +229,14 @@ let check_indexed ?view log spec =
          | Some (mid', _, _, _) ->
            bad "%s calls %s inside an execution of %s" (Tid.to_string tid) mid mid'
          | None -> (
-           match Sp.kind mid with
+           match Sp.kind (Sp.meth mid) with
            | _ -> Hashtbl.replace open_calls tid (mid, args, !i, ref None)
            | exception Invalid_argument m -> bad "%s" m))
        | Event.Commit { tid } -> (
          match Hashtbl.find_opt open_calls tid with
          | None -> bad "%s commits outside any execution" (Tid.to_string tid)
          | Some (mid, _, _, commit_at) ->
-           if Sp.kind mid = Spec.Observer then
+           if Sp.kind (Sp.meth mid) = Spec.Observer then
              bad "observer %s carries a commit annotation" mid
            else if !commit_at <> None then
              bad "second commit in %s's execution of %s" (Tid.to_string tid) mid
@@ -254,7 +254,7 @@ let check_indexed ?view log spec =
            Hashtbl.remove open_calls tid;
            execs :=
              { x_tid = tid; x_mid = mid; x_args = args; x_ret = value;
-               x_kind = Sp.kind mid; x_call_at = call_at; x_ret_at = !i;
+               x_kind = Sp.kind (Sp.meth mid); x_call_at = call_at; x_ret_at = !i;
                x_commit_at = !commit_at }
              :: !execs)
        | Event.Write { tid; var; value } -> Replay.write replay tid var value
@@ -295,7 +295,7 @@ let check_indexed ?view log spec =
   let k = ref 1 in
   while !fold_fail = None && !k <= resolvable do
     let x = Option.get exec_of_ord.(!k) in
-    (match Sp.apply states.(!k - 1) ~mid:x.x_mid ~args:x.x_args ~ret:x.x_ret with
+    (match Sp.apply states.(!k - 1) ~mid:(Sp.meth x.x_mid) ~args:x.x_args ~ret:x.x_ret with
     | Error reason ->
       fold_fail :=
         Some
@@ -342,7 +342,7 @@ let check_indexed ?view log spec =
         if hi <= obs_limit then begin
           let rec all_reject j =
             j > hi
-            || ((not (Sp.observe states.(j) ~mid:x.x_mid ~args:x.x_args ~ret:x.x_ret))
+            || ((not (Sp.observe states.(j) ~mid:(Sp.meth x.x_mid) ~args:x.x_args ~ret:x.x_ret))
                && all_reject (j + 1))
           in
           if all_reject lo then begin

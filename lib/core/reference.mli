@@ -15,7 +15,10 @@
 
     It is quadratic and allocation-happy by design; its only job is to be
     obviously faithful to the paper so the fast checker can be validated
-    against it ([test/test_oracle.ml]). *)
+    against it ([test/test_oracle.ml]).  For the same reason it resolves a
+    method name with [Spec.S.meth] at every use instead of keeping the
+    handle, so a resolution bug in the checker's method table cannot hide
+    behind the same bug here. *)
 
 (** [check ?view log spec] returns [Ok ()] or a description of the first
     problem found (phase order, not log order — agreement with {!Checker}

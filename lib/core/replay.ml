@@ -7,22 +7,33 @@ type block = { buffered : (string * Repr.t) Vec.t; mutable published : bool }
 
 module Vars = Hashtbl.Make (String)
 
-(* One variable: its visible value ([None] until first published, for a
-   cell a reader's missed lookup created) and the reader bits of the view
-   components that looked it up. *)
-type cell = { mutable value : Repr.t option; mutable readers : int }
+(* One variable: its name, its visible value ([None] until first
+   published, for a cell a reader's missed lookup created), the reader bits
+   of the view components that looked it up, and whether it is on the
+   dirty list. *)
+type cell = {
+  var : string;
+  mutable value : Repr.t option;
+  mutable readers : int;
+  mutable is_dirty : bool;
+}
 
 type t = {
   visible : cell Vars.t;
-  blocks : (Tid.t, block) Hashtbl.t;
-  dirty : (string, unit) Hashtbl.t;
+  blocks : block Tid.Tbl.t;
+  mutable dirty : cell list;  (* cells published with a new value since [take_dirty] *)
   mutable stale : int;  (* readers of cells published with a new value *)
   mutable owner : int;  (* reader whose bits [stale] collects; 0 = none *)
 }
 
 let create () =
-  { visible = Vars.create 64; blocks = Hashtbl.create 8; dirty = Hashtbl.create 64;
-    stale = 0; owner = 0 }
+  { visible = Vars.create 64; blocks = Tid.Tbl.create 8; dirty = []; stale = 0; owner = 0 }
+
+let mark_dirty t c =
+  if not c.is_dirty then begin
+    c.is_dirty <- true;
+    t.dirty <- c :: t.dirty
+  end
 
 let publish t var v =
   match Vars.find t.visible var with
@@ -30,20 +41,21 @@ let publish t var v =
   | c ->
     c.value <- Some v;
     t.stale <- t.stale lor c.readers;
-    Hashtbl.replace t.dirty var ()
+    mark_dirty t c
   | exception Not_found ->
-    Vars.add t.visible var { value = Some v; readers = 0 };
-    Hashtbl.replace t.dirty var ()
+    let c = { var; value = Some v; readers = 0; is_dirty = false } in
+    Vars.add t.visible var c;
+    mark_dirty t c
 
 let write t tid var v =
-  match Hashtbl.find_opt t.blocks tid with
-  | Some b when not b.published -> Vec.push b.buffered (var, v)
-  | Some _ | None -> publish t var v
+  match Tid.Tbl.find t.blocks tid with
+  | b when not b.published -> Vec.push b.buffered (var, v)
+  | _ | (exception Not_found) -> publish t var v
 
 let block_begin t tid =
-  if Hashtbl.mem t.blocks tid then
+  if Tid.Tbl.mem t.blocks tid then
     raise (Ill_formed (Tid.to_string tid ^ ": nested commit block"));
-  Hashtbl.replace t.blocks tid { buffered = Vec.create (); published = false }
+  Tid.Tbl.replace t.blocks tid { buffered = Vec.create (); published = false }
 
 let drain t b =
   Vec.iter (fun (var, v) -> publish t var v) b.buffered;
@@ -51,16 +63,16 @@ let drain t b =
   b.published <- true
 
 let commit t tid =
-  match Hashtbl.find_opt t.blocks tid with
-  | Some b when not b.published -> drain t b
-  | Some _ | None -> ()
+  match Tid.Tbl.find t.blocks tid with
+  | b when not b.published -> drain t b
+  | _ | (exception Not_found) -> ()
 
 let block_end t tid =
-  match Hashtbl.find_opt t.blocks tid with
-  | Some b ->
+  match Tid.Tbl.find t.blocks tid with
+  | b ->
     if not b.published then drain t b;
-    Hashtbl.remove t.blocks tid
-  | None -> raise (Ill_formed (Tid.to_string tid ^ ": block end without begin"))
+    Tid.Tbl.remove t.blocks tid
+  | exception Not_found -> raise (Ill_formed (Tid.to_string tid ^ ": block end without begin"))
 
 let lookup t var = match Vars.find t.visible var with c -> c.value | exception Not_found -> None
 
@@ -72,7 +84,7 @@ let read t ~reader var =
     c.readers <- c.readers lor reader;
     c.value
   | exception Not_found ->
-    Vars.add t.visible var { value = None; readers = reader };
+    Vars.add t.visible var { var; value = None; readers = reader; is_dirty = false };
     None
 
 let take_stale t ~owner =
@@ -85,8 +97,14 @@ let fold f t acc =
   Vars.fold (fun var c acc -> match c.value with Some v -> f var v acc | None -> acc) t.visible acc
 
 let take_dirty t =
-  let vars = Hashtbl.fold (fun var () acc -> var :: acc) t.dirty [] in
-  Hashtbl.reset t.dirty;
+  let vars =
+    List.rev_map
+      (fun c ->
+        c.is_dirty <- false;
+        c.var)
+      t.dirty
+  in
+  t.dirty <- [];
   vars
 
 (* ---------------------------------------------------------- checkpoints *)
@@ -98,8 +116,8 @@ let snapshot t =
     |> List.map (fun (var, v) -> Repr.Pair (Repr.Str var, v))
   in
   let blocks =
-    Hashtbl.fold (fun tid b acc -> (tid, b) :: acc) t.blocks []
-    |> List.sort compare
+    Tid.Tbl.fold (fun tid b acc -> (tid, b) :: acc) t.blocks []
+    |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
     |> List.map (fun (tid, b) ->
            Repr.List
              [
@@ -118,8 +136,8 @@ let restore t repr =
   match repr with
   | Repr.List [ Repr.List visible; Repr.List blocks ] ->
     Vars.reset t.visible;
-    Hashtbl.reset t.blocks;
-    Hashtbl.reset t.dirty;
+    Tid.Tbl.reset t.blocks;
+    t.dirty <- [];
     (* the reader bits are gone with the old cells: no reader's memo
        survives *)
     t.owner <- 0;
@@ -127,10 +145,11 @@ let restore t repr =
       (fun kv ->
         let var, v = Ckpt.pair kv in
         let var = Ckpt.str var in
-        Vars.replace t.visible var { value = Some v; readers = 0 };
+        let c = { var; value = Some v; readers = 0; is_dirty = false } in
+        Vars.replace t.visible var c;
         (* every restored variable starts dirty so an incremental view
            rebuilds its projections from scratch *)
-        Hashtbl.replace t.dirty var ())
+        mark_dirty t c)
       visible;
     List.iter
       (fun bl ->
@@ -142,7 +161,7 @@ let restore t repr =
               let var, v = Ckpt.pair kv in
               Vec.push b.buffered (Ckpt.str var, v))
             (Ckpt.list buffered);
-          Hashtbl.replace t.blocks (Ckpt.int tid) b
+          Tid.Tbl.replace t.blocks (Ckpt.int tid) b
         | _ -> Ckpt.malformed "replay snapshot: bad block entry")
       blocks
   | v -> Ckpt.malformed "replay snapshot: %s" (Repr.to_string v)

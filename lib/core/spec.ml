@@ -6,12 +6,14 @@ let pp_kind ppf k =
 
 module type S = sig
   type state
+  type meth
 
   val name : string
   val init : unit -> state
-  val kind : string -> kind
-  val apply : state -> mid:string -> args:Repr.t list -> ret:Repr.t -> (state, string) result
-  val observe : state -> mid:string -> args:Repr.t list -> ret:Repr.t -> bool
+  val meth : string -> meth
+  val kind : meth -> kind
+  val apply : state -> mid:meth -> args:Repr.t list -> ret:Repr.t -> (state, string) result
+  val observe : state -> mid:meth -> args:Repr.t list -> ret:Repr.t -> bool
   val view : state -> Repr.t
   val snapshot : state -> state
   val save : state -> Repr.t option
@@ -19,3 +21,7 @@ module type S = sig
 end
 
 type t = (module S)
+
+let by_name kind mid =
+  ignore (kind mid : kind);
+  mid

@@ -22,23 +22,31 @@ val pp_kind : Format.formatter -> kind -> unit
 module type S = sig
   type state
 
+  (** A resolved public method: what [kind], [apply] and [observe] take.
+      A checker resolves each method name once and keeps the handle, so
+      no per-event work depends on how long or how many the names are. *)
+  type meth
+
   val name : string
   val init : unit -> state
 
-  (** [kind mid] classifies public method [mid].
-      @raise Invalid_argument for unknown methods. *)
-  val kind : string -> kind
+  (** [meth mid] resolves public method [mid].
+      @raise Invalid_argument for unknown methods, at every call. *)
+  val meth : string -> meth
+
+  (** [kind m] classifies a resolved method. *)
+  val kind : meth -> kind
 
   (** [apply state ~mid ~args ~ret] takes the unique transition of mutator
       (or internal) method [mid] that returns [ret], or explains why no such
       transition exists.  It never mutates [state]: the checker keeps
       earlier states for observer windows, and a {!Spec_compose} product
       keeps the component views it computed for them. *)
-  val apply : state -> mid:string -> args:Repr.t list -> ret:Repr.t -> (state, string) result
+  val apply : state -> mid:meth -> args:Repr.t list -> ret:Repr.t -> (state, string) result
 
   (** [observe state ~mid ~args ~ret] tells whether observer [mid] may
       return [ret] in [state]. *)
-  val observe : state -> mid:string -> args:Repr.t list -> ret:Repr.t -> bool
+  val observe : state -> mid:meth -> args:Repr.t list -> ret:Repr.t -> bool
 
   (** [view state] is the canonical abstract contents [viewS] (§5). *)
   val view : state -> Repr.t
@@ -62,3 +70,11 @@ module type S = sig
 end
 
 type t = (module S)
+
+(** [by_name kind] is the [meth] of a leaf specification whose handle is
+    the method name itself: [by_name kind mid] checks [mid] once with
+    [kind] (which raises [Invalid_argument] for unknown names) and returns
+    it.  A leaf then keeps dispatching on names:
+    {[ type meth = string
+       let meth = Spec.by_name kind ]} *)
+val by_name : (string -> kind) -> string -> string

@@ -1,13 +1,9 @@
-(* Routing: a method belongs to the left component iff [A.kind] accepts it;
-   otherwise it is handed to the right component (whose [kind] raises for
-   genuinely unknown names).  Each known method's side is probed once and
-   kept in a table that is copied on write and published through an
-   [Atomic], so checkers on several domains can share one product spec;
-   unknown names are not kept and raise at every call. *)
-
-module Routes = Hashtbl.Make (String)
-
-let knows kind mid = match kind mid with _ -> true | exception Invalid_argument _ -> false
+(* Routing: a method belongs to the left component iff [A.meth] resolves
+   it; otherwise it is handed to the right component (whose [meth] raises
+   for genuinely unknown names).  Resolution happens once per name, in the
+   checker's method table, and the handle records the side: every later
+   [kind], [apply] and [observe] is one constructor match per level. *)
+type ('a, 'b) meth = L of 'a | R of 'b
 
 (* A product state carries the views of its two components, computed on
    demand and kept while the component is unchanged: a commit on one side
@@ -26,39 +22,32 @@ let pair (speca : Spec.t) (specb : Spec.t) : Spec.t =
   let module B = (val specb) in
   let module P = struct
     type nonrec state = (A.state, B.state) state
+    type nonrec meth = (A.meth, B.meth) meth
 
     let name = A.name ^ " * " ^ B.name
     let make l r = { l; r; lv = None; rv = None }
     let init () = make (A.init ()) (B.init ())
-    let routes : bool Routes.t Atomic.t = Atomic.make (Routes.create 16)
 
-    let rec left mid =
-      let table = Atomic.get routes in
-      match Routes.find table mid with
-      | side -> side
-      | exception Not_found ->
-        let side = knows A.kind mid in
-        if (not side) && not (knows B.kind mid) then false
-        else begin
-          let table' = Routes.copy table in
-          Routes.replace table' mid side;
-          if Atomic.compare_and_set routes table table' then side else left mid
-        end
+    let meth mid =
+      match A.meth mid with m -> L m | exception Invalid_argument _ -> R (B.meth mid)
 
-    let kind mid = if left mid then A.kind mid else B.kind mid
+    let kind = function L m -> A.kind m | R m -> B.kind m
 
     let apply s ~mid ~args ~ret =
-      if left mid then
-        Result.map
-          (fun l -> if l == s.l then s else { s with l; lv = None })
-          (A.apply s.l ~mid ~args ~ret)
-      else
-        Result.map
-          (fun r -> if r == s.r then s else { s with r; rv = None })
-          (B.apply s.r ~mid ~args ~ret)
+      match mid with
+      | L mid -> (
+        match A.apply s.l ~mid ~args ~ret with
+        | Ok l -> Ok (if l == s.l then s else { s with l; lv = None })
+        | Error _ as e -> e)
+      | R mid -> (
+        match B.apply s.r ~mid ~args ~ret with
+        | Ok r -> Ok (if r == s.r then s else { s with r; rv = None })
+        | Error _ as e -> e)
 
     let observe s ~mid ~args ~ret =
-      if left mid then A.observe s.l ~mid ~args ~ret else B.observe s.r ~mid ~args ~ret
+      match mid with
+      | L mid -> A.observe s.l ~mid ~args ~ret
+      | R mid -> B.observe s.r ~mid ~args ~ret
 
     let view s =
       let lv =

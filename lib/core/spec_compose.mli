@@ -8,12 +8,13 @@
     (each method is routed to the component that knows it), and the
     composite view is the {!View.Pair} of the components' views. *)
 
-(** [pair a b] is the product specification.  Each method's component is
-    looked up once and remembered; the table is safe to share between
-    domains.  A product state keeps the view of each component until that
+(** [pair a b] is the product specification.  Its [meth] resolves a name
+    to the component that knows it, left first, so [kind], [apply] and
+    [observe] route by one constructor match; the product keeps no table
+    and is safe to share between domains.  A product state keeps the view of each component until that
     component changes, so a commit on one side rebuilds no view of the
     other: this relies on [apply] never mutating its argument.
-    @raise Invalid_argument at checking time for methods neither component
+    @raise Invalid_argument from [meth] for methods neither component
     knows. *)
 val pair : Spec.t -> Spec.t -> Spec.t
 

@@ -227,6 +227,9 @@ let spec ~buffers : Spec.t =
       | "to_string" | "length" | "char_at" -> Spec.Observer
       | m -> invalid_arg ("string_buffer spec: unknown method " ^ m)
 
+    type meth = string
+    let meth = Spec.by_name kind
+
     let bad fmt = Printf.ksprintf (fun m -> Error m) fmt
     let contents st b = match IntMap.find_opt b st with Some s -> s | None -> ""
 

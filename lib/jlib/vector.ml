@@ -220,6 +220,9 @@ module S = struct
       Spec.Observer
     | m -> invalid_arg ("vector spec: unknown method " ^ m)
 
+  type meth = string
+  let meth = Spec.by_name kind
+
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt
 
   let apply st ~mid ~args ~ret =

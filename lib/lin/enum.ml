@@ -14,7 +14,8 @@ let check ?(budget = 1_000_000) ?(pending_rets = Jit.default_pending_rets)
     invalid_arg
       (Printf.sprintf "Enum.check: %d operations exceed the exhaustive bound %d"
          n max_ops);
-  let kinds = Array.map (fun (o : History.op) -> Sp.kind o.History.op_mid) ops in
+  let meths = Array.map (fun (o : History.op) -> Sp.meth o.History.op_mid) ops in
+  let kinds = Array.map Sp.kind meths in
   let used = Array.make n false in
   let completed_left =
     ref (Array.fold_left (fun k (o : History.op) -> if o.op_ret = None then k else k + 1) 0 ops)
@@ -36,7 +37,7 @@ let check ?(budget = 1_000_000) ?(pending_rets = Jit.default_pending_rets)
     incr nodes;
     if !nodes > budget then raise Out_of_budget;
     let o = ops.(i) in
-    let mid = o.History.op_mid and args = o.History.op_args in
+    let mid = meths.(i) and args = o.History.op_args in
     match kinds.(i) with
     | Spec.Observer -> if Sp.observe state ~mid ~args ~ret then k state
     | Spec.Mutator | Spec.Internal -> (

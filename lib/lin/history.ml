@@ -29,13 +29,13 @@ module Builder = struct
 
   type b = {
     owns : string -> bool;
-    open_calls : (Tid.t, slot) Hashtbl.t;
+    open_calls : slot Tid.Tbl.t;
     mutable slots : slot list;  (* reverse call order *)
     mutable pos : int;
   }
 
   let create ?(owns = fun _ -> true) () =
-    { owns; open_calls = Hashtbl.create 16; slots = []; pos = 0 }
+    { owns; open_calls = Tid.Tbl.create 16; slots = []; pos = 0 }
 
   let feed b ev =
     (match ev with
@@ -44,12 +44,12 @@ module Builder = struct
         { s_tid = tid; s_mid = mid; s_args = args; s_call = b.pos; s_ret = None;
           s_ret_at = max_int }
       in
-      Hashtbl.replace b.open_calls tid s;
+      Tid.Tbl.replace b.open_calls tid s;
       b.slots <- s :: b.slots
     | Event.Return { tid; mid; value } when b.owns mid -> (
-      match Hashtbl.find_opt b.open_calls tid with
-      | Some s when s.s_mid = mid ->
-        Hashtbl.remove b.open_calls tid;
+      match Tid.Tbl.find_opt b.open_calls tid with
+      | Some s when String.equal s.s_mid mid ->
+        Tid.Tbl.remove b.open_calls tid;
         s.s_ret <- Some value;
         s.s_ret_at <- b.pos
       | Some _ | None -> ())
@@ -78,8 +78,19 @@ let of_log ?owns log =
   Log.iter (Builder.feed b) log;
   Builder.finish b
 
-let owner spec mid =
+module Names = Hashtbl.Make (String)
+
+(* Each name is resolved once per test, and the answer kept either way: a
+   product spec resolves a name through a raise at every level it skips. *)
+let owner spec =
   let module Sp = (val spec : Spec.S) in
-  match Sp.kind mid with
-  | (_ : Spec.kind) -> true
-  | exception Invalid_argument _ -> false
+  let answers = Names.create 16 in
+  fun mid ->
+    match Names.find answers mid with
+    | owned -> owned
+    | exception Not_found ->
+      let owned =
+        match Sp.meth mid with (_ : Sp.meth) -> true | exception Invalid_argument _ -> false
+      in
+      Names.add answers mid owned;
+      owned

@@ -53,5 +53,7 @@ val of_events : ?owns:(string -> bool) -> Vyrd.Event.t array -> t
 val of_log : ?owns:(string -> bool) -> Vyrd.Log.t -> t
 
 (** [owner spec] is the method-ownership test of [spec]: true on the methods
-    [spec] classifies ([Spec.S.kind] does not raise). *)
+    [spec] resolves ([Spec.S.meth] does not raise).  Each test resolves a
+    name once and keeps the answer, so one test serves one builder and is
+    not to be shared between domains. *)
 val owner : Vyrd.Spec.t -> string -> bool

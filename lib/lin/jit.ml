@@ -29,7 +29,8 @@ module Make (Sp : Spec.S) = struct
   let check ~budget ~pending_rets (h : History.t) =
     let ops = h.History.ops in
     let n = Array.length ops in
-    let kinds = Array.map (fun (o : History.op) -> Sp.kind o.History.op_mid) ops in
+    let meths = Array.map (fun (o : History.op) -> Sp.meth o.History.op_mid) ops in
+    let kinds = Array.map Sp.kind meths in
     (* the interleaved call/return schedule in log order: [2i] is the call
        of operation [i], [2i+1] its return *)
     let sched =
@@ -137,7 +138,7 @@ module Make (Sp : Spec.S) = struct
       incr nodes;
       if !nodes > budget then raise (Stop Budget_exhausted);
       let o = ops.(i) in
-      let mid = o.History.op_mid and args = o.History.op_args in
+      let mid = meths.(i) and args = o.History.op_args in
       match kinds.(i) with
       | Spec.Observer -> if Sp.observe state ~mid ~args ~ret then Some state else None
       | Spec.Mutator | Spec.Internal -> (

@@ -36,6 +36,9 @@ module S = struct
     else if mid = mid_compress then Spec.Internal
     else invalid_arg ("multiset spec: unknown method " ^ mid)
 
+  type meth = string
+  let meth = Spec.by_name kind
+
   let apply st ~mid ~args ~ret =
     match (mid, args, ret) with
     | "insert", [ Repr.Int x ], ret ->

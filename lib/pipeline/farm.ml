@@ -1,5 +1,6 @@
 open Vyrd
 module Tid = Vyrd_sched.Tid
+module Owners = Hashtbl.Make (String)
 
 type shard = {
   sh_name : string;
@@ -138,8 +139,8 @@ type alane = {
 type t = {
   lanes : lane array;
   alane : alane option;
-  owners : (string, int) Hashtbl.t;  (* method -> lane, memoized kind probes *)
-  current : (Tid.t, int) Hashtbl.t;  (* thread -> lane of its open call *)
+  owners : int Owners.t;  (* method -> lane, for the names some lane knows *)
+  current : int Tid.Tbl.t;  (* thread -> lane of its open call *)
   mutable fed : int;
   mutable fed_unsynced : int;  (* events not yet folded into [m_events] *)
   metrics : Metrics.t;
@@ -353,8 +354,8 @@ let start ?(capacity = 4096) ?metrics ?restore ?(passes = []) ~level shards =
     {
       lanes;
       alane;
-      owners = Hashtbl.create 64;
-      current = Hashtbl.create 16;
+      owners = Owners.create 64;
+      current = Tid.Tbl.create 16;
       fed = (match restore with Some (fed, _, _) -> fed | None -> 0);
       fed_unsynced = 0;
       metrics;
@@ -367,30 +368,31 @@ let start ?(capacity = 4096) ?metrics ?restore ?(passes = []) ~level shards =
   in
   (match restore with
   | Some (_, current, _) ->
-    List.iter (fun (tid, lane) -> Hashtbl.replace t.current tid lane) current
+    List.iter (fun (tid, lane) -> Tid.Tbl.replace t.current tid lane) current
   | None -> ());
   t
 
 (* Which lane's specification knows [mid]?  First match wins, exactly like
-   Spec_compose routing; memoized because [kind] probes cost an exception
-   on every miss.  Unknown methods go to lane 0, whose checker reports the
-   ill-formed log. *)
+   Spec_compose routing.  Each known name is resolved once and remembered,
+   because a [meth] probe costs an exception on every miss.  Unknown names
+   go to lane 0, whose checker reports the ill-formed log; they are not
+   remembered, so the table holds only names some specification knows. *)
 let owner t mid =
-  match Hashtbl.find_opt t.owners mid with
-  | Some i -> i
-  | None ->
+  match Owners.find t.owners mid with
+  | i -> i
+  | exception Not_found ->
     let n = Array.length t.lanes in
     let rec probe i =
       if i >= n then 0
       else
         let module S = (val t.lanes.(i).l_shard.sh_spec : Spec.S) in
-        match S.kind mid with
-        | _ -> i
+        match S.meth mid with
+        | (_ : S.meth) ->
+          Owners.add t.owners mid i;
+          i
         | exception Invalid_argument _ -> probe (i + 1)
     in
-    let i = probe 0 in
-    Hashtbl.replace t.owners mid i;
-    i
+    probe 0
 
 let flush_lane l =
   if l.l_pending > 0 then begin
@@ -432,7 +434,9 @@ let broadcast t idx ev =
   done
 
 let feed t ev =
-  if t.finished <> None then invalid_arg "Farm.feed: farm already finished";
+  (match t.finished with
+  | Some _ -> invalid_arg "Farm.feed: farm already finished"
+  | None -> ());
   let idx = t.fed in
   t.fed <- idx + 1;
   (* the events-fed counter is synced in slices, like the rings *)
@@ -447,28 +451,28 @@ let feed t ev =
   match ev with
   | Event.Call { tid; mid; _ } ->
     let i = owner t mid in
-    Hashtbl.replace t.current tid i;
+    Tid.Tbl.replace t.current tid i;
     push t i idx ev
   | Event.Return { tid; mid; _ } ->
     let i =
-      match Hashtbl.find_opt t.current tid with
-      | Some i -> i
-      | None -> owner t mid
+      match Tid.Tbl.find t.current tid with
+      | i -> i
+      | exception Not_found -> owner t mid
     in
-    Hashtbl.remove t.current tid;
+    Tid.Tbl.remove t.current tid;
     push t i idx ev
   | Event.Commit { tid } -> (
     Metrics.incr t.m_commits;
-    match Hashtbl.find_opt t.current tid with
-    | Some i -> push t i idx ev
-    | None ->
+    match Tid.Tbl.find t.current tid with
+    | i -> push t i idx ev
+    | exception Not_found ->
       (* commit outside any execution: lane 0's checker reports it *)
       push t 0 idx ev)
   | Event.Write { tid; _ } | Event.Block_begin { tid } | Event.Block_end { tid }
     -> (
-    match Hashtbl.find_opt t.current tid with
-    | Some i -> push t i idx ev
-    | None ->
+    match Tid.Tbl.find t.current tid with
+    | i -> push t i idx ev
+    | exception Not_found ->
       (* no open call: structure initialization (or a daemon outside a
          logged method) — every shard's shadow replay needs to see it *)
       broadcast t idx ev)
@@ -492,8 +496,9 @@ let events_fed t = t.fed
    lane snapshots cover exactly the first [t.fed] events of the stream.
    Call from the feeding thread (or a log listener), like {!feed}. *)
 let checkpoint t =
-  if t.finished <> None then None
-  else begin
+  match t.finished with
+  | Some _ -> None
+  | None ->
     (* pending slices must reach the rings first, so the barrier token sits
        after every event routed before it — mid-batch and batch-boundary
        checkpoints are indistinguishable *)
@@ -504,31 +509,26 @@ let checkpoint t =
     let states = Array.make n None in
     for _ = 1 to n do
       let i, st = Squeue.pop reply in
-      states.(i) <- Option.map (fun s -> `Saved s) st
+      states.(i) <- st
     done;
-    if Array.exists (fun s -> s = None) states then None
+    if Array.exists Option.is_none states then None
       (* some lane cannot snapshot (violation found, or the spec declines) *)
     else begin
       let current =
-        Hashtbl.fold (fun tid lane acc -> (tid, lane) :: acc) t.current []
+        Tid.Tbl.fold (fun tid lane acc -> (tid, lane) :: acc) t.current []
         |> List.sort compare
         |> List.map (fun (tid, lane) -> Repr.Pair (Repr.Int tid, Repr.Int lane))
       in
       let lane_states =
         Array.to_list
           (Array.mapi
-             (fun i s ->
-               match s with
-               | Some (`Saved st) ->
-                 Repr.Pair (Repr.Str t.lanes.(i).l_shard.sh_name, st)
-               | None -> assert false)
+             (fun i st -> Repr.Pair (Repr.Str t.lanes.(i).l_shard.sh_name, Option.get st))
              states)
       in
       Some
         (Ckpt.tagged format_tag
            (Repr.List [ Repr.Int t.fed; Repr.List current; Repr.List lane_states ]))
     end
-  end
 
 (* Deterministic merge: the violation whose triggering event has the lowest
    global index wins, ties broken by shard order — independent of how the

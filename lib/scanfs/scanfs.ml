@@ -397,6 +397,9 @@ module S = struct
     | "sync" | "evict" -> Spec.Internal
     | m -> invalid_arg ("scanfs spec: unknown method " ^ m)
 
+  type meth = string
+  let meth = Spec.by_name kind
+
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt
 
   let apply st ~mid ~args ~ret =

@@ -134,7 +134,7 @@ let test_routing_memo () =
   let spec, _ = compose3 () in
   let module P = (val spec) in
   let raises mid =
-    match P.kind mid with
+    match P.meth mid with
     | _ -> false
     | exception Invalid_argument _ -> true
   in
@@ -143,7 +143,7 @@ let test_routing_memo () =
       (fun (mid, kind) ->
         Alcotest.(check bool)
           (Printf.sprintf "round %d: %s routed" round mid)
-          true (P.kind mid = kind))
+          true (P.kind (P.meth mid) = kind))
       [ ("insert", Spec.Mutator); ("add", Spec.Mutator); ("size", Spec.Observer);
         ("append_str", Spec.Mutator); ("char_at", Spec.Observer) ];
     Alcotest.(check bool) (Printf.sprintf "round %d: unknown raises" round) true (raises "frobnicate")
@@ -185,6 +185,92 @@ let test_shared_spec_across_domains () =
         (Reference.agrees_with_checker_indexed ~view log spec))
     logs
 
+(* Both the multiset specification and its atomized twin know "insert":
+   the product resolves it to the left component, every time. *)
+let overlap = Spec_compose.pair Multiset_spec.spec Multiset_seq.spec
+
+let test_overlap_routes_left () =
+  let module P = (val overlap) in
+  let module A = (val Multiset_spec.spec) in
+  let module B = (val Multiset_seq.spec) in
+  let insert3 s ~mid = Result.get_ok (s ~mid ~args:[ Repr.Int 3 ] ~ret:Repr.success) in
+  let want =
+    Repr.Pair
+      ( A.view (insert3 (A.apply (A.init ())) ~mid:(A.meth "insert")),
+        B.view (B.init ()) )
+  in
+  for round = 1 to 2 do
+    let s = insert3 (P.apply (P.init ())) ~mid:(P.meth "insert") in
+    Alcotest.(check string)
+      (Printf.sprintf "round %d: insert changed the left view only" round)
+      (Repr.to_string want) (Repr.to_string (P.view s));
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d: unknown raises" round)
+      true
+      (match P.meth "frobnicate" with _ -> false | exception Invalid_argument _ -> true)
+  done
+
+(* The farm's router follows the same rule across shards: a name several
+   shards know goes to the first, and a name no shard knows goes to lane 0
+   at every call, where its checker reports the ill-formed log. *)
+let test_farm_overlap_first_shard () =
+  let farm =
+    Vyrd_pipeline.Farm.start ~level:`Full
+      [ Vyrd_pipeline.Farm.shard "left" Multiset_spec.spec;
+        Vyrd_pipeline.Farm.shard "right" Multiset_seq.spec ]
+  in
+  List.iter (Vyrd_pipeline.Farm.feed farm)
+    [ Event.Call { tid = 1; mid = "insert"; args = [ Repr.Int 3 ] };
+      Event.Commit { tid = 1 };
+      Event.Return { tid = 1; mid = "insert"; value = Repr.success };
+      Event.Call { tid = 2; mid = "frobnicate"; args = [] };
+      Event.Call { tid = 3; mid = "frobnicate"; args = [] } ];
+  let r = Vyrd_pipeline.Farm.finish farm in
+  let shard name =
+    List.find (fun (sr : Vyrd_pipeline.Farm.shard_result) -> sr.sr_name = name)
+      r.Vyrd_pipeline.Farm.shards
+  in
+  let left = shard "left" and right = shard "right" in
+  Alcotest.(check int) "left lane got every event" 5 left.sr_events;
+  Alcotest.(check int) "right lane got none" 0 right.sr_events;
+  Alcotest.(check (list (pair string int))) "insert checked on the left"
+    [ ("insert", 1) ] left.sr_report.Report.stats.Report.per_method;
+  Alcotest.(check string) "unknown name is ill-formed on lane 0" "ill-formed"
+    (Report.tag left.sr_report);
+  Alcotest.(check (option int)) "at its first call" (Some 3) left.sr_fail_index
+
+(* Names decoded from text are fresh strings, never physically shared with
+   the names the program logged: resolving them by contents must give the
+   same verdict, index and statistics. *)
+let test_fresh_name_strings () =
+  let spec, view = compose3 () in
+  let render (r, idx) =
+    let s = r.Report.stats in
+    Printf.sprintf "%s@%s methods=%d events=%d per_method=%s" (Report.tag r)
+      (match idx with Some i -> string_of_int i | None -> "-")
+      s.Report.methods_checked s.Report.events_processed
+      (String.concat ","
+         (List.map (fun (m, n) -> Printf.sprintf "%s:%d" m n) s.Report.per_method))
+  in
+  let convicted = ref 0 in
+  List.iter
+    (fun (bug, seed) ->
+      let log = three_log ~bug seed in
+      let fresh =
+        Log.of_events (List.map (fun ev -> Event.of_line (Event.to_line ev)) (Log.events log))
+      in
+      List.iter
+        (fun (mode, what) ->
+          let shared = render (Checker.check_indexed ~mode ~view log spec) in
+          let copied = render (Checker.check_indexed ~mode ~view fresh spec) in
+          if not (String.starts_with ~prefix:"pass" shared) then incr convicted;
+          Alcotest.(check string)
+            (Printf.sprintf "bug=%b seed=%d %s" bug seed what)
+            shared copied)
+        [ (`Io, "io"); (`View, "view") ])
+    [ (false, 1); (false, 2); (true, 1); (true, 2); (true, 3) ];
+  Alcotest.(check bool) "the bug seeds convict" true (!convicted > 0)
+
 let suite =
   [
     ("composite correct", `Quick, test_composite_correct);
@@ -193,4 +279,8 @@ let suite =
     ("composite rejects unknown methods", `Quick, test_composite_unknown_method_ill_formed);
     ("routing memo keeps unknown methods raising", `Quick, test_routing_memo);
     ("shared product spec on two domains", `Quick, test_shared_spec_across_domains);
+    ("a name both components know routes left", `Quick, test_overlap_routes_left);
+    ("farm routes a shared name to the first shard", `Quick, test_farm_overlap_first_shard);
+    ("verdicts and stats do not depend on shared name strings", `Quick,
+      test_fresh_name_strings);
   ]

@@ -321,6 +321,137 @@ let test_quick_matrix_pinned () =
   in
   Alcotest.(check (list string)) "coop and explore cells" pinned_matrix cells
 
+(* --- checkpoint payloads and statistics ---------------------------------
+
+   The bytes of a mid-stream [Farm.checkpoint] ([farm/1] carrying one
+   [checker/1] payload per lane) and the statistics of a whole-log check
+   are part of the contract too: old spools must still resume, and
+   [Report.stats] reaches the wire in every verdict.  How the checker
+   resolves method names must not move either. *)
+
+module Farm = Vyrd_pipeline.Farm
+
+let full_log subjects ~bug seed =
+  let log = Log.create ~level:`Full () in
+  Harness.run_into ~log (config seed) (List.map (fun (s : Subjects.t) -> s.build ~bug) subjects);
+  log
+
+let product subjects =
+  match subjects with
+  | [] -> assert false
+  | (s0 : Subjects.t) :: rest ->
+    List.fold_left
+      (fun (spec, view) (s : Subjects.t) ->
+        (Spec_compose.pair spec s.spec, Spec_compose.pair_views view s.view))
+      (s0.spec, s0.view) rest
+
+(* Feed [log] through a farm of [shards], checkpointing after a sixteenth,
+   a third and two thirds of the stream; each checkpoint renders as the MD5 of
+   its textual [Repr] (or "none" once a lane has convicted). *)
+let checkpoint_digests shards log =
+  let evs = Log.snapshot log in
+  let n = Array.length evs in
+  let farm = Farm.start ~level:`Full shards in
+  let marks = ref [] in
+  Array.iteri
+    (fun i ev ->
+      Farm.feed farm ev;
+      if i + 1 = n / 16 || i + 1 = n / 3 || i + 1 = 2 * n / 3 then
+        marks :=
+          (match Farm.checkpoint farm with
+          | Some r -> Digest.to_hex (Digest.string (Repr.to_string r))
+          | None -> "none")
+          :: !marks)
+    evs;
+  let r = Farm.finish farm in
+  String.concat " "
+    (List.rev !marks
+    @ [ Report.tag r.Farm.merged;
+        (match Farm.min_fail_index r with Some i -> string_of_int i | None -> "-") ])
+
+let checkpoint_case seed ~bug =
+  let log = full_log composite ~bug seed in
+  let spec, view = product composite in
+  digest_lines (fun emit ->
+      emit (checkpoint_digests [ Farm.shard ~mode:`Io "composite" spec ] log);
+      emit (checkpoint_digests [ Farm.shard ~mode:`View ~view "composite" spec ] log);
+      emit
+        (checkpoint_digests
+           (List.map
+              (fun (s : Subjects.t) -> Farm.shard ~mode:`View ~view:s.view s.name s.spec)
+              composite)
+           log))
+
+let render_stats (r : Report.t) idx =
+  let s = r.Report.stats in
+  Printf.sprintf "%s@%s events=%d methods=%d commits=%d per_method=%s" (Report.tag r)
+    (match idx with Some i -> string_of_int i | None -> "-")
+    s.Report.events_processed s.Report.methods_checked s.Report.commits_resolved
+    (String.concat ","
+       (List.map (fun (m, n) -> Printf.sprintf "%s:%d" m n) s.Report.per_method))
+
+let stats_case (name, subjects) ~bug () =
+  let spec, view = product subjects in
+  let invariants = List.concat_map (fun (s : Subjects.t) -> s.invariants) subjects in
+  digest_lines (fun emit ->
+      List.iter
+        (fun seed ->
+          let log = full_log subjects ~bug seed in
+          let io, io_idx = Checker.check_indexed ~mode:`Io ~invariants log spec in
+          let vw, vw_idx = Checker.check_indexed ~mode:`View ~view ~invariants log spec in
+          emit
+            (Printf.sprintf "%s seed=%d io %s view %s" name seed (render_stats io io_idx)
+               (render_stats vw vw_idx)))
+        seeds)
+
+let state_cases =
+  List.concat_map
+    (fun bug ->
+      List.map
+        (fun seed ->
+          (Printf.sprintf "checkpoints composite bug=%b seed=%d" bug seed,
+           fun () -> checkpoint_case seed ~bug))
+        [ 1; 2; 3 ])
+    [ false; true ]
+  @ List.concat_map
+      (fun ((name, _) as group) ->
+        List.map
+          (fun bug -> (Printf.sprintf "stats %s bug=%b" name bug, stats_case group ~bug))
+          [ false; true ])
+      [
+        ("composite", composite);
+        ("Multiset-BinaryTree", [ Subjects.multiset_btree ]);
+        ("BLinkTree", [ Subjects.blink_tree ]);
+        ("Cache", [ Subjects.cache ]);
+      ]
+
+let expected_state =
+  [
+    ("checkpoints composite bug=false seed=1", "8526106061347b8860f77c28d9444313");
+    ("checkpoints composite bug=false seed=2", "8bf42f8f594df13d6da0787110ba0321");
+    ("checkpoints composite bug=false seed=3", "7b263e0e4a513efbfe6f919d237f74de");
+    ("checkpoints composite bug=true seed=1", "5aef9e196cfb88788e2c72a7a3488fc2");
+    ("checkpoints composite bug=true seed=2", "774f9b70bfb953179663ee7494f04edb");
+    ("checkpoints composite bug=true seed=3", "99a3b406caf87b9c4c10fb4ff22f4bf6");
+    ("stats composite bug=false", "398dcf7f33223e21e3204e8b419c3bf9");
+    ("stats composite bug=true", "2a4d407524a82d7f1a6b813b6241ae15");
+    ("stats Multiset-BinaryTree bug=false", "4870ced5150e2a067bea1daf39f04cf6");
+    ("stats Multiset-BinaryTree bug=true", "44f0e8414db5ec0d8aff53fe25cdf3ac");
+    ("stats BLinkTree bug=false", "e0e37ea88e804cd90737cc36be9a4ad4");
+    ("stats BLinkTree bug=true", "e826c0ffea29088be49373918573788c");
+    ("stats Cache bug=false", "ba559b4193837dc046c5af716de01e58");
+    ("stats Cache bug=true", "c284c42b994767d1c75f60e86990b73e");
+  ]
+
+let test_state_pinned () =
+  List.iter
+    (fun (name, run) ->
+      let got = run () in
+      match List.assoc_opt name expected_state with
+      | Some want -> Alcotest.(check string) name want got
+      | None -> Alcotest.failf "no pinned digest for %s" name)
+    state_cases
+
 let suite =
   [
     Alcotest.test_case "schedules and PRNG streams match the golden digests" `Quick test_golden;
@@ -328,4 +459,6 @@ let suite =
       test_fast_path_matches_oracle;
     Alcotest.test_case "quick mutant matrix: coop and explore cells pinned" `Quick
       test_quick_matrix_pinned;
+    Alcotest.test_case "checkpoint payloads and check statistics pinned" `Quick
+      test_state_pinned;
   ]

@@ -311,6 +311,9 @@ module Weak_counter = struct
     | "get" -> Spec.Observer
     | m -> invalid_arg ("weak-counter: unknown method " ^ m)
 
+  type meth = string
+  let meth = Spec.by_name kind
+
   let apply st ~mid:_ ~args:_ ~ret:_ =
     let s = { n = st.n + 1 } in
     Weak.set alive s.n (Some s);

@@ -780,6 +780,9 @@ module Boom = struct
   let init () = 0
   let kind = function "op" -> Spec.Mutator | m -> invalid_arg m
 
+  type meth = string
+  let meth = Spec.by_name kind
+
   let apply st ~mid:_ ~args ~ret:_ =
     match args with [ Repr.Int 13 ] -> failwith "boom" | _ -> Ok (st + 1)
 
