@@ -247,7 +247,7 @@ let ablation_incremental () =
   let chunks = 64 and buf_size = 8 in
   let spec = Vyrd_boxwood.Cache.spec ~chunks in
   let full_view = Vyrd_boxwood.Cache.viewdef ~chunks ~buf_size in
-  let keyed_view = Vyrd_boxwood.Cache.viewdef_keyed in
+  let keyed_view = Vyrd_boxwood.Cache.viewdef_keyed ~chunks ~buf_size in
   let make_log seed =
     let log = Log.create ~level:`View () in
     Vyrd_sched.Coop.run ~seed (fun s ->
@@ -291,16 +291,25 @@ let ablation_incremental () =
   in
   let keyed_checker = Checker.create ~mode:`View ~view:keyed_view spec in
   Log.iter (fun ev -> ignore (Checker.feed keyed_checker ev)) log;
-  let commits = (Checker.report keyed_checker).Report.stats.commits_resolved in
+  let keyed = Checker.report keyed_checker in
+  let full = Checker.check ~mode:`View ~view:full_view log spec in
+  let commits = keyed.Report.stats.commits_resolved in
+  let projections = Checker.view_projections keyed_checker in
   Fmt.pr "%-28s %10s@." "view computation" "ms/check";
   Fmt.pr "%s@." (line 40);
   Fmt.pr "%-28s %10s@." "full re-traversal" (Fmt.str "%a" pp_ms full_ns);
   Fmt.pr "%-28s %10s@." "incremental (keyed)" (Fmt.str "%a" pp_ms keyed_ns);
   Fmt.pr "@.speedup: %.2fx; keyed recomputed %d key projections over %d commits@."
-    (full_ns /. keyed_ns)
-    (Checker.view_projections keyed_checker)
-    commits;
-  Fmt.pr "(full mode recomputes all %d keys at each of the %d commits)@." chunks commits
+    (full_ns /. keyed_ns) projections commits;
+  Fmt.pr "(full mode recomputes all %d keys at each of the %d commits)@." chunks commits;
+  (* deterministic gates: the views agree, and each key is re-projected
+     only after its first fill and at commits that changed it *)
+  let agree = Report.tag keyed = Report.tag full && keyed.Report.stats = full.Report.stats in
+  let bounded = projections <= commits + chunks in
+  Fmt.pr "keyed = full verdict and stats: %s; projections <= commits + keys: %s@."
+    (if agree then "yes" else "NO")
+    (if bounded then "yes" else "NO");
+  if not (agree && bounded) then exit 1
 
 (* ---------------------------------------------- ablation: §2 naive search *)
 

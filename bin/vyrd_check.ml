@@ -445,21 +445,7 @@ module Lint = Vyrd_analysis.Lint
 module Lockgraph = Vyrd_analysis.Lockgraph
 module Reduction = Vyrd_baselines.Reduction
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
+let json_str s = Printf.sprintf "\"%s\"" (Metrics.json_escape s)
 let json_list items = Printf.sprintf "[%s]" (String.concat "," items)
 
 let access_json (a : Racedetect.access) =

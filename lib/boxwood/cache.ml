@@ -309,14 +309,17 @@ let lookup_chunk_bytes lookup ~buf_size h =
   | Some (Repr.Str s) -> pad_to buf_size s
   | Some _ | None -> ""
 
+(* Handle [h]'s abstract bytes; handles never written map to [None] and
+   are omitted, so the Full and Keyed views and the specification all agree
+   on the canonical form: the assoc of written handles only. *)
 let abstract_value lookup ~buf_size h =
-  match lookup_state lookup h with
-  | Clean | Dirty -> lookup_entry_bytes lookup ~buf_size h
-  | Absent -> lookup_chunk_bytes lookup ~buf_size h
+  let bytes =
+    match lookup_state lookup h with
+    | Clean | Dirty -> lookup_entry_bytes lookup ~buf_size h
+    | Absent -> lookup_chunk_bytes lookup ~buf_size h
+  in
+  if bytes = "" then None else Some (Repr.Str bytes)
 
-(* Handles never written map to the empty string and are omitted, so the
-   Full and Keyed views and the specification all agree on the canonical
-   form: the assoc of written handles only. *)
 let viewdef ~chunks ~buf_size : View.t =
   View.Full
     (fun lookup ->
@@ -324,46 +327,17 @@ let viewdef ~chunks ~buf_size : View.t =
         (List.filter_map
            (fun h ->
              match abstract_value lookup ~buf_size h with
-             | "" -> None
-             | v -> Some (Repr.Int h, Repr.Str v))
+             | Some v -> Some (Repr.Int h, v)
+             | None -> None)
            (List.init chunks Fun.id)))
 
-(* Keyed view: every cache/chunk variable names its handle between the first
-   '[' and the following ']'. *)
-let handle_of_var var =
-  match String.index_opt var '[' with
-  | None -> None
-  | Some i -> (
-    match String.index_from_opt var i ']' with
-    | None -> None
-    | Some j -> int_of_string_opt (String.sub var (i + 1) (j - i - 1)))
-
-let viewdef_keyed : View.t =
+let viewdef_keyed ~chunks ~buf_size : View.t =
   View.Keyed
     {
-      keys_of_var =
-        (fun var ->
-          match handle_of_var var with Some h -> [ Repr.Int h ] | None -> []);
+      keys = List.init chunks (fun h -> Repr.Int h);
       project =
-        (fun lookup key ->
-          match key with
-          | Repr.Int h ->
-            (* infer the buffer size from the entry cells present; chunk
-               bytes carry their own length *)
-            let rec size j =
-              if lookup (data_var h j) = None then j else size (j + 1)
-            in
-            let buf_size = size 0 in
-            let v =
-              match lookup_state lookup h with
-              | Clean | Dirty -> lookup_entry_bytes lookup ~buf_size h
-              | Absent -> (
-                match lookup (Chunk_manager.var h) with
-                | Some (Repr.Str s) ->
-                  if s = "" then "" else pad_to (max buf_size (String.length s)) s
-                | Some _ | None -> "")
-            in
-            if v = "" then None else Some (Repr.Str v)
+        (fun lookup -> function
+          | Repr.Int h -> abstract_value lookup ~buf_size h
           | _ -> None);
     }
 

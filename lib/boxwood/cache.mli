@@ -52,9 +52,11 @@ val evict : t -> int -> unit
     present, else chunk bytes. *)
 val viewdef : chunks:int -> buf_size:int -> Vyrd.View.t
 
-(** Incremental variant of {!viewdef} (§6.4): a write to any
-    [cache.*[h]]/[chunk[h]] variable dirties only key [h]. *)
-val viewdef_keyed : Vyrd.View.t
+(** Incremental variant of {!viewdef} (§6.4): one key per handle, projected
+    by the same per-handle function, so the two views agree by
+    construction.  A write to a [cache.*[h]]/[chunk[h]] variable makes only
+    key [h] stale. *)
+val viewdef_keyed : chunks:int -> buf_size:int -> Vyrd.View.t
 
 (** Paper invariant (i): a clean entry's bytes equal the chunk's bytes. *)
 val invariant_clean_matches_chunk : chunks:int -> buf_size:int -> Vyrd.Checker.invariant

@@ -496,8 +496,9 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
       List.iter (fun (tid, oe) -> Tid.Tbl.replace open_execs tid oe) oes;
       Vec.clear pending_observers;
       List.iter (Vec.push pending_observers) obs;
-      Replay.restore replay rp;
-      Option.iter View.reset view_eval
+      (* the restored replay reports every reader bit stale, so the view
+         evaluator recomputes all its components at the next commit *)
+      Replay.restore replay rp
     | _ -> Ckpt.malformed "checker snapshot: bad payload shape"
   in
 

@@ -51,7 +51,8 @@ val violation : t -> Report.violation option
 (** Methods fully checked so far. *)
 val methods_checked : t -> int
 
-(** Key projections performed by a [Keyed] view (ablation instrumentation). *)
+(** Key projections performed by a [Keyed] view (ablation instrumentation);
+    [0] for a view built from [Full] components only. *)
 val view_projections : t -> int
 
 (** [snapshot t] serializes the checker's complete mid-stream state: the
@@ -61,7 +62,9 @@ val view_projections : t -> int
     keeps its full eligible-state window [o_start..o_end] (§4.3), so after
     a restore it is still admitted against {e any} in-window state, exactly
     as in an uninterrupted run — the shadow replay (incl. open commit
-    blocks), and the statistics counters.
+    blocks), and the statistics counters.  The view evaluator's memoized
+    components are not saved: a restore recomputes every one of them at
+    the next commit.
 
     Returns [None] when a violation has already been found (a frozen
     checker has nothing to resume) or when the specification's [save]

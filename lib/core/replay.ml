@@ -7,45 +7,28 @@ type block = { buffered : (string * Repr.t) Vec.t; mutable published : bool }
 
 module Vars = Hashtbl.Make (String)
 
-(* One variable: its name, its visible value ([None] until first
-   published, for a cell a reader's missed lookup created), the reader bits
-   of the view components that looked it up, and whether it is on the
-   dirty list. *)
-type cell = {
-  var : string;
-  mutable value : Repr.t option;
-  mutable readers : int;
-  mutable is_dirty : bool;
-}
+(* One variable: its visible value ([None] until first published, for a
+   cell a reader's missed lookup created) and the reader bits of the view
+   components that looked it up. *)
+type cell = { mutable value : Repr.t option; mutable readers : int }
 
 type t = {
   visible : cell Vars.t;
   blocks : block Tid.Tbl.t;
-  mutable dirty : cell list;  (* cells published with a new value since [take_dirty] *)
   mutable stale : int;  (* readers of cells published with a new value *)
   mutable owner : int;  (* reader whose bits [stale] collects; 0 = none *)
 }
 
 let create () =
-  { visible = Vars.create 64; blocks = Tid.Tbl.create 8; dirty = []; stale = 0; owner = 0 }
-
-let mark_dirty t c =
-  if not c.is_dirty then begin
-    c.is_dirty <- true;
-    t.dirty <- c :: t.dirty
-  end
+  { visible = Vars.create 64; blocks = Tid.Tbl.create 8; stale = 0; owner = 0 }
 
 let publish t var v =
   match Vars.find t.visible var with
   | { value = Some v0; _ } when Repr.equal v0 v -> ()
   | c ->
     c.value <- Some v;
-    t.stale <- t.stale lor c.readers;
-    mark_dirty t c
-  | exception Not_found ->
-    let c = { var; value = Some v; readers = 0; is_dirty = false } in
-    Vars.add t.visible var c;
-    mark_dirty t c
+    t.stale <- t.stale lor c.readers
+  | exception Not_found -> Vars.add t.visible var { value = Some v; readers = 0 }
 
 let write t tid var v =
   match Tid.Tbl.find t.blocks tid with
@@ -84,7 +67,7 @@ let read t ~reader var =
     c.readers <- c.readers lor reader;
     c.value
   | exception Not_found ->
-    Vars.add t.visible var { var; value = None; readers = reader; is_dirty = false };
+    Vars.add t.visible var { value = None; readers = reader };
     None
 
 let take_stale t ~owner =
@@ -95,17 +78,6 @@ let take_stale t ~owner =
 
 let fold f t acc =
   Vars.fold (fun var c acc -> match c.value with Some v -> f var v acc | None -> acc) t.visible acc
-
-let take_dirty t =
-  let vars =
-    List.rev_map
-      (fun c ->
-        c.is_dirty <- false;
-        c.var)
-      t.dirty
-  in
-  t.dirty <- [];
-  vars
 
 (* ---------------------------------------------------------- checkpoints *)
 
@@ -137,19 +109,13 @@ let restore t repr =
   | Repr.List [ Repr.List visible; Repr.List blocks ] ->
     Vars.reset t.visible;
     Tid.Tbl.reset t.blocks;
-    t.dirty <- [];
     (* the reader bits are gone with the old cells: no reader's memo
        survives *)
     t.owner <- 0;
     List.iter
       (fun kv ->
         let var, v = Ckpt.pair kv in
-        let var = Ckpt.str var in
-        let c = { var; value = Some v; readers = 0; is_dirty = false } in
-        Vars.replace t.visible var c;
-        (* every restored variable starts dirty so an incremental view
-           rebuilds its projections from scratch *)
-        mark_dirty t c)
+        Vars.replace t.visible (Ckpt.str var) { value = Some v; readers = 0 })
       visible;
     List.iter
       (fun bl ->

@@ -49,19 +49,14 @@ val take_stale : t -> owner:int -> int
 
 val fold : (string -> Repr.t -> 'a -> 'a) -> t -> 'a -> 'a
 
-(** [take_dirty t] returns the variables whose visible value changed since
-    the previous call, and resets the dirty set (incremental views, §6.4). *)
-val take_dirty : t -> string list
-
 (** [snapshot t] serializes the whole replay — visible variables {e and}
     open commit blocks with their buffered writes — so a checkpoint taken
     while a thread is mid-commit-block replays identically. *)
 val snapshot : t -> Repr.t
 
-(** [restore t repr] replaces [t]'s contents with a snapshot.  All restored
-    variables are marked dirty, so the next view recomputation rebuilds any
-    incremental projection table from scratch (the checker also resets the
-    cached tables themselves).  Reader registrations are dropped, so the
-    next {!take_stale} reports every bit.
+(** [restore t repr] replaces [t]'s contents with a snapshot.  Reader
+    registrations are dropped, so the next {!take_stale} reports every bit
+    and every memoized view component, key projections included, is
+    recomputed from the restored variables.
     @raise Ckpt.Malformed when [repr] is not a replay snapshot. *)
 val restore : t -> Repr.t -> unit

@@ -1,9 +1,6 @@
 type lookup = string -> Repr.t option
 
-type keyed = {
-  keys_of_var : string -> Repr.t list;
-  project : lookup -> Repr.t -> Repr.t option;
-}
+type keyed = { keys : Repr.t list; project : lookup -> Repr.t -> Repr.t option }
 
 type t =
   | Full of (lookup -> Repr.t)
@@ -14,97 +11,70 @@ let canonical_of_assoc kvs =
   Repr.List
     (List.sort Repr.compare (List.map (fun (k, v) -> Repr.Pair (k, v)) kvs))
 
-(* A [Full] component keeps its last value and recomputes only when the
-   replay reports its reader bit stale. *)
-type full = { f : lookup -> Repr.t; bit : int; mutable memo : Repr.t option }
+(* A memoized component keeps its last value and recomputes only when the
+   replay reports its reader bit stale.  A [Full] view is one component; a
+   [Keyed] view is one component per key, holding that key's entry of the
+   view, [Pair (key, value)], or [None] while the key is absent. *)
+type 'a comp = { f : lookup -> 'a; bit : int; mutable memo : 'a option }
 
 type node =
-  | Efull of full
-  | Ekeyed of {
-      spec : keyed;
-      table : (Repr.t, Repr.t) Hashtbl.t;
-      mutable projections : int;
-    }
+  | Efull of Repr.t comp
+  | Ekeyed of Repr.t option comp list  (* sorted by key *)
   | Epair of node * node
 
-type eval = { root : node; id : int  (* the replay's reader identity *) }
+type eval = {
+  root : node;
+  id : int;  (* the replay's reader identity *)
+  projections : int ref;  (* key re-projections *)
+}
 
 let next_id = Atomic.make 1
 
-(* [Full] components take reader bits in left-to-right order; past
-   [Sys.int_size] components the bits wrap around and are shared, which
-   only costs extra recomputes. *)
+(* Components take reader bits in left-to-right order; past [Sys.int_size]
+   components the bits wrap around and are shared, which only costs extra
+   recomputes.  Keys are sorted here, so a [Keyed] value needs no sort. *)
 let make_eval v =
-  let fulls = ref 0 in
+  let comps = ref 0 and projections = ref 0 in
+  let comp f =
+    let bit = 1 lsl (!comps mod Sys.int_size) in
+    incr comps;
+    { f; bit; memo = None }
+  in
+  let entry project key lookup =
+    incr projections;
+    Option.map (fun v -> Repr.Pair (key, v)) (project lookup key)
+  in
   let rec build = function
-    | Full f ->
-      let bit = 1 lsl (!fulls mod Sys.int_size) in
-      incr fulls;
-      Efull { f; bit; memo = None }
-    | Keyed spec -> Ekeyed { spec; table = Hashtbl.create 64; projections = 0 }
+    | Full f -> Efull (comp f)
+    | Keyed { keys; project } ->
+      Ekeyed (List.map (fun key -> comp (entry project key)) (List.sort_uniq Repr.compare keys))
     | Pair (a, b) ->
       let a = build a in
       Epair (a, build b)
   in
   let root = build v in
-  { root; id = Atomic.fetch_and_add next_id 1 }
+  { root; id = Atomic.fetch_and_add next_id 1; projections }
 
-(* The replay's dirty set is drained once per commit and shared by every
-   [Keyed] component of the evaluator tree; likewise its stale mask for
-   the [Full] components. *)
-let rec recompute_dirty node replay dirty stale =
+let get c replay stale =
+  match c.memo with
+  | Some v when stale land c.bit = 0 -> v
+  | Some _ | None ->
+    let v = c.f (Replay.read replay ~reader:c.bit) in
+    c.memo <- Some v;
+    v
+
+(* The replay's stale mask is drained once per commit and shared by every
+   component of the evaluator tree. *)
+let rec recompute_node node replay stale =
   match node with
-  | Efull c -> (
-    match c.memo with
-    | Some v when stale land c.bit = 0 -> v
-    | Some _ | None ->
-      let v = c.f (Replay.read replay ~reader:c.bit) in
-      c.memo <- Some v;
-      v)
-  | Ekeyed e ->
-    let keys =
-      List.concat_map e.spec.keys_of_var dirty |> List.sort_uniq Repr.compare
-    in
-    List.iter
-      (fun key ->
-        e.projections <- e.projections + 1;
-        match e.spec.project (Replay.lookup replay) key with
-        | Some v -> Hashtbl.replace e.table key v
-        | None -> Hashtbl.remove e.table key)
-      keys;
-    canonical_of_assoc (Hashtbl.fold (fun k v acc -> (k, v) :: acc) e.table [])
+  | Efull c -> get c replay stale
+  | Ekeyed cs -> Repr.List (List.filter_map (fun c -> get c replay stale) cs)
   | Epair (a, b) ->
-    let va = recompute_dirty a replay dirty stale in
-    let vb = recompute_dirty b replay dirty stale in
+    let va = recompute_node a replay stale in
+    let vb = recompute_node b replay stale in
     Repr.Pair (va, vb)
 
-let rec needs_dirty = function
-  | Efull _ -> false
-  | Ekeyed _ -> true
-  | Epair (a, b) -> needs_dirty a || needs_dirty b
-
 let recompute eval replay =
-  (* only [Keyed] components consume the dirty set; for an all-[Full] tree,
-     skip the per-commit drain (fold + reset + list) — the set stays bounded
-     by the number of distinct variable names either way *)
-  let dirty = if needs_dirty eval.root then Replay.take_dirty replay else [] in
-  let stale = Replay.take_stale replay ~owner:eval.id in
-  recompute_dirty eval.root replay dirty stale
+  recompute_node eval.root replay (Replay.take_stale replay ~owner:eval.id)
 
-let projections eval =
-  let rec go = function
-    | Efull _ -> 0
-    | Ekeyed e -> e.projections
-    | Epair (a, b) -> go a + go b
-  in
-  go eval.root
-
-let reset eval =
-  let rec go = function
-    | Efull c -> c.memo <- None
-    | Ekeyed e -> Hashtbl.reset e.table
-    | Epair (a, b) ->
-      go a;
-      go b
-  in
-  go eval.root
+let projections eval = !(eval.projections)

@@ -644,19 +644,6 @@ let pp_matrix ppf rows =
      (lock reversal / resource leak) on a completed `Full trace — benign \
      mutants must show miss in every column)@."
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json rows =
   let b = Buffer.create 4096 in
   let cell_json c =
@@ -665,7 +652,9 @@ let to_json rows =
        \"methods_checked\":%s,\"violation\":%s}"
       c.regime c.mode c.detected c.runs
       (match c.methods_checked with Some m -> string_of_int m | None -> "null")
-      (match c.tag with Some t -> Printf.sprintf "\"%s\"" (json_escape t) | None -> "null")
+      (match c.tag with
+      | Some t -> Printf.sprintf "\"%s\"" (Vyrd_pipeline.Metrics.json_escape t)
+      | None -> "null")
   in
   Buffer.add_string b "{\n  \"detection_matrix\": [\n";
   List.iteri
@@ -680,11 +669,11 @@ let to_json rows =
            \     \"lockgraph_detection\":%b,\"deadlock_detection\":%b,\
             \"monitor_detection\":%b,\"expected_detections_hold\":%b,\n\
            \     \"cells\":[%s]}"
-           (json_escape (Faults.name row.fault))
-           (json_escape row.subject.Subjects.name)
+           (Vyrd_pipeline.Metrics.json_escape (Faults.name row.fault))
+           (Vyrd_pipeline.Metrics.json_escape row.subject.Subjects.name)
            (Faults.kind_id (Faults.kind row.fault))
            (Faults.semantic row.fault)
-           (json_escape (Faults.description row.fault))
+           (Vyrd_pipeline.Metrics.json_escape (Faults.description row.fault))
            (deterministic_view_detection row) (view_beats_io row)
            (race_detection row) (lin_detection row) (lockgraph_detection row)
            (deadlock_detection row) (monitor_detection row)

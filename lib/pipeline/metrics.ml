@@ -265,14 +265,21 @@ let pp ppf t =
 
 (* OCaml's [String.escaped] emits [\ddd] decimal escapes — invalid JSON.
    Escape per RFC 8259: the two mandatory characters, the common C escapes,
-   and [\u00XX] for every other byte outside printable ASCII (non-ASCII
-   bytes included, which keeps the output parseable whatever encoding a
-   metric name arrived in). *)
+   and [\u00XX] for every other control byte and DEL.  Well-formed UTF-8
+   sequences (the lint's "§", say) pass through unchanged; any other byte
+   outside ASCII becomes [\u00XX], which keeps the output parseable
+   whatever encoding a string arrived in. *)
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+  let rec go i =
+    if i < String.length s then begin
+      let c = s.[i] in
+      (* bytes of one well-formed multi-byte UTF-8 sequence, else 1 *)
+      let width =
+        let d = String.get_utf_8_uchar s i in
+        if c >= '\128' && Uchar.utf_decode_is_valid d then Uchar.utf_decode_length d else 1
+      in
+      (match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
@@ -280,10 +287,13 @@ let json_escape s =
       | '\t' -> Buffer.add_string b "\\t"
       | '\b' -> Buffer.add_string b "\\b"
       | '\012' -> Buffer.add_string b "\\f"
-      | c when c < ' ' || c > '~' ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | ' ' .. '~' -> Buffer.add_char b c
+      | _ when width > 1 -> Buffer.add_substring b s i width
+      | _ -> Printf.bprintf b "\\u%04x" (Char.code c));
+      go (i + width)
+    end
+  in
+  go 0;
   Buffer.contents b
 
 let to_json t =

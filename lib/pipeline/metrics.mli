@@ -86,8 +86,10 @@ val decode : string -> t
 val pp : Format.formatter -> t -> unit
 val to_json : t -> string
 
-(** RFC 8259 string escaping used for every key {!to_json} emits: quote,
-    backslash and all bytes outside printable ASCII become JSON escapes
-    (control characters and non-ASCII bytes as [\u00XX]) — unlike OCaml's
+(** RFC 8259 string escaping, the one every JSON emitter of the repo uses
+    ({!to_json}, the detection matrix, [vyrd_check analyze --json]): quote,
+    backslash and control characters become JSON escapes ([\u00XX] where
+    no short form exists, DEL included); well-formed UTF-8 passes through;
+    any other non-ASCII byte becomes [\u00XX] — unlike OCaml's
     [String.escaped], whose [\ddd] forms no JSON parser accepts. *)
 val json_escape : string -> string

@@ -8,12 +8,13 @@ let chunks = 6
 let buf_size = 8
 let spec = Cache.spec ~chunks
 let full_view = Cache.viewdef ~chunks ~buf_size
+let keyed_view = Cache.viewdef_keyed ~chunks ~buf_size
 let invariant = Cache.invariant_clean_matches_chunk ~chunks ~buf_size
 
 (* Random payload of exactly [buf_size] printable bytes. *)
 let payload rng = String.init buf_size (fun _ -> Char.chr (97 + Prng.int rng 26))
 
-let run_cache ?(bugs = []) ~seed ~threads ~ops () =
+let run_cache ?(bugs = []) ?(chunks = chunks) ~seed ~threads ~ops () =
   let log = Log.create ~level:`View () in
   Coop.run ~seed (fun s ->
       let ctx = Instrument.make s log in
@@ -64,7 +65,7 @@ let test_cache_keyed_view_agrees () =
   for seed = 0 to 9 do
     let log = run_cache ~seed ~threads:4 ~ops:20 () in
     let full = Checker.check ~mode:`View ~view:full_view log spec in
-    let keyed = Checker.check ~mode:`View ~view:Cache.viewdef_keyed log spec in
+    let keyed = Checker.check ~mode:`View ~view:keyed_view log spec in
     Alcotest.(check string)
       (Printf.sprintf "same verdict seed %d" seed)
       (Report.tag full) (Report.tag keyed)
@@ -211,6 +212,44 @@ let test_cache_sequential_semantics () =
   assert_pass "sequential cache"
     (Checker.check ~mode:`View ~view:full_view ~invariants:[ invariant ] log spec)
 
+(* The keyed view re-projects a handle only when a variable it read
+   changed, yet must convict exactly where the full re-traversal does. *)
+let test_keyed_agrees_on_buggy_runs () =
+  let convicted = ref 0 in
+  for seed = 0 to 39 do
+    let log = buggy_run ~seed in
+    let full, full_at = Checker.check_indexed ~mode:`View ~view:full_view log spec in
+    let keyed, keyed_at = Checker.check_indexed ~mode:`View ~view:keyed_view log spec in
+    let what = Printf.sprintf "seed %d" seed in
+    Alcotest.(check string) (what ^ " verdict") (Report.tag full) (Report.tag keyed);
+    Alcotest.(check (option int)) (what ^ " fail index") full_at keyed_at;
+    Alcotest.(check bool) (what ^ " stats") true (full.Report.stats = keyed.Report.stats);
+    if not (Report.is_pass full) then incr convicted
+  done;
+  Alcotest.(check bool) "some seed convicts" true (!convicted > 0)
+
+(* The §6.4 ablation as a count, not a timing: on a 64-handle store the
+   keyed view projects every key once and then only the keys a commit
+   changed, where a full re-traversal projects all 64 at every commit. *)
+let test_keyed_projection_bound () =
+  let chunks = 64 in
+  let spec = Cache.spec ~chunks in
+  let log = run_cache ~chunks ~seed:3 ~threads:6 ~ops:60 () in
+  let keyed = Checker.create ~mode:`View ~view:(Cache.viewdef_keyed ~chunks ~buf_size) spec in
+  Log.iter (fun ev -> ignore (Checker.feed keyed ev)) log;
+  let report = Checker.report keyed in
+  assert_pass "keyed view" report;
+  let commits = report.Report.stats.commits_resolved in
+  let projections = Checker.view_projections keyed in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d projections <= %d commits + %d keys" projections commits chunks)
+    true
+    (projections <= commits + chunks);
+  Alcotest.(check bool)
+    (Printf.sprintf "full mode would project %d" (chunks * commits))
+    true
+    (commits > 1 && commits + chunks < chunks * commits)
+
 let suite =
   [
     ("cache correct", `Quick, test_cache_correct);
@@ -221,4 +260,6 @@ let suite =
     ("cache bug: view much earlier than io", `Slow, test_cache_view_detects_much_earlier);
     ("read_fill is view neutral", `Quick, test_read_fill_is_view_neutral);
     ("cache sequential semantics", `Quick, test_cache_sequential_semantics);
+    ("cache keyed view agrees with full on buggy runs", `Quick, test_keyed_agrees_on_buggy_runs);
+    ("cache keyed view projection bound", `Quick, test_keyed_projection_bound);
   ]

@@ -702,6 +702,15 @@ let test_to_json_escapes_hostile_names () =
   Alcotest.(check bool) "no \\ddd decimal escapes" false
     (contains ~affix:"\\001" json)
 
+(* The one escaper every JSON emitter shares keeps well-formed UTF-8 (the
+   lint's "§") as is and escapes only what JSON forbids or a stray byte. *)
+let test_json_escape_keeps_utf8 () =
+  let check what want s = Alcotest.(check string) what want (Metrics.json_escape s) in
+  check "section sign" "\xc2\xa74.3" "\xc2\xa74.3";
+  check "three-byte sequence" "a\xe2\x86\x92b" "a\xe2\x86\x92b";
+  check "controls" "\\t\\r\\u0001\\u007f" "\t\r\x01\x7f";
+  check "stray and truncated bytes" "\\u00c3e\\u00e2\\u0086" "\xc3e\xe2\x86"
+
 let suite =
   [
     checkpoint_frame_roundtrip;
@@ -739,4 +748,5 @@ let suite =
     ( "legacy checker/1 frame replays in full",
       `Quick,
       test_legacy_checker_frame_replays_in_full );
+    ("metrics: json_escape keeps well-formed UTF-8", `Quick, test_json_escape_keeps_utf8);
   ]

@@ -205,16 +205,20 @@ let test_replay_ill_formed () =
 
 let test_replay_dirty_tracking () =
   let r = Replay.create () in
+  let stale () = Replay.take_stale r ~owner:1 in
+  ignore (stale ());
+  (* bit 1 reads a, bit 2 reads b; a miss registers the reader too *)
+  ignore (Replay.read r ~reader:1 "a");
+  ignore (Replay.read r ~reader:2 "b");
   Replay.write r 1 "a" (Repr.Int 1);
   Replay.write r 1 "b" (Repr.Int 2);
-  let d1 = List.sort compare (Replay.take_dirty r) in
-  Alcotest.(check (list string)) "both dirty" [ "a"; "b" ] d1;
-  Alcotest.(check (list string)) "reset" [] (Replay.take_dirty r);
+  Alcotest.(check int) "both dirty" 3 (stale ());
+  Alcotest.(check int) "reset" 0 (stale ());
   (* rewriting the same value does not dirty *)
   Replay.write r 1 "a" (Repr.Int 1);
-  Alcotest.(check (list string)) "no-op write" [] (Replay.take_dirty r);
+  Alcotest.(check int) "no-op write" 0 (stale ());
   Replay.write r 1 "a" (Repr.Int 5);
-  Alcotest.(check (list string)) "changed" [ "a" ] (Replay.take_dirty r)
+  Alcotest.(check int) "changed" 1 (stale ())
 
 (* --- Views ---------------------------------------------------------------- *)
 
@@ -222,7 +226,7 @@ let test_keyed_view_incremental () =
   let view =
     View.Keyed
       {
-        keys_of_var = (fun var -> [ Repr.Str var ]);
+        keys = [ Repr.Str "a"; Repr.Str "b" ];
         project = (fun lookup key ->
             match key with Repr.Str var -> lookup var | _ -> None);
       }
@@ -233,16 +237,17 @@ let test_keyed_view_incremental () =
   let v1 = View.recompute eval r in
   Alcotest.(check bool) "one entry" true
     (Repr.equal v1 (View.canonical_of_assoc [ (Repr.Str "a", Repr.Int 1) ]));
+  Alcotest.(check int) "first recompute projects every key" 2 (View.projections eval);
   Replay.write r 1 "b" (Repr.Int 2);
   let v2 = View.recompute eval r in
   Alcotest.(check bool) "two entries" true
     (Repr.equal v2
        (View.canonical_of_assoc [ (Repr.Str "a", Repr.Int 1); (Repr.Str "b", Repr.Int 2) ]));
-  (* only dirty keys are reprojected *)
-  Alcotest.(check int) "projections = dirty keys" 2 (View.projections eval);
+  (* only the written key is reprojected *)
+  Alcotest.(check int) "a write reprojects its key" 3 (View.projections eval);
   let v3 = View.recompute eval r in
   Alcotest.(check bool) "stable" true (Repr.equal v2 v3);
-  Alcotest.(check int) "no new projections" 2 (View.projections eval)
+  Alcotest.(check int) "no new projections" 3 (View.projections eval)
 
 (* --- memoized [Full] views ---------------------------------------------------- *)
 
@@ -300,11 +305,9 @@ let test_memo_recomputes_stale_only () =
   check "v2 now read by a and c" [ 3; 2; 4 ] (step [ (2, 5) ]);
   check "pointer moves c to v4" [ 3; 2; 5 ] (step [ (6, 4) ]);
   check "v4 is read by b and c" [ 3; 3; 6 ] (step [ (4, 9) ]);
-  View.reset eval;
-  check "reset drops every memo" [ 4; 4; 7 ] (step []);
   Replay.restore r (Replay.snapshot r);
-  check "restore invalidates the reader bits" [ 5; 5; 8 ] (step []);
-  check "and registers them again" [ 5; 5; 8 ] (step [ (9, 0) ])
+  check "restore invalidates the reader bits" [ 4; 4; 7 ] (step []);
+  check "and registers them again" [ 4; 4; 7 ] (step [ (9, 0) ])
 
 type memo_op =
   | Write of int * int * int  (* tid, variable, value *)
@@ -312,7 +315,7 @@ type memo_op =
   | Begin of int
   | End of int
   | Save
-  | Restore of bool  (* also [View.reset] the memoized evaluator *)
+  | Restore
 
 let memo_op_gen =
   let open QCheck2.Gen in
@@ -324,7 +327,7 @@ let memo_op_gen =
       (1, map (fun t -> Begin t) tid);
       (1, map (fun t -> End t) tid);
       (1, return Save);
-      (1, map (fun b -> Restore b) bool);
+      (1, return Restore);
     ]
 
 let show_memo_op = function
@@ -333,18 +336,17 @@ let show_memo_op = function
   | Begin t -> Printf.sprintf "b%d" t
   | End t -> Printf.sprintf "e%d" t
   | Save -> "save"
-  | Restore b -> Printf.sprintf "restore(reset=%b)" b
+  | Restore -> "restore"
 
 (* After every commit the memoized evaluator must give what a fresh one
    gives on a twin replay fed the same operations. *)
-let memo_differential =
+let memo_differential_on ~name make_view =
   qcheck
-    (QCheck2.Test.make ~name:"memoized Full views equal fresh recomputes" ~count:300
+    (QCheck2.Test.make ~name ~count:300
        ~print:(fun ops -> String.concat " " (List.map show_memo_op ops))
        QCheck2.Gen.(list_size (int_range 0 120) memo_op_gen)
        (fun ops ->
-         let counts = Array.make 3 0 in
-         let view = memo_view counts in
+         let view = make_view () in
          let eval = View.make_eval view in
          let r = Replay.create () and twin = Replay.create () in
          let saved = ref None in
@@ -365,17 +367,34 @@ let memo_differential =
              | Save ->
                saved := Some (Replay.snapshot r);
                true
-             | Restore reset ->
-               Option.iter
-                 (fun snap ->
-                   both (fun t -> Replay.restore t snap);
-                   if reset then View.reset eval)
-                 !saved;
+             | Restore ->
+               Option.iter (fun snap -> both (fun t -> Replay.restore t snap)) !saved;
                true
              | Commit tid ->
                both (fun t -> Replay.commit t tid);
                Repr.equal (View.recompute eval r) (View.recompute (View.make_eval view) twin))
            ops))
+
+let memo_differential =
+  memo_differential_on ~name:"memoized Full views equal fresh recomputes" (fun () ->
+      memo_view (Array.make 3 0))
+
+(* Key i holds v<i>, paired with v<i+1> while v<i> is odd: data-dependent
+   read sets, and keys that vanish while their variable is unwritten. *)
+let keyed_view =
+  let project lookup = function
+    | Repr.Int i -> (
+      match lookup (var i) with
+      | Some (Repr.Int x) when x land 1 = 1 ->
+        Some (Repr.Pair (Repr.Int x, Option.value ~default:Repr.Unit (lookup (var ((i + 1) mod 10)))))
+      | v -> v)
+    | _ -> None
+  in
+  View.Keyed { keys = List.init 10 (fun i -> Repr.Int i); project }
+
+let memo_keyed_differential =
+  memo_differential_on ~name:"memoized Full and Keyed views equal fresh recomputes"
+    (fun () -> View.Pair (memo_view (Array.make 3 0), keyed_view))
 
 (* --- Timeline --------------------------------------------------------------- *)
 
@@ -625,4 +644,5 @@ let suite =
     repr_equal_structural;
     ("memo recomputes stale components only", `Quick, test_memo_recomputes_stale_only);
     memo_differential;
+    memo_keyed_differential;
   ]
