@@ -607,7 +607,7 @@ let pipeline_codec () =
   in
   let dec_bin =
     measure_ns "codec/bin-decode" (fun () ->
-        ignore (Bincodec.iter_events bin ignore : int))
+        ignore (Bincodec.iter_events (Bincodec.cursor bin) ignore : int))
   in
   Fmt.pr "%d events at `Full level; %d bytes text, %d bytes binary (%.2fx smaller)@.@."
     n text_bytes (String.length bin)
@@ -1094,7 +1094,7 @@ let hotpath ?(json_out = Some "BENCH_hotpath.json") ~baseline ~max_regress
    workload, annotate it with a farm checkpoint frame every n/10 events,
    then compare a full re-check of the recovered spool against resuming
    from the frame at the 90% mark (only the final tenth is replayed).  Both
-   sides run over the same pre-read [Segment.resumable] through the same
+   sides run over the same pre-read [Segment.recovered] through the same
    one-shard farm, so the ratio isolates checking work from disk recovery.
    EXPERIMENTS.md tracks the shape; BENCH_checkpoint.json carries the raw
    numbers for CI. *)
@@ -1116,7 +1116,7 @@ let checkpoint_bench ?(json_out = Some "BENCH_checkpoint.json") ?(ops = 20_000) 
   let spool = Resume.resume ~annotate_every:every ~shards ~path () in
   Fmt.pr "%d events spooled with %d checkpoint frame(s) (every %d events)@.@." n
     spool.Resume.checkpoints every;
-  let rz = Segment.read_from_checkpoint path in
+  let rz = Segment.read path in
   (* [at:0] admits no checkpoint, so this is the full replay through the
      identical code path *)
   let t0 = Unix.gettimeofday () in

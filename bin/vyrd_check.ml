@@ -104,18 +104,22 @@ let monitor_factory specs =
         | Error msg -> failwith msg (* unreachable: validated above *))
       specs
 
-(* Load a serialized log, sniffing the binary segment format by magic.
-   Text-format errors come out as positioned [file:line] diagnostics; a
-   binary prefix with a crash-torn tail loads with a warning. *)
+(* Load a serialized log, sniffing the binary segment format (a file or a
+   rotation set) by magic.  Text-format errors come out as positioned
+   [file:line] diagnostics; a binary prefix with a crash-torn tail loads
+   with a warning. *)
 let load_log file =
-  if Sys.file_exists file && not (Segment.is_binary file) then (
+  if not (Segment.is_binary file) then (
     match Log.of_file file with
     | log -> log
     | exception Log.Parse_error { line; message } ->
       Fmt.epr "%s:%d: %s@." file line message;
+      exit 2
+    | exception Sys_error msg ->
+      Fmt.epr "%s@." msg;
       exit 2)
   else
-    match Segment.read_prefix file with
+    match Segment.read file with
     | r ->
       if r.Segment.truncated then
         Fmt.epr
@@ -261,7 +265,7 @@ let check_cmd =
       exit 2
     end;
     if resume || checkpoint_events <> None then begin
-      if not (Sys.file_exists file && Segment.is_binary file) then begin
+      if not (Segment.is_binary file) then begin
         Fmt.epr
           "%s: checkpoints live in binary segment spools; record with \
            --binary first@."

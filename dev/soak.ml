@@ -129,7 +129,7 @@ let pipeline_soak seeds =
     Segment.close w;
     let result = Farm.finish farm in
     let offline = Checker.check ~mode:`View ~view log spec in
-    let recovered = Segment.read_file spool in
+    let recovered = Segment.read spool in
     let roundtrip = Checker.check ~mode:`View ~view recovered.Segment.log spec in
     let hw =
       List.fold_left
@@ -239,7 +239,7 @@ let net_soak seconds json_out =
       if n <> Log.length log then
         mismatch seed
           (Printf.sprintf "spool consumed %d of %d events" n (Log.length log));
-      let r = Segment.read_file path in
+      let r = Segment.read path in
       let rechecked = Checker.check ~mode:`View ~view r.Segment.log spec in
       if r.Segment.truncated then mismatch seed "spool read back truncated";
       if not (String.equal (Report.tag rechecked) (Report.tag offline)) then

@@ -495,26 +495,7 @@ let serve_data_session t (s : Listener.session) r (hello : Wire.hello) =
                   v_spilled = None;
                 }
           | Client.Spilled { path; events } ->
-              let report =
-                {
-                  Vyrd.Report.outcome = Vyrd.Report.Pass;
-                  stats =
-                    {
-                      Vyrd.Report.events_processed = events;
-                      methods_checked = 0;
-                      commits_resolved = 0;
-                      per_method = [];
-                      queue_high_water = 0;
-                    };
-                }
-              in
-              Wire.Verdict
-                {
-                  v_report = report;
-                  v_fail_index = None;
-                  v_events = events;
-                  v_spilled = Some path;
-                }
+              Wire.Verdict (Wire.spilled_verdict ~events path)
         in
         (* Count before sending: once the client sees the verdict frame it may
            scrape [cluster.verdicts], and the increment must already be

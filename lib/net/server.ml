@@ -103,19 +103,6 @@ let status t =
 (* A session in checking mode owns a farm; in spill mode, a segment writer.
    [checking] is decided at hello time from the live checking count. *)
 
-let trivial_report events =
-  {
-    Report.outcome = Report.Pass;
-    stats =
-      {
-        Report.events_processed = events;
-        methods_checked = 0;
-        commits_resolved = 0;
-        per_method = [];
-        queue_high_water = 0;
-      };
-  }
-
 (* Offline re-check of one spilled spool through the session farm template,
    resuming from its latest usable checkpoint and leaving fresh checkpoint
    frames behind so the *next* pass over the same spool is O(suffix). *)
@@ -251,12 +238,7 @@ let serve_data_session t (s : Listener.session) r hello =
           let w = Option.get !writer in
           Segment.close w;
           writer := None;
-          {
-            Wire.v_report = trivial_report !consumed;
-            v_fail_index = None;
-            v_events = !consumed;
-            v_spilled = !spill_path;
-          }
+          Wire.spilled_verdict ~events:!consumed (Option.get !spill_path)
       in
       Wire.send_server fd (Wire.Verdict verdict);
       Metrics.incr t.m_verdicts;

@@ -6,17 +6,6 @@ let max_frame_bytes = 1 lsl 24
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Bincodec.Corrupt m)) fmt
 
-(* ------------------------------------------------------------- levels *)
-
-let level_code = function `None -> 0 | `Io -> 1 | `View -> 2 | `Full -> 3
-
-let level_of_code = function
-  | 0 -> `None
-  | 1 -> `Io
-  | 2 -> `View
-  | 3 -> `Full
-  | c -> corrupt "unknown log level code %d" c
-
 (* ------------------------------------------------------------ messages *)
 
 type hello = { h_version : int; h_level : Log.level; h_producer : string }
@@ -38,6 +27,14 @@ type verdict = {
   v_events : int;
   v_spilled : string option;
 }
+
+let spilled_verdict ~events path =
+  let stats =
+    { Report.events_processed = events; methods_checked = 0; commits_resolved = 0;
+      per_method = []; queue_high_water = 0 }
+  in
+  { v_report = { Report.outcome = Report.Pass; stats }; v_fail_index = None;
+    v_events = events; v_spilled = Some path }
 
 type status = {
   st_draining : bool;
@@ -210,7 +207,7 @@ let put_client w = function
   | Hello h ->
     put_char w '\000';
     Bincodec.put_uvarint w h.h_version;
-    put_char w (Char.chr (level_code h.h_level));
+    put_char w (Char.chr (Bincodec.level_code h.h_level));
     Bincodec.put_string w h.h_producer
   | Batch evs -> put_batch w evs ~pos:0 ~len:(Array.length evs)
   | Heartbeat -> put_char w '\002'
@@ -274,7 +271,7 @@ let encode_server = encode put_server
 let read_client_msg c = function
   | '\000' ->
     let h_version = Bincodec.read_uvarint c in
-    let h_level = level_of_code (Char.code (read_byte c "hello")) in
+    let h_level = Bincodec.level_of_code (Char.code (read_byte c "hello")) in
     let h_producer = Bincodec.read_string c in
     Hello { h_version; h_level; h_producer }
   | '\002' -> Heartbeat
@@ -344,8 +341,8 @@ let decode_server = decode "server" read_server
 
 (* -------------------------------------------------------------- frames *)
 
-exception Closed
-exception Timeout
+exception Closed = Bincodec.Closed
+exception Timeout = Bincodec.Timeout
 
 let frame_header_bytes = 8
 
@@ -392,75 +389,26 @@ let write_batch w fd evs ~pos ~len =
 let send_client fd msg = ignore (write_client (Bincodec.writer ~size:64 ()) fd msg)
 let send_server fd msg = ignore (send_with (Bincodec.writer ~size:64 ()) fd put_server msg)
 
-(* Receiving: one frame at a time into [r_buf], which grows to the largest
-   frame seen and is then reused.  The cursor's slice ends at the current
-   payload, so bytes a longer earlier frame left behind are unreachable,
-   and every decoded string is a copy, so nothing aliases [r_buf] once a
-   message is returned. *)
-type reader = {
-  r_head : Bytes.t;
-  mutable r_buf : Bytes.t;
-  r_cur : Bincodec.cursor;
-  mutable r_events : Event.t array;
-  mutable r_frame : int;
-}
+(* Receiving: one frame at a time through the frame reader the spool shares.
+   Every decoded string is a copy, so nothing aliases the reader's buffer
+   once a message is returned. *)
+type reader = { r_frames : Bincodec.frame_reader; mutable r_events : Event.t array }
 
 let reader () =
-  { r_head = Bytes.create frame_header_bytes; r_buf = Bytes.empty;
-    r_cur = Bincodec.cursor ""; r_events = [||]; r_frame = 0 }
+  { r_frames = Bincodec.frame_reader ~header:frame_header_bytes; r_events = [||] }
 
-let frame_bytes r = r.r_frame
+let frame_bytes r = Bincodec.frame_size r.r_frames
 
-(* Read exactly [n] bytes into [buf]; returns how many arrived before EOF
-   (fewer than [n] only at end of stream). *)
-let read_into fd buf n =
-  let pos = ref 0 in
-  (try
-     while !pos < n do
-       match Unix.read fd buf !pos (n - !pos) with
-       | 0 -> raise Exit
-       | k -> pos := !pos + k
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-         raise Timeout
-     done
-   with Exit -> ());
-  !pos
-
-let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
-
-(* EOF before any header byte is a clean [Closed]; EOF anywhere later is a
-   torn frame.  The length is checked against [max_bytes] before the
-   buffer grows, and the CRC before anything decodes. *)
-let read_payload ?(max_bytes = max_frame_bytes) r fd =
-  match read_into fd r.r_head frame_header_bytes with
-  | 0 -> raise Closed
-  | got when got < frame_header_bytes ->
-    corrupt "torn frame header (%d of %d bytes)" got frame_header_bytes
-  | _ ->
-    let len = get_u32 r.r_head 0 in
-    let crc = get_u32 r.r_head 4 in
-    if len > max_bytes then corrupt "frame of %d bytes exceeds the %d limit" len max_bytes;
-    if len > Bytes.length r.r_buf then
-      r.r_buf <- Bytes.create (max len (min max_bytes (2 * Bytes.length r.r_buf)));
-    if read_into fd r.r_buf len < len then corrupt "torn frame payload (wanted %d bytes)" len;
-    let payload = Bytes.unsafe_to_string r.r_buf in
-    if Bincodec.crc32 ~len payload <> crc then corrupt "frame checksum mismatch";
-    r.r_frame <- frame_header_bytes + len;
-    Bincodec.retarget r.r_cur ~len payload;
-    r.r_cur
-
-let read_frame ?max_bytes fd =
-  let r = reader () in
-  let c = read_payload ?max_bytes r fd in
-  Bytes.sub_string r.r_buf 0 (Bincodec.remaining c)
+let read_frame ?(max_bytes = max_frame_bytes) fd =
+  let c = Bincodec.read_frame (Bincodec.frame_reader ~header:frame_header_bytes) ~max_bytes fd in
+  Bincodec.read_raw c (Bincodec.remaining c)
 
 let recv_server ?max_bytes fd = decode_server (read_frame ?max_bytes fd)
 
 type inbound = Events of Event.t array * int | Message of client_msg
 
-let recv ?max_bytes r fd =
-  let c = read_payload ?max_bytes r fd in
+let recv ?(max_bytes = max_frame_bytes) r fd =
+  let c = Bincodec.read_frame r.r_frames ~max_bytes fd in
   if Bincodec.remaining c = 0 then corrupt "empty message";
   match read_byte c "message" with
   | '\001' ->

@@ -12,7 +12,10 @@
     then the fields in order).  Decoding is total: a bad length, a CRC
     mismatch or a malformed payload raises {!Vyrd_pipeline.Bincodec.Corrupt},
     never an out-of-bounds access — the receiving end fails the session
-    cleanly at the first damaged frame.
+    cleanly at the first damaged frame.  Frames are read by
+    {!Vyrd_pipeline.Bincodec.read_frame}, the same bounded, CRC-first reader
+    that recovers segment spools: a torn or damaged frame that fails a
+    session here ends the clean prefix of a spool there.
 
     {b Session shape.}  The client opens with {!Hello} carrying the protocol
     version and the {!Vyrd.Log.level} of the stream about to be sent (level
@@ -79,6 +82,11 @@ type verdict = {
           holding the stream for later offline checking *)
 }
 
+(** [spilled_verdict ~events path] is the verdict of a session that
+    overload degraded to the spool at [path]: a trivial pass over [events]
+    events, to be checked later offline. *)
+val spilled_verdict : events:int -> string -> verdict
+
 (** A worker's health report, carried on control connections so the
     coordinator can piggyback liveness and scrape metrics in one poll. *)
 type status = {
@@ -121,11 +129,13 @@ val read_report : Vyrd_pipeline.Bincodec.cursor -> Vyrd.Report.t
 
 (** {1 Framing} *)
 
-(** Raised by {!read_frame} on a clean end of stream at a frame boundary. *)
+(** Raised by {!read_frame} on a clean end of stream at a frame boundary;
+    the same exception as {!Vyrd_pipeline.Bincodec.Closed}. *)
 exception Closed
 
 (** Raised by {!read_frame} when the socket's receive timeout expires
-    (the server's idle/heartbeat timeout). *)
+    (the server's idle/heartbeat timeout); the same exception as
+    {!Vyrd_pipeline.Bincodec.Timeout}. *)
 exception Timeout
 
 (** [frame payload] is the framed bytes: length, CRC, payload. *)
@@ -153,10 +163,10 @@ val write_batch :
 
 (** {2 Receiving into a reusable buffer} *)
 
-(** A connection's receive side: one payload buffer, grown to the largest
-    frame seen and reused for every later frame, plus the event array
-    {!recv} decodes batches into.  Owned by the one thread reading the
-    connection. *)
+(** A connection's receive side: one {!Vyrd_pipeline.Bincodec.frame_reader},
+    whose payload buffer grows to the largest frame seen and is reused for
+    every later frame, plus the event array {!recv} decodes batches into.
+    Owned by the one thread reading the connection. *)
 type reader
 
 val reader : unit -> reader

@@ -117,11 +117,13 @@ let read_length c =
   if n < 0 || n > c.stop - c.pos then corrupt "truncated string (%d bytes)" n;
   n
 
-let read_string c =
-  let n = read_length c in
+let read_raw c n =
+  if n < 0 || n > c.stop - c.pos then corrupt "truncated bytes (%d wanted)" n;
   let s = String.sub c.src c.pos n in
   c.pos <- c.pos + n;
   s
+
+let read_string c = read_raw c (read_length c)
 
 (* Method, variable and lock names repeat millions of times per log, so the
    name positions of {!read_event} resolve through a direct-mapped cache of
@@ -274,10 +276,7 @@ let read_event c =
   | '\008' -> Event.Release { tid; lock = read_name c }
   | t -> corrupt "unknown event tag 0x%02x" (Char.code t)
 
-(* -------------------------------------------------------------- slices *)
-
-let iter_events ?(pos = 0) ?len s f =
-  let c = cursor ~pos ?len s in
+let iter_events c f =
   let n = ref 0 in
   while c.pos < c.stop do
     f (read_event c);
@@ -347,7 +346,8 @@ let crc32 ?(pos = 0) ?len s =
 
 (* Wire frames and segment frames both start [length (u32 LE) | crc32
    (u32 LE)] of the payload after a [header]-byte slot: the frame is built
-   in one writer and the slot patched in place once the payload is in. *)
+   in one writer and the slot patched in place once the payload is in, and
+   read back through one [frame_reader] that reuses its payload buffer. *)
 let begin_frame w ~header =
   if header < 8 then invalid_arg "Bincodec.begin_frame: header";
   w.len <- 0;
@@ -360,3 +360,67 @@ let seal_frame w ~header =
   let n = w.len - header in
   set_u32 w 0 n;
   set_u32 w 4 (crc32 ~pos:header ~len:n (Bytes.unsafe_to_string w.buf))
+
+exception Closed
+exception Timeout
+
+type frame_reader = {
+  f_head : Bytes.t;
+  mutable f_buf : Bytes.t;
+  f_cur : cursor;
+  mutable f_size : int;
+}
+
+let frame_reader ~header =
+  if header < 8 then invalid_arg "Bincodec.frame_reader: header";
+  { f_head = Bytes.create header; f_buf = Bytes.empty; f_cur = cursor ""; f_size = 0 }
+
+let header_word r i = Int32.to_int (Bytes.get_int32_le r.f_head (4 * i)) land 0xffffffff
+let frame_size r = r.f_size
+
+let really_read fd buf n =
+  let pos = ref 0 in
+  (try
+     while !pos < n do
+       match Unix.read fd buf !pos (n - !pos) with
+       | 0 -> raise Exit
+       | k -> pos := !pos + k
+       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+         raise Timeout
+     done
+   with Exit -> ());
+  !pos
+
+(* EOF before any header byte is a clean [Closed]; EOF anywhere later is a
+   torn frame.  The length is checked against [max_bytes] before the
+   buffer grows, and the CRC before anything decodes.  The cursor's slice
+   ends at the current payload, so bytes a longer earlier frame left in
+   [f_buf] are unreachable. *)
+let read_frame r ~max_bytes fd =
+  let header = Bytes.length r.f_head in
+  match really_read fd r.f_head header with
+  | 0 -> raise Closed
+  | got when got < header -> corrupt "torn frame header (%d of %d bytes)" got header
+  | _ ->
+    let len = header_word r 0 in
+    if len > max_bytes then corrupt "frame of %d bytes exceeds the %d limit" len max_bytes;
+    if len > Bytes.length r.f_buf then
+      r.f_buf <- Bytes.create (max len (min max_bytes (2 * Bytes.length r.f_buf)));
+    if really_read fd r.f_buf len < len then corrupt "torn frame payload (wanted %d bytes)" len;
+    let payload = Bytes.unsafe_to_string r.f_buf in
+    if crc32 ~len payload <> header_word r 1 then corrupt "frame checksum mismatch";
+    r.f_size <- header + len;
+    retarget r.f_cur ~len payload;
+    r.f_cur
+
+(* ------------------------------------------------------------- levels *)
+
+let level_code = function `None -> 0 | `Io -> 1 | `View -> 2 | `Full -> 3
+
+let level_of_code = function
+  | 0 -> `None
+  | 1 -> `Io
+  | 2 -> `View
+  | 3 -> `Full
+  | c -> corrupt "unknown log level code %d" c

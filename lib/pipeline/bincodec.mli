@@ -94,6 +94,10 @@ val put_string : writer -> string -> unit
 (** The result is a fresh copy: it never aliases the cursor's source. *)
 val read_string : cursor -> string
 
+(** [read_raw c n] is a copy of the next [n] bytes, as {!put_raw} wrote
+    them.  @raise Corrupt when fewer than [n] remain. *)
+val read_raw : cursor -> int -> string
+
 val put_repr : writer -> Vyrd.Repr.t -> unit
 val read_repr : cursor -> Vyrd.Repr.t
 val put_event : writer -> Vyrd.Event.t -> unit
@@ -102,14 +106,11 @@ val put_event : writer -> Vyrd.Event.t -> unit
     name), so the source bytes may be reused once this returns. *)
 val read_event : cursor -> Vyrd.Event.t
 
-(** {1 Slices} *)
-
-(** [iter_events ?pos ?len s f] decodes consecutive events from the slice
-    and hands each to [f]; returns how many were decoded.  The slice must
-    end exactly at an event boundary.
-    @raise Corrupt on malformed input or an event crossing the slice end.
-    @raise Invalid_argument when the slice is out of bounds. *)
-val iter_events : ?pos:int -> ?len:int -> string -> (Vyrd.Event.t -> unit) -> int
+(** [iter_events c f] decodes events up to the end of [c]'s slice and hands
+    each to [f]; returns how many were decoded.  The slice must end exactly
+    at an event boundary.
+    @raise Corrupt on malformed input or an event crossing the slice end. *)
+val iter_events : cursor -> (Vyrd.Event.t -> unit) -> int
 
 (** {1 Checksums} *)
 
@@ -131,3 +132,54 @@ val crc32 : ?pos:int -> ?len:int -> string -> int
 
 val begin_frame : writer -> header:int -> unit
 val seal_frame : writer -> header:int -> unit
+
+(** {2 Reading frames}
+
+    One reader serves the socket ([Vyrd_net.Wire]) and the spool
+    ({!Segment}): it reads a frame from a Unix descriptor into one payload
+    buffer that grows to the largest frame seen and is reused. *)
+
+(** Raised by {!read_frame} on a clean end of stream at a frame
+    boundary. *)
+exception Closed
+
+(** Raised when the descriptor's [SO_RCVTIMEO] expires. *)
+exception Timeout
+
+type frame_reader
+
+(** [frame_reader ~header] reads frames with a [header]-byte header
+    (8 on the wire, 12 in a spool).  Owned by one reader thread.
+    @raise Invalid_argument when [header < 8]. *)
+val frame_reader : header:int -> frame_reader
+
+(** [read_frame r ~max_bytes fd] reads one frame and returns a cursor over
+    its payload, valid until the next read on [r].
+    @raise Closed on EOF before the first header byte.
+    @raise Corrupt on a torn header or payload, a length over [max_bytes]
+      (checked before the buffer grows) or a CRC mismatch (checked before
+      the cursor is handed out).
+    @raise Timeout when the descriptor's receive timeout expires. *)
+val read_frame : frame_reader -> max_bytes:int -> Unix.file_descr -> cursor
+
+(** [header_word r i] is the [i]th u32 LE word of the last frame's header:
+    [0] is the payload length, [1] its CRC, [2] a spool frame's count. *)
+val header_word : frame_reader -> int -> int
+
+(** Size of the last frame read, header included. *)
+val frame_size : frame_reader -> int
+
+(** [really_read fd buf n] reads [n] bytes into [buf], restarting on
+    [EINTR]; returns how many arrived, fewer than [n] only at end of
+    stream.  @raise Timeout as {!read_frame} does. *)
+val really_read : Unix.file_descr -> Bytes.t -> int -> int
+
+(** {1 Log levels}
+
+    The one-byte level code of a spool file header and of a [Hello]
+    message. *)
+
+val level_code : Vyrd.Log.level -> int
+
+(** @raise Corrupt on an unknown code. *)
+val level_of_code : int -> Vyrd.Log.level

@@ -26,8 +26,8 @@ type resumed_farm = {
    events and at the end of the spool; the frames come back oldest first
    next to [close]'s result.  A partial farm is finished (reaping its
    domains) before the next candidate is tried. *)
-let run ?capacity ?metrics ?passes ?at ?every ~shards (rz : Segment.resumable) close =
-  let log = rz.Segment.r_recovered.Segment.log in
+let run ?capacity ?metrics ?passes ?at ?every ~shards (r : Segment.recovered) close =
+  let log = r.Segment.log in
   let level = Log.level log in
   let shards = shards level in
   let events = Log.snapshot log in
@@ -63,15 +63,15 @@ let run ?capacity ?metrics ?passes ?at ?every ~shards (rz : Segment.resumable) c
       | exception (Ckpt.Malformed _ | Invalid_argument _) -> chain older)
   in
   chain
-    (List.filter (fun c -> c.Segment.ck_events <= limit) rz.Segment.r_checkpoints
+    (List.filter (fun c -> c.Segment.ck_events <= limit) r.Segment.checkpoints
     |> List.rev)
 
 let resume_open ?capacity ?metrics ?passes ?at ~shards ~path () =
-  fst (run ?capacity ?metrics ?passes ?at ~shards (Segment.read_from_checkpoint path) Fun.id)
+  fst (run ?capacity ?metrics ?passes ?at ~shards (Segment.read path) Fun.id)
 
-let check ?capacity ?metrics ?at ?every ~shards rz =
+let check ?capacity ?metrics ?at ?every ~shards r =
   let (rf, result), frames =
-    run ?capacity ?metrics ?at ?every ~shards rz (fun rf -> (rf, Farm.finish rf.rf_farm))
+    run ?capacity ?metrics ?at ?every ~shards r (fun rf -> (rf, Farm.finish rf.rf_farm))
   in
   let outcome =
     {
@@ -80,24 +80,24 @@ let check ?capacity ?metrics ?at ?every ~shards rz =
       total = rf.rf_total;
       replayed = rf.rf_replayed;
       resumed_at = rf.rf_resumed_at;
-      truncated = rz.Segment.r_recovered.Segment.truncated;
+      truncated = r.Segment.truncated;
       checkpoints = List.length frames;
     }
   in
   (outcome, frames)
 
-let resume_recovered ?capacity ?metrics ?at ~shards rz =
-  fst (check ?capacity ?metrics ?at ~shards rz)
+let resume_recovered ?capacity ?metrics ?at ~shards r =
+  fst (check ?capacity ?metrics ?at ~shards r)
 
 let resume ?capacity ?metrics ?at ?annotate_every ~shards ~path () =
   (match annotate_every with
   | Some n when n <= 0 -> invalid_arg "Resume.resume: annotate_every"
   | _ -> ());
-  let rz = Segment.read_from_checkpoint path in
+  let r = Segment.read path in
   (* appending after a torn tail would bury the frames behind the
      corruption the reader stops at, so a truncated spool is only checked:
      no barriers are taken for frames that would not be written *)
-  let every = if rz.Segment.r_recovered.Segment.truncated then None else annotate_every in
-  let outcome, frames = check ?capacity ?metrics ?at ?every ~shards rz in
+  let every = if r.Segment.truncated then None else annotate_every in
+  let outcome, frames = check ?capacity ?metrics ?at ?every ~shards r in
   List.iter (fun (n, st) -> Segment.append_checkpoint_file path ~events:n st) frames;
   outcome

@@ -51,14 +51,14 @@ val resume :
   unit ->
   outcome
 
-(** {!resume} over an already-recovered {!Segment.resumable}, without
+(** {!resume} over an already-recovered {!Segment.recovered}, without
     annotation — lets a benchmark time checking apart from disk recovery. *)
 val resume_recovered :
   ?capacity:int ->
   ?metrics:Metrics.t ->
   ?at:int ->
   shards:(Vyrd.Log.level -> Farm.shard list) ->
-  Segment.resumable ->
+  Segment.recovered ->
   outcome
 
 (** A farm handed back {e live} after a resume: the spool's events are fed

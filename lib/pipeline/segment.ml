@@ -2,24 +2,14 @@ open Vyrd
 
 let magic = "VYRDB1"
 
-let level_code = function `None -> 0 | `Io -> 1 | `View -> 2 | `Full -> 3
-
-let level_of_code = function
-  | 0 -> Some `None
-  | 1 -> Some `Io
-  | 2 -> Some `View
-  | 3 -> Some `Full
-  | _ -> None
-
 let frame_header_bytes = 12
 let file_header_bytes = String.length magic + 1
 
-(* Checkpoint frames reuse the event framing but set bit 31 of the count
-   word (an event segment never holds 2^31 events).  Readers that predate
-   checkpoints treat such a frame like any other: its CRC still guards the
-   clean-prefix recovery; readers from this version on skip the payload
-   unless asked to collect it. *)
-let checkpoint_flag = 0x80000000
+(* Checkpoint frames reuse the event framing with a count word of exactly
+   2^31 (an event segment never holds 2^31 events).  The CRC does not cover
+   the count word, so a reader takes no other value for a checkpoint: any
+   other count must match the events its payload holds. *)
+let checkpoint_count = 0x80000000
 
 (* --------------------------------------------------------------- writer *)
 
@@ -93,7 +83,7 @@ let ensure_open w =
     let path = current_path w in
     let oc = open_out_bin path in
     output_string oc magic;
-    output_char oc (Char.chr (level_code w.w_level));
+    output_char oc (Char.chr (Bincodec.level_code w.w_level));
     w.w_oc <- Some oc;
     w.w_file_bytes <- file_header_bytes;
     w.w_bytes <- w.w_bytes + file_header_bytes;
@@ -141,7 +131,7 @@ let append_checkpoint w state =
   (* seal first: the frame's event index covers everything appended so far *)
   seal w;
   w.w_checkpoints <- w.w_checkpoints + 1;
-  write_frame w (checkpoint_frame ~events:w.w_events state) checkpoint_flag
+  write_frame w (checkpoint_frame ~events:w.w_events state) checkpoint_count
 
 let append w ev =
   if w.w_closed then invalid_arg "Segment.append: writer is closed";
@@ -181,149 +171,19 @@ let write_file ?segment_bytes path log =
 
 (* --------------------------------------------------------------- reader *)
 
+type checkpoint = { ck_events : int; ck_state : Repr.t }
+
 type recovered = {
   log : Log.t;
   segments : int;
   bytes : int;
   truncated : bool;
   files : string list;
+  checkpoints : checkpoint list;
 }
 
-let is_binary path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        match really_input_string ic (String.length magic) with
-        | s -> String.equal s magic
-        | exception End_of_file -> false)
-
-let get_u32 s off =
-  Int32.to_int (String.get_int32_le s off) land 0xffffffff
-
-(* Decode one CRC-validated payload into the log.  The payload passed its
-   checksum, so a decode failure here means an encoder bug, not a torn
-   write: raise rather than silently truncate. *)
-let decode_payload log payload count =
-  let n = ref (Bincodec.iter_events payload (Log.append log)) in
-  if !n <> count then
-    raise
-      (Bincodec.Corrupt
-         (Printf.sprintf "segment declared %d events but contained %d" count !n))
-
-let decode_checkpoint payload =
-  let c = Bincodec.cursor payload in
-  let events = Bincodec.read_uvarint c in
-  let state = Bincodec.read_repr c in
-  if Bincodec.remaining c <> 0 then
-    raise (Bincodec.Corrupt "checkpoint frame has trailing bytes");
-  (events, state)
-
-(* Read every whole, CRC-valid segment of [ic]; [false] when a torn payload
-   or a checksum mismatch ended the stream (a torn 12-byte frame header
-   shows up as a clean [End_of_file] here and is caught by the caller's
-   consumed-bytes-vs-file-size comparison).  Checkpoint frames never reach
-   the event log: they are handed to [on_checkpoint] when they decode, and
-   skipped otherwise (a CRC-valid but undecodable checkpoint is version
-   skew, not a torn tail — losing it costs replay work, never events). *)
-let read_segments ?(on_checkpoint = fun _ _ -> ()) log ic acc_segments acc_bytes =
-  let clean = ref true in
-  let stop = ref false in
-  while not !stop do
-    match really_input_string ic frame_header_bytes with
-    | exception End_of_file -> stop := true
-    | head ->
-      let len = get_u32 head 0 in
-      let crc = get_u32 head 4 in
-      let count = get_u32 head 8 in
-      (match really_input_string ic len with
-      | exception End_of_file ->
-        clean := false;
-        stop := true
-      | payload ->
-        if Bincodec.crc32 payload <> crc then begin
-          clean := false;
-          stop := true
-        end
-        else begin
-          if count land checkpoint_flag <> 0 then (
-            match decode_checkpoint payload with
-            | events, state -> on_checkpoint events state
-            | exception Bincodec.Corrupt _ -> ())
-          else begin
-            decode_payload log payload count;
-            incr acc_segments
-          end;
-          acc_bytes := !acc_bytes + frame_header_bytes + len
-        end)
-  done;
-  !clean
-
-let read_header ic =
-  match really_input_string ic file_header_bytes with
-  | exception End_of_file -> Error `Torn_header
-  | s ->
-    if not (String.equal (String.sub s 0 (String.length magic)) magic) then
-      Error `Bad_magic
-    else (
-      match level_of_code (Char.code s.[String.length magic]) with
-      | Some lvl -> Ok lvl
-      | None -> Error `Bad_magic)
-
-let read_files_collecting ?on_checkpoint paths =
-  let log = ref None in
-  let segments = ref 0 in
-  let bytes = ref 0 in
-  let truncated = ref false in
-  let read_one path =
-    let size = (Unix.stat path).Unix.st_size in
-    let before = !bytes in
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        match read_header ic with
-        | Error `Bad_magic when !log = None ->
-          raise (Bincodec.Corrupt (path ^ ": not a vyrd binary segment file"))
-        | Error (`Bad_magic | `Torn_header) ->
-          (* a crash can truncate even the header of the last rotated file *)
-          truncated := true
-        | Ok lvl ->
-          let l =
-            match !log with
-            | Some l -> l
-            | None ->
-              let l = Log.create ~level:lvl () in
-              log := Some l;
-              l
-          in
-          bytes := !bytes + file_header_bytes;
-          let on_checkpoint =
-            Option.map (fun f events state -> f l events state) on_checkpoint
-          in
-          if not (read_segments ?on_checkpoint l ic segments bytes) then
-            truncated := true;
-          (* bytes we validated falling short of the file size means the
-             tail was torn inside a frame header *)
-          if !bytes - before < size then truncated := true)
-  in
-  List.iter (fun path -> if not !truncated then read_one path) paths;
-  let log = match !log with Some l -> l | None -> Log.create ~level:`Full () in
-  {
-    log;
-    segments = !segments;
-    bytes = !bytes;
-    truncated = !truncated;
-    files = paths;
-  }
-
-let read_files paths = read_files_collecting paths
-let read_file path = read_files [ path ]
-
 (* [path] itself when it exists, otherwise the sorted rotation set. *)
-let resolve_prefix path =
+let resolve path =
   if Sys.file_exists path then [ path ]
   else begin
     let dir = Filename.dirname path in
@@ -339,43 +199,119 @@ let resolve_prefix path =
     entries
   end
 
-let read_prefix path = read_files (resolve_prefix path)
+(* I/O errors surface as [Sys_error], as from the channel functions. *)
+let with_fd path f =
+  try
+    let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+  with Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
 
-(* ---------------------------------------------------------- checkpoints *)
+(* Up to [n] first bytes of [fd]. *)
+let read_head fd n =
+  let b = Bytes.create n in
+  Bytes.sub_string b 0 (Bincodec.really_read fd b n)
 
-type checkpoint = { ck_events : int; ck_state : Vyrd.Repr.t }
+let is_binary path =
+  match with_fd (List.hd (resolve path)) (fun fd -> read_head fd (String.length magic)) with
+  | head -> String.equal head magic
+  | exception (Bincodec.Corrupt _ | Sys_error _) -> false
 
-type resumable = { r_recovered : recovered; r_checkpoints : checkpoint list }
+let read_file_header fd =
+  let s = read_head fd file_header_bytes in
+  if String.length s < file_header_bytes then Error `Torn_header
+  else if not (String.starts_with ~prefix:magic s) then Error `Bad_magic
+  else
+    match Bincodec.level_of_code (Char.code s.[String.length magic]) with
+    | lvl -> Ok lvl
+    | exception Bincodec.Corrupt _ -> Error `Bad_magic
 
-let read_from_checkpoint path =
-  let cks = ref [] in
-  let on_checkpoint log events state =
-    (* a checkpoint cannot cover more events than precede it in the
-       stream; anything else is a forged or misplaced frame — drop it *)
-    if events >= 0 && events <= Log.length log then
-      cks := { ck_events = events; ck_state = state } :: !cks
+(* The payload passed its checksum, so a count that does not match it is a
+   damaged count word or an encoder bug, not a torn write: raise rather
+   than silently truncate. *)
+let decode_events log c count =
+  let n = Bincodec.iter_events c (Log.append log) in
+  if n <> count then
+    raise
+      (Bincodec.Corrupt
+         (Printf.sprintf "segment declared %d events but contained %d" count n))
+
+let decode_checkpoint c =
+  let events = Bincodec.read_uvarint c in
+  let state = Bincodec.read_repr c in
+  if Bincodec.remaining c <> 0 then
+    raise (Bincodec.Corrupt "checkpoint frame has trailing bytes");
+  (events, state)
+
+(* Every frame is read through [Bincodec.read_frame], bounded by the bytes
+   left in its file: a torn or CRC-invalid frame ends the stream there
+   ([truncated]).  Checkpoint frames never reach the event log: a valid one
+   is collected, an undecodable one is skipped (a CRC-valid but
+   undecodable checkpoint is version skew, not a torn tail — losing it
+   costs replay work, never events), and one claiming to cover more events
+   than precede it is dropped as forged or misplaced. *)
+let read path =
+  let files = resolve path in
+  let frames = Bincodec.frame_reader ~header:frame_header_bytes in
+  let log = ref None in
+  let segments = ref 0 in
+  let bytes = ref 0 in
+  let truncated = ref false in
+  let checkpoints = ref [] in
+  let read_one file fd =
+    let size = (Unix.fstat fd).Unix.st_size in
+    match read_file_header fd with
+    | Error `Bad_magic when !log = None ->
+      raise (Bincodec.Corrupt (file ^ ": not a vyrd binary segment file"))
+    | Error (`Bad_magic | `Torn_header) ->
+      (* a crash can truncate even the header of the last rotated file *)
+      truncated := true
+    | Ok level ->
+      let l =
+        match !log with
+        | Some l -> l
+        | None ->
+          let l = Log.create ~level () in
+          log := Some l;
+          l
+      in
+      let pos = ref file_header_bytes in
+      let rec next () =
+        match Bincodec.read_frame frames ~max_bytes:(size - !pos - frame_header_bytes) fd with
+        | exception Bincodec.Closed -> ()
+        | exception Bincodec.Corrupt _ -> truncated := true
+        | c ->
+          let count = Bincodec.header_word frames 2 in
+          if count <> checkpoint_count then begin
+            decode_events l c count;
+            incr segments
+          end
+          else (
+            match decode_checkpoint c with
+            | events, state when events >= 0 && events <= Log.length l ->
+              checkpoints := { ck_events = events; ck_state = state } :: !checkpoints
+            | _ | (exception Bincodec.Corrupt _) -> ());
+          pos := !pos + Bincodec.frame_size frames;
+          next ()
+      in
+      next ();
+      bytes := !bytes + !pos
   in
-  let r = read_files_collecting ~on_checkpoint (resolve_prefix path) in
-  { r_recovered = r; r_checkpoints = List.rev !cks }
-
-let latest_checkpoint ?at resumable =
-  let limit =
-    match at with Some n -> n | None -> Log.length resumable.r_recovered.log
-  in
-  List.fold_left
-    (fun acc ck -> if ck.ck_events <= limit then Some ck else acc)
-    None resumable.r_checkpoints
+  List.iter (fun file -> if not !truncated then with_fd file (read_one file)) files;
+  {
+    log = (match !log with Some l -> l | None -> Log.create ~level:`Full ());
+    segments = !segments;
+    bytes = !bytes;
+    truncated = !truncated;
+    files;
+    checkpoints = List.rev !checkpoints;
+  }
 
 let append_checkpoint_file path ~events state =
-  let target =
-    match List.rev (resolve_prefix path) with
-    | last :: _ -> last
-    | [] -> raise (Bincodec.Corrupt (path ^ ": no such segment file or rotation set"))
-  in
+  let target = List.hd (List.rev (resolve path)) in
   let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 target in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       let b = checkpoint_frame ~events state in
-      seal_frame b checkpoint_flag;
+      seal_frame b checkpoint_count;
       output_frame oc b)

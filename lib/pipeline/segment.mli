@@ -15,17 +15,25 @@
     file exceeds that size — so a long run spools to disk with bounded
     buffering and bounded per-file size.
 
-    {b Crash recovery.}  A reader validates each segment's length and CRC
-    before decoding; at the first torn or corrupt frame it stops and returns
-    everything before it.  Every event of every CRC-valid prefix segment is
-    preserved — a crash mid-write costs at most the unsealed tail. *)
+    {b Crash recovery.}  {!read} takes every frame through
+    {!Bincodec.read_frame}, the bounded, CRC-first reader the vyrdd socket
+    uses: a frame's length is checked against the bytes left in its file
+    before any buffer grows, and its CRC before anything decodes.  At the
+    first torn or corrupt frame the reader stops and returns everything
+    before it, so every event of every CRC-valid prefix segment is
+    preserved — a crash mid-write costs at most the unsealed tail.  The
+    count word is outside the CRC: exactly 2^31 marks a checkpoint frame,
+    and any other count must match the events the payload holds, or the
+    read raises {!Bincodec.Corrupt} rather than leave a hole in the
+    stream. *)
 
 (** First bytes of every segment file. *)
 val magic : string
 
-(** [is_binary path] sniffs whether [path] starts with {!magic} (false for
-    missing or short files) — used to route between the binary reader and
-    the textual {!Vyrd.Log.of_file}. *)
+(** [is_binary path] sniffs whether the first file {!read} would read for
+    [path] ([path] itself, or else the first file of its rotation set)
+    starts with {!magic}; false when there is none or it is short.  Routes
+    between the binary reader and the textual {!Vyrd.Log.of_file}. *)
 val is_binary : string -> bool
 
 (** {1 Writing} *)
@@ -67,41 +75,18 @@ val writer_events : writer -> int
 val writer_checkpoints : writer -> int
 
 (** [append_checkpoint w state] seals any buffered events, then writes a
-    {e checkpoint frame}: same [len|crc|count] framing, but with bit 31 of
-    the count word set and a payload of [events-so-far (uvarint) | state
+    {e checkpoint frame}: same [len|crc|count] framing, but with a count
+    word of exactly 2^31 and a payload of [events-so-far (uvarint) | state
     ({!Bincodec.put_repr})].  The frame means "after the first
     [writer_events w] events of this stream, the farm state was
-    [state]".  Readers that are only after the events skip these frames;
-    {!read_from_checkpoint} collects them. *)
+    [state]".  {!read} collects these frames apart from the events. *)
 val append_checkpoint : writer -> Vyrd.Repr.t -> unit
 
 (** [write_file path log] spools a whole in-memory log to a single binary
     file. *)
 val write_file : ?segment_bytes:int -> string -> Vyrd.Log.t -> unit
 
-(** {1 Reading} *)
-
-type recovered = {
-  log : Vyrd.Log.t;  (** events of every CRC-valid segment, at the header level *)
-  segments : int;
-  bytes : int;  (** bytes consumed as valid *)
-  truncated : bool;  (** a torn or corrupt tail was discarded *)
-  files : string list;
-}
-
-(** @raise Bincodec.Corrupt when [path] is not a segment file at all (bad
-    magic) — truncated or corrupt {e tails} are recovered, not raised. *)
-val read_file : string -> recovered
-
-(** [read_files paths] concatenates a rotation sequence in list order.
-    Corruption in any file ends the stream there (marked [truncated]). *)
-val read_files : string list -> recovered
-
-(** [read_prefix path] reads [path] itself when it exists, otherwise the
-    sorted rotation set [path.00000], [path.00001], ... *)
-val read_prefix : string -> recovered
-
-(** {1 Checkpoints}
+(** {1 Reading}
 
     A checkpoint frame carries an opaque farm checkpoint together with the
     number of stream events it covers.  Corruption handling follows the
@@ -116,20 +101,27 @@ type checkpoint = {
   ck_state : Vyrd.Repr.t;  (** opaque farm checkpoint *)
 }
 
-type resumable = {
-  r_recovered : recovered;
-  r_checkpoints : checkpoint list;
+type recovered = {
+  log : Vyrd.Log.t;  (** events of every CRC-valid segment, at the header level *)
+  segments : int;
+  bytes : int;  (** bytes consumed as valid *)
+  truncated : bool;  (** a torn or corrupt tail was discarded *)
+  files : string list;
+  checkpoints : checkpoint list;
       (** valid checkpoints in stream order; a frame claiming to cover more
-          events than precede it is dropped here *)
+          events than precede it is dropped *)
 }
 
-(** [read_from_checkpoint path] reads like {!read_prefix} but also collects
-    every valid checkpoint frame. *)
-val read_from_checkpoint : string -> resumable
-
-(** Latest checkpoint covering at most [at] events (default: all recovered
-    events). *)
-val latest_checkpoint : ?at:int -> resumable -> checkpoint option
+(** [read path] reads [path] itself when it exists, otherwise the sorted
+    rotation set [path.00000], [path.00001], ..., concatenated in that
+    order; corruption in any file ends the stream there (marked
+    [truncated]).
+    @raise Bincodec.Corrupt when there is no such file or rotation set,
+      when the first file is not a segment file at all (bad magic), or on
+      a CRC-valid frame whose count word does not match its payload —
+      truncated or corrupt {e tails} are recovered, not raised.
+    @raise Sys_error when a file cannot be read. *)
+val read : string -> recovered
 
 (** [append_checkpoint_file path ~events state] appends one checkpoint
     frame to an existing spool ([path] or the last file of its rotation

@@ -46,15 +46,15 @@ let checkpoint_frame_roundtrip =
          List.iter (Segment.append w) after;
          Segment.close w;
          (* a checkpoint-blind reader sees exactly the events *)
-         let plain = Segment.read_prefix path in
+         let plain = Segment.read path in
          (* the resuming reader additionally collects the frame *)
-         let rz = Segment.read_from_checkpoint path in
+         let rz = Segment.read path in
          Log.events plain.Segment.log = before @ after
          && (not plain.Segment.truncated)
-         && Log.events rz.Segment.r_recovered.Segment.log = before @ after
+         && Log.events rz.Segment.log = before @ after
          && Segment.writer_checkpoints w = 1
          &&
-         match rz.Segment.r_checkpoints with
+         match rz.Segment.checkpoints with
          | [ ck ] ->
            ck.Segment.ck_events = List.length before && ck.Segment.ck_state = state
          | _ -> false))
@@ -264,9 +264,9 @@ let resume_equals_offline_everywhere ~every name log =
     (Report.tag spool.Resume.report);
   Alcotest.(check (option int)) (name ^ ": spooled fail index") off_fail
     spool.Resume.fail_index;
-  let rz = Segment.read_from_checkpoint path in
+  let rz = Segment.read path in
   Alcotest.(check bool) (name ^ ": spool carries checkpoints") true
-    (rz.Segment.r_checkpoints <> []);
+    (rz.Segment.checkpoints <> []);
   List.iter
     (fun (ck : Segment.checkpoint) ->
       let at = ck.Segment.ck_events in
@@ -281,7 +281,7 @@ let resume_equals_offline_everywhere ~every name log =
       Alcotest.(check (option int)) (pos ^ ": fail index") off_fail
         o.Resume.fail_index;
       check_stats pos off.Report.stats o.Resume.report.Report.stats)
-    rz.Segment.r_checkpoints
+    rz.Segment.checkpoints
 
 let test_resume_equals_offline_correct () =
   resume_equals_offline_everywhere ~every:50 "correct run" (correct_log ())
@@ -344,7 +344,7 @@ let test_corrupt_checkpoint_never_changes_verdict () =
     | outcome ->
       (* whatever prefix the damaged spool still cleanly recovers, the
          resumed verdict must be the offline verdict of that prefix *)
-      let r = Segment.read_prefix path in
+      let r = Segment.read path in
       let off, off_fail = offline r.Segment.log in
       let pos = Printf.sprintf "flip at byte %d" !p in
       Alcotest.(check string) (pos ^ ": verdict") (Report.tag off)
@@ -546,7 +546,7 @@ let test_legacy_checker_frame_replays_in_full () =
           Segment.append w ev)
         events;
       Segment.close w;
-      (match (Segment.read_from_checkpoint path).Segment.r_checkpoints with
+      (match (Segment.read path).Segment.checkpoints with
       | [ { Segment.ck_events; ck_state = Repr.Pair (Repr.Str "checker/1", _) } ] ->
         Alcotest.(check int) (name ^ ": frame position") cut ck_events
       | _ -> Alcotest.fail (name ^ ": expected one checker/1 frame"));
@@ -711,6 +711,46 @@ let test_json_escape_keeps_utf8 () =
   check "controls" "\\t\\r\\u0001\\u007f" "\t\r\x01\x7f";
   check "stray and truncated bytes" "\\u00c3e\\u00e2\\u0086" "\xc3e\xe2\x86"
 
+(* A spool that [pipeline --rotate-bytes] wrote is a rotation set: no file
+   carries the spool's own name, yet [check --resume] resolves it as plain
+   [check] does and resumes from the checkpoint frames spread across its
+   files. *)
+let test_cli_resumes_rotated_spool () =
+  let exe =
+    List.find Sys.file_exists
+      [ "../bin/vyrd_check.exe"; "_build/default/bin/vyrd_check.exe" ]
+  in
+  let dir = Filename.temp_file "vyrd_cli_rotated" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  let out_path = Filename.concat dir "out" in
+  let run args =
+    let out_fd =
+      Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
+    in
+    let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_fd out_fd in
+    Unix.close out_fd;
+    let _, status = Unix.waitpid [] pid in
+    let text = In_channel.with_open_bin out_path In_channel.input_all in
+    if status <> Unix.WEXITED 0 then
+      Alcotest.failf "%s failed:\n%s" (String.concat " " args) text;
+    text
+  in
+  let spool = Filename.concat dir "S" in
+  ignore
+    (run
+       [ "pipeline"; "--subjects"; "Multiset-Vector"; "--threads"; "4"; "--ops"; "80";
+         "--segments"; spool; "--rotate-bytes"; "8192"; "--checkpoint-events"; "200" ]);
+  Alcotest.(check bool) "the spool rotated" true
+    (Sys.file_exists (spool ^ ".00001") && not (Sys.file_exists spool));
+  let text = run [ "check"; "--subject"; "Multiset-Vector"; "--mode"; "view"; "--resume"; spool ] in
+  Alcotest.(check bool) "resumed from a frame" true (contains ~affix:"resumed at event" text)
+
 let suite =
   [
     checkpoint_frame_roundtrip;
@@ -749,4 +789,5 @@ let suite =
       `Quick,
       test_legacy_checker_frame_replays_in_full );
     ("metrics: json_escape keeps well-formed UTF-8", `Quick, test_json_escape_keeps_utf8);
+    ("check --resume reads a rotated spool", `Quick, test_cli_resumes_rotated_spool);
   ]

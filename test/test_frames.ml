@@ -191,11 +191,11 @@ let segment_case =
     fun bytes ->
       with_spool (fun path ->
           Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
-          let r = Segment.read_from_checkpoint path in
-          Alcotest.(check bool) "spool is whole" false r.Segment.r_recovered.Segment.truncated;
+          let r = Segment.read path in
+          Alcotest.(check bool) "spool is whole" false r.Segment.truncated;
           same_events "segment spool" (Lazy.force segment_events)
-            (Log.snapshot r.Segment.r_recovered.Segment.log);
-          match r.Segment.r_checkpoints with
+            (Log.snapshot r.Segment.log);
+          match r.Segment.checkpoints with
           | [ ck ] ->
             Alcotest.(check int) "checkpoint position" checkpoint_at ck.Segment.ck_events;
             Alcotest.(check bool) "checkpoint state" true (ck.Segment.ck_state = segment_state)
@@ -233,6 +233,56 @@ let test_golden_frames () =
       check b)
     cases
 
+(* Minor words per event of the one frame reader on golden bytes:
+   [Segment.read] of the spool case and [Wire.recv] of the io batch stream
+   (seed 1) over a socketpair, each after one warm-up pass so the intern
+   table and the reused buffers are already full.  Counting allocation
+   involves no timing. *)
+let minor_words_per_event events f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int events
+
+let spool_read_words () =
+  let _, bytes, _ = segment_case in
+  let path = Filename.temp_file "vyrd_golden" ".seg" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (bytes ()));
+  minor_words_per_event (Array.length (Lazy.force segment_events)) (fun () ->
+      ignore (Segment.read path : Segment.recovered))
+
+let wire_recv_words () =
+  let evs = composite_log ~level:`Io ~bug:false 1 in
+  let framed = List.map (fun c -> Wire.frame (Wire.encode_client (Wire.Batch c))) (chunks evs) in
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b) @@ fun () ->
+  let r = Wire.reader () in
+  minor_words_per_event (Array.length evs) (fun () ->
+      List.iter
+        (fun f ->
+          ignore (Unix.write_substring a f 0 (String.length f) : int);
+          match Wire.recv r b with
+          | Wire.Events _ -> ()
+          | Wire.Message _ -> Alcotest.fail "a batch frame came back as a message")
+        framed)
+
+(* Budgets: the figure measured on OCaml 5.1.1 (the spool read measured
+   25.8 before it moved onto the shared reader), plus a slack of about a
+   quarter for the other 5.x runtimes and stdlibs. *)
+let test_reader_allocation_budgets () =
+  List.iter
+    (fun (what, measured, slack, words) ->
+      let budget = measured +. slack in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words/event within %.1f + %.1f" what words measured
+           slack)
+        true (words <= budget))
+    [ ("Segment.read", 23.6, 6.0, spool_read_words ());
+      ("Wire.recv", 14.2, 4.0, wire_recv_words ()) ]
+
 let suite =
   [ Alcotest.test_case "wire frames and spool bytes match the golden digests" `Quick
-      test_golden_frames ]
+      test_golden_frames;
+    Alcotest.test_case "frame reader allocation budgets" `Quick
+      test_reader_allocation_budgets ]

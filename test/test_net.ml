@@ -364,7 +364,7 @@ let test_overload_spills_and_recheck_agrees () =
           | Client.Spilled { path; events } ->
             Alcotest.(check int) "spool holds the whole stream" (Log.length log)
               events;
-            let r = Segment.read_file path in
+            let r = Segment.read path in
             Alcotest.(check bool) "spool reads clean" false r.Segment.truncated;
             Alcotest.(check int) "spool event count" (Log.length log)
               (Log.length r.Segment.log);
@@ -692,7 +692,7 @@ let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_corrupt_reader_does_not_leak_fds () =
   (* a segment file whose payload passes its CRC but lies about its event
-     count: [read_file] must raise Corrupt from inside the decode, and the
+     count: [Segment.read] must raise Corrupt from inside the decode, and the
      file descriptor must still be released *)
   let path = Filename.temp_file "vyrd_leak" ".seg" in
   Fun.protect
@@ -715,7 +715,7 @@ let test_corrupt_reader_does_not_leak_fds () =
           Out_channel.output_string oc payload);
       let before = count_fds () in
       for _ = 1 to 10 do
-        match Segment.read_file path with
+        match Segment.read path with
         | _ -> Alcotest.fail "lying segment accepted"
         | exception Bincodec.Corrupt _ -> ()
       done;

@@ -165,7 +165,7 @@ let segment_file_roundtrip =
          List.iter (Log.append log) evs;
          with_tmp (fun path ->
              Segment.write_file ~segment_bytes:64 path log;
-             let r = Segment.read_file path in
+             let r = Segment.read path in
              (not r.Segment.truncated)
              && Log.level r.Segment.log = level
              && Log.length r.Segment.log = Log.length log
@@ -188,7 +188,7 @@ let test_binary_matches_text_on_examples () =
       Alcotest.(check bool) (file ^ ": non-trivial") true (Log.length log > 0);
       with_tmp (fun tmp ->
           Segment.write_file tmp log;
-          let r = Segment.read_file tmp in
+          let r = Segment.read tmp in
           Alcotest.(check bool) (file ^ ": clean") false r.Segment.truncated;
           check_same_log file log r.Segment.log))
     [ "multiset_vector.log"; "cache.log"; "scanfs.log" ]
@@ -214,7 +214,7 @@ let test_rotation_and_read_prefix () =
       List.iter
         (fun f -> Alcotest.(check bool) (f ^ " sniffs binary") true (Segment.is_binary f))
         files;
-      let r = Segment.read_prefix base in
+      let r = Segment.read base in
       Alcotest.(check bool) "clean" false r.Segment.truncated;
       check_same_log "rotation set" log r.Segment.log)
 
@@ -239,7 +239,7 @@ let test_truncated_tail_recovery () =
           Fun.protect
             ~finally:(fun () -> Sys.remove torn)
             (fun () ->
-              let r = Segment.read_file torn in
+              let r = Segment.read torn in
               let got = Log.events r.Segment.log in
               let n = List.length got in
               if n > Array.length evs then
@@ -272,7 +272,7 @@ let test_corrupt_byte_stops_at_crc () =
       let bytes = Bytes.of_string whole in
       Bytes.set bytes at (Char.chr (Char.code (Bytes.get bytes at) lxor 0xff));
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
-      let r = Segment.read_file path in
+      let r = Segment.read path in
       Alcotest.(check bool) "marked truncated" true r.Segment.truncated;
       Alcotest.(check bool) "some prefix survived" true (Log.length r.Segment.log > 0);
       let got = Log.events r.Segment.log in
@@ -305,7 +305,7 @@ let test_corrupt_middle_rotation_file () =
       Alcotest.(check bool) "at least 3 files to damage the middle of" true
         (List.length files >= 3);
       let per_file =
-        List.map (fun f -> Log.length (Segment.read_file f).Segment.log) files
+        List.map (fun f -> Log.length (Segment.read f).Segment.log) files
       in
       let mid = List.length files / 2 in
       let victim = List.nth files mid in
@@ -315,7 +315,7 @@ let test_corrupt_middle_rotation_file () =
       let at = Bytes.length bytes / 2 in
       Bytes.set bytes at (Char.chr (Char.code (Bytes.get bytes at) lxor 0xff));
       Out_channel.with_open_bin victim (fun oc -> Out_channel.output_bytes oc bytes);
-      let r = Segment.read_files files in
+      let r = Segment.read base in
       Alcotest.(check bool) "marked truncated" true r.Segment.truncated;
       let before_victim =
         List.fold_left ( + ) 0 (List.filteri (fun i _ -> i < mid) per_file)
@@ -341,8 +341,8 @@ let test_not_a_segment_file_raises () =
           Out_channel.output_string oc "# vyrd-log level=view\n");
       Alcotest.(check bool) "text log does not sniff binary" false
         (Segment.is_binary path);
-      match Segment.read_file path with
-      | _ -> Alcotest.fail "read_file accepted a text log"
+      match Segment.read path with
+      | _ -> Alcotest.fail "Segment.read accepted a text log"
       | exception Bincodec.Corrupt _ -> ())
 
 (* --- the bounded ring ----------------------------------------------------- *)
@@ -837,6 +837,89 @@ let test_finish_reraises_lane_exception () =
   Alcotest.(check int) "every lane started on the pool" 4 (spawns + reuses);
   Alcotest.(check bool) "the next farm reused a domain" true (reuses >= 1)
 
+(* --- spool damage through the shared frame reader ------------------------- *)
+
+(* Byte offsets of the frame headers of a one-file spool. *)
+let frame_offsets whole =
+  let rec go pos acc =
+    if pos >= String.length whole then List.rev acc
+    else
+      let len = Int32.to_int (String.get_int32_le whole pos) land 0xffffffff in
+      go (pos + 12 + len) (pos :: acc)
+  in
+  go (String.length Segment.magic + 1) []
+
+(* Flip every bit of every 12-byte frame header of a spool holding a
+   checkpoint frame.  The count word is outside the CRC, so a damaged
+   header may be refused outright, but it may never leave a hole in the
+   stream: whatever comes back is a prefix of the written events, marked
+   [truncated] whenever it is short. *)
+let test_header_bit_flips_never_leave_a_hole () =
+  let evs = Log.snapshot (record ~ops:40 ()) in
+  let n = Array.length evs in
+  with_tmp (fun path ->
+      let w = Segment.create_writer ~segment_bytes:400 ~level:`View path in
+      Array.iteri
+        (fun i ev ->
+          if i = n / 2 then Segment.append_checkpoint w (Repr.Int i);
+          Segment.append w ev)
+        evs;
+      Segment.close w;
+      Alcotest.(check bool) "at least 10 segments" true (Segment.writer_segments w >= 10);
+      Alcotest.(check int) "one checkpoint frame" 1 (Segment.writer_checkpoints w);
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      let flipped = path ^ ".flip" in
+      Fun.protect ~finally:(fun () -> if Sys.file_exists flipped then Sys.remove flipped)
+      @@ fun () ->
+      List.iter
+        (fun head ->
+          for bit = 0 to 95 do
+            let b = Bytes.of_string whole in
+            let at = head + (bit / 8) in
+            Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl (bit mod 8))));
+            Out_channel.with_open_bin flipped (fun oc -> Out_channel.output_bytes oc b);
+            match Segment.read flipped with
+            | exception Bincodec.Corrupt _ -> ()
+            | r ->
+              let got = Log.snapshot r.Segment.log in
+              let k = Array.length got in
+              let where = Printf.sprintf "bit %d of the header at byte %d" bit head in
+              if k > n || not (Array.for_all2 Event.equal got (Array.sub evs 0 k)) then
+                Alcotest.failf "%s: recovered log is not a prefix" where;
+              if k < n && not r.Segment.truncated then
+                Alcotest.failf "%s: %d of %d events, not marked truncated" where k n
+          done)
+        (frame_offsets whole))
+
+(* A length word of 0xF0000000 on the last frame is checked against the
+   bytes left in the file before any buffer is sized by it: the read
+   recovers every earlier frame and allocates about the file, not 4 GB. *)
+let test_hostile_last_length_allocates_nothing () =
+  let log = record ~ops:40 () in
+  with_tmp (fun path ->
+      Segment.write_file ~segment_bytes:400 path log;
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      let heads = frame_offsets whole in
+      let last = List.nth heads (List.length heads - 1) in
+      let before_last =
+        List.fold_left
+          (fun acc h -> if h < last then acc + Int32.to_int (String.get_int32_le whole (h + 8)) else acc)
+          0 heads
+      in
+      let b = Bytes.of_string whole in
+      Bytes.set_int32_le b last (Int32.of_int 0xF0000000);
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+      let before = Gc.allocated_bytes () in
+      let r = Segment.read path in
+      let grew = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool) "marked truncated" true r.Segment.truncated;
+      Alcotest.(check int) "the frames before the last survive" before_last
+        (Log.length r.Segment.log);
+      Alcotest.(check bool)
+        (Printf.sprintf "allocated %.0f bytes for a %d-byte file" grew (String.length whole))
+        true
+        (grew < float_of_int (String.length whole + (1 lsl 20))))
+
 let suite =
   [
     varint_roundtrip;
@@ -875,4 +958,8 @@ let suite =
       `Quick,
       test_pool_concurrent_farms_reverse_finish );
     ("farm finish re-raises a lane's exception", `Quick, test_finish_reraises_lane_exception);
+    ("header bit flips never leave a hole", `Quick, test_header_bit_flips_never_leave_a_hole);
+    ( "hostile last length allocates nothing",
+      `Quick,
+      test_hostile_last_length_allocates_nothing );
   ]
