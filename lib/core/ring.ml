@@ -1,5 +1,6 @@
 type 'a t = {
-  buf : 'a option array;
+  buf : 'a array;
+  empty : 'a;  (* fills every free slot, so the ring keeps nothing alive *)
   mutable head : int;  (* next pop *)
   mutable tail : int;  (* next push *)
   mutable size : int;
@@ -12,10 +13,11 @@ type 'a t = {
   not_empty : Condition.t;
 }
 
-let create ~capacity () =
+let create ~capacity empty =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   {
-    buf = Array.make capacity None;
+    buf = Array.make capacity empty;
+    empty;
     head = 0;
     tail = 0;
     size = 0;
@@ -28,8 +30,6 @@ let create ~capacity () =
     not_empty = Condition.create ();
   }
 
-let capacity t = Array.length t.buf
-
 let locked t f =
   Mutex.lock t.lock;
   match f () with
@@ -41,7 +41,7 @@ let locked t f =
     raise e
 
 let enqueue t x =
-  t.buf.(t.tail) <- Some x;
+  t.buf.(t.tail) <- x;
   t.tail <- (t.tail + 1) mod Array.length t.buf;
   t.size <- t.size + 1;
   if t.size > t.high then t.high <- t.size;
@@ -91,7 +91,7 @@ let push_batch t ?(pos = 0) ?len src =
             let cap = Array.length t.buf in
             let n = min (cap - t.size) !remaining in
             for _ = 1 to n do
-              t.buf.(t.tail) <- Some src.(!i);
+              t.buf.(t.tail) <- src.(!i);
               t.tail <- (t.tail + 1) mod cap;
               incr i
             done;
@@ -104,14 +104,6 @@ let push_batch t ?(pos = 0) ?len src =
         end)
   done
 
-let try_push t x =
-  locked t (fun () ->
-      if t.is_closed || t.size = Array.length t.buf then false
-      else begin
-        enqueue t x;
-        true
-      end)
-
 let pop t =
   locked t (fun () ->
       while t.size = 0 && not t.is_closed do
@@ -120,11 +112,11 @@ let pop t =
       if t.size = 0 then None
       else begin
         let x = t.buf.(t.head) in
-        t.buf.(t.head) <- None;
+        t.buf.(t.head) <- t.empty;
         t.head <- (t.head + 1) mod Array.length t.buf;
         t.size <- t.size - 1;
         Condition.signal t.not_full;
-        x
+        Some x
       end)
 
 let pop_batch t dest =
@@ -138,7 +130,7 @@ let pop_batch t dest =
       let n = min t.size max_n in
       for k = 0 to n - 1 do
         dest.(k) <- t.buf.(t.head);
-        t.buf.(t.head) <- None;
+        t.buf.(t.head) <- t.empty;
         t.head <- (t.head + 1) mod cap
       done;
       t.size <- t.size - n;

@@ -13,20 +13,18 @@
 
 type 'a t
 
-(** [create ~capacity ()] allocates a ring holding at most [capacity]
-    elements.  @raise Invalid_argument when [capacity <= 0]. *)
-val create : capacity:int -> unit -> 'a t
-
-val capacity : 'a t -> int
+(** [create ~capacity empty] allocates a ring holding at most [capacity]
+    elements.  Slots hold elements directly, with no option box around
+    each; [empty] fills every free slot, and a popped slot is overwritten
+    with it, so the ring keeps no popped element alive.
+    @raise Invalid_argument when [capacity <= 0]. *)
+val create : capacity:int -> 'a -> 'a t
 
 (** [push t x] enqueues [x], blocking while the ring is full.  After
     {!close}, pushes are dropped silently (counted in {!rejected}) — the
     drain protocol closes the ring only once producers have finished, so a
     late push is a stray event, not data loss worth crashing over. *)
 val push : 'a t -> 'a -> unit
-
-(** [try_push t x] never blocks; [false] when the ring was full or closed. *)
-val try_push : 'a t -> 'a -> bool
 
 (** [push_batch t src ~pos ~len] enqueues [src.(pos .. pos+len-1)] in order,
     amortizing one lock acquisition over every run of elements that fits in
@@ -43,12 +41,13 @@ val push_batch : 'a t -> ?pos:int -> ?len:int -> 'a array -> unit
 val pop : 'a t -> 'a option
 
 (** [pop_batch t dest] dequeues up to [Array.length dest] elements in one
-    lock acquisition, filling [dest.(0 .. n-1)] with [Some x] slots (the
-    consumer-side mirror of {!push_batch}).  Blocks while the ring is empty;
-    returns [0] only once the ring is closed {e and} drained.  [dest] slots
-    beyond [n-1] are left untouched.
+    lock acquisition into [dest.(0 .. n-1)] (the consumer-side mirror of
+    {!push_batch}).  Blocks while the ring is empty; returns [0] only once
+    the ring is closed {e and} drained.  [dest] slots beyond [n-1] are left
+    untouched.  [dest] is the caller's: to keep nothing alive, the caller
+    overwrites the slots it has consumed.
     @raise Invalid_argument when [dest] is empty. *)
-val pop_batch : 'a t -> 'a option array -> int
+val pop_batch : 'a t -> 'a array -> int
 
 (** [close t] ends the stream: blocked producers give up, and consumers see
     [None] after draining the remaining elements.  Idempotent. *)

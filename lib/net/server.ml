@@ -70,6 +70,11 @@ let count_monitor_summaries t (result : Farm.result) =
       end)
     result.Farm.analysis
 
+(* Fresh pass instances for one session's analysis lane: pass state is
+   per-stream. *)
+let session_passes t level =
+  (if t.cfg.analyze then Vyrd_analysis.Pass.for_level level else []) @ t.cfg.monitors ()
+
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -150,13 +155,8 @@ let serve_data_session t (s : Listener.session) r hello =
   if checking then
     (* Invalid_argument (e.g. a `View shard template refusing an `Io-level
        hello) must fail this session, not kill the server *)
-    (* each session gets fresh pass instances: pass state is per-stream *)
-    let passes =
-      (if t.cfg.analyze then Vyrd_analysis.Pass.for_level level else [])
-      @ t.cfg.monitors ()
-    in
-    match Farm.start ~capacity:t.cfg.capacity ~metrics:t.cfg.metrics ~passes
-            ~level (t.cfg.shards level) with
+    match Farm.start ~capacity:t.cfg.capacity ~metrics:t.cfg.metrics
+            ~passes:(session_passes t level) ~level (t.cfg.shards level) with
     | f -> farm := Some f
     | exception Invalid_argument msg -> raise (Bincodec.Corrupt msg)
   else begin
@@ -259,13 +259,9 @@ let serve_data_session t (s : Listener.session) r hello =
         ignore (Farm.finish f : Farm.result);
         farm := None
       | None -> ());
-      let passes =
-        (if t.cfg.analyze then Vyrd_analysis.Pass.for_level level else [])
-        @ t.cfg.monitors ()
-      in
       (match
-         Resume.resume_open ~capacity:t.cfg.capacity
-           ~metrics:t.cfg.metrics ~passes ~shards:t.cfg.shards ~path ()
+         Resume.resume_open ~capacity:t.cfg.capacity ~metrics:t.cfg.metrics
+           ~passes:(session_passes t level) ~shards:t.cfg.shards ~path ()
        with
       | rf ->
         farm := Some rf.Resume.rf_farm;

@@ -104,43 +104,38 @@ let run_on ~spawns ~reuses f =
   reply
 
 (* Lane traffic: indexed events, plus checkpoint barriers.  A [Snap] token
-   travels the ring like any event, so when the lane answers it has
-   consumed exactly the events routed before the barrier. *)
-type msg =
-  | Ev of int * Event.t
-  | Snap of (int * Repr.t option) Squeue.t  (* reply: lane index, snapshot *)
+   travels the ring like any event, so when a lane answers it has consumed
+   exactly the events routed before the barrier.  [Snap] also fills free
+   ring and slice slots. *)
+type msg = Ev of int * Event.t | Snap
 
-type lane = {
-  l_index : int;
-  l_shard : shard;
+(* One lane, checker or analysis: its ring, the router-side pending slice,
+   and where its outcome arrives.  Events accumulate in the slice and enter
+   the ring through one [Ring.push_batch] per [route_batch] events, instead
+   of one mutex handshake each.  Only the routing thread touches the
+   slice.  A checker lane's outcome is its report, fail index and event
+   count; the analysis lane's is its pass summaries. *)
+type 'r lane = {
   l_ring : msg Ring.t;
-  (* Router-side pending slice: events accumulate here and enter the ring
-     through one [Ring.push_batch] per [route_batch] events, instead of one
-     mutex handshake each.  Only the routing thread touches it. *)
   l_buf : msg array;
   mutable l_pending : int;
-  l_done : (Report.t * int option * int) outcome Squeue.t;
+  l_done : 'r outcome Squeue.t;
 }
 
-(* The analysis lane: one extra domain running the incremental passes over
-   the {e whole} stream in global feed order.  Refinement lanes only see the
-   events their checkers consume (reads and lock events are skipped at the
-   router), so the passes — which exist precisely to look at lock events —
-   get their own ring.  The lane takes no part in the checkpoint barrier:
-   pass state is not checkpointed, so after a restore the passes see only
-   the resumed suffix (documented as advisory). *)
-type alane = {
-  a_ring : msg Ring.t;
-  a_buf : msg array;
-  mutable a_pending : int;
-  a_done : Vyrd_analysis.Pass.summary list outcome Squeue.t;
-}
-
+(* The analysis lane runs the incremental passes over the {e whole} stream
+   in global feed order.  Checker lanes only see the events their checkers
+   consume (reads and lock events are skipped at the router), so the passes
+   — which exist precisely to look at lock events — get a lane of their
+   own.  It takes no part in the checkpoint barrier: pass state is not
+   checkpointed, so after a restore the passes see only the resumed suffix
+   (documented as advisory). *)
 type t = {
-  lanes : lane array;
-  alane : alane option;
+  shards : shard array;
+  lanes : (Report.t * int option * int) lane array;
+  analysis : Vyrd_analysis.Pass.summary list lane option;
+  snaps : (int * Repr.t option) Squeue.t;  (* barrier answers: lane index, snapshot *)
   owners : int Owners.t;  (* method -> lane, for the names some lane knows *)
-  current : int Tid.Tbl.t;  (* thread -> lane of its open call *)
+  current : int Tid.Tbl.t;  (* thread -> lane of its open call, or [no_call] *)
   mutable fed : int;
   mutable fed_unsynced : int;  (* events not yet folded into [m_events] *)
   metrics : Metrics.t;
@@ -151,6 +146,10 @@ type t = {
   mutable finished : result outcome option;
 }
 
+(* A thread's routing entry between a return and its next call: the entry
+   is overwritten in place, not removed and rebuilt. *)
+let no_call = -1
+
 (* Batch granularity for the per-shard checking-latency histogram. *)
 let batch = 4096
 
@@ -159,87 +158,82 @@ let batch = 4096
    negligible next to the ring capacity. *)
 let route_batch = 256
 
-(* A lane whose checker (or pass) raises keeps draining its ring without
-   checking, so the feeder never blocks on it and a checkpoint barrier gets
-   its [None] answer; the exception surfaces from {!finish}. *)
-let consume index (sh : shard) checker ring metrics =
-  let hist = Metrics.histogram metrics ("farm.batch_ns." ^ sh.sh_name) in
-  let checked = Metrics.counter metrics "farm.events_checked" in
-  let fail = ref None in
+(* Every lane's drain loop: one lock acquisition pops a whole slice of the
+   ring.  [step] takes each event, [slice] the count of each slice's events,
+   and [result] makes the outcome once the ring is closed and drained.  A
+   lane whose [step] raises stops stepping but keeps draining, so the feeder
+   never blocks on it; the exception surfaces from {!finish}.  A checker
+   lane answers each barrier through [barrier] — [None] once it has raised;
+   the analysis lane has no [barrier] and ignores them. *)
+let drain ?barrier ring ~step ~slice ~result =
   let raised = ref None in
-  let count = ref 0 in
-  let since = ref 0 in
-  let t0 = ref (Mclock.now_ns ()) in
-  (* one lock acquisition drains a whole slice of the ring *)
-  let scratch : msg option array = Array.make route_batch None in
+  let scratch = Array.make route_batch Snap in
   let rec loop () =
     let n = Ring.pop_batch ring scratch in
     if n = 0 then
       match !raised with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> (Checker.report checker, !fail, !count)
+      | None -> result ()
     else begin
       let evs = ref 0 in
       for k = 0 to n - 1 do
         (match scratch.(k) with
-        | Some (Ev (idx, ev)) ->
+        | Ev (idx, ev) -> (
           incr evs;
-          (match !raised with
+          match !raised with
           | Some _ -> ()
           | None -> (
-            match Checker.feed checker ev with
-            | Some _ when !fail = None -> fail := Some idx
-            | _ -> ()
-            | exception e -> raised := Some (e, Printexc.get_raw_backtrace ())))
-        | Some (Snap reply) ->
-          Squeue.push reply
-            (index, match !raised with None -> Checker.snapshot checker | Some _ -> None)
-        | None -> ());
-        scratch.(k) <- None
+            try step idx ev with e -> raised := Some (e, Printexc.get_raw_backtrace ())))
+        | Snap -> (
+          match barrier with
+          | None -> ()
+          | Some (answer, snapshot) ->
+            answer (match !raised with None -> snapshot () | Some _ -> None)));
+        scratch.(k) <- Snap
       done;
-      count := !count + !evs;
-      Metrics.add checked !evs;
-      since := !since + !evs;
-      if !since >= batch then begin
-        let t1 = Mclock.now_ns () in
-        Metrics.observe hist (t1 - !t0);
-        t0 := t1;
-        since := 0
-      end;
+      slice !evs;
       loop ()
     end
   in
   loop ()
 
+let consume snaps index (sh : shard) checker ring metrics =
+  let hist = Metrics.histogram metrics ("farm.batch_ns." ^ sh.sh_name) in
+  let checked = Metrics.counter metrics "farm.events_checked" in
+  let fail = ref None in
+  let count = ref 0 in
+  let since = ref 0 in
+  let t0 = ref (Mclock.now_ns ()) in
+  drain ring
+    ~barrier:((fun st -> Squeue.push snaps (index, st)), fun () -> Checker.snapshot checker)
+    ~step:(fun idx ev ->
+      match Checker.feed checker ev with
+      | Some _ when Option.is_none !fail -> fail := Some idx
+      | _ -> ())
+    ~slice:(fun evs ->
+      count := !count + evs;
+      Metrics.add checked evs;
+      since := !since + evs;
+      if !since >= batch then begin
+        let t1 = Mclock.now_ns () in
+        Metrics.observe hist (t1 - !t0);
+        t0 := t1;
+        since := 0
+      end)
+    ~result:(fun () -> (Checker.report checker, !fail, !count))
+
 let consume_analysis (passes : Vyrd_analysis.Pass.t list) ring metrics =
   let fed = Metrics.counter metrics "analysis.events" in
-  let raised = ref None in
-  let scratch : msg option array = Array.make route_batch None in
-  let rec loop () =
-    let n = Ring.pop_batch ring scratch in
-    if n = 0 then
-      match !raised with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> List.map (fun (p : Vyrd_analysis.Pass.t) -> p.finish ()) passes
-    else begin
-      let evs = ref 0 in
-      for k = 0 to n - 1 do
-        (match scratch.(k) with
-        | Some (Ev (_, ev)) ->
-          incr evs;
-          (match !raised with
-          | Some _ -> ()
-          | None -> (
-            try List.iter (fun (p : Vyrd_analysis.Pass.t) -> p.feed ev) passes
-            with e -> raised := Some (e, Printexc.get_raw_backtrace ())))
-        | Some (Snap _) | None -> ());
-        scratch.(k) <- None
-      done;
-      Metrics.add fed !evs;
-      loop ()
-    end
+  let rec feed_all ev = function
+    | [] -> ()
+    | (p : Vyrd_analysis.Pass.t) :: rest ->
+      p.feed ev;
+      feed_all ev rest
   in
-  loop ()
+  drain ring
+    ~step:(fun _ ev -> feed_all ev passes)
+    ~slice:(Metrics.add fed)
+    ~result:(fun () -> List.map (fun (p : Vyrd_analysis.Pass.t) -> p.finish ()) passes)
 
 let format_tag = "farm/1"
 
@@ -319,41 +313,38 @@ let start ?(capacity = 4096) ?metrics ?restore ?(passes = []) ~level shards =
   (* a lane that cannot start (no domain left) ends the ones already
      running, so no domain is left blocked on a ring nobody will close *)
   let rings = ref [] in
-  let start_lane ring f =
-    match run_on ~spawns ~reuses f with
-    | reply ->
+  let start_lane drain_ring =
+    let ring = Ring.create ~capacity Snap in
+    match run_on ~spawns ~reuses (fun () -> drain_ring ring) with
+    | l_done ->
       rings := ring :: !rings;
-      reply
+      { l_ring = ring; l_buf = Array.make route_batch Snap; l_pending = 0; l_done }
     | exception e ->
       List.iter Ring.close !rings;
       raise e
   in
-  let dummy = Ev (-1, Event.Commit { tid = -1 }) in
+  let snaps = Squeue.create () in
   let lanes =
     Array.of_list
       (List.mapi
-         (fun i (sh, checker) ->
-           let ring = Ring.create ~capacity () in
-           let l_done = start_lane ring (fun () -> consume i sh checker ring metrics) in
-           { l_index = i; l_shard = sh; l_ring = ring;
-             l_buf = Array.make route_batch dummy; l_pending = 0; l_done })
+         (fun i (sh, checker) -> start_lane (fun ring -> consume snaps i sh checker ring metrics))
          (List.combine shards checkers))
   in
-  let alane =
+  let analysis =
     match passes with
     | [] -> None
     | passes ->
-      let ring = Ring.create ~capacity () in
       Metrics.record
         (Metrics.gauge metrics "analysis.passes")
         (List.length passes);
-      let a_done = start_lane ring (fun () -> consume_analysis passes ring metrics) in
-      Some { a_ring = ring; a_buf = Array.make route_batch dummy; a_pending = 0; a_done }
+      Some (start_lane (fun ring -> consume_analysis passes ring metrics))
   in
   let t =
     {
+      shards = Array.of_list shards;
       lanes;
-      alane;
+      analysis;
+      snaps;
       owners = Owners.create 64;
       current = Tid.Tbl.create 16;
       fed = (match restore with Some (fed, _, _) -> fed | None -> 0);
@@ -381,11 +372,11 @@ let owner t mid =
   match Owners.find t.owners mid with
   | i -> i
   | exception Not_found ->
-    let n = Array.length t.lanes in
+    let n = Array.length t.shards in
     let rec probe i =
       if i >= n then 0
       else
-        let module S = (val t.lanes.(i).l_shard.sh_spec : Spec.S) in
+        let module S = (val t.shards.(i).sh_spec : Spec.S) in
         match S.meth mid with
         | (_ : S.meth) ->
           Owners.add t.owners mid i;
@@ -400,38 +391,29 @@ let flush_lane l =
     l.l_pending <- 0
   end
 
-let flush_alane a =
-  if a.a_pending > 0 then begin
-    Ring.push_batch a.a_ring ~len:a.a_pending a.a_buf;
-    a.a_pending <- 0
-  end
-
-let apush t idx ev =
-  match t.alane with
-  | None -> ()
-  | Some a ->
-    a.a_buf.(a.a_pending) <- Ev (idx, ev);
-    a.a_pending <- a.a_pending + 1;
-    if a.a_pending = Array.length a.a_buf then flush_alane a
-
 let flush t =
   Array.iter flush_lane t.lanes;
-  Option.iter flush_alane t.alane;
+  Option.iter flush_lane t.analysis;
   if t.fed_unsynced > 0 then begin
     Metrics.add t.m_events t.fed_unsynced;
     t.fed_unsynced <- 0
   end
 
-let push t i idx ev =
-  let l = t.lanes.(i) in
-  l.l_buf.(l.l_pending) <- Ev (idx, ev);
+let push l m =
+  l.l_buf.(l.l_pending) <- m;
   l.l_pending <- l.l_pending + 1;
   if l.l_pending = Array.length l.l_buf then flush_lane l
 
-let broadcast t idx ev =
-  for i = 0 to Array.length t.lanes - 1 do
-    push t i idx ev
-  done
+(* The lane of [tid]'s open call, or [no_call]. *)
+let open_call t tid =
+  match Tid.Tbl.find t.current tid with i -> i | exception Not_found -> no_call
+
+(* The one box of event [idx], shared by every lane it goes to: the
+   analysis lane, which sees the whole stream in feed order, gets it here. *)
+let boxed t idx ev =
+  let m = Ev (idx, ev) in
+  (match t.analysis with Some a -> push a m | None -> ());
+  m
 
 let feed t ev =
   (match t.finished with
@@ -445,40 +427,34 @@ let feed t ev =
     Metrics.add t.m_events t.fed_unsynced;
     t.fed_unsynced <- 0
   end;
-  (* the analysis lane sees the whole stream in feed order — including the
-     read/lock events the refinement router below skips *)
-  apush t idx ev;
   match ev with
   | Event.Call { tid; mid; _ } ->
     let i = owner t mid in
     Tid.Tbl.replace t.current tid i;
-    push t i idx ev
+    push t.lanes.(i) (boxed t idx ev)
   | Event.Return { tid; mid; _ } ->
-    let i =
-      match Tid.Tbl.find t.current tid with
-      | i -> i
-      | exception Not_found -> owner t mid
-    in
-    Tid.Tbl.remove t.current tid;
-    push t i idx ev
-  | Event.Commit { tid } -> (
+    let i = open_call t tid in
+    Tid.Tbl.replace t.current tid no_call;
+    push t.lanes.(if i = no_call then owner t mid else i) (boxed t idx ev)
+  | Event.Commit { tid } ->
     Metrics.incr t.m_commits;
-    match Tid.Tbl.find t.current tid with
-    | i -> push t i idx ev
-    | exception Not_found ->
-      (* commit outside any execution: lane 0's checker reports it *)
-      push t 0 idx ev)
-  | Event.Write { tid; _ } | Event.Block_begin { tid } | Event.Block_end { tid }
-    -> (
-    match Tid.Tbl.find t.current tid with
-    | i -> push t i idx ev
-    | exception Not_found ->
+    let i = open_call t tid in
+    (* commit outside any execution: lane 0's checker reports it *)
+    push t.lanes.(if i = no_call then 0 else i) (boxed t idx ev)
+  | Event.Write { tid; _ } | Event.Block_begin { tid } | Event.Block_end { tid } ->
+    let i = open_call t tid in
+    let m = boxed t idx ev in
+    if i <> no_call then push t.lanes.(i) m
+    else
       (* no open call: structure initialization (or a daemon outside a
          logged method) — every shard's shadow replay needs to see it *)
-      broadcast t idx ev)
-  | Event.Read _ | Event.Acquire _ | Event.Release _ ->
-    (* consumed by no refinement checker (only by offline analyses) *)
-    Metrics.incr t.m_skipped
+      for i = 0 to Array.length t.lanes - 1 do
+        push t.lanes.(i) m
+      done
+  | Event.Read _ | Event.Acquire _ | Event.Release _ -> (
+    (* consumed by no refinement checker (only by the analysis lane) *)
+    Metrics.incr t.m_skipped;
+    match t.analysis with Some a -> push a (Ev (idx, ev)) | None -> ())
 
 let feed_batch t evs =
   (* same routing decisions as event-by-event [feed]; the per-lane pending
@@ -503,26 +479,27 @@ let checkpoint t =
        after every event routed before it — mid-batch and batch-boundary
        checkpoints are indistinguishable *)
     flush t;
-    let reply = Squeue.create () in
-    Array.iter (fun l -> Ring.push l.l_ring (Snap reply)) t.lanes;
+    Array.iter (fun l -> Ring.push l.l_ring Snap) t.lanes;
     let n = Array.length t.lanes in
     let states = Array.make n None in
     for _ = 1 to n do
-      let i, st = Squeue.pop reply in
+      let i, st = Squeue.pop t.snaps in
       states.(i) <- st
     done;
     if Array.exists Option.is_none states then None
       (* some lane cannot snapshot (violation found, or the spec declines) *)
     else begin
       let current =
-        Tid.Tbl.fold (fun tid lane acc -> (tid, lane) :: acc) t.current []
+        Tid.Tbl.fold
+          (fun tid lane acc -> if lane = no_call then acc else (tid, lane) :: acc)
+          t.current []
         |> List.sort compare
         |> List.map (fun (tid, lane) -> Repr.Pair (Repr.Int tid, Repr.Int lane))
       in
       let lane_states =
         Array.to_list
           (Array.mapi
-             (fun i st -> Repr.Pair (Repr.Str t.lanes.(i).l_shard.sh_name, Option.get st))
+             (fun i st -> Repr.Pair (Repr.Str t.shards.(i).sh_name, Option.get st))
              states)
       in
       Some
@@ -593,18 +570,18 @@ let value = function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace 
 let collect t lanes analysis =
   let results =
     Array.to_list
-      (Array.map2
-         (fun l o ->
-           let report, fail_idx, consumed = value o in
+      (Array.mapi
+         (fun i l ->
+           let report, fail_idx, consumed = value lanes.(i) in
            {
-             sr_name = l.l_shard.sh_name;
+             sr_name = t.shards.(i).sh_name;
              sr_report = report;
              sr_fail_index = fail_idx;
              sr_high_water = Ring.high_water l.l_ring;
              sr_stall_ns = Ring.stall_ns l.l_ring;
              sr_events = consumed;
            })
-         t.lanes lanes)
+         t.lanes)
   in
   let summaries = Option.map value analysis in
   let merged = merge results in
@@ -646,10 +623,11 @@ let finish t =
     flush t;
     (* every ring closes before the first wait, so a lane that raised
        cannot strand the others in [pop_batch] *)
-    Array.iter (fun l -> Ring.close l.l_ring) t.lanes;
-    Option.iter (fun a -> Ring.close a.a_ring) t.alane;
-    let lanes = Array.map (fun l -> Squeue.pop l.l_done) t.lanes in
-    let analysis = Option.map (fun a -> Squeue.pop a.a_done) t.alane in
+    let close l = Ring.close l.l_ring and wait l = Squeue.pop l.l_done in
+    Array.iter close t.lanes;
+    Option.iter close t.analysis;
+    let lanes = Array.map wait t.lanes in
+    let analysis = Option.map wait t.analysis in
     let r =
       match collect t lanes analysis with
       | r -> Ok r

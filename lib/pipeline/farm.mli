@@ -17,12 +17,20 @@
     outruns a shard blocks at the log append until that shard catches up,
     so memory stays bounded under any load (blocking backpressure).
 
-    Each lane (and the analysis lane) runs on a domain of one process-wide
-    pool.  A lane takes a parked domain when there is one, so a service that
-    starts farm after farm pays a fresh domain's spawn and minor-heap first
-    touch only once; otherwise it spawns one (counted in [farm.lane_reuses]
-    and [farm.lane_spawns] of the starting farm's registry).  When a lane
-    ends, its domain parks for the next lane, unless
+    The checker lanes and the analysis lane ({!start}'s [passes]) are one
+    kind of lane: a ring, a router-side pending slice, and one drain loop
+    that pops whole slices, steps each event, and — once a step raises —
+    stops stepping but keeps draining.  They differ only in what a step
+    does and in the barrier: a checker lane answers {!checkpoint}, the
+    analysis lane ignores it.  The router boxes each event once, with its
+    global index, and every lane it goes to shares that box.
+
+    Each lane runs on a domain of one process-wide pool.  A lane takes a
+    parked domain when there is one, so a service that starts farm after
+    farm pays a fresh domain's spawn and minor-heap first touch only once;
+    otherwise it spawns one (counted in [farm.lane_reuses] and
+    [farm.lane_spawns] of the starting farm's registry).  When a lane ends,
+    its domain parks for the next lane, unless
     [max 1 (Domain.recommended_domain_count () - 1)] domains are parked in
     the process already; then it exits.  The cap is process-wide because a
     parked domain still takes part in every stop-the-world minor collection

@@ -1,0 +1,182 @@
+(* Allocation census: minor words per event of each stage on the feeding
+   path (per step for the Coop scheduler), over fixed golden composite logs
+   (the §7.1 program over the multiset-vector, vector and string-buffer
+   subjects, 4 threads × 300 operations, seeds 1–3).  Wall-clock time on a
+   shared host drifts by a third; a count of allocated words does not, so
+   each stage is gated on a budget.  [Gc.minor_words] counts the calling
+   domain only: a farm's figure is the feeding thread's share, not its
+   lanes'.
+
+   Each budget is the figure measured on OCaml 5.1.1 plus a slack for the
+   other 5.x runtimes and stdlibs, written next to it.  A change that cuts a
+   stage's allocation lowers its budget; one that raises a budget says why.
+   The frame readers' budgets live in the [frames] suite. *)
+
+open Vyrd
+open Vyrd_pipeline
+open Vyrd_net
+module Coop = Vyrd_sched.Coop
+module Harness = Vyrd_harness.Harness
+module Pass = Vyrd_analysis.Pass
+
+let spec, view = Test_compose.compose3 ()
+
+(* [Test_frames.composite_log]'s program, long enough that a farm's
+   start-up allocation is noise next to its per-event share. *)
+let composite_log level seed =
+  let log = Log.create ~level () in
+  Harness.run_into ~log
+    { Harness.threads = 4; ops_per_thread = 300; key_pool = 8; key_range = 16; seed;
+      log_level = level }
+    (List.map (fun (s : Vyrd_harness.Subjects.t) -> s.build ~bug:false) Test_compose.three);
+  Log.snapshot log
+
+let logs level = List.map (composite_log level) [ 1; 2; 3 ]
+let io_logs = lazy (logs `Io)
+let view_logs = lazy (logs `View)
+
+(* One warm-up run, so intern tables, reused buffers and pool domains are
+   in place, then the counted run: minor words per unit of [count ()],
+   read after it. *)
+let words_per count run =
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (count ())
+
+let events logs = List.fold_left (fun n evs -> n + Array.length evs) 0 logs
+
+(* [f] over every log, per event. *)
+let words_per_event logs f = words_per (fun () -> events logs) (fun () -> List.iter f logs)
+
+(* --- stages ----------------------------------------------------------- *)
+
+let log_append level evs =
+  let log = Log.create ~level () in
+  let seen = ref 0 in
+  let listener _ = incr seen in
+  Log.subscribe log listener;
+  Array.iter (Log.append log) evs
+
+let checker_feed mode ?view evs =
+  let c = Checker.create ~mode ?view spec in
+  Array.iter (fun ev -> ignore (Checker.feed c ev : Report.violation option)) evs
+
+let farm_run ~level ?(passes = fun () -> []) shard evs =
+  let farm = Farm.start ~level ~passes:(passes ()) [ shard ] in
+  Array.iter (Farm.feed farm) evs;
+  ignore (Farm.finish farm : Farm.result)
+
+let io_shard = Farm.shard ~mode:`Io "composite" spec
+let view_shard = Farm.shard ~mode:`View ~view "composite" spec
+
+(* Encode into one reused writer, cleared every 256 events (a wire batch). *)
+let encode_batches w evs =
+  Array.iteri
+    (fun i ev ->
+      if i mod 256 = 0 then Bincodec.clear w;
+      Bincodec.put_event w ev)
+    evs
+
+let encoded evs =
+  let w = Bincodec.writer () in
+  List.map
+    (fun batch ->
+      Bincodec.clear w;
+      Array.iter (Bincodec.put_event w) batch;
+      Bincodec.contents w)
+    (Test_frames.chunks evs)
+
+let decode_batches c payloads =
+  List.iter
+    (fun s ->
+      Bincodec.retarget c ~len:(String.length s) s;
+      ignore (Bincodec.iter_events c ignore : int))
+    payloads
+
+(* [Wire.write_batch] of each 256-event batch into one end of a socketpair;
+   the other end is drained after each frame, so no write can block. *)
+let wire_write w a b sink evs =
+  let n = Array.length evs in
+  let pos = ref 0 in
+  while !pos < n do
+    let len = min 256 (n - !pos) in
+    let size = Wire.write_batch w a evs ~pos:!pos ~len in
+    let got = ref 0 in
+    while !got < size do
+      got := !got + Unix.read b sink 0 (min (Bytes.length sink) (size - !got))
+    done;
+    pos := !pos + len
+  done
+
+(* --- budgets ---------------------------------------------------------- *)
+
+let bincodec_decode () =
+  let payloads = List.concat_map encoded (Lazy.force io_logs) in
+  let c = Bincodec.cursor "" in
+  words_per (fun () -> events (Lazy.force io_logs)) (fun () -> decode_batches c payloads)
+
+let wire_write_batch () =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close a; Unix.close b) @@ fun () ->
+  let w = Bincodec.writer () in
+  let sink = Bytes.create 65536 in
+  words_per_event (Lazy.force io_logs) (wire_write w a b sink)
+
+(* Four fibers yielding in turn: minor words per scheduler step. *)
+let coop_yield () =
+  let steps = ref 0 in
+  let run () =
+    let stats =
+      Coop.run_with_stats ~seed:1 (fun s ->
+          for _ = 1 to 4 do
+            s.spawn (fun () ->
+                for _ = 1 to 5_000 do
+                  s.yield ()
+                done)
+          done)
+    in
+    steps := stats.Coop.steps
+  in
+  words_per (fun () -> !steps) run
+
+(* Stage, figure measured on OCaml 5.1.1, slack, and the measurement, per
+   event (per scheduler step for the Coop yield).  The
+   three farm figures were 7.33, 6.10 and 11.26 before the ring stopped
+   boxing its slots, the analysis lane shared each event's box and a
+   thread's routing entry was reused across calls. *)
+let budgets =
+  [ ("Log.append, one listener, io", 0.19, 0.5,
+     fun () -> words_per_event (Lazy.force io_logs) (log_append `Io));
+    ("Log.append, one listener, view", 0.09, 0.5,
+     fun () -> words_per_event (Lazy.force view_logs) (log_append `View));
+    ("Checker.feed, io mode", 25.3, 6.5,
+     fun () -> words_per_event (Lazy.force io_logs) (checker_feed `Io));
+    ("Checker.feed, view mode", 43.8, 11.0,
+     fun () -> words_per_event (Lazy.force view_logs) (checker_feed `View ~view));
+    ("Farm.start + feed + finish, io", 3.74, 1.5,
+     fun () -> words_per_event (Lazy.force io_logs) (farm_run ~level:`Io io_shard));
+    ("Farm.start + feed + finish, view", 3.39, 1.5,
+     fun () -> words_per_event (Lazy.force view_logs) (farm_run ~level:`View view_shard));
+    ("Farm.start + feed + finish, view with passes", 3.54, 1.5,
+     fun () ->
+       words_per_event (Lazy.force view_logs)
+         (farm_run ~level:`View ~passes:(fun () -> Pass.for_level `View) view_shard));
+    ("Bincodec encode", 0.0, 0.5,
+     fun () -> words_per_event (Lazy.force io_logs) (encode_batches (Bincodec.writer ())));
+    ("Bincodec decode", 14.8, 4.0, bincodec_decode);
+    ("Wire.write_batch to a socketpair", 0.03, 0.5, wire_write_batch);
+    ("Coop yield step, 4 fibers", 5.21, 1.5, coop_yield) ]
+
+let suite =
+  List.map
+    (fun (what, measured, slack, measure) ->
+      Alcotest.test_case (what ^ " allocation budget") `Quick (fun () ->
+          let words = measure () in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %.2f minor words each, within %.2f + %.2f" what words
+               measured slack)
+            true
+            (words <= measured +. slack)))
+    budgets

@@ -29,4 +29,5 @@ let () =
       ("net", Test_net.suite);
       ("cluster", Test_cluster.suite);
       ("monitor", Test_monitor.suite);
+      ("alloc", Test_alloc.suite);
     ]

@@ -348,7 +348,7 @@ let test_not_a_segment_file_raises () =
 (* --- the bounded ring ----------------------------------------------------- *)
 
 let test_ring_order_and_close () =
-  let r = Ring.create ~capacity:4 () in
+  let r = Ring.create ~capacity:4 0 in
   Ring.push r 1;
   Ring.push r 2;
   Ring.push r 3;
@@ -368,7 +368,7 @@ let test_ring_order_and_close () =
 let test_ring_backpressure () =
   let capacity = 8 in
   let n = 5_000 in
-  let r = Ring.create ~capacity () in
+  let r = Ring.create ~capacity 0 in
   let consumer =
     Domain.spawn (fun () ->
         let rec go acc =
@@ -837,6 +837,51 @@ let test_finish_reraises_lane_exception () =
   Alcotest.(check int) "every lane started on the pool" 4 (spawns + reuses);
   Alcotest.(check bool) "the next farm reused a domain" true (reuses >= 1)
 
+(* A pass whose [feed] raises on its 10th event.  The analysis lane takes no
+   part in the checkpoint barrier, so a checkpoint still succeeds; the lane
+   keeps draining after the raise, so the feeder never blocks on its small
+   ring; and [finish] raises the pass's exception, after a checker lane's
+   in lane order. *)
+let boom_pass seen =
+  {
+    Vyrd_analysis.Pass.name = "boom";
+    feed =
+      (fun _ ->
+        incr seen;
+        if !seen = 10 then failwith "pass boom");
+    finish = (fun () -> Vyrd_analysis.Pass.summarize ~pass:"boom" ~events:!seen []);
+  }
+
+let test_finish_reraises_failing_pass () =
+  let finish_raises what farm want =
+    match Farm.finish farm with
+    | (_ : Farm.result) -> Alcotest.failf "%s: finish returned a result" what
+    | exception Failure m -> Alcotest.(check string) what want m
+  in
+  let seen = ref 0 in
+  let farm =
+    Farm.start ~capacity:16 ~passes:[ boom_pass seen ] ~level:`Full
+      [ Farm.shard "boom" (module Boom : Spec.S) ]
+  in
+  (* 1,200 events the checker lane accepts: no argument is 13 *)
+  List.iter (Farm.feed farm)
+    (List.map
+       (function
+         | Event.Call c -> Event.Call { c with args = [ Repr.Int 100 ] }
+         | ev -> ev)
+       (boom_ops 400));
+  Alcotest.(check bool) "the analysis lane stays out of the barrier" true
+    (Option.is_some (Farm.checkpoint farm));
+  finish_raises "the pass's exception" farm "pass boom";
+  finish_raises "the pass's exception, again" farm "pass boom";
+  Alcotest.(check int) "the pass saw exactly 10 events" 10 !seen;
+  let farm =
+    Farm.start ~capacity:16 ~passes:[ boom_pass (ref 0) ] ~level:`Full
+      [ Farm.shard "boom" (module Boom : Spec.S) ]
+  in
+  List.iter (Farm.feed farm) (boom_ops 400);
+  finish_raises "a checker lane's exception comes first" farm "boom"
+
 (* --- spool damage through the shared frame reader ------------------------- *)
 
 (* Byte offsets of the frame headers of a one-file spool. *)
@@ -962,4 +1007,5 @@ let suite =
     ( "hostile last length allocates nothing",
       `Quick,
       test_hostile_last_length_allocates_nothing );
+    ("farm finish re-raises a failing analysis pass", `Quick, test_finish_reraises_failing_pass);
   ]

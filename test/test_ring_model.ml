@@ -15,7 +15,6 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 type mop =
   | Push of int
-  | TryPush of int
   | PushBatch of int list
   | Pop
   | PopBatch of int
@@ -23,7 +22,6 @@ type mop =
 
 let show_mop = function
   | Push x -> Printf.sprintf "Push %d" x
-  | TryPush x -> Printf.sprintf "TryPush %d" x
   | PushBatch xs ->
     Printf.sprintf "PushBatch [%s]" (String.concat ";" (List.map string_of_int xs))
   | Pop -> "Pop"
@@ -37,7 +35,6 @@ let gen_ops =
     (frequency
        [
          (4, map (fun v -> Push v) x);
-         (2, map (fun v -> TryPush v) x);
          (3, map (fun vs -> PushBatch vs) (list_size (int_range 0 6) x));
          (4, return Pop);
          (3, map (fun k -> PopBatch k) (int_range 1 6));
@@ -50,7 +47,7 @@ let gen_ops =
    command interpretation of a blocking API. *)
 let run_model ops =
   let cap = 4 in
-  let r = Ring.create ~capacity:cap () in
+  let r = Ring.create ~capacity:cap (-1) in
   let q = ref [] in
   let closed = ref false in
   let hw = ref 0 in
@@ -69,13 +66,6 @@ let run_model ops =
         else if List.length !q = cap then () (* would block *)
         else begin
           Ring.push r x;
-          q := !q @ [ x ];
-          note_push ()
-        end
-      | TryPush x ->
-        let expect = (not !closed) && List.length !q < cap in
-        check "try_push result" (Ring.try_push r x = expect);
-        if expect then begin
           q := !q @ [ x ];
           note_push ()
         end
@@ -106,12 +96,12 @@ let run_model ops =
       | PopBatch k ->
         if !q = [] && not !closed then () (* would block *)
         else begin
-          let dest = Array.make k None in
+          let dest = Array.make k (-1) in
           let n = Ring.pop_batch r dest in
           let exp = min k (List.length !q) in
           check "pop_batch count" (n = exp);
           List.iteri
-            (fun j v -> if j < exp then check "pop_batch slot" (dest.(j) = Some v))
+            (fun j v -> if j < exp then check "pop_batch slot" (dest.(j) = v))
             !q;
           q := List.filteri (fun j _ -> j >= exp) !q
         end
@@ -140,7 +130,7 @@ let ring_matches_model =
 let test_domains_stress () =
   let cap = 8 in
   let per = 2000 in
-  let r = Ring.create ~capacity:cap () in
+  let r = Ring.create ~capacity:cap (-1) in
   let producer p () =
     let rng = Prng.create (42 + p) in
     let i = ref 0 in
@@ -159,14 +149,13 @@ let test_domains_stress () =
   in
   let consumer =
     Domain.spawn (fun () ->
-        let dest = Array.make 5 None in
+        let dest = Array.make 5 (-1) in
         let acc = ref [] in
         let rec go () =
           let n = Ring.pop_batch r dest in
           if n > 0 then begin
             for k = 0 to n - 1 do
-              (match dest.(k) with Some v -> acc := v :: !acc | None -> ());
-              dest.(k) <- None
+              acc := dest.(k) :: !acc
             done;
             go ()
           end
@@ -196,7 +185,7 @@ let test_domains_stress () =
    ({!Mclock}), so it can never go negative even if the wall clock steps
    backwards mid-wait; and a genuinely blocked producer records some. *)
 let test_stall_measured_and_nonnegative () =
-  let r = Ring.create ~capacity:1 () in
+  let r = Ring.create ~capacity:1 0 in
   let consumer =
     Domain.spawn (fun () ->
         let rec go acc =
@@ -215,9 +204,32 @@ let test_stall_measured_and_nonnegative () =
   Alcotest.(check bool) "blocked producer records stall" true (Ring.stall_ns r > 0);
   Alcotest.(check bool) "stall never negative" true (Ring.stall_ns r >= 0)
 
+(* The ring keeps nothing alive: a popped slot is overwritten with the
+   ring's [empty] value, whichever of [pop] and [pop_batch] took it. *)
+let push_tracked r w i =
+  let v = Bytes.make 16 (Char.chr (65 + i)) in
+  Weak.set w i (Some v);
+  Ring.push r v
+
+let test_ring_keeps_nothing_alive () =
+  let r = Ring.create ~capacity:4 Bytes.empty in
+  let w = Weak.create 2 in
+  push_tracked r w 0;
+  push_tracked r w 1;
+  Alcotest.(check bool) "pop took one" true (Option.is_some (Ring.pop r));
+  let dest = Array.make 4 Bytes.empty in
+  Alcotest.(check int) "pop_batch took one" 1 (Ring.pop_batch r dest);
+  dest.(0) <- Bytes.empty;
+  Gc.full_major ();
+  Alcotest.(check bool) "the popped value is freed" false (Weak.check w 0);
+  Alcotest.(check bool) "the batch-popped value is freed" false (Weak.check w 1);
+  (* the ring is used after the collection, so it was alive during it *)
+  Alcotest.(check int) "the ring is empty" 0 (Ring.length r)
+
 let suite =
   [
     ring_matches_model;
     ("domains stress: 2 producers, batching consumer", `Quick, test_domains_stress);
     ("producer stall is monotonic and non-negative", `Quick, test_stall_measured_and_nonnegative);
+    ("the ring keeps nothing alive", `Quick, test_ring_keeps_nothing_alive);
   ]
