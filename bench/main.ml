@@ -51,6 +51,126 @@ let pp_ms ppf ns =
 
 let line width = String.make width '-'
 
+(* Wall-clock seconds of one call of [f]. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
+
+let trials = 3
+
+(* One row of a throughput table: [count] events in [dt] wall seconds. *)
+let ev_row label count dt =
+  Fmt.pr "%-30s %10.2f %12s@." label (dt *. 1e3)
+    (Fmt.str "%.2fM" (float_of_int count /. dt /. 1e6))
+
+let ev_header first note =
+  Fmt.pr "@.%-30s %10s %12s   (%s)@." first "wall ms" "events/s" note;
+  Fmt.pr "%s@." (line 60)
+
+(* The best wall time of [trials] calls of [f], printed as a row. *)
+let best_of label count f =
+  let best = ref infinity in
+  for _ = 1 to trials do
+    best := Float.min !best (time f)
+  done;
+  ev_row label count !best;
+  !best
+
+(* Nearest-rank quartiles (q1, median, q3) of a non-empty sample. *)
+let quartiles xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let at p = a.(max 0 (int_of_float (Float.ceil (p *. float_of_int (Array.length a))) - 1)) in
+  (at 0.25, at 0.5, at 0.75)
+
+(* ----------------------------------------------------------------- gates *)
+
+(* Machine-readable sidecars (BENCH_<experiment>.json) so CI can track the
+   numbers without scraping the tables. *)
+let write_json file fields =
+  match open_out file with
+  | oc ->
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        output_string oc "{";
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then output_string oc ",";
+            Printf.fprintf oc "%S:%s" k v)
+          fields;
+        output_string oc "}\n");
+    Fmt.pr "wrote %s@." file
+  | exception Sys_error msg -> Fmt.epr "cannot write %s: %s@." file msg
+
+let jnum f = if Float.is_nan f then "null" else Printf.sprintf "%.2f" f
+
+(* Pull one numeric field back out of a flat sidecar written by
+   [write_json]; [nan] when the file or the key is missing. *)
+let read_json_field file key =
+  match open_in file with
+  | exception Sys_error _ -> nan
+  | ic ->
+    let s =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    in
+    let pat = Printf.sprintf "%S:" key in
+    let rec find i =
+      if i + String.length pat > String.length s then nan
+      else if String.sub s i (String.length pat) = pat then begin
+        let j = i + String.length pat in
+        let k = ref j in
+        while
+          !k < String.length s
+          && (match s.[!k] with '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true | _ -> false)
+        do
+          incr k
+        done;
+        match float_of_string_opt (String.sub s j (!k - j)) with
+        | Some f -> f
+        | None -> nan
+      end
+      else find (i + 1)
+    in
+    find 0
+
+(* A gated experiment decides each check with [gate] as it goes and ends
+   with [finish_gates], which writes the sidecar before it exits 1 on any
+   failure, so a red run still leaves its numbers behind. *)
+let failures = ref []
+
+let gate name ok =
+  Fmt.pr "gate: %-52s %s@." name (if ok then "ok" else "FAIL");
+  if not ok then failures := name :: !failures
+
+let finish_gates ?sidecar experiment =
+  Option.iter (write_json (Printf.sprintf "BENCH_%s.json" experiment)) sidecar;
+  match List.rev !failures with
+  | [] -> Fmt.pr "@.all %s gates passed@." experiment
+  | failed ->
+    Fmt.epr "@.%s gates failed:@." experiment;
+    List.iter (Fmt.epr "  - %s@.") failed;
+    exit 1
+
+(* With a committed [baseline] sidecar, fail if [value] (events/s) is more
+   than [slack] percent below its [key].  A baseline that cannot be read or
+   lacks the key fails as well: a renamed key must not turn the gate off. *)
+let regress_gate ~baseline ~key ~slack ?(unit = "") label value =
+  Option.iter
+    (fun file ->
+      let old = read_json_field file key in
+      if Float.is_nan old then gate (Printf.sprintf "baseline %s has %S" file key) false
+      else
+        let floor = old *. (1. -. (slack /. 100.)) in
+        gate
+          (Printf.sprintf "%s %.2fM%s >= %.2fM (baseline %.2fM - %.0f%%)" label
+             (value /. 1e6) unit (floor /. 1e6) (old /. 1e6) slack)
+          (value >= floor))
+    baseline
+
 (* ------------------------------------------------------------- Table 1 *)
 
 let run_buggy (s : Subjects.t) ~threads ~ops ~seed =
@@ -304,12 +424,10 @@ let ablation_incremental () =
   Fmt.pr "(full mode recomputes all %d keys at each of the %d commits)@." chunks commits;
   (* deterministic gates: the views agree, and each key is re-projected
      only after its first fill and at commits that changed it *)
-  let agree = Report.tag keyed = Report.tag full && keyed.Report.stats = full.Report.stats in
-  let bounded = projections <= commits + chunks in
-  Fmt.pr "keyed = full verdict and stats: %s; projections <= commits + keys: %s@."
-    (if agree then "yes" else "NO")
-    (if bounded then "yes" else "NO");
-  if not (agree && bounded) then exit 1
+  gate "keyed = full verdict and stats"
+    (Report.tag keyed = Report.tag full && keyed.Report.stats = full.Report.stats);
+  gate "projections <= commits + keys" (projections <= commits + chunks);
+  finish_gates "ablation-incremental"
 
 (* ---------------------------------------------- ablation: §2 naive search *)
 
@@ -536,26 +654,6 @@ module Wire = Vyrd_net.Wire
 module Server = Vyrd_net.Server
 module Client = Vyrd_net.Client
 
-(* Machine-readable sidecars (BENCH_pipeline.json, BENCH_net.json) so CI can
-   track throughput without scraping the tables. *)
-let write_json file fields =
-  match open_out file with
-  | oc ->
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc "{";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then output_string oc ",";
-            Printf.fprintf oc "%S:%s" k v)
-          fields;
-        output_string oc "}\n");
-    Fmt.pr "wrote %s@." file
-  | exception Sys_error msg -> Fmt.epr "cannot write %s: %s@." file msg
-
-let jnum f = if Float.is_nan f then "null" else Printf.sprintf "%.2f" f
-
 (* Disjoint method namespaces, as the farm router requires. *)
 let pipeline_subjects =
   [ Subjects.multiset_vector; Subjects.jvector; Subjects.string_buffer ]
@@ -577,10 +675,26 @@ let multi_log ~threads ~ops ~seed ~level =
     (List.map (fun (s : Subjects.t) -> s.build ~bug:false) pipeline_subjects);
   log
 
+(* Calls per thread of the hotpath-scale workload the gated throughput
+   benches drain: 8 threads x [ops] calls x 3 subjects, ~1.1M events. *)
+let ops = 20_000
+
+let hotpath_log () = multi_log ~threads:8 ~ops ~seed:11 ~level:`View
+
 let farm_shards () =
   List.map
     (fun (s : Subjects.t) -> Farm.shard ~mode:`View ~view:s.view s.name s.spec)
     pipeline_subjects
+
+let io_shards () =
+  List.map (fun (s : Subjects.t) -> Farm.shard s.name s.spec) pipeline_subjects
+
+(* One in-process `View farm drain of [events], with [passes] on the
+   analysis lane when given. *)
+let drain ?passes shards events =
+  let farm = Farm.start ~capacity:8192 ?passes ~level:`View shards in
+  Array.iter (Farm.feed farm) events;
+  Farm.finish farm
 
 let pipeline_codec () =
   Fmt.pr "@.Pipeline: binary vs textual codec throughput@.@.";
@@ -637,20 +751,13 @@ let pipeline_scaling () =
   let events = Log.snapshot log in
   let n = Array.length events in
   let spec, view = composed () in
-  let run_farm shards () =
-    let farm = Farm.start ~capacity:8192 ~level:`View shards in
-    Array.iter (Farm.feed farm) events;
-    ignore (Farm.finish farm)
-  in
   let offline =
     measure_ns "farm/offline" (fun () ->
         ignore (Checker.check ~mode:`View ~view log spec))
   in
-  let one_ns =
-    measure_ns ~quota:1.0 "farm/1-domain"
-      (run_farm [ Farm.shard ~mode:`View ~view "composite" spec ])
-  in
-  let many_ns = measure_ns ~quota:1.0 "farm/n-domain" (run_farm (farm_shards ())) in
+  let one = [ Farm.shard ~mode:`View ~view "composite" spec ] and many = farm_shards () in
+  let one_ns = measure_ns ~quota:1.0 "farm/1-domain" (fun () -> ignore (drain one events)) in
+  let many_ns = measure_ns ~quota:1.0 "farm/n-domain" (fun () -> ignore (drain many events)) in
   Fmt.pr "%d events at `View level@.@." n;
   Fmt.pr "%-30s %10s %12s@." "configuration" "ms/check" "events/s";
   Fmt.pr "%s@." (line 54);
@@ -695,7 +802,7 @@ let pipeline_backpressure () =
     "@.(small rings bound memory hard and surface as stall time; once the@.\
      capacity covers the checkers' burst lag the stall disappears)@."
 
-let pipeline_drain ?(ops = 20_000) () =
+let pipeline_drain () =
   Fmt.pr "@.Pipeline: bounded-memory drain of a large streamed harness run@.@.";
   let capacity = 4096 in
   let level = `View in
@@ -738,28 +845,25 @@ let pipeline_drain ?(ops = 20_000) () =
       (fun a (sr : Farm.shard_result) -> max a sr.Farm.sr_high_water)
       0 result.Farm.shards
   in
-  let bounded = high_water <= capacity in
   let spec, view = composed () in
   let offline = Checker.check ~mode:`View ~view log spec in
-  let agree = Report.is_pass offline = Report.is_pass result.Farm.merged in
-  Fmt.pr "@.bounded memory: %s (every queue high-water <= capacity %d)@."
-    (if bounded then "yes" else "NO")
-    capacity;
-  Fmt.pr "verdict equality with the offline checker: %s (farm %s, offline %s)@."
-    (if agree then "yes" else "NO")
-    (Report.tag result.Farm.merged) (Report.tag offline);
-  if not (bounded && agree) then exit 1;
+  Fmt.pr "@.";
+  gate
+    (Printf.sprintf "bounded memory (every queue high-water <= capacity %d)" capacity)
+    (high_water <= capacity);
+  gate
+    (Printf.sprintf "verdict equality with the offline checker (farm %s, offline %s)"
+       (Report.tag result.Farm.merged) (Report.tag offline))
+    (Report.is_pass offline = Report.is_pass result.Farm.merged);
   (n, dt, !bin_bytes, high_water)
 
-let pipeline ?(json_out = Some "BENCH_pipeline.json") () =
+let pipeline () =
   pipeline_codec ();
   pipeline_scaling ();
   pipeline_backpressure ();
   let events, dt, bytes, high_water = pipeline_drain () in
-  match json_out with
-  | None -> ()
-  | Some file ->
-    write_json file
+  finish_gates "pipeline"
+    ~sidecar:
       [
         ("experiment", "\"pipeline-drain\"");
         ("events", string_of_int events);
@@ -770,141 +874,32 @@ let pipeline ?(json_out = Some "BENCH_pipeline.json") () =
         ("queue_high_water", string_of_int high_water);
       ]
 
-(* ----------------------------------------------------- net loopback bench *)
-
-(* Same workload checked three ways — offline in-process, farm in-process,
-   and streamed over a loopback Unix socket into a vyrdd server — so the
-   socket + framing + flow-control tax is directly visible.  EXPERIMENTS.md
-   tracks the shape; BENCH_net.json carries the raw numbers for CI. *)
-let net_bench ?(json_out = Some "BENCH_net.json") () =
-  Fmt.pr "@.Net: loopback submit throughput vs in-process checking@.@.";
-  let level = `View in
-  let log = multi_log ~threads:8 ~ops:2000 ~seed:9 ~level in
-  let n = Log.length log in
-  let spec, view = composed () in
-  let t0 = Unix.gettimeofday () in
-  ignore (Checker.check ~mode:`View ~view log spec);
-  let offline_dt = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let farm = Farm.start ~capacity:4096 ~level (farm_shards ()) in
-  Log.iter (Farm.feed farm) log;
-  let farm_result = Farm.finish farm in
-  let farm_dt = Unix.gettimeofday () -. t0 in
-  let sock = Filename.temp_file "vyrdd-bench" ".sock" in
-  let metrics = Pmetrics.create () in
-  let server =
-    Server.start
-      (Server.config ~capacity:4096 ~metrics ~addr:(Wire.Unix_socket sock)
-         (fun _level -> farm_shards ()))
-  in
-  let t0 = Unix.gettimeofday () in
-  let client = Client.connect ~level ~batch_events:256 (Server.addr server) in
-  Log.iter (Client.send client) log;
-  let outcome = Client.finish client in
-  let net_dt = Unix.gettimeofday () -. t0 in
-  let bytes = Client.bytes_sent client in
-  Server.stop server;
-  let high_water, net_tag =
-    match outcome with
-    | Client.Checked { report; _ } ->
-      (report.Report.stats.queue_high_water, Report.tag report)
-    | Client.Spilled _ -> (0, "spilled")
-  in
-  let evs dt = float_of_int n /. dt in
-  Fmt.pr "%d events at `View level, batches of 256 over a Unix socket@.@." n;
-  Fmt.pr "%-30s %10s %12s@." "configuration" "wall ms" "events/s";
-  Fmt.pr "%s@." (line 54);
-  let row name dt =
-    Fmt.pr "%-30s %10.2f %12s@." name (dt *. 1e3) (Fmt.str "%.2fM" (evs dt /. 1e6))
-  in
-  row "offline, in-process" offline_dt;
-  row "farm, in-process" farm_dt;
-  row "farm, loopback socket" net_dt;
-  Fmt.pr
-    "@.loopback: %d wire bytes (%.1f MB/s), verdicts agree: %s (farm %s, net %s)@."
-    bytes
-    (float_of_int bytes /. net_dt /. 1e6)
-    (if String.equal net_tag (Report.tag farm_result.Farm.merged) then "yes"
-     else "NO")
-    (Report.tag farm_result.Farm.merged)
-    net_tag;
-  if not (String.equal net_tag (Report.tag farm_result.Farm.merged)) then exit 1;
-  match json_out with
-  | None -> ()
-  | Some file ->
-    write_json file
-      [
-        ("experiment", "\"net-loopback\"");
-        ("events", string_of_int n);
-        ("bytes", string_of_int bytes);
-        ("seconds", jnum net_dt);
-        ("events_per_sec", jnum (evs net_dt));
-        ("bytes_per_sec", jnum (float_of_int bytes /. net_dt));
-        ("queue_high_water", string_of_int high_water);
-        ("farm_events_per_sec", jnum (evs farm_dt));
-        ("offline_events_per_sec", jnum (evs offline_dt));
-      ]
-
 (* ------------------------------------------------------- hot-path bench *)
 
-(* Pull one numeric field back out of a flat sidecar written by
-   [write_json]; [nan] when the file or the key is missing. *)
-let read_json_field file key =
-  match open_in file with
-  | exception Sys_error _ -> nan
-  | ic ->
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let pat = Printf.sprintf "%S:" key in
-    let rec find i =
-      if i + String.length pat > String.length s then nan
-      else if String.sub s i (String.length pat) = pat then begin
-        let j = i + String.length pat in
-        let k = ref j in
-        while
-          !k < String.length s
-          && (match s.[!k] with '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true | _ -> false)
-        do
-          incr k
-        done;
-        match float_of_string_opt (String.sub s j (!k - j)) with
-        | Some f -> f
-        | None -> nan
-      end
-      else find (i + 1)
-    in
-    find 0
-
 (* The flattened feed path end to end: batched ring hand-off, slice-draining
-   lanes, flat spec transitions.  Gates (any failure exits 1):
+   lanes, flat spec transitions.  Gates:
 
    - verdict + first-violation index identical to the indexed reference
      oracle in io mode on the full workload, and on a fault-seeded
      single-structure view workload across offline, farm, and reference;
    - farm snapshot/restore still round-trips mid-drain on the big workload;
-   - best-of-N farm io-mode drain throughput >= --min-evps (default 1M);
-   - when --baseline BENCH_hotpath.json is given, farm io-mode drain not
-     more than --max-regress percent below the committed number. *)
-let hotpath ?(json_out = Some "BENCH_hotpath.json") ~baseline ~max_regress
-    ~min_evps ~ops () =
+   - the loopback socket's verdict equals the in-process farm's;
+   - best-of-3 farm io-mode drain throughput >= [min_evps];
+   - with a [baseline], farm io drain at most 20% below it.
+
+   The loopback row is the vyrdd path (Wire framing, socket, server decode)
+   over the same stream the in-process rows drain. *)
+let hotpath ~baseline ~min_evps =
   let module Faults = Vyrd_faults.Faults in
   Fmt.pr "@.Hot path: flattened batched feed path (gate: farm io drain >= %.2fM ev/s)@.@."
     (min_evps /. 1e6);
   let level = `View in
-  let log = multi_log ~threads:8 ~ops ~seed:11 ~level in
+  let log = hotpath_log () in
   let events = Log.snapshot log in
   let n = Array.length events in
   let spec, view = composed () in
   Fmt.pr "%d events at `View level (8 threads x %d ops x %d subjects)@.@." n ops
     (List.length pipeline_subjects);
-  let failures = ref [] in
-  let gate name ok =
-    Fmt.pr "gate: %-52s %s@." name (if ok then "ok" else "FAIL");
-    if not ok then failures := name :: !failures
-  in
   (* -- correctness: offline io vs the indexed reference oracle ------------ *)
   let io_report, io_idx = Checker.check_indexed ~mode:`Io log spec in
   gate "offline io verdict+index = indexed reference"
@@ -915,19 +910,11 @@ let hotpath ?(json_out = Some "BENCH_hotpath.json") ~baseline ~max_regress
       && io_idx = Some f.Reference.f_index
       && Report.tag io_report = f.Reference.f_kind);
   let view_report = Checker.check ~mode:`View ~view log spec in
-  let io_shards () =
-    List.map (fun (s : Subjects.t) -> Farm.shard s.name s.spec) pipeline_subjects
-  in
-  let drain shards =
-    let farm = Farm.start ~capacity:8192 ~level shards in
-    Array.iter (Farm.feed farm) events;
-    Farm.finish farm
-  in
-  let farm_io = drain (io_shards ()) in
+  let farm_io = drain (io_shards ()) events in
   gate "farm io verdict = offline io verdict"
     (Report.is_pass farm_io.Farm.merged = Report.is_pass io_report
     && (not (Report.is_pass io_report)) = (Farm.min_fail_index farm_io <> None));
-  let farm_view = drain (farm_shards ()) in
+  let farm_view = drain (farm_shards ()) events in
   gate "farm view verdict = offline view verdict"
     (Report.is_pass farm_view.Farm.merged = Report.is_pass view_report);
   (* -- correctness: fault-seeded single-structure run, exact index -------- *)
@@ -996,80 +983,54 @@ let hotpath ?(json_out = Some "BENCH_hotpath.json") ~baseline ~max_regress
        && straight.Farm.merged.Report.stats.Report.events_processed
           = resumed.Farm.merged.Report.stats.Report.events_processed);
   (* -- throughput: best of N trials, wall clock --------------------------- *)
-  let trials = 3 in
-  Fmt.pr "@.%-30s %10s %12s   (best of %d)@." "configuration" "wall ms" "events/s"
-    trials;
-  Fmt.pr "%s@." (line 60);
-  let best label f =
-    let best = ref infinity in
-    for _ = 1 to trials do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    Fmt.pr "%-30s %10.2f %12s@." label
-      (!best *. 1e3)
-      (Fmt.str "%.2fM" (float_of_int n /. !best /. 1e6));
-    !best
-  in
+  ev_header "configuration" (Printf.sprintf "best of %d" trials);
   let offline_io_dt =
-    best "offline io, in-process" (fun () ->
+    best_of "offline io, in-process" n (fun () ->
         ignore (Checker.check ~mode:`Io log spec : Report.t))
   in
   let offline_view_dt =
-    best "offline view, in-process" (fun () ->
+    best_of "offline view, in-process" n (fun () ->
         ignore (Checker.check ~mode:`View ~view log spec : Report.t))
   in
   let farm_io_dt =
-    best "farm io drain" (fun () -> ignore (drain (io_shards ()) : Farm.result))
+    best_of "farm io drain" n (fun () -> ignore (drain (io_shards ()) events : Farm.result))
   in
   let farm_view_dt =
-    best "farm view drain" (fun () -> ignore (drain (farm_shards ()) : Farm.result))
+    best_of "farm view drain" n (fun () ->
+        ignore (drain (farm_shards ()) events : Farm.result))
   in
-  let loopback_dt, loopback_tag =
+  let loopback_tag = ref "" in
+  let loopback_dt =
     let sock = Filename.temp_file "vyrdd-hotpath" ".sock" in
     let server =
       Server.start
         (Server.config ~capacity:8192 ~addr:(Wire.Unix_socket sock)
            (fun _level -> farm_shards ()))
     in
-    let t0 = Unix.gettimeofday () in
-    let client = Client.connect ~level ~batch_events:256 (Server.addr server) in
-    Array.iter (Client.send client) events;
-    let outcome = Client.finish client in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt =
+      time (fun () ->
+          let client = Client.connect ~level ~batch_events:256 (Server.addr server) in
+          Array.iter (Client.send client) events;
+          loopback_tag :=
+            match Client.finish client with
+            | Client.Checked { report; _ } -> Report.tag report
+            | Client.Spilled _ -> "spilled")
+    in
     Server.stop server;
-    Fmt.pr "%-30s %10.2f %12s@." "farm view, loopback socket" (dt *. 1e3)
-      (Fmt.str "%.2fM" (float_of_int n /. dt /. 1e6));
-    ( dt,
-      match outcome with
-      | Client.Checked { report; _ } -> Report.tag report
-      | Client.Spilled _ -> "spilled" )
+    ev_row "farm view, loopback socket" n dt;
+    dt
   in
   gate "loopback verdict = farm view verdict"
-    (String.equal loopback_tag (Report.tag farm_view.Farm.merged));
+    (String.equal !loopback_tag (Report.tag farm_view.Farm.merged));
   let farm_io_evps = float_of_int n /. farm_io_dt in
   gate
     (Printf.sprintf "farm io drain %.2fM ev/s >= %.2fM" (farm_io_evps /. 1e6)
        (min_evps /. 1e6))
     (farm_io_evps >= min_evps);
-  (match baseline with
-  | None -> ()
-  | Some file ->
-    let old = read_json_field file "farm_io_events_per_sec" in
-    if Float.is_nan old then
-      Fmt.pr "gate: baseline %s unreadable — skipping the regression gate@." file
-    else
-      let floor = old *. (1. -. (max_regress /. 100.)) in
-      gate
-        (Printf.sprintf "farm io drain %.2fM >= %.2fM (baseline %.2fM - %.0f%%)"
-           (farm_io_evps /. 1e6) (floor /. 1e6) (old /. 1e6) max_regress)
-        (farm_io_evps >= floor));
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    write_json file
+  regress_gate ~baseline ~key:"farm_io_events_per_sec" ~slack:20. "farm io drain"
+    farm_io_evps;
+  finish_gates "hotpath"
+    ~sidecar:
       [
         ("experiment", "\"hotpath\"");
         ("events", string_of_int n);
@@ -1080,13 +1041,7 @@ let hotpath ?(json_out = Some "BENCH_hotpath.json") ~baseline ~max_regress
         ("offline_view_events_per_sec", jnum (float_of_int n /. offline_view_dt));
         ("loopback_events_per_sec", jnum (float_of_int n /. loopback_dt));
         ("min_evps_gate", jnum min_evps);
-      ]);
-  if !failures <> [] then begin
-    Fmt.epr "@.hotpath gates failed:@.";
-    List.iter (fun f -> Fmt.epr "  - %s@." f) (List.rev !failures);
-    exit 1
-  end;
-  Fmt.pr "@.all hotpath gates passed@."
+      ]
 
 (* ---------------------------------------------- checkpoint/resume bench *)
 
@@ -1098,25 +1053,26 @@ let hotpath ?(json_out = Some "BENCH_hotpath.json") ~baseline ~max_regress
    one-shard farm, so the ratio isolates checking work from disk recovery.
    EXPERIMENTS.md tracks the shape; BENCH_checkpoint.json carries the raw
    numbers for CI. *)
-let checkpoint_bench ?(json_out = Some "BENCH_checkpoint.json") ?(ops = 20_000) () =
+let checkpoint_bench () =
   Fmt.pr "@.Checkpoint: resume at the 90%% frame vs full re-check of a spool@.@.";
   let module Resume = Vyrd_pipeline.Resume in
   let module Segment = Vyrd_pipeline.Segment in
-  let level = `View in
-  let log = multi_log ~threads:8 ~ops ~seed:13 ~level in
+  let log = multi_log ~threads:8 ~ops ~seed:13 ~level:`View in
   let n = Log.length log in
   let every = max 1 (n / 10) in
   let spec, view = composed () in
-  let path = Filename.temp_file "vyrd-bench-ckpt" ".seg" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
   let shards _level = [ Farm.shard ~mode:`View ~view "composed" spec ] in
-  Segment.write_file path log;
-  let spool = Resume.resume ~annotate_every:every ~shards ~path () in
+  let path = Filename.temp_file "vyrd-bench-ckpt" ".seg" in
+  let spool, rz =
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        Segment.write_file path log;
+        let spool = Resume.resume ~annotate_every:every ~shards ~path () in
+        (spool, Segment.read path))
+  in
   Fmt.pr "%d events spooled with %d checkpoint frame(s) (every %d events)@.@." n
     spool.Resume.checkpoints every;
-  let rz = Segment.read path in
   (* [at:0] admits no checkpoint, so this is the full replay through the
      identical code path *)
   let t0 = Unix.gettimeofday () in
@@ -1136,29 +1092,18 @@ let checkpoint_bench ?(json_out = Some "BENCH_checkpoint.json") ?(ops = 20_000) 
   in
   row "full re-check" full_dt full.Resume.replayed;
   row "resume at 90%" resume_dt resumed.Resume.replayed;
-  let agree =
-    String.equal (Report.tag full.Resume.report) (Report.tag resumed.Resume.report)
-    && full.Resume.fail_index = resumed.Resume.fail_index
+  let resumed_at =
+    Option.fold ~none:"null" ~some:string_of_int resumed.Resume.resumed_at
   in
-  Fmt.pr
-    "@.resumed at event %s, replayed %d of %d; verdicts agree: %s; speedup: \
-     %.1fx@."
-    (match resumed.Resume.resumed_at with
-    | Some i -> string_of_int i
-    | None -> "NONE (no usable checkpoint)")
-    resumed.Resume.replayed n
-    (if agree then "yes" else "NO")
-    speedup;
-  if not agree then exit 1;
-  if resumed.Resume.resumed_at = None then exit 1;
-  if speedup < 5.0 then begin
-    Fmt.epr "resume speedup %.1fx below the 5x floor@." speedup;
-    exit 1
-  end;
-  match json_out with
-  | None -> ()
-  | Some file ->
-    write_json file
+  Fmt.pr "@.resumed at event %s, replayed %d of %d; speedup: %.1fx@." resumed_at
+    resumed.Resume.replayed n speedup;
+  gate "verdicts agree"
+    (String.equal (Report.tag full.Resume.report) (Report.tag resumed.Resume.report)
+    && full.Resume.fail_index = resumed.Resume.fail_index);
+  gate "resumed from a checkpoint frame" (resumed.Resume.resumed_at <> None);
+  gate (Printf.sprintf "resume speedup %.1fx >= 5x" speedup) (speedup >= 5.0);
+  finish_gates "checkpoint"
+    ~sidecar:
       [
         ("experiment", "\"checkpoint-resume\"");
         ("events", string_of_int n);
@@ -1167,205 +1112,173 @@ let checkpoint_bench ?(json_out = Some "BENCH_checkpoint.json") ?(ops = 20_000) 
         ("full_seconds", jnum full_dt);
         ("resume_seconds", jnum resume_dt);
         ("speedup", jnum speedup);
-        ( "resumed_at",
-          match resumed.Resume.resumed_at with
-          | Some i -> string_of_int i
-          | None -> "null" );
+        ("resumed_at", resumed_at);
         ("replayed", string_of_int resumed.Resume.replayed);
       ]
 
-(* --------------------------------------------- in-service analysis bench *)
+(* ------------------------------------------------ analysis-lane overhead *)
 
-(* What `--analyze` costs on the hot path: the same ~1.1M-event composed
-   `View workload as the hotpath bench, drained through the farm with and
-   without the level's analysis passes (lint + lockgraph at `View) on the
-   dedicated analysis lane.  Gates (any failure exits 1):
+module Pass = Vyrd_analysis.Pass
+module Monitor = Vyrd_monitor.Monitor
 
-   - refinement verdict identical with and without passes attached;
+(* A set of passes measured on the farm's analysis lane by [lane_overhead]:
+   [experiment] names the subcommand and its sidecar, [flag] the vyrd_check
+   switch that attaches the passes, [noun] what the gate and row labels
+   call them.  [alone] runs the passes' own work over a `Full log, whose
+   Acquire/Release events the `View drain does not carry; [alone_key]
+   prefixes its sidecar keys. *)
+type lane = {
+  experiment : string;
+  title : string;
+  flag : string;
+  noun : string;
+  listing : string;
+  saw_gate : string;
+  clean_gate : string;
+  passes : unit -> Pass.t list;
+  lane_key : string;
+  alone_label : string;
+  alone_key : string;
+  alone : Log.t -> unit;
+}
+
+let analysis_lane =
+  let passes () = Pass.for_level `View in
+  {
+    experiment = "analyze";
+    title = "In-service analysis: farm drain with vs without --analyze passes";
+    flag = "--analyze";
+    noun = "passes";
+    listing =
+      "passes: " ^ String.concat ", " (List.map (fun (p : Pass.t) -> p.Pass.name) (passes ()));
+    saw_gate = "every pass saw the whole stream";
+    clean_gate = "passes clean on the correct workload";
+    passes;
+    lane_key = "farm_passes_events_per_sec";
+    alone_label = "lockgraph alone";
+    alone_key = "lockgraph";
+    alone = (fun log -> ignore (Vyrd_analysis.Lockgraph.analyze log : Vyrd_analysis.Lockgraph.result));
+  }
+
+let monitor_lane =
+  {
+    experiment = "monitor";
+    title = "Temporal monitors: farm drain with vs without the built-in pack";
+    flag = "--monitor";
+    noun = "monitors";
+    listing = "monitors: " ^ String.concat ", " Monitor.builtin_names;
+    saw_gate = "the monitor pass saw the whole stream";
+    clean_gate = "built-ins clean on the correct workload";
+    passes = (fun () -> [ Monitor.pass (Monitor.builtins ()) ]);
+    lane_key = "farm_monitor_events_per_sec";
+    alone_label = "builtin feed";
+    alone_key = "feed_full";
+    alone =
+      (fun log ->
+        let ms = Monitor.builtins () in
+        Log.iter (fun ev -> List.iter (fun m -> Monitor.feed m ev) ms) log;
+        List.iter (fun m -> ignore (Monitor.finish m : Monitor.verdict)) ms);
+  }
+
+(* What a lane of passes costs on the hot path: the hotpath workload drained
+   through the farm with and without [lane]'s passes.  Gates:
+
+   - refinement verdict identical with and without the passes;
    - every pass saw the whole stream and came back clean on the correct
      workload;
-   - passes-attached drain within --max-overhead percent of the plain
-     drain (default 15, the in-service budget);
-   - when --baseline BENCH_analyze.json is given, the passes-attached
-     drain not more than --max-regress percent below the committed number.
-
-   Also reports standalone Lockgraph.analyze throughput over a `Full-level
-   log — the lock-order graph needs Acquire/Release events, which `View
-   traces do not carry. *)
-let analyze_bench ?(json_out = Some "BENCH_analyze.json") ~baseline
-    ~max_regress ~max_overhead ~ops () =
-  Fmt.pr
-    "@.In-service analysis: farm drain with vs without --analyze passes \
-     (gate: <= %.0f%% overhead)@.@."
-    max_overhead;
-  let level = `View in
-  let log = multi_log ~threads:8 ~ops ~seed:11 ~level in
-  let events = Log.snapshot log in
+   - the median of 5 paired ratios (plain drain, then lane drain, timed
+     back to back) at most 15% over 1 — the in-service budget;
+   - with a [baseline], the lane drain at most 40% below it. *)
+let lane_overhead lane ~baseline =
+  let max_overhead = 15. and pairs = 5 in
+  Fmt.pr "@.%s (gate: <= %.0f%% overhead)@.@." lane.title max_overhead;
+  let events = Log.snapshot (hotpath_log ()) in
   let n = Array.length events in
-  let passes () = Vyrd_analysis.Pass.for_level level in
-  Fmt.pr "%d events at `View level; passes: %s@.@." n
-    (String.concat ", "
-       (List.map (fun (p : Vyrd_analysis.Pass.t) -> p.Vyrd_analysis.Pass.name)
-          (passes ())));
-  let failures = ref [] in
-  let gate name ok =
-    Fmt.pr "gate: %-52s %s@." name (if ok then "ok" else "FAIL");
-    if not ok then failures := name :: !failures
+  Fmt.pr "%d events at `View level; %s@.@." n lane.listing;
+  let plain () = drain (farm_shards ()) events in
+  let laned () = drain ~passes:(lane.passes ()) (farm_shards ()) events in
+  (* -- correctness: the lane must not perturb the verdict ----------------- *)
+  let p = plain () in
+  let a = laned () in
+  gate ("verdict identical with and without " ^ lane.noun)
+    (String.equal (Report.tag p.Farm.merged) (Report.tag a.Farm.merged)
+    && Farm.min_fail_index p = Farm.min_fail_index a);
+  gate lane.saw_gate
+    (a.Farm.analysis <> []
+    && List.for_all (fun (s : Pass.summary) -> s.Pass.events = n) a.Farm.analysis);
+  gate lane.clean_gate (List.for_all Pass.clean a.Farm.analysis);
+  (* -- throughput: paired trials ------------------------------------------ *)
+  let samples =
+    List.init pairs (fun _ ->
+        let p = time (fun () -> ignore (plain () : Farm.result)) in
+        (p, time (fun () -> ignore (laned () : Farm.result))))
   in
-  let drain ?passes () =
-    let farm = Farm.start ~capacity:8192 ?passes ~level (farm_shards ()) in
-    Array.iter (Farm.feed farm) events;
-    Farm.finish farm
-  in
-  (* -- correctness: the analysis lane must not perturb the verdict -------- *)
-  let plain = drain () in
-  let analyzed = drain ~passes:(passes ()) () in
-  gate "verdict identical with and without passes"
-    (String.equal (Report.tag plain.Farm.merged) (Report.tag analyzed.Farm.merged)
-    && Farm.min_fail_index plain = Farm.min_fail_index analyzed);
-  gate "every pass saw the whole stream"
-    (analyzed.Farm.analysis <> []
-    && List.for_all
-         (fun (s : Vyrd_analysis.Pass.summary) ->
-           s.Vyrd_analysis.Pass.events = n)
-         analyzed.Farm.analysis);
-  gate "passes clean on the correct workload"
-    (List.for_all Vyrd_analysis.Pass.clean analyzed.Farm.analysis);
-  (* -- throughput: best of N trials, wall clock --------------------------- *)
-  let trials = 3 in
-  Fmt.pr "@.%-30s %10s %12s   (best of %d)@." "configuration" "wall ms"
-    "events/s" trials;
-  Fmt.pr "%s@." (line 60);
-  let best label count f =
-    let best = ref infinity in
-    for _ = 1 to trials do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    Fmt.pr "%-30s %10.2f %12s@." label
-      (!best *. 1e3)
-      (Fmt.str "%.2fM" (float_of_int count /. !best /. 1e6));
-    !best
-  in
-  (* Paired trials: each trial times the plain and the --analyze drain
-     back-to-back.  The overhead gate takes the best of the per-pair
-     ratios and the ratio of the per-side minima — on a loaded
-     single-core CI box a scheduling spike can hit either side of any
-     pair, and both statistics discard a different kind of spike, so
-     together they approach the true steady-state overhead from above. *)
-  let pairs = 5 in
-  let plain_dt = ref infinity and passes_dt = ref infinity in
-  let pair_ratio = ref infinity in
-  for _ = 1 to pairs do
-    let t0 = Unix.gettimeofday () in
-    ignore (drain () : Farm.result);
-    let p = Unix.gettimeofday () -. t0 in
-    let t0 = Unix.gettimeofday () in
-    ignore (drain ~passes:(passes ()) () : Farm.result);
-    let a = Unix.gettimeofday () -. t0 in
-    if p < !plain_dt then plain_dt := p;
-    if a < !passes_dt then passes_dt := a;
-    if a /. p < !pair_ratio then pair_ratio := a /. p
-  done;
-  let ratio = ref (Float.min !pair_ratio (!passes_dt /. !plain_dt)) in
-  let row label dt =
-    Fmt.pr "%-30s %10.2f %12s@." label (dt *. 1e3)
-      (Fmt.str "%.2fM" (float_of_int n /. dt /. 1e6))
-  in
-  row "farm view drain, no passes" !plain_dt;
-  row "farm view drain, --analyze" !passes_dt;
-  let plain_dt = !plain_dt and passes_dt = !passes_dt in
-  let full_log =
-    multi_log ~threads:8 ~ops:(max 1 (ops / 10)) ~seed:3 ~level:`Full
-  in
+  let best side = List.fold_left (fun b s -> Float.min b (side s)) infinity samples in
+  let plain_dt = best fst and lane_dt = best snd in
+  let q1, median, q3 = quartiles (List.map (fun (p, a) -> a /. p) samples) in
+  ev_header "configuration" (Printf.sprintf "best of %d pairs" pairs);
+  ev_row ("farm view drain, no " ^ lane.noun) n plain_dt;
+  ev_row ("farm view drain, " ^ lane.flag) n lane_dt;
+  let full_log = multi_log ~threads:8 ~ops:(ops / 10) ~seed:3 ~level:`Full in
   let fn = Log.length full_log in
-  let lock_dt =
-    best (Fmt.str "lockgraph alone, %d ev `Full" fn) fn (fun () ->
-        ignore (Vyrd_analysis.Lockgraph.analyze full_log
-                 : Vyrd_analysis.Lockgraph.result))
+  let alone_dt =
+    best_of (Fmt.str "%s, %d ev `Full" lane.alone_label fn) fn (fun () ->
+        lane.alone full_log)
   in
-  let overhead_pct = (!ratio -. 1.) *. 100. in
+  let overhead_pct = (median -. 1.) *. 100. and iqr_pct = (q3 -. q1) *. 100. in
+  Fmt.pr "@.%s overhead: median of %d paired ratios %.1f%%, IQR %.1f points@."
+    lane.flag pairs overhead_pct iqr_pct;
   gate
-    (Printf.sprintf "--analyze overhead %.1f%% <= %.0f%% (best of %d pairs)"
+    (Printf.sprintf "%s overhead %.1f%% <= %.0f%% (median of %d pairs)" lane.flag
        overhead_pct max_overhead pairs)
-    (!ratio <= 1. +. (max_overhead /. 100.));
-  let passes_evps = float_of_int n /. passes_dt in
-  (match baseline with
-  | None -> ()
-  | Some file ->
-    let old = read_json_field file "farm_passes_events_per_sec" in
-    if Float.is_nan old then
-      Fmt.pr "gate: baseline %s unreadable — skipping the regression gate@."
-        file
-    else
-      let floor = old *. (1. -. (max_regress /. 100.)) in
-      gate
-        (Printf.sprintf
-           "--analyze drain %.2fM >= %.2fM (baseline %.2fM - %.0f%%)"
-           (passes_evps /. 1e6) (floor /. 1e6) (old /. 1e6) max_regress)
-        (passes_evps >= floor));
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    write_json file
+    (overhead_pct <= max_overhead);
+  let lane_evps = float_of_int n /. lane_dt in
+  regress_gate ~baseline ~key:lane.lane_key ~slack:40. (lane.flag ^ " drain") lane_evps;
+  finish_gates lane.experiment
+    ~sidecar:
       [
-        ("experiment", "\"analyze\"");
+        ("experiment", Printf.sprintf "%S" lane.experiment);
         ("events", string_of_int n);
         ("trials", string_of_int trials);
         ("pairs", string_of_int pairs);
         ("farm_plain_events_per_sec", jnum (float_of_int n /. plain_dt));
-        ("farm_passes_events_per_sec", jnum passes_evps);
+        (lane.lane_key, jnum lane_evps);
         ("overhead_pct", jnum overhead_pct);
-        ("lockgraph_events", string_of_int fn);
-        ("lockgraph_events_per_sec", jnum (float_of_int fn /. lock_dt));
+        ("overhead_iqr_pct", jnum iqr_pct);
+        (lane.alone_key ^ "_events", string_of_int fn);
+        (lane.alone_key ^ "_events_per_sec", jnum (float_of_int fn /. alone_dt));
         ("max_overhead_pct_gate", jnum max_overhead);
-      ]);
-  if !failures <> [] then begin
-    Fmt.epr "@.analyze gates failed:@.";
-    List.iter (fun f -> Fmt.epr "  - %s@." f) (List.rev !failures);
-    exit 1
-  end;
-  Fmt.pr "@.all analyze gates passed@."
+      ]
 
 (* ------------------------------------------------------ lin oracle bench *)
 
 module Lin = Vyrd_lin.Backend
 
 (* What the annotation-free linearizability backend costs next to
-   refinement checking, on the same ~1.1M-event composed `View workload as
-   the hotpath bench.  Gates (any failure exits 1):
+   refinement checking, on the hotpath workload.  Gates:
 
    - lin clean and conclusive on the correct workload — zero budget
      exhaustions, every structure's history linearizable;
    - agreement on a seeded buggy log: refinement convicts and so does lin,
      from calls and returns alone;
-   - lin throughput at least --min-evps events/second (default 0.5M — the
-     greedy path never snapshots, so the clean-log JIT is nearly linear);
-   - when --baseline BENCH_lin.json is given, lin throughput not more than
-     --max-regress percent below the committed number.
+   - lin throughput at least 0.5M events/second (the greedy path never
+     snapshots, so the clean-log JIT is nearly linear);
+   - with a [baseline], lin throughput at most 40% below it.
 
    The cost table puts refinement (farm view drain, farm io drain) and the
    lin backend side by side over the identical stream — the measured price
    of dropping commit annotations. *)
-let lin_bench ?(json_out = Some "BENCH_lin.json") ~baseline ~max_regress
-    ~min_evps ~ops () =
+let lin_bench ~baseline =
+  let min_evps = 5e5 in
   Fmt.pr
     "@.Lin backend: JIT linearizability vs refinement on the hotpath \
      workload@.@.";
-  let level = `View in
-  let log = multi_log ~threads:8 ~ops ~seed:11 ~level in
+  let log = hotpath_log () in
   let events = Log.snapshot log in
   let n = Array.length events in
   let specs = List.map (fun (s : Subjects.t) -> (s.name, s.spec)) pipeline_subjects in
   Fmt.pr "%d events at `View level; structures: %s@.@." n
     (String.concat ", " (List.map fst specs));
-  let failures = ref [] in
-  let gate name ok =
-    Fmt.pr "gate: %-52s %s@." name (if ok then "ok" else "FAIL");
-    if not ok then failures := name :: !failures
-  in
   (* -- correctness -------------------------------------------------------- *)
   let lin = Lin.check_log ~specs log in
   gate "lin clean and conclusive on the correct workload"
@@ -1391,40 +1304,17 @@ let lin_bench ?(json_out = Some "BENCH_lin.json") ~baseline ~max_regress
   gate "both oracles convict the seeded buggy log"
     ((not (Report.is_pass ref_buggy)) && Lin.violations lin_buggy <> []);
   (* -- throughput: best of N trials, wall clock --------------------------- *)
-  let trials = 3 in
-  Fmt.pr "@.%-30s %10s %12s   (best of %d)@." "oracle" "wall ms" "events/s"
-    trials;
-  Fmt.pr "%s@." (line 60);
-  let best label count f =
-    let best = ref infinity in
-    for _ = 1 to trials do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    Fmt.pr "%-30s %10.2f %12s@." label
-      (!best *. 1e3)
-      (Fmt.str "%.2fM" (float_of_int count /. !best /. 1e6));
-    !best
+  ev_header "oracle" (Printf.sprintf "best of %d" trials);
+  let view_dt =
+    best_of "refinement farm, view mode" n (fun () ->
+        ignore (drain (farm_shards ()) events : Farm.result))
   in
-  let drain mode =
-    let shards =
-      match mode with
-      | `View -> farm_shards ()
-      | `Io ->
-        List.map
-          (fun (s : Subjects.t) -> Farm.shard ~mode:`Io s.name s.spec)
-          pipeline_subjects
-    in
-    let farm = Farm.start ~capacity:8192 ~level shards in
-    Array.iter (Farm.feed farm) events;
-    ignore (Farm.finish farm : Farm.result)
+  let io_dt =
+    best_of "refinement farm, io mode" n (fun () ->
+        ignore (drain (io_shards ()) events : Farm.result))
   in
-  let view_dt = best "refinement farm, view mode" n (fun () -> drain `View) in
-  let io_dt = best "refinement farm, io mode" n (fun () -> drain `Io) in
   let lin_dt =
-    best "lin backend (JIT, no commits)" n (fun () ->
+    best_of "lin backend (JIT, no commits)" n (fun () ->
         ignore (Lin.check_log ~specs log : Lin.t))
   in
   let lin_evps = float_of_int n /. lin_dt in
@@ -1434,23 +1324,9 @@ let lin_bench ?(json_out = Some "BENCH_lin.json") ~baseline ~max_regress
     (Printf.sprintf "lin throughput %.2fM >= %.2fM ev/s" (lin_evps /. 1e6)
        (min_evps /. 1e6))
     (lin_evps >= min_evps);
-  (match baseline with
-  | None -> ()
-  | Some file ->
-    let old = read_json_field file "lin_events_per_sec" in
-    if Float.is_nan old then
-      Fmt.pr "gate: baseline %s unreadable — skipping the regression gate@."
-        file
-    else
-      let floor = old *. (1. -. (max_regress /. 100.)) in
-      gate
-        (Printf.sprintf "lin %.2fM >= %.2fM (baseline %.2fM - %.0f%%)"
-           (lin_evps /. 1e6) (floor /. 1e6) (old /. 1e6) max_regress)
-        (lin_evps >= floor));
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    write_json file
+  regress_gate ~baseline ~key:"lin_events_per_sec" ~slack:40. "lin" lin_evps;
+  finish_gates "lin"
+    ~sidecar:
       [
         ("experiment", "\"lin\"");
         ("events", string_of_int n);
@@ -1462,13 +1338,7 @@ let lin_bench ?(json_out = Some "BENCH_lin.json") ~baseline ~max_regress
         ("farm_io_events_per_sec", jnum (float_of_int n /. io_dt));
         ("lin_vs_view_cost", jnum (lin_dt /. view_dt));
         ("min_evps_gate", jnum min_evps);
-      ]);
-  if !failures <> [] then begin
-    Fmt.epr "@.lin gates failed:@.";
-    List.iter (fun f -> Fmt.epr "  - %s@." f) (List.rev !failures);
-    exit 1
-  end;
-  Fmt.pr "@.all lin gates passed@."
+      ]
 
 (* -------------------------------------------------------- cluster bench *)
 
@@ -1488,27 +1358,24 @@ let cluster_worker_main sock =
     Thread.delay 3600.
   done
 
-(* The same N-session workload pushed through a coordinator fronting 1, 2,
-   and 4 worker processes.  Gates (any failure exits 1):
+(* The same 16-session workload pushed through a coordinator fronting 1, 2,
+   and 4 worker processes.  Gates:
 
    - every session's verdict and first-violation index identical to offline
      single-process checking, at every cluster width;
-   - with >= 4 cores visible, 2 workers at least --min-speedup (default
-     1.8x) faster than 1 (skipped, not failed, on smaller machines: the
-     coordinator and the workers would just timeshare one core);
-   - when --baseline BENCH_cluster.json is given, 2-worker throughput not
-     more than --max-regress percent below the committed number. *)
-let cluster_bench ?(json_out = Some "BENCH_cluster.json") ~baseline ~max_regress
-    ~min_speedup ~sessions () =
+   - with >= 4 cores visible, 2 workers at least 1.8x faster than 1
+     (skipped, not failed, on smaller machines: the coordinator and the
+     workers would just timeshare one core);
+   - with a [baseline], 2-worker throughput at most 40% below it. *)
+let cluster_bench ~baseline =
+  let min_speedup = 1.8 and sessions = 16 in
   Fmt.pr "@.Cluster: coordinator fronting 1, 2, 4 vyrdd worker processes@.@.";
   let level = `View in
-  (* the hotpath-scale aggregate (~1.1M events: 8 threads x 20k ops x 3
-     structures) split across the sessions, so widths are compared on the
-     same total stream the single-process benches drain *)
+  (* the hotpath-scale aggregate split across the sessions, so widths are
+     compared on the same total stream the single-process benches drain *)
   let logs =
     Array.init sessions (fun i ->
-        multi_log ~threads:8 ~ops:(max 1 (20_000 / sessions)) ~seed:(101 + i)
-          ~level)
+        multi_log ~threads:8 ~ops:(ops / sessions) ~seed:(101 + i) ~level)
   in
   let total = Array.fold_left (fun a l -> a + Log.length l) 0 logs in
   let spec, view = composed () in
@@ -1518,11 +1385,6 @@ let cluster_bench ?(json_out = Some "BENCH_cluster.json") ~baseline ~max_regress
   let cores = Domain.recommended_domain_count () in
   Fmt.pr "%d sessions, %d events total, %d core(s) visible@.@." sessions total
     cores;
-  let failures = ref [] in
-  let gate name ok =
-    Fmt.pr "gate: %-52s %s@." name (if ok then "ok" else "FAIL");
-    if not ok then failures := name :: !failures
-  in
   let run_with workers =
     let dir =
       Filename.concat
@@ -1626,23 +1488,10 @@ let cluster_bench ?(json_out = Some "BENCH_cluster.json") ~baseline ~max_regress
   else
     Fmt.pr "gate: 2-worker speedup %.2fx >= %.2fx%s@." speedup2 min_speedup
       (Printf.sprintf " skipped (%d core(s): nothing to parallelize onto)" cores);
-  (match baseline with
-  | None -> ()
-  | Some file ->
-    let old = read_json_field file "events_per_sec_w2" in
-    if Float.is_nan old then
-      Fmt.pr "gate: baseline %s unreadable — skipping the regression gate@." file
-    else
-      let floor = old *. (1. -. (max_regress /. 100.)) in
-      gate
-        (Printf.sprintf
-           "2-worker %.2fM ev/s >= %.2fM (baseline %.2fM - %.0f%%)"
-           (evps dt2 /. 1e6) (floor /. 1e6) (old /. 1e6) max_regress)
-        (evps dt2 >= floor));
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    write_json file
+  regress_gate ~baseline ~key:"events_per_sec_w2" ~slack:40. ~unit:" ev/s" "2-worker"
+    (evps dt2);
+  finish_gates "cluster"
+    ~sidecar:
       [
         ("experiment", "\"cluster\"");
         ("events", string_of_int total);
@@ -1657,155 +1506,7 @@ let cluster_bench ?(json_out = Some "BENCH_cluster.json") ~baseline ~max_regress
         ("speedup_w2", jnum speedup2);
         ("speedup_w4", jnum speedup4);
         ("min_speedup_gate", jnum min_speedup);
-      ]);
-  if !failures <> [] then begin
-    Fmt.epr "@.cluster gates failed:@.";
-    List.iter (fun f -> Fmt.epr "  - %s@." f) (List.rev !failures);
-    exit 1
-  end;
-  Fmt.pr "@.all cluster gates passed@."
-
-(* ------------------------------------------------- monitor-lane overhead *)
-
-module Monitor = Vyrd_monitor.Monitor
-
-(* What the temporal-monitor lane costs on the hotpath workload: the same
-   ~1.1M-event composed `View drain with and without the built-in pack
-   (lock reversal + resource leak) attached as a farm pass.  Gates (any
-   failure exits 1):
-
-   - verdict identical with and without the monitor pass;
-   - the pass saw the whole stream and every built-in stayed clean on the
-     correct workload;
-   - monitor-lane overhead at most --max-overhead percent over the plain
-     drain (paired trials, same two spike-discarding statistics as the
-     analyze bench);
-   - when --baseline BENCH_monitor.json is given, the monitored drain not
-     more than --max-regress percent below the committed number.
-
-   Also reports standalone monitor feed throughput over a `Full-level log —
-   the built-in packs key on Acquire/Release events, which `View traces do
-   not carry, so that row is the packs' real per-event cost. *)
-let monitor_bench ?(json_out = Some "BENCH_monitor.json") ~baseline
-    ~max_regress ~max_overhead ~ops () =
-  Fmt.pr
-    "@.Temporal monitors: farm drain with vs without the built-in pack \
-     (gate: <= %.0f%% overhead)@.@."
-    max_overhead;
-  let level = `View in
-  let log = multi_log ~threads:8 ~ops ~seed:11 ~level in
-  let events = Log.snapshot log in
-  let n = Array.length events in
-  let passes () = [ Monitor.pass (Monitor.builtins ()) ] in
-  Fmt.pr "%d events at `View level; monitors: %s@.@." n
-    (String.concat ", " Monitor.builtin_names);
-  let failures = ref [] in
-  let gate name ok =
-    Fmt.pr "gate: %-52s %s@." name (if ok then "ok" else "FAIL");
-    if not ok then failures := name :: !failures
-  in
-  let drain ?passes () =
-    let farm = Farm.start ~capacity:8192 ?passes ~level (farm_shards ()) in
-    Array.iter (Farm.feed farm) events;
-    Farm.finish farm
-  in
-  (* -- correctness: the monitor lane must not perturb the verdict --------- *)
-  let plain = drain () in
-  let monitored = drain ~passes:(passes ()) () in
-  gate "verdict identical with and without monitors"
-    (String.equal (Report.tag plain.Farm.merged)
-       (Report.tag monitored.Farm.merged)
-    && Farm.min_fail_index plain = Farm.min_fail_index monitored);
-  gate "the monitor pass saw the whole stream"
-    (monitored.Farm.analysis <> []
-    && List.for_all
-         (fun (s : Vyrd_analysis.Pass.summary) ->
-           s.Vyrd_analysis.Pass.events = n)
-         monitored.Farm.analysis);
-  gate "built-ins clean on the correct workload"
-    (List.for_all Vyrd_analysis.Pass.clean monitored.Farm.analysis);
-  (* -- throughput: paired trials, spike-discarding (see analyze_bench) ---- *)
-  let pairs = 5 in
-  let plain_dt = ref infinity and mon_dt = ref infinity in
-  let pair_ratio = ref infinity in
-  for _ = 1 to pairs do
-    let t0 = Unix.gettimeofday () in
-    ignore (drain () : Farm.result);
-    let p = Unix.gettimeofday () -. t0 in
-    let t0 = Unix.gettimeofday () in
-    ignore (drain ~passes:(passes ()) () : Farm.result);
-    let m = Unix.gettimeofday () -. t0 in
-    if p < !plain_dt then plain_dt := p;
-    if m < !mon_dt then mon_dt := m;
-    if m /. p < !pair_ratio then pair_ratio := m /. p
-  done;
-  let ratio = Float.min !pair_ratio (!mon_dt /. !plain_dt) in
-  Fmt.pr "@.%-30s %10s %12s   (best of %d pairs)@." "configuration" "wall ms"
-    "events/s" pairs;
-  Fmt.pr "%s@." (line 60);
-  let row label dt count =
-    Fmt.pr "%-30s %10.2f %12s@." label (dt *. 1e3)
-      (Fmt.str "%.2fM" (float_of_int count /. dt /. 1e6))
-  in
-  row "farm view drain, no monitors" !plain_dt n;
-  row "farm view drain, --monitor" !mon_dt n;
-  (* standalone feed cost on a lock-bearing `Full trace *)
-  let full_log =
-    multi_log ~threads:8 ~ops:(max 1 (ops / 10)) ~seed:3 ~level:`Full
-  in
-  let full_events = Log.snapshot full_log in
-  let fn = Array.length full_events in
-  let feed_dt = ref infinity in
-  for _ = 1 to 3 do
-    let ms = Monitor.builtins () in
-    let t0 = Unix.gettimeofday () in
-    Array.iter (fun ev -> List.iter (fun m -> Monitor.feed m ev) ms) full_events;
-    List.iter (fun m -> ignore (Monitor.finish m : Monitor.verdict)) ms;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !feed_dt then feed_dt := dt
-  done;
-  row (Fmt.str "builtin feed, %d ev `Full" fn) !feed_dt fn;
-  let overhead_pct = (ratio -. 1.) *. 100. in
-  gate
-    (Printf.sprintf "--monitor overhead %.1f%% <= %.0f%% (best of %d pairs)"
-       overhead_pct max_overhead pairs)
-    (ratio <= 1. +. (max_overhead /. 100.));
-  let mon_evps = float_of_int n /. !mon_dt in
-  (match baseline with
-  | None -> ()
-  | Some file ->
-    let old = read_json_field file "farm_monitor_events_per_sec" in
-    if Float.is_nan old then
-      Fmt.pr "gate: baseline %s unreadable — skipping the regression gate@."
-        file
-    else
-      let floor = old *. (1. -. (max_regress /. 100.)) in
-      gate
-        (Printf.sprintf
-           "--monitor drain %.2fM >= %.2fM (baseline %.2fM - %.0f%%)"
-           (mon_evps /. 1e6) (floor /. 1e6) (old /. 1e6) max_regress)
-        (mon_evps >= floor));
-  (match json_out with
-  | None -> ()
-  | Some file ->
-    write_json file
-      [
-        ("experiment", "\"monitor\"");
-        ("events", string_of_int n);
-        ("pairs", string_of_int pairs);
-        ("farm_plain_events_per_sec", jnum (float_of_int n /. !plain_dt));
-        ("farm_monitor_events_per_sec", jnum mon_evps);
-        ("overhead_pct", jnum overhead_pct);
-        ("feed_full_events", string_of_int fn);
-        ("feed_full_events_per_sec", jnum (float_of_int fn /. !feed_dt));
-        ("max_overhead_pct_gate", jnum max_overhead);
-      ]);
-  if !failures <> [] then begin
-    Fmt.epr "@.monitor gates failed:@.";
-    List.iter (fun f -> Fmt.epr "  - %s@." f) (List.rev !failures);
-    exit 1
-  end;
-  Fmt.pr "@.all monitor gates passed@."
+      ]
 
 (* ------------------------------------------------------------------ CLI *)
 
@@ -1819,13 +1520,12 @@ let all () =
   explore_bounds ();
   analyze_perf ();
   pipeline ();
-  net_bench ();
   checkpoint_bench ();
-  cluster_bench ~baseline:None ~max_regress:40. ~min_speedup:1.8 ~sessions:16 ();
-  hotpath ~baseline:None ~max_regress:20. ~min_evps:1e6 ~ops:20_000 ();
-  analyze_bench ~baseline:None ~max_regress:25. ~max_overhead:15. ~ops:20_000 ();
-  monitor_bench ~baseline:None ~max_regress:25. ~max_overhead:15. ~ops:20_000 ();
-  lin_bench ~baseline:None ~max_regress:30. ~min_evps:5e5 ~ops:20_000 ();
+  cluster_bench ~baseline:None;
+  hotpath ~baseline:None ~min_evps:1e6;
+  lane_overhead analysis_lane ~baseline:None;
+  lane_overhead monitor_lane ~baseline:None;
+  lin_bench ~baseline:None;
   mutants ~json_out:(Some "detection_matrix.json") ()
 
 let () =
@@ -1835,6 +1535,24 @@ let () =
     cluster_worker_main Sys.argv.(2);
   let open Cmdliner in
   let cmd name doc f = Cmd.v (Cmd.info name ~doc) Term.(const f $ const ()) in
+  (* A gated subcommand: [--baseline FILE] (the committed sidecar, [what]
+     its regression-gated figure) plus any [extra] options. *)
+  let gated name doc what extra f =
+    let baseline =
+      Arg.(
+        value
+        & opt (some string) None
+        & info [ "baseline" ] ~docv:"FILE"
+            ~doc:
+              (Printf.sprintf
+                 "Committed BENCH_%s.json to gate against: fail if %s drops \
+                  more than the experiment's slack below it, or if the file \
+                  or its key cannot be read."
+                 name what))
+    in
+    Cmd.v (Cmd.info name ~doc) Term.(const f $ baseline $ extra)
+  in
+  let no_extra = Term.const () in
   let group =
     Cmd.group
       ~default:Term.(const all $ const ())
@@ -1860,175 +1578,58 @@ let () =
            checker-domain scaling, backpressure stall time, and a large \
            bounded-memory drain with verdict equality (writes \
            BENCH_pipeline.json)."
-          (fun () -> pipeline ());
-        cmd "net"
-          "Loopback vyrdd submit throughput vs in-process checking (writes \
-           BENCH_net.json)."
-          (fun () -> net_bench ());
+          pipeline;
         cmd "checkpoint"
           "Checkpointed resume: full re-check of a ~1M-event spool vs \
            resuming from the 90% checkpoint frame, with verdict-equality \
            and speedup gates (writes BENCH_checkpoint.json)."
-          (fun () -> checkpoint_bench ());
-        Cmd.v
-          (Cmd.info "hotpath"
-             ~doc:
-               "Flattened feed path: differential correctness gates (indexed \
-                reference oracle, farm index equality, checkpoint round-trip) \
-                plus best-of-3 throughput with a >= 1M ev/s farm io-drain \
-                gate and an optional baseline regression gate (writes \
-                BENCH_hotpath.json).")
-          Term.(
-            const (fun baseline max_regress min_evps ops ->
-                hotpath ~baseline ~max_regress ~min_evps ~ops ())
-            $ Arg.(
-                value
-                & opt (some string) None
-                & info [ "baseline" ] ~docv:"FILE"
-                    ~doc:
-                      "Committed BENCH_hotpath.json to gate against: fail if \
-                       farm io drain drops more than $(b,--max-regress) \
-                       percent below it.")
-            $ Arg.(
-                value & opt float 20.
-                & info [ "max-regress" ] ~docv:"PCT"
-                    ~doc:"Allowed regression vs the baseline, in percent.")
-            $ Arg.(
-                value & opt float 1e6
-                & info [ "min-evps" ] ~docv:"EV_PER_S"
-                    ~doc:"Absolute farm io-drain floor in events/second.")
-            $ Arg.(
-                value & opt int 20_000
-                & info [ "ops" ] ~docv:"N" ~doc:"Operations per thread."));
-        Cmd.v
-          (Cmd.info "analyze"
-             ~doc:
-               "In-service analysis overhead: farm view drain with vs \
-                without the level's analysis passes (lint + lock-order \
-                graph) on the hotpath workload, gated at --max-overhead \
-                percent, plus standalone lock-order-graph throughput and an \
-                optional baseline regression gate (writes \
-                BENCH_analyze.json).")
-          Term.(
-            const (fun baseline max_regress max_overhead ops ->
-                analyze_bench ~baseline ~max_regress ~max_overhead ~ops ())
-            $ Arg.(
-                value
-                & opt (some string) None
-                & info [ "baseline" ] ~docv:"FILE"
-                    ~doc:
-                      "Committed BENCH_analyze.json to gate against: fail if \
-                       the passes-attached drain drops more than \
-                       $(b,--max-regress) percent below it.")
-            $ Arg.(
-                value & opt float 25.
-                & info [ "max-regress" ] ~docv:"PCT"
-                    ~doc:"Allowed regression vs the baseline, in percent.")
-            $ Arg.(
-                value & opt float 15.
-                & info [ "max-overhead" ] ~docv:"PCT"
-                    ~doc:
-                      "Allowed analysis-lane overhead over the plain drain, \
-                       in percent.")
-            $ Arg.(
-                value & opt int 20_000
-                & info [ "ops" ] ~docv:"N" ~doc:"Operations per thread."));
-        Cmd.v
-          (Cmd.info "monitor"
-             ~doc:
-               "Temporal-monitor overhead: farm view drain with vs without \
-                the built-in pack (lock reversal + resource leak) on the \
-                hotpath workload, gated at --max-overhead percent with a \
-                verdict-equality gate, plus standalone pack feed throughput \
-                over a `Full trace and an optional baseline regression gate \
-                (writes BENCH_monitor.json).")
-          Term.(
-            const (fun baseline max_regress max_overhead ops ->
-                monitor_bench ~baseline ~max_regress ~max_overhead ~ops ())
-            $ Arg.(
-                value
-                & opt (some string) None
-                & info [ "baseline" ] ~docv:"FILE"
-                    ~doc:
-                      "Committed BENCH_monitor.json to gate against: fail if \
-                       the monitored drain drops more than \
-                       $(b,--max-regress) percent below it.")
-            $ Arg.(
-                value & opt float 25.
-                & info [ "max-regress" ] ~docv:"PCT"
-                    ~doc:"Allowed regression vs the baseline, in percent.")
-            $ Arg.(
-                value & opt float 15.
-                & info [ "max-overhead" ] ~docv:"PCT"
-                    ~doc:
-                      "Allowed monitor-lane overhead over the plain drain, \
-                       in percent.")
-            $ Arg.(
-                value & opt int 20_000
-                & info [ "ops" ] ~docv:"N" ~doc:"Operations per thread."));
-        Cmd.v
-          (Cmd.info "lin"
-             ~doc:
-               "Annotation-free linearizability backend: correctness gates \
-                (clean+conclusive on the correct hotpath workload, \
-                refinement/lin agreement on a seeded buggy log) plus \
-                best-of-3 throughput next to the farm's view and io drains, \
-                with a --min-evps floor and an optional baseline regression \
-                gate (writes BENCH_lin.json).")
-          Term.(
-            const (fun baseline max_regress min_evps ops ->
-                lin_bench ~baseline ~max_regress ~min_evps ~ops ())
-            $ Arg.(
-                value
-                & opt (some string) None
-                & info [ "baseline" ] ~docv:"FILE"
-                    ~doc:
-                      "Committed BENCH_lin.json to gate against: fail if lin \
-                       throughput drops more than $(b,--max-regress) percent \
-                       below it.")
-            $ Arg.(
-                value & opt float 30.
-                & info [ "max-regress" ] ~docv:"PCT"
-                    ~doc:"Allowed regression vs the baseline, in percent.")
-            $ Arg.(
-                value & opt float 5e5
-                & info [ "min-evps" ] ~docv:"EV_PER_S"
-                    ~doc:"Absolute lin-throughput floor in events/second.")
-            $ Arg.(
-                value & opt int 20_000
-                & info [ "ops" ] ~docv:"N" ~doc:"Operations per thread."));
-        Cmd.v
-          (Cmd.info "cluster"
-             ~doc:
-               "Coordinator scaling: the same N-session workload through 1, \
-                2, and 4 vyrdd worker processes, with verdict-equality gates \
-                at every width, a cores-gated 2-worker speedup floor, and an \
-                optional baseline regression gate (writes \
-                BENCH_cluster.json).")
-          Term.(
-            const (fun baseline max_regress min_speedup sessions ->
-                cluster_bench ~baseline ~max_regress ~min_speedup ~sessions ())
-            $ Arg.(
-                value
-                & opt (some string) None
-                & info [ "baseline" ] ~docv:"FILE"
-                    ~doc:
-                      "Committed BENCH_cluster.json to gate against: fail if \
-                       2-worker throughput drops more than \
-                       $(b,--max-regress) percent below it.")
-            $ Arg.(
-                value & opt float 40.
-                & info [ "max-regress" ] ~docv:"PCT"
-                    ~doc:"Allowed regression vs the baseline, in percent.")
-            $ Arg.(
-                value & opt float 1.8
-                & info [ "min-speedup" ] ~docv:"X"
-                    ~doc:
-                      "2-worker speedup floor over 1 worker (enforced only \
-                       when >= 4 cores are visible).")
-            $ Arg.(
-                value & opt int 16
-                & info [ "sessions" ] ~docv:"N" ~doc:"Concurrent sessions."));
+          checkpoint_bench;
+        gated "hotpath"
+          "Flattened feed path: differential correctness gates (indexed \
+           reference oracle, farm index equality, checkpoint round-trip, \
+           loopback socket) plus best-of-3 throughput with a farm io-drain \
+           floor and an optional baseline regression gate, 20% slack \
+           (writes BENCH_hotpath.json)."
+          "farm io drain"
+          Arg.(
+            value & opt float 1e6
+            & info [ "min-evps" ] ~docv:"EV_PER_S"
+                ~doc:"Absolute farm io-drain floor in events/second.")
+          (fun baseline min_evps -> hotpath ~baseline ~min_evps);
+        gated "analyze"
+          "In-service analysis overhead: farm view drain with vs without \
+           the level's analysis passes (lint + lock-order graph) on the \
+           hotpath workload, gated at 15% (median of 5 paired ratios), \
+           plus standalone lock-order-graph throughput and an optional \
+           baseline regression gate, 40% slack (writes BENCH_analyze.json)."
+          "the passes-attached drain" no_extra
+          (fun baseline () -> lane_overhead analysis_lane ~baseline);
+        gated "monitor"
+          "Temporal-monitor overhead: farm view drain with vs without the \
+           built-in pack (lock reversal + resource leak) on the hotpath \
+           workload, gated at 15% (median of 5 paired ratios) with a \
+           verdict-equality gate, plus standalone pack feed throughput over \
+           a `Full trace and an optional baseline regression gate, 40% \
+           slack (writes BENCH_monitor.json)."
+          "the monitored drain" no_extra
+          (fun baseline () -> lane_overhead monitor_lane ~baseline);
+        gated "lin"
+          "Annotation-free linearizability backend: correctness gates \
+           (clean+conclusive on the correct hotpath workload, \
+           refinement/lin agreement on a seeded buggy log) plus best-of-3 \
+           throughput next to the farm's view and io drains, with a 0.5M \
+           ev/s floor and an optional baseline regression gate, 40% slack \
+           (writes BENCH_lin.json)."
+          "lin throughput" no_extra
+          (fun baseline () -> lin_bench ~baseline);
+        gated "cluster"
+          "Coordinator scaling: 16 sessions through 1, 2, and 4 vyrdd \
+           worker processes, with verdict-equality gates at every width, a \
+           1.8x 2-worker speedup floor (with >= 4 cores visible), and an \
+           optional baseline regression gate, 40% slack (writes \
+           BENCH_cluster.json)."
+          "2-worker throughput" no_extra
+          (fun baseline () -> cluster_bench ~baseline);
         Cmd.v
           (Cmd.info "mutants"
              ~doc:

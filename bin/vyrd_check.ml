@@ -651,6 +651,27 @@ let analyze_cmd =
 
 (* ------------------------------------------------------------ pipeline *)
 
+let write_metrics_json file metrics =
+  match open_out file with
+  | oc ->
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        output_string oc (Metrics.to_json metrics);
+        output_char oc '\n')
+  | exception Sys_error msg -> Fmt.epr "cannot write %s: %s@." file msg
+
+let shards_for subjects invariants level =
+  List.map
+    (fun (s : Subjects.t) ->
+      match level with
+      | `View | `Full ->
+        Farm.shard ~mode:`View ~view:s.view
+          ~invariants:(if invariants then s.invariants else [])
+          s.name s.spec
+      | `Io | `None -> Farm.shard ~mode:`Io s.name s.spec)
+    subjects
+
 let pipeline_cmd =
   let subjects_arg =
     Arg.(
@@ -768,17 +789,7 @@ let pipeline_cmd =
     let log = Log.create ~level () in
     let metrics = Metrics.create () in
     let logged = Metrics.counter metrics "log.events" in
-    let shards =
-      List.map
-        (fun (s : Subjects.t) ->
-          match level with
-          | `View | `Full ->
-            Farm.shard ~mode:`View ~view:s.view
-              ~invariants:(if invariants then s.invariants else [])
-              s.name s.spec
-          | `Io | `None -> Farm.shard ~mode:`Io s.name s.spec)
-        subjects
-    in
+    let shards = shards_for subjects invariants level in
     let passes =
       (if backend <> `Refinement then
          let specs =
@@ -874,13 +885,7 @@ let pipeline_cmd =
     if checkpoint_events <> None then
       Fmt.pr "checkpoints: %d frame(s) interleaved@." !checkpoints;
     Fmt.pr "@.%a" Metrics.pp metrics;
-    (match metrics_json with
-    | Some f ->
-      let oc = open_out f in
-      output_string oc (Metrics.to_json metrics);
-      output_char oc '\n';
-      close_out oc
-    | None -> ());
+    Option.iter (fun f -> write_metrics_json f metrics) metrics_json;
     let analysis_clean =
       List.for_all Vyrd_analysis.Pass.clean result.Farm.analysis
     in
@@ -940,27 +945,6 @@ let addr_arg =
         ~doc:
           "Socket address: a Unix socket path, or $(i,HOST:PORT) for \
            loopback/remote TCP.")
-
-let write_metrics_json file metrics =
-  match open_out file with
-  | oc ->
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Metrics.to_json metrics);
-        output_char oc '\n')
-  | exception Sys_error msg -> Fmt.epr "cannot write %s: %s@." file msg
-
-let shards_for subjects invariants level =
-  List.map
-    (fun (s : Subjects.t) ->
-      match level with
-      | `View | `Full ->
-        Farm.shard ~mode:`View ~view:s.view
-          ~invariants:(if invariants then s.invariants else [])
-          s.name s.spec
-      | `Io | `None -> Farm.shard ~mode:`Io s.name s.spec)
-    subjects
 
 (* The daemon main loop shared by [serve] and [cluster]: wait for
    SIGINT/SIGTERM, then drain.  The signal handlers only flip flags:

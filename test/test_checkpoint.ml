@@ -715,11 +715,11 @@ let test_json_escape_keeps_utf8 () =
    carries the spool's own name, yet [check --resume] resolves it as plain
    [check] does and resumes from the checkpoint frames spread across its
    files. *)
+let cli_exe () =
+  List.find Sys.file_exists [ "../bin/vyrd_check.exe"; "_build/default/bin/vyrd_check.exe" ]
+
 let test_cli_resumes_rotated_spool () =
-  let exe =
-    List.find Sys.file_exists
-      [ "../bin/vyrd_check.exe"; "_build/default/bin/vyrd_check.exe" ]
-  in
+  let exe = cli_exe () in
   let dir = Filename.temp_file "vyrd_cli_rotated" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -750,6 +750,25 @@ let test_cli_resumes_rotated_spool () =
     (Sys.file_exists (spool ^ ".00001") && not (Sys.file_exists spool));
   let text = run [ "check"; "--subject"; "Multiset-Vector"; "--mode"; "view"; "--resume"; spool ] in
   Alcotest.(check bool) "resumed from a frame" true (contains ~affix:"resumed at event" text)
+
+(* A passing [pipeline] run whose --metrics-json path cannot be written
+   reports it on stderr and keeps its verdict's exit code, instead of
+   dying on the uncaught Sys_error. *)
+let test_cli_unwritable_metrics_json () =
+  let exe = cli_exe () in
+  let err_path = Filename.temp_file "vyrd_cli_metrics" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err_path) @@ fun () ->
+  let missing = Filename.concat (Filename.remove_extension err_path) "x.json" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err_fd = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let args = [ "pipeline"; "--threads"; "2"; "--ops"; "20"; "--metrics-json"; missing ] in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin null err_fd in
+  Unix.close null;
+  Unix.close err_fd;
+  let _, status = Unix.waitpid [] pid in
+  let err = In_channel.with_open_bin err_path In_channel.input_all in
+  Alcotest.(check bool) ("exit 0, stderr: " ^ err) true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "says it cannot write" true (contains ~affix:"cannot write" err)
 
 let suite =
   [
@@ -790,4 +809,7 @@ let suite =
       test_legacy_checker_frame_replays_in_full );
     ("metrics: json_escape keeps well-formed UTF-8", `Quick, test_json_escape_keeps_utf8);
     ("check --resume reads a rotated spool", `Quick, test_cli_resumes_rotated_spool);
+    ( "pipeline --metrics-json to an unwritable path exits 0",
+      `Quick,
+      test_cli_unwritable_metrics_json );
   ]
