@@ -59,6 +59,12 @@ let time f =
 
 let trials = 3
 
+(* The §7.1 program of the timing experiments: 8 threads drawing their keys
+   from a pool of 12 out of 32. *)
+let config ~ops ~seed level =
+  { Harness.threads = 8; ops_per_thread = ops; key_pool = 12; key_range = 32;
+    seed; log_level = level }
+
 (* One row of a throughput table: [count] events in [dt] wall seconds. *)
 let ev_row label count dt =
   Fmt.pr "%-30s %10.2f %12s@." label (dt *. 1e3)
@@ -262,10 +268,6 @@ let table1 () =
 let table2 () =
   Fmt.pr "@.Table 2: overhead of logging (ms per workload; %d threads x %d calls)@.@."
     8 80;
-  let cfg level seed =
-    { Harness.threads = 8; ops_per_thread = 80; key_pool = 12; key_range = 32;
-      seed; log_level = level }
-  in
   Fmt.pr "%-22s %12s %12s %12s %10s %10s@." "Implementation" "Prog. alone"
     "I/O logging" "View logging" "io ovh" "view ovh";
   Fmt.pr "%s@." (line 84);
@@ -274,7 +276,7 @@ let table2 () =
       let time level =
         measure_ns
           (s.name ^ "/table2")
-          (fun () -> ignore (Harness.run (cfg level 1) (s.build ~bug:false)))
+          (fun () -> ignore (Harness.run (config ~ops:80 ~seed:1 level) (s.build ~bug:false)))
       in
       let plain = time `None in
       let io = time `Io in
@@ -292,10 +294,6 @@ let table2 () =
 let table3 () =
   Fmt.pr "@.Table 3: running time breakdown (ms per workload; %d threads x %d calls)@.@."
     8 80;
-  let cfg level seed =
-    { Harness.threads = 8; ops_per_thread = 80; key_pool = 12; key_range = 32;
-      seed; log_level = level }
-  in
   Fmt.pr "%-22s %12s %12s %16s %14s@." "Program" "Prog. alone" "Prog.+logging"
     "Prog.+log+VYRD" "VYRD offline";
   Fmt.pr "%s@." (line 84);
@@ -305,47 +303,24 @@ let table3 () =
   in
   List.iter
     (fun (s : Subjects.t) ->
+      let w level = Workload.v ~config:(config ~ops:80 ~seed:1 level) [ s ] in
       let alone =
-        measure_ns (s.name ^ "/alone") (fun () ->
-            ignore (Harness.run (cfg `None 1) (s.build ~bug:false)))
+        measure_ns (s.name ^ "/alone") (fun () -> ignore (Workload.log (w `None)))
       in
       let logged =
-        measure_ns (s.name ^ "/logged") (fun () ->
-            ignore (Harness.run (cfg `View 1) (s.build ~bug:false)))
+        measure_ns (s.name ^ "/logged") (fun () -> ignore (Workload.log (w `View)))
       in
       let online =
         measure_ns ~quota:0.8 (s.name ^ "/online") (fun () ->
             let log = Log.create ~level:`View () in
             let farm =
-              Vyrd_pipeline.Farm.start ~level:`View
-                [ Vyrd_pipeline.Farm.shard ~mode:`View ~view:s.view s.name s.spec ]
+              Vyrd_pipeline.Farm.start ~level:`View (Workload.shards (w `View) `View)
             in
             Vyrd_pipeline.Farm.attach farm log;
-            Vyrd_sched.Coop.run ~seed:1 ~max_steps:200_000_000 (fun sched ->
-                let ctx = Instrument.make sched log in
-                let b = (s.build ~bug:false) ctx in
-                let stop = ref false in
-                (match b.Harness.daemon with
-                | Some step ->
-                  sched.Vyrd_sched.Sched.spawn (fun () ->
-                      while not !stop do
-                        step ();
-                        sched.Vyrd_sched.Sched.yield ()
-                      done)
-                | None -> ());
-                let remaining = ref 8 in
-                for t = 1 to 8 do
-                  sched.Vyrd_sched.Sched.spawn (fun () ->
-                      let rng = Prng.create ((1 * 7919) + t) in
-                      for _ = 1 to 80 do
-                        b.Harness.random_op rng (Prng.int rng 32)
-                      done;
-                      decr remaining;
-                      if !remaining = 0 then stop := true)
-                done);
+            Workload.run_into ~log (w `View);
             ignore (Vyrd_pipeline.Farm.finish farm))
       in
-      let recorded = Harness.run (cfg `View 1) (s.build ~bug:false) in
+      let recorded = Workload.log (w `View) in
       let offline =
         measure_ns (s.name ^ "/offline") (fun () ->
             ignore (Checker.check ~mode:`View ~view:s.view recorded s.spec))
@@ -654,40 +629,17 @@ module Wire = Vyrd_net.Wire
 module Server = Vyrd_net.Server
 module Client = Vyrd_net.Client
 
-(* Disjoint method namespaces, as the farm router requires. *)
-let pipeline_subjects =
-  [ Subjects.multiset_vector; Subjects.jvector; Subjects.string_buffer ]
+(* The composite workload of the pipeline experiments: the three
+   disjoint-namespace subjects, as the farm router requires. *)
+let composite ~ops ~seed level =
+  Workload.v ~config:(config ~ops ~seed level) Workload.composite
 
-let composed () =
-  match pipeline_subjects with
-  | [] -> assert false
-  | s0 :: rest ->
-    List.fold_left
-      (fun (spec, view) (s : Subjects.t) ->
-        (Spec_compose.pair spec s.spec, Spec_compose.pair_views view s.view))
-      (s0.spec, s0.view) rest
-
-let multi_log ~threads ~ops ~seed ~level =
-  let log = Log.create ~level () in
-  Harness.run_into ~log
-    { Harness.threads; ops_per_thread = ops; key_pool = 12; key_range = 32;
-      seed; log_level = level }
-    (List.map (fun (s : Subjects.t) -> s.build ~bug:false) pipeline_subjects);
-  log
-
-(* Calls per thread of the hotpath-scale workload the gated throughput
-   benches drain: 8 threads x [ops] calls x 3 subjects, ~1.1M events. *)
+(* Calls per thread of [hot], the hotpath-scale workload the gated
+   throughput benches drain: 8 threads x [ops] calls x 3 subjects, ~1.1M
+   events. *)
 let ops = 20_000
 
-let hotpath_log () = multi_log ~threads:8 ~ops ~seed:11 ~level:`View
-
-let farm_shards () =
-  List.map
-    (fun (s : Subjects.t) -> Farm.shard ~mode:`View ~view:s.view s.name s.spec)
-    pipeline_subjects
-
-let io_shards () =
-  List.map (fun (s : Subjects.t) -> Farm.shard s.name s.spec) pipeline_subjects
+let hot = composite ~ops ~seed:11 `View
 
 (* One in-process `View farm drain of [events], with [passes] on the
    analysis lane when given. *)
@@ -698,7 +650,7 @@ let drain ?passes shards events =
 
 let pipeline_codec () =
   Fmt.pr "@.Pipeline: binary vs textual codec throughput@.@.";
-  let log = multi_log ~threads:8 ~ops:2000 ~seed:3 ~level:`Full in
+  let log = Workload.log (composite ~ops:2000 ~seed:3 `Full) in
   let events = Log.snapshot log in
   let n = Array.length events in
   let lines = Array.map Event.to_line events in
@@ -745,17 +697,18 @@ let pipeline_codec () =
     ((enc_text +. dec_text) /. (enc_bin +. dec_bin))
 
 let pipeline_scaling () =
-  let k = List.length pipeline_subjects in
+  let k = List.length Workload.composite in
   Fmt.pr "@.Pipeline: checker-domain scaling (same stream, 1 vs %d domains)@.@." k;
-  let log = multi_log ~threads:8 ~ops:2000 ~seed:5 ~level:`View in
+  let w = composite ~ops:2000 ~seed:5 `View in
+  let log = Workload.log w in
   let events = Log.snapshot log in
   let n = Array.length events in
-  let spec, view = composed () in
+  let spec, view = Workload.product w in
   let offline =
     measure_ns "farm/offline" (fun () ->
         ignore (Checker.check ~mode:`View ~view log spec))
   in
-  let one = [ Farm.shard ~mode:`View ~view "composite" spec ] and many = farm_shards () in
+  let one = [ Workload.composite_shard w `View ] and many = Workload.shards w `View in
   let one_ns = measure_ns ~quota:1.0 "farm/1-domain" (fun () -> ignore (drain one events)) in
   let many_ns = measure_ns ~quota:1.0 "farm/n-domain" (fun () -> ignore (drain many events)) in
   Fmt.pr "%d events at `View level@.@." n;
@@ -774,7 +727,7 @@ let pipeline_scaling () =
 
 let pipeline_backpressure () =
   Fmt.pr "@.Pipeline: backpressure stall vs ring capacity@.@.";
-  let log = multi_log ~threads:8 ~ops:2000 ~seed:7 ~level:`View in
+  let log = Workload.log (composite ~ops:2000 ~seed:7 `View) in
   let events = Log.snapshot log in
   Fmt.pr "%d events; the producer blocks whenever a shard's ring is full@.@."
     (Array.length events);
@@ -782,7 +735,7 @@ let pipeline_backpressure () =
   Fmt.pr "%s@." (line 46);
   List.iter
     (fun capacity ->
-      let farm = Farm.start ~capacity ~level:`View (farm_shards ()) in
+      let farm = Farm.start ~capacity ~level:`View (Workload.shards hot `View) in
       let t0 = Unix.gettimeofday () in
       Array.iter (Farm.feed farm) events;
       let r = Farm.finish farm in
@@ -807,7 +760,7 @@ let pipeline_drain () =
   let capacity = 4096 in
   let level = `View in
   let metrics = Pmetrics.create () in
-  let farm = Farm.start ~capacity ~metrics ~level (farm_shards ()) in
+  let farm = Farm.start ~capacity ~metrics ~level (Workload.shards hot level) in
   let log = Log.create ~level () in
   Farm.attach farm log;
   (* wire-equivalent byte accounting for the bytes/s sidecar figure *)
@@ -817,13 +770,8 @@ let pipeline_drain () =
       Bincodec.clear bin_buf;
       Bincodec.put_event bin_buf ev;
       bin_bytes := !bin_bytes + Bincodec.length bin_buf);
-  let cfg =
-    { Harness.threads = 8; ops_per_thread = ops; key_pool = 12; key_range = 32;
-      seed = 11; log_level = level }
-  in
   let t0 = Unix.gettimeofday () in
-  Harness.run_into ~log cfg
-    (List.map (fun (s : Subjects.t) -> s.build ~bug:false) pipeline_subjects);
+  Workload.run_into ~log hot;
   let result = Farm.finish farm in
   let dt = Unix.gettimeofday () -. t0 in
   let n = result.Farm.fed in
@@ -845,8 +793,7 @@ let pipeline_drain () =
       (fun a (sr : Farm.shard_result) -> max a sr.Farm.sr_high_water)
       0 result.Farm.shards
   in
-  let spec, view = composed () in
-  let offline = Checker.check ~mode:`View ~view log spec in
+  let offline, _ = Workload.reference hot log in
   Fmt.pr "@.";
   gate
     (Printf.sprintf "bounded memory (every queue high-water <= capacity %d)" capacity)
@@ -894,12 +841,12 @@ let hotpath ~baseline ~min_evps =
   Fmt.pr "@.Hot path: flattened batched feed path (gate: farm io drain >= %.2fM ev/s)@.@."
     (min_evps /. 1e6);
   let level = `View in
-  let log = hotpath_log () in
+  let log = Workload.log hot in
   let events = Log.snapshot log in
   let n = Array.length events in
-  let spec, view = composed () in
+  let spec, view = Workload.product hot in
   Fmt.pr "%d events at `View level (8 threads x %d ops x %d subjects)@.@." n ops
-    (List.length pipeline_subjects);
+    (List.length hot.subjects);
   (* -- correctness: offline io vs the indexed reference oracle ------------ *)
   let io_report, io_idx = Checker.check_indexed ~mode:`Io log spec in
   gate "offline io verdict+index = indexed reference"
@@ -910,11 +857,11 @@ let hotpath ~baseline ~min_evps =
       && io_idx = Some f.Reference.f_index
       && Report.tag io_report = f.Reference.f_kind);
   let view_report = Checker.check ~mode:`View ~view log spec in
-  let farm_io = drain (io_shards ()) events in
+  let farm_io = drain (Workload.shards hot `Io) events in
   gate "farm io verdict = offline io verdict"
     (Report.is_pass farm_io.Farm.merged = Report.is_pass io_report
     && (not (Report.is_pass io_report)) = (Farm.min_fail_index farm_io <> None));
-  let farm_view = drain (farm_shards ()) events in
+  let farm_view = drain (Workload.shards hot `View) events in
   gate "farm view verdict = offline view verdict"
     (Report.is_pass farm_view.Farm.merged = Report.is_pass view_report);
   (* -- correctness: fault-seeded single-structure run, exact index -------- *)
@@ -945,11 +892,7 @@ let hotpath ~baseline ~min_evps =
         Checker.check_indexed ~mode:`View ~view:msubj.Subjects.view mlog
           msubj.Subjects.spec
       in
-      let farm =
-        Farm.start ~level:`View
-          [ Farm.shard ~mode:`View ~view:msubj.Subjects.view msubj.Subjects.name
-              msubj.Subjects.spec ]
-      in
+      let farm = Farm.start ~level:`View (Workload.shards (Workload.v [ msubj ]) `View) in
       Log.iter (Farm.feed farm) mlog;
       let fr = Farm.finish farm in
       match Reference.check_indexed ~view:msubj.Subjects.view mlog msubj.Subjects.spec with
@@ -962,7 +905,7 @@ let hotpath ~baseline ~min_evps =
         && Report.tag fr.Farm.merged = Report.tag mr));
   (* -- correctness: farm snapshot/restore round-trips mid-drain ----------- *)
   gate "farm checkpoint mid-drain round-trips"
-    (let farm = Farm.start ~capacity:8192 ~level (farm_shards ()) in
+    (let farm = Farm.start ~capacity:8192 ~level (Workload.shards hot level) in
      let snap = ref None in
      Array.iteri
        (fun i ev ->
@@ -973,7 +916,7 @@ let hotpath ~baseline ~min_evps =
      match !snap with
      | None -> false
      | Some st ->
-       let f2 = Farm.start ~restore:st ~capacity:8192 ~level (farm_shards ()) in
+       let f2 = Farm.start ~restore:st ~capacity:8192 ~level (Workload.shards hot level) in
        for i = (n / 2) + 1 to n - 1 do
          Farm.feed f2 events.(i)
        done;
@@ -993,11 +936,11 @@ let hotpath ~baseline ~min_evps =
         ignore (Checker.check ~mode:`View ~view log spec : Report.t))
   in
   let farm_io_dt =
-    best_of "farm io drain" n (fun () -> ignore (drain (io_shards ()) events : Farm.result))
+    best_of "farm io drain" n (fun () -> ignore (drain (Workload.shards hot `Io) events : Farm.result))
   in
   let farm_view_dt =
     best_of "farm view drain" n (fun () ->
-        ignore (drain (farm_shards ()) events : Farm.result))
+        ignore (drain (Workload.shards hot `View) events : Farm.result))
   in
   let loopback_tag = ref "" in
   let loopback_dt =
@@ -1005,7 +948,7 @@ let hotpath ~baseline ~min_evps =
     let server =
       Server.start
         (Server.config ~capacity:8192 ~addr:(Wire.Unix_socket sock)
-           (fun _level -> farm_shards ()))
+           (Workload.shards hot))
     in
     let dt =
       time (fun () ->
@@ -1057,11 +1000,11 @@ let checkpoint_bench () =
   Fmt.pr "@.Checkpoint: resume at the 90%% frame vs full re-check of a spool@.@.";
   let module Resume = Vyrd_pipeline.Resume in
   let module Segment = Vyrd_pipeline.Segment in
-  let log = multi_log ~threads:8 ~ops ~seed:13 ~level:`View in
+  let w = composite ~ops ~seed:13 `View in
+  let log = Workload.log w in
   let n = Log.length log in
   let every = max 1 (n / 10) in
-  let spec, view = composed () in
-  let shards _level = [ Farm.shard ~mode:`View ~view "composed" spec ] in
+  let shards level = [ Workload.composite_shard w level ] in
   let path = Filename.temp_file "vyrd-bench-ckpt" ".seg" in
   let spool, rz =
     Fun.protect
@@ -1192,11 +1135,11 @@ let monitor_lane =
 let lane_overhead lane ~baseline =
   let max_overhead = 15. and pairs = 5 in
   Fmt.pr "@.%s (gate: <= %.0f%% overhead)@.@." lane.title max_overhead;
-  let events = Log.snapshot (hotpath_log ()) in
+  let events = Log.snapshot (Workload.log hot) in
   let n = Array.length events in
   Fmt.pr "%d events at `View level; %s@.@." n lane.listing;
-  let plain () = drain (farm_shards ()) events in
-  let laned () = drain ~passes:(lane.passes ()) (farm_shards ()) events in
+  let plain () = drain (Workload.shards hot `View) events in
+  let laned () = drain ~passes:(lane.passes ()) (Workload.shards hot `View) events in
   (* -- correctness: the lane must not perturb the verdict ----------------- *)
   let p = plain () in
   let a = laned () in
@@ -1219,7 +1162,7 @@ let lane_overhead lane ~baseline =
   ev_header "configuration" (Printf.sprintf "best of %d pairs" pairs);
   ev_row ("farm view drain, no " ^ lane.noun) n plain_dt;
   ev_row ("farm view drain, " ^ lane.flag) n lane_dt;
-  let full_log = multi_log ~threads:8 ~ops:(ops / 10) ~seed:3 ~level:`Full in
+  let full_log = Workload.log (composite ~ops:(ops / 10) ~seed:3 `Full) in
   let fn = Log.length full_log in
   let alone_dt =
     best_of (Fmt.str "%s, %d ev `Full" lane.alone_label fn) fn (fun () ->
@@ -1273,10 +1216,10 @@ let lin_bench ~baseline =
   Fmt.pr
     "@.Lin backend: JIT linearizability vs refinement on the hotpath \
      workload@.@.";
-  let log = hotpath_log () in
+  let log = Workload.log hot in
   let events = Log.snapshot log in
   let n = Array.length events in
-  let specs = List.map (fun (s : Subjects.t) -> (s.name, s.spec)) pipeline_subjects in
+  let specs = List.map (fun (s : Subjects.t) -> (s.name, s.spec)) hot.subjects in
   Fmt.pr "%d events at `View level; structures: %s@.@." n
     (String.concat ", " (List.map fst specs));
   (* -- correctness -------------------------------------------------------- *)
@@ -1307,11 +1250,11 @@ let lin_bench ~baseline =
   ev_header "oracle" (Printf.sprintf "best of %d" trials);
   let view_dt =
     best_of "refinement farm, view mode" n (fun () ->
-        ignore (drain (farm_shards ()) events : Farm.result))
+        ignore (drain (Workload.shards hot `View) events : Farm.result))
   in
   let io_dt =
     best_of "refinement farm, io mode" n (fun () ->
-        ignore (drain (io_shards ()) events : Farm.result))
+        ignore (drain (Workload.shards hot `Io) events : Farm.result))
   in
   let lin_dt =
     best_of "lin backend (JIT, no commits)" n (fun () ->
@@ -1352,7 +1295,7 @@ let cluster_worker_main sock =
   ignore
     (Server.start
        (Server.config ~capacity:8192 ~max_sessions:64 ~idle_timeout:300.
-          ~addr:(Wire.Unix_socket sock) (fun _level -> farm_shards ()))
+          ~addr:(Wire.Unix_socket sock) (Workload.shards hot))
       : Server.t);
   while true do
     Thread.delay 3600.
@@ -1375,13 +1318,10 @@ let cluster_bench ~baseline =
      compared on the same total stream the single-process benches drain *)
   let logs =
     Array.init sessions (fun i ->
-        multi_log ~threads:8 ~ops:(ops / sessions) ~seed:(101 + i) ~level)
+        Workload.log (composite ~ops:(ops / sessions) ~seed:(101 + i) level))
   in
   let total = Array.fold_left (fun a l -> a + Log.length l) 0 logs in
-  let spec, view = composed () in
-  let reference =
-    Array.map (fun l -> Checker.check_indexed ~mode:`View ~view l spec) logs
-  in
+  let reference = Array.map (Workload.reference hot) logs in
   let cores = Domain.recommended_domain_count () in
   Fmt.pr "%d sessions, %d events total, %d core(s) visible@.@." sessions total
     cores;

@@ -42,6 +42,148 @@ module Lin = Vyrd_lin.Backend
 module Monitor = Vyrd_monitor.Monitor
 module Faults = Vyrd_faults.Faults
 
+(* ------------------------------------------------------- shared terms *)
+
+(* Counts that must be positive, rejected while the command line is parsed:
+   before any socket is bound or any spool is created. *)
+let positive =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | _ ->
+          Error (`Msg (Printf.sprintf "'%s' is not a positive integer" s))),
+      Format.pp_print_int )
+
+(* The library constructors reject settings they cannot run with by
+   raising Invalid_argument: report that on one line and exit 2. *)
+let configured f =
+  match f () with
+  | x -> x
+  | exception Invalid_argument msg ->
+    Fmt.epr "configuration error: %s@." msg;
+    exit 2
+
+(* The §7.1 test program of [record] and [pipeline], with the command's
+   default calls per thread; applied to the subjects it is the run. *)
+let workload_term ~ops =
+  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N") in
+  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N") in
+  let ops =
+    Arg.(value & opt int ops & info [ "ops" ] ~docv:"N" ~doc:"Calls per thread.")
+  in
+  let bug =
+    Arg.(value & flag & info [ "bug" ] ~doc:"Enable every subject's injected bug.")
+  in
+  let level =
+    Arg.(
+      value
+      & opt (enum [ ("io", `Io); ("view", `View); ("full", `Full) ]) `View
+      & info [ "level" ] ~docv:"LEVEL"
+          ~doc:
+            "Logging granularity (io, view, full); below view only I/O \
+             refinement can be checked.")
+  in
+  let make seed threads ops bug level subjects =
+    Workload.v ~bug subjects
+      ~config:{ Harness.default with seed; threads; ops_per_thread = ops; log_level = level }
+  in
+  Term.(const make $ seed $ threads $ ops $ bug $ level)
+
+(* The checking session of [pipeline], [serve] and [cluster]: the subjects
+   every stream is checked against, and how. *)
+type session = {
+  subjects : Subjects.t list;
+  capacity : int;
+  invariants : bool;
+  metrics_json : string option;
+  analyze : bool;
+}
+
+let session_term =
+  let subjects =
+    Arg.(
+      value
+      & opt (list string) (List.map (fun (s : Subjects.t) -> s.name) Workload.composite)
+      & info [ "subjects" ] ~docv:"NAMES"
+          ~doc:
+            "Comma-separated subjects every stream is checked against, one \
+             checker domain each.  Method namespaces must be disjoint (the \
+             $(b,Spec_compose) precondition).")
+  in
+  let capacity =
+    Arg.(
+      value & opt positive 4096
+      & info [ "capacity" ] ~docv:"N"
+          ~doc:"Per-shard ring bound (memory ceiling; producers block when full).")
+  in
+  let invariants =
+    Arg.(
+      value & flag
+      & info [ "invariants" ] ~doc:"Also check each subject's runtime invariants.")
+  in
+  let metrics_json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-json" ] ~docv:"FILE"
+          ~doc:
+            "Write the metrics registry as one JSON document to $(docv) \
+             when the run or the daemon ends (cluster-wide for \
+             $(b,cluster)).")
+  in
+  let analyze =
+    Arg.(
+      value & flag
+      & info [ "analyze" ]
+          ~doc:
+            "Attach the incremental analysis passes (lint, lock-order graph, \
+             and at level full the race detector) to every farm's analysis \
+             lane; their diagnostics come with the verdict and in the \
+             analysis.* metrics.")
+  in
+  let make names capacity invariants metrics_json analyze =
+    { subjects = List.map resolve names; capacity; invariants; metrics_json; analyze }
+  in
+  Term.(const make $ subjects $ capacity $ invariants $ metrics_json $ analyze)
+
+(* One shard per session subject, at the level of the stream. *)
+let session_shards s = Workload.shards ~invariants:s.invariants (Workload.v s.subjects)
+
+(* The client-facing limits of [serve] and [cluster]. *)
+type service = { window : int; idle_timeout : float }
+
+let service_term =
+  let window =
+    Arg.(
+      value & opt positive 8192
+      & info [ "window" ] ~docv:"N"
+          ~doc:"Credit window: events a client may have in flight.")
+  in
+  let idle_timeout =
+    Arg.(
+      value & opt float 30.
+      & info [ "idle-timeout" ] ~docv:"SECONDS"
+          ~doc:
+            "Fail a session after this long without a client frame \
+             (heartbeats reset it).")
+  in
+  Term.(const (fun window idle_timeout -> { window; idle_timeout }) $ window $ idle_timeout)
+
+(* A binary segment spool at [path].  The writer opens its first file on
+   its first flush, so a missing directory would surface mid-run as an
+   uncaught Sys_error; check it before any event flows. *)
+let spool_writer ?rotate_bytes ~level path =
+  let dir = Filename.dirname path in
+  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+    Fmt.epr "cannot create spool %s: no directory %s@." path dir;
+    exit 2
+  end;
+  Segment.create_writer ?rotate_bytes ~level path
+
+let rotate_arg ~doc =
+  Arg.(value & opt (some positive) None & info [ "rotate-bytes" ] ~docv:"N" ~doc)
+
 (* Oracle selection shared by check and pipeline: the paper's
    commit-annotation refinement checker, the annotation-free JIT
    linearizability backend of lib/lin, or both side by side. *)
@@ -76,8 +218,8 @@ let monitor_arg =
         ~doc:
           "Attach a streaming temporal-property monitor: a built-in pack \
            name ($(b,lock-reversal), $(b,resource-leak)) or a formula in \
-           the tiny LTL syntax, e.g. $(b,\"G (call(Insert) -> F \
-           return(Insert))\").  Repeatable; any violation makes the exit \
+           the tiny LTL syntax, e.g. $(b,\"G \\(call\\(Insert\\) -> F \
+           return\\(Insert\\)\\)\").  Repeatable; any violation makes the exit \
            status 1.")
 
 (* Validate every spec up front; return a factory building fresh monitors. *)
@@ -151,16 +293,6 @@ let record_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Where to write the log.")
   in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N") in
-  let ops = Arg.(value & opt int 50 & info [ "ops" ] ~docv:"N" ~doc:"Calls per thread.") in
-  let bug = Arg.(value & flag & info [ "bug" ] ~doc:"Enable the subject's injected bug.") in
-  let level =
-    Arg.(
-      value
-      & opt (enum [ ("io", `Io); ("view", `View); ("full", `Full) ]) `View
-      & info [ "level" ] ~docv:"LEVEL" ~doc:"Logging granularity (io, view, full).")
-  in
   let binary =
     Arg.(
       value & flag
@@ -168,34 +300,33 @@ let record_cmd =
           ~doc:"Stream the compact binary segment format instead of text.")
   in
   let rotate =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "rotate-bytes" ] ~docv:"N"
-          ~doc:"Rotate binary segment files at ~$(docv) bytes (implies --binary).")
+    rotate_arg ~doc:"Rotate binary segment files at ~$(docv) bytes (implies --binary)."
   in
-  let run subject out seed threads ops bug level binary rotate =
+  let run subject out workload binary rotate =
     let subject = resolve subject in
-    let cfg =
-      { Harness.default with seed; threads; ops_per_thread = ops; log_level = level }
-    in
-    let buggy = if bug then " (buggy)" else "" in
+    let w : Workload.t = workload [ subject ] in
+    let level = w.config.log_level in
+    let buggy = if w.bug then " (buggy)" else "" in
     if binary || rotate <> None then begin
       (* stream to disk while the workload runs instead of spooling a full
          in-memory log first *)
       let log = Log.create ~level () in
-      let w = Segment.create_writer ?rotate_bytes:rotate ~level out in
-      Segment.attach w log;
-      Harness.run_into ~log cfg [ subject.build ~bug ];
-      Segment.close w;
+      let writer = spool_writer ?rotate_bytes:rotate ~level out in
+      Segment.attach writer log;
+      Workload.run_into ~log w;
+      Segment.close writer;
       Fmt.pr "recorded %d events of %s%s to %s (%d file(s), %d segments, %d bytes)@."
         (Log.length log) subject.name buggy out
-        (List.length (Segment.writer_files w))
-        (Segment.writer_segments w) (Segment.writer_bytes w)
+        (List.length (Segment.writer_files writer))
+        (Segment.writer_segments writer) (Segment.writer_bytes writer)
     end
     else begin
-      let log = Harness.run cfg (subject.build ~bug) in
-      Log.to_file out log;
+      let log = Workload.log w in
+      (match Log.to_file out log with
+      | () -> ()
+      | exception Sys_error msg ->
+        Fmt.epr "%s@." msg;
+        exit 2);
       Fmt.pr "recorded %d events of %s%s to %s@." (Log.length log) subject.name
         buggy out
     end
@@ -203,9 +334,7 @@ let record_cmd =
   Cmd.v
     (Cmd.info "record"
        ~doc:"Run a random workload (paper §7.1) and serialize its log.")
-    Term.(
-      const run $ subject_arg $ out $ seed $ threads $ ops $ bug $ level $ binary
-      $ rotate)
+    Term.(const run $ subject_arg $ out $ workload_term ~ops:50 $ binary $ rotate)
 
 let check_cmd =
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"LOG") in
@@ -272,14 +401,10 @@ let check_cmd =
           file;
         exit 2
       end;
-      let view = match mode with `View -> Some subject.view | `Io -> None in
-      let invariants =
-        match mode with `View when invariants -> subject.invariants | _ -> []
-      in
       (* the one-shard farm [pipeline --subjects] runs, so the spools it
          checkpoints resume here *)
       let shards _level =
-        [ Farm.shard ~mode ?view ~invariants subject.name subject.spec ]
+        Workload.shards ~invariants (Workload.v [ subject ]) (mode :> Log.level)
       in
       let outcome =
         match
@@ -350,19 +475,14 @@ let check_cmd =
           false ms
     in
     let refinement_report () =
-      match
-        match mode with
-        | `Io -> Checker.check ~mode:`Io log subject.spec
-        | `View ->
-          Checker.check ~mode:`View ~view:subject.view
-            ~invariants:(if invariants then subject.invariants else [])
-            log subject.spec
-      with
-      | report -> report
-      | exception Invalid_argument msg ->
-        (* e.g. view-mode checking of a log recorded at level `Io *)
-        Fmt.epr "configuration error: %s@." msg;
-        exit 2
+      (* e.g. view-mode checking of a log recorded at level `Io *)
+      configured (fun () ->
+          match mode with
+          | `Io -> Checker.check ~mode:`Io log subject.spec
+          | `View ->
+            Checker.check ~mode:`View ~view:subject.view
+              ~invariants:(if invariants then subject.invariants else [])
+              log subject.spec)
     in
     let explain_violation report =
       if (not (Report.is_pass report)) && explain then begin
@@ -427,7 +547,7 @@ let timeline_cmd =
     Arg.(value & flag & info [ "writes" ] ~doc:"Include shared-variable writes.")
   in
   let width =
-    Arg.(value & opt int 22 & info [ "width" ] ~docv:"N" ~doc:"Column width.")
+    Arg.(value & opt positive 22 & info [ "width" ] ~docv:"N" ~doc:"Column width.")
   in
   let run writes width file =
     let log = load_log file in
@@ -661,56 +781,7 @@ let write_metrics_json file metrics =
         output_char oc '\n')
   | exception Sys_error msg -> Fmt.epr "cannot write %s: %s@." file msg
 
-let shards_for subjects invariants level =
-  List.map
-    (fun (s : Subjects.t) ->
-      match level with
-      | `View | `Full ->
-        Farm.shard ~mode:`View ~view:s.view
-          ~invariants:(if invariants then s.invariants else [])
-          s.name s.spec
-      | `Io | `None -> Farm.shard ~mode:`Io s.name s.spec)
-    subjects
-
 let pipeline_cmd =
-  let subjects_arg =
-    Arg.(
-      value
-      & opt (list string)
-          [ "Multiset-Vector"; "java.util.Vector"; "java.util.StringBuffer" ]
-      & info [ "subjects" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated subjects run and checked concurrently, one \
-             checker domain each.  Method namespaces must be disjoint \
-             (the $(b,Spec_compose) precondition).")
-  in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N") in
-  let threads = Arg.(value & opt int 4 & info [ "threads" ] ~docv:"N") in
-  let ops =
-    Arg.(value & opt int 200 & info [ "ops" ] ~docv:"N" ~doc:"Calls per thread.")
-  in
-  let bug =
-    Arg.(
-      value & flag & info [ "bug" ] ~doc:"Enable every subject's injected bug.")
-  in
-  let level =
-    Arg.(
-      value
-      & opt (enum [ ("io", `Io); ("view", `View); ("full", `Full) ]) `View
-      & info [ "level" ] ~docv:"LEVEL"
-          ~doc:"Logging granularity; below view the farm checks I/O refinement.")
-  in
-  let capacity =
-    Arg.(
-      value & opt int 4096
-      & info [ "capacity" ] ~docv:"N"
-          ~doc:"Per-shard ring bound (memory ceiling; producers block when full).")
-  in
-  let invariants =
-    Arg.(
-      value & flag
-      & info [ "invariants" ] ~doc:"Also check each subject's runtime invariants.")
-  in
   let segments =
     Arg.(
       value
@@ -719,28 +790,17 @@ let pipeline_cmd =
           ~doc:"Also spool the event stream to binary segment files at $(docv).")
   in
   let rotate =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "rotate-bytes" ] ~docv:"N"
-          ~doc:"Rotate the segment spool at ~$(docv) bytes per file.")
+    rotate_arg ~doc:"Rotate the segment spool at ~$(docv) bytes per file."
   in
   let checkpoint_events =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive) None
       & info [ "checkpoint-events" ] ~docv:"N"
           ~doc:
             "Interleave a farm checkpoint frame into the segment spool every \
              $(docv) events, so a later re-check can resume mid-stream \
              (requires --segments).")
-  in
-  let metrics_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-json" ] ~docv:"FILE"
-          ~doc:"Write the metrics registry as one JSON document to $(docv).")
   in
   let native =
     Arg.(
@@ -748,15 +808,6 @@ let pipeline_cmd =
       & info [ "native" ]
           ~doc:"Run the workload under system threads instead of the \
                 deterministic engine.")
-  in
-  let analyze =
-    Arg.(
-      value & flag
-      & info [ "analyze" ]
-          ~doc:
-            "Attach the incremental analysis passes (lint, lock-order graph, \
-             and at level full the race detector) to a dedicated farm lane \
-             and report their diagnostics with the verdict.")
   in
   let fault_arg =
     Arg.(
@@ -768,10 +819,12 @@ let pipeline_cmd =
              (repeatable) — the ground-truth bugs the detectors are \
              validated against, e.g. $(b,cache.lock_order_inversion).")
   in
-  let run names seed threads ops bug level capacity invariants segments rotate
-      checkpoint_events metrics_json native analyze backend lin_budget
-      monitor_specs fault_names =
-    let subjects = List.map resolve names in
+  let run session workload segments rotate checkpoint_events native backend
+      lin_budget monitor_specs fault_names =
+    let w : Workload.t =
+      { (workload session.subjects) with engine = (if native then `Native else `Coop) }
+    in
+    let level = w.config.log_level in
     let make_monitors = monitor_factory monitor_specs in
     List.iter
       (fun n ->
@@ -783,74 +836,59 @@ let pipeline_cmd =
             (Faults.registered ());
           exit 2)
       fault_names;
-    let cfg =
-      { Harness.default with seed; threads; ops_per_thread = ops; log_level = level }
+    let requires_segments flag why =
+      Fmt.epr "%s requires --segments: %s@." flag why;
+      exit 2
     in
+    (match (segments, checkpoint_events, rotate) with
+    | None, Some _, _ ->
+      requires_segments "--checkpoint-events" "checkpoints are frames in the spool"
+    | None, None, Some _ -> requires_segments "--rotate-bytes" "it rotates the spool's files"
+    | _ -> ());
     let log = Log.create ~level () in
     let metrics = Metrics.create () in
     let logged = Metrics.counter metrics "log.events" in
-    let shards = shards_for subjects invariants level in
     let passes =
       (if backend <> `Refinement then
          let specs =
-           List.map (fun (s : Subjects.t) -> (s.name, s.spec)) subjects
+           List.map (fun (s : Subjects.t) -> (s.name, s.spec)) session.subjects
          in
          [ Lin.pass ~budget:lin_budget ~metrics ~specs () ]
        else [])
       @ (match make_monitors () with
         | [] -> []
         | ms -> [ Monitor.pass ~metrics ms ])
-      @ if analyze then Vyrd_analysis.Pass.for_level level else []
+      @ if session.analyze then Vyrd_analysis.Pass.for_level level else []
+    in
+    let writer =
+      Option.map (spool_writer ?rotate_bytes:rotate ~level) segments
     in
     let farm =
-      match Farm.start ~capacity ~metrics ~passes ~level shards with
-      | farm -> farm
-      | exception Invalid_argument msg ->
-        Fmt.epr "configuration error: %s@." msg;
-        exit 2
+      configured (fun () ->
+          Farm.start ~capacity:session.capacity ~metrics ~passes ~level
+            (session_shards session level))
     in
     Farm.attach farm log;
     Log.subscribe log (fun _ -> Metrics.incr logged);
-    let writer =
-      Option.map
-        (fun path ->
-          let w = Segment.create_writer ?rotate_bytes:rotate ~level path in
-          Segment.attach w log;
-          w)
-        segments
-    in
+    Option.iter (fun spool -> Segment.attach spool log) writer;
     let checkpoints = ref 0 in
-    (match checkpoint_events with
-    | None -> ()
-    | Some every ->
-      if every <= 0 then begin
-        Fmt.epr "--checkpoint-events must be positive@.";
-        exit 2
-      end;
-      (match writer with
-      | None ->
-        Fmt.epr
-          "--checkpoint-events requires --segments: checkpoints are frames \
-           in the spool@.";
-        exit 2
-      | Some w ->
-        (* subscribed after the farm and the writer: when this fires on
-           event [i] the farm has consumed and the writer has buffered all
-           [i] events, so the barrier snapshot and the frame position agree *)
-        let seen = ref 0 in
-        Log.subscribe log (fun _ ->
-            incr seen;
-            if !seen mod every = 0 then
-              match Farm.checkpoint farm with
-              | Some state ->
-                Segment.append_checkpoint w state;
-                incr checkpoints
-              | None -> ())));
+    (match (checkpoint_events, writer) with
+    | Some every, Some spool ->
+      (* subscribed after the farm and the writer: when this fires on event
+         [i] the farm has consumed and the writer has buffered all [i]
+         events, so the barrier snapshot and the frame position agree *)
+      let seen = ref 0 in
+      Log.subscribe log (fun _ ->
+          incr seen;
+          if !seen mod every = 0 then
+            match Farm.checkpoint farm with
+            | Some state ->
+              Segment.append_checkpoint spool state;
+              incr checkpoints
+            | None -> ())
+    | _ -> ());
     let t0 = Unix.gettimeofday () in
-    (match
-       Harness.run_into ~native ~log cfg
-         (List.map (fun (s : Subjects.t) -> s.build ~bug) subjects)
-     with
+    (match Workload.run_into ~log w with
     | () -> ()
     | exception Vyrd_sched.Coop.Deadlock msg ->
       (* an armed deadlock-kind fault genuinely hung this schedule; pick
@@ -885,7 +923,7 @@ let pipeline_cmd =
     if checkpoint_events <> None then
       Fmt.pr "checkpoints: %d frame(s) interleaved@." !checkpoints;
     Fmt.pr "@.%a" Metrics.pp metrics;
-    Option.iter (fun f -> write_metrics_json f metrics) metrics_json;
+    Option.iter (fun f -> write_metrics_json f metrics) session.metrics_json;
     let analysis_clean =
       List.for_all Vyrd_analysis.Pass.clean result.Farm.analysis
     in
@@ -926,9 +964,8 @@ let pipeline_cmd =
           bounded queue and one checker domain per structure, optional binary \
           segment spooling, merged verdict and metrics at the end.")
     Term.(
-      const run $ subjects_arg $ seed $ threads $ ops $ bug $ level $ capacity
-      $ invariants $ segments $ rotate $ checkpoint_events $ metrics_json
-      $ native $ analyze $ backend_arg $ lin_budget_arg $ monitor_arg
+      const run $ session_term $ workload_term ~ops:200 $ segments $ rotate
+      $ checkpoint_events $ native $ backend_arg $ lin_budget_arg $ monitor_arg
       $ fault_arg)
 
 (* ----------------------------------------------------------- serve/submit *)
@@ -978,27 +1015,6 @@ let run_until_signalled ~name ~metrics ~active ~drain metrics_json =
   Option.iter (fun f -> write_metrics_json f final) metrics_json
 
 let serve_cmd =
-  let subjects_arg =
-    Arg.(
-      value
-      & opt (list string)
-          [ "Multiset-Vector"; "java.util.Vector"; "java.util.StringBuffer" ]
-      & info [ "subjects" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated subjects every session is checked against, one \
-             checker domain each; method namespaces must be disjoint.")
-  in
-  let capacity =
-    Arg.(
-      value & opt int 4096
-      & info [ "capacity" ] ~docv:"N" ~doc:"Per-shard ring bound.")
-  in
-  let window =
-    Arg.(
-      value & opt int 8192
-      & info [ "window" ] ~docv:"N"
-          ~doc:"Credit window: events a client may have in flight.")
-  in
   let max_sessions =
     Arg.(
       value & opt int 8
@@ -1013,17 +1029,6 @@ let serve_cmd =
       & opt (some string) None
       & info [ "spill-dir" ] ~docv:"DIR" ~doc:"Where overload spools go.")
   in
-  let idle_timeout =
-    Arg.(
-      value & opt float 30.
-      & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:"Fail a session after this long without a frame (heartbeats reset it).")
-  in
-  let invariants =
-    Arg.(
-      value & flag
-      & info [ "invariants" ] ~doc:"Also check each subject's runtime invariants.")
-  in
   let recheck_spills =
     Arg.(
       value & flag
@@ -1035,32 +1040,14 @@ let serve_cmd =
   in
   let checkpoint_events =
     Arg.(
-      value & opt int 50_000
+      value & opt positive 50_000
       & info [ "checkpoint-events" ] ~docv:"N"
           ~doc:
             "Checkpoint-frame spacing (events) that spill re-checks append \
              to their spools.")
   in
-  let metrics_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-json" ] ~docv:"FILE"
-          ~doc:"Write the metrics registry as JSON to $(docv) on shutdown.")
-  in
-  let analyze =
-    Arg.(
-      value & flag
-      & info [ "analyze" ]
-          ~doc:
-            "Attach fresh incremental analysis passes (lint, lock-order \
-             graph, and at level full the race detector) to every session's \
-             farm; diagnostic counts surface in the analysis.* metrics.")
-  in
-  let run addr names capacity window max_sessions spill_dir idle_timeout
-      invariants recheck_spills checkpoint_events metrics_json analyze
-      monitor_specs =
-    let subjects = List.map resolve names in
+  let run addr session service max_sessions spill_dir recheck_spills
+      checkpoint_events monitor_specs =
     let make_monitors = monitor_factory monitor_specs in
     let metrics = Metrics.create () in
     let monitors () =
@@ -1070,9 +1057,11 @@ let serve_cmd =
       | ms -> [ Monitor.pass ~metrics ms ]
     in
     let cfg =
-      Server.config ~capacity ~window ~max_sessions ?spill_dir ~idle_timeout
-        ~recheck_spills ~checkpoint_events ~analyze ~monitors ~metrics ~addr
-        (shards_for subjects invariants)
+      configured (fun () ->
+          Server.config ~capacity:session.capacity ~window:service.window
+            ~max_sessions ?spill_dir ~idle_timeout:service.idle_timeout
+            ~recheck_spills ~checkpoint_events ~analyze:session.analyze ~monitors
+            ~metrics ~addr (session_shards session))
     in
     let server =
       match Server.start cfg with
@@ -1085,7 +1074,7 @@ let serve_cmd =
     Fmt.pr "vyrdd: listening on %a (%d shard(s)/session, window %d, spill after \
             %d sessions)@."
       Wire.pp_addr (Server.addr server)
-      (List.length subjects) window max_sessions;
+      (List.length session.subjects) service.window max_sessions;
     Fmt.pr "vyrdd: SIGUSR1 dumps metrics; SIGINT/SIGTERM drains and exits@.";
     run_until_signalled ~name:"vyrdd"
       ~metrics:(fun () -> metrics)
@@ -1093,7 +1082,7 @@ let serve_cmd =
       ~drain:(fun () ->
         Server.stop server;
         metrics)
-      metrics_json
+      session.metrics_json
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1102,21 +1091,10 @@ let serve_cmd =
           a socket, drive one checker farm per session, answer with the \
           verdict; overload spills to segment files.")
     Term.(
-      const run $ addr_arg $ subjects_arg $ capacity $ window $ max_sessions
-      $ spill_dir $ idle_timeout $ invariants $ recheck_spills
-      $ checkpoint_events $ metrics_json $ analyze $ monitor_arg)
+      const run $ addr_arg $ session_term $ service_term $ max_sessions
+      $ spill_dir $ recheck_spills $ checkpoint_events $ monitor_arg)
 
 let cluster_cmd =
-  let subjects_arg =
-    Arg.(
-      value
-      & opt (list string)
-          [ "Multiset-Vector"; "java.util.Vector"; "java.util.StringBuffer" ]
-      & info [ "subjects" ] ~docv:"NAMES"
-          ~doc:
-            "Comma-separated subjects every session is checked against, one \
-             checker domain each; method namespaces must be disjoint.")
-  in
   let workers =
     Arg.(
       value & opt int 2
@@ -1146,21 +1124,10 @@ let cluster_cmd =
   in
   let slots =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "worker-slots" ] ~docv:"N"
           ~doc:"Concurrent sessions routed to each worker before overflowing \
                 to its ring successor.")
-  in
-  let window =
-    Arg.(
-      value & opt int 8192
-      & info [ "window" ] ~docv:"N"
-          ~doc:"Credit window: events a client may have in flight.")
-  in
-  let capacity =
-    Arg.(
-      value & opt int 4096
-      & info [ "capacity" ] ~docv:"N" ~doc:"Per-shard ring bound on workers.")
   in
   let checkpoint_events =
     Arg.(
@@ -1173,7 +1140,7 @@ let cluster_cmd =
   in
   let vnodes =
     Arg.(
-      value & opt int 128
+      value & opt positive 128
       & info [ "vnodes" ] ~docv:"N" ~doc:"Ring virtual nodes per worker.")
   in
   let ring_seed =
@@ -1187,58 +1154,31 @@ let cluster_cmd =
       & info [ "keep-spools" ]
           ~doc:"Keep verdicted sessions' spool files instead of deleting them.")
   in
-  let idle_timeout =
-    Arg.(
-      value & opt float 30.
-      & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:"Fail a session after this long without a client frame.")
-  in
-  let invariants =
-    Arg.(
-      value & flag
-      & info [ "invariants" ] ~doc:"Also check each subject's runtime invariants.")
-  in
-  let metrics_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-json" ] ~docv:"FILE"
-          ~doc:
-            "Write the aggregated cluster-wide metrics as JSON to $(docv) on \
-             shutdown.")
-  in
-  let analyze =
-    Arg.(
-      value & flag
-      & info [ "analyze" ]
-          ~doc:"Attach incremental analysis passes to every worker session.")
-  in
-  let run addr names workers extern spool_dir slots window capacity
-      checkpoint_events vnodes ring_seed keep_spools idle_timeout invariants
-      metrics_json analyze =
+  let run addr session service workers extern spool_dir slots
+      checkpoint_events vnodes ring_seed keep_spools =
     if extern = [] && workers <= 0 then begin
       Fmt.epr "--workers must be positive (or give --worker addresses)@.";
       exit 2
     end;
-    let subjects = List.map resolve names in
+    let fresh_dir = spool_dir = None in
     let spool_dir =
       match spool_dir with
       | Some d -> d
       | None ->
-        let d =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "vyrdc-%d" (Unix.getpid ()))
-        in
-        (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        d
+        Filename.concat
+          (Filename.get_temp_dir_name ())
+          (Printf.sprintf "vyrdc-%d" (Unix.getpid ()))
     in
     let metrics = Metrics.create () in
+    (* validated before the coordinator binds its socket *)
     let cfg =
-      Coordinator.config ~window ~checkpoint_events ~worker_slots:slots
-        ~idle_timeout ~keep_spools ~vnodes ~seed:ring_seed ~metrics ~addr
-        ~spool_dir ()
+      configured (fun () ->
+          Coordinator.config ~window:service.window ~checkpoint_events
+            ~worker_slots:slots ~idle_timeout:service.idle_timeout ~keep_spools
+            ~vnodes ~seed:ring_seed ~metrics ~addr ~spool_dir ())
     in
+    if fresh_dir then (
+      try Unix.mkdir spool_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     let coord =
       match Coordinator.start cfg with
       | coord -> coord
@@ -1251,10 +1191,9 @@ let cluster_cmd =
       if extern <> [] then None
       else
         Some
-          (Supervisor.start ~count:workers ~capacity ~window ~analyze
-             ~dir:spool_dir
-             ~shards:(shards_for subjects invariants)
-             ())
+          (Supervisor.start ~count:workers ~capacity:session.capacity
+             ~window:service.window ~analyze:session.analyze ~dir:spool_dir
+             ~shards:(session_shards session) ())
     in
     let members =
       match pool with
@@ -1293,7 +1232,7 @@ let cluster_cmd =
         let agg = Coordinator.aggregate coord in
         Option.iter (fun p -> Supervisor.stop p) pool;
         agg)
-      metrics_json
+      session.metrics_json
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -1304,9 +1243,8 @@ let cluster_cmd =
           hashing, and fail sessions over to another worker from their \
           checkpointed spools when a worker dies.")
     Term.(
-      const run $ addr_arg $ subjects_arg $ workers $ extern $ spool_dir
-      $ slots $ window $ capacity $ checkpoint_events $ vnodes $ ring_seed
-      $ keep_spools $ idle_timeout $ invariants $ metrics_json $ analyze)
+      const run $ addr_arg $ session_term $ service_term $ workers $ extern
+      $ spool_dir $ slots $ checkpoint_events $ vnodes $ ring_seed $ keep_spools)
 
 let submit_cmd =
   let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"LOG") in
@@ -1318,7 +1256,7 @@ let submit_cmd =
   in
   let batch =
     Arg.(
-      value & opt int 256
+      value & opt positive 256
       & info [ "batch" ] ~docv:"N" ~doc:"Events per wire batch frame.")
   in
   let run addr retries batch file =

@@ -52,7 +52,8 @@ let subject_soak seeds =
           { Harness.default with threads = 5; ops_per_thread = 30; key_pool = 10;
             key_range = 16; seed }
         in
-        let log = Harness.run cfg (s.build ~bug:false) in
+        let w = Workload.v ~config:cfg [ s ] in
+        let log = Workload.log w in
         let io = Checker.check ~mode:`Io log s.spec in
         let view =
           Checker.check ~mode:`View ~view:s.view ~invariants:s.invariants log s.spec
@@ -67,7 +68,7 @@ let subject_soak seeds =
           any_failure := true;
           Fmt.pr "!! %s seed %d view: %a@." s.name seed Report.pp view
         end;
-        let blog = Harness.run cfg (s.build ~bug:true) in
+        let blog = Workload.log { w with bug = true } in
         if not (Report.is_pass (Checker.check ~mode:`Io blog s.spec)) then incr bug_io;
         if
           not
@@ -87,50 +88,34 @@ let subject_soak seeds =
 
 (* ------------------------------------------------------------- pipeline *)
 
-let pipeline_subjects =
-  [ Subjects.multiset_vector; Subjects.jvector; Subjects.string_buffer ]
-
-let composed () =
-  match pipeline_subjects with
-  | [] -> assert false
-  | s0 :: rest ->
-    List.fold_left
-      (fun (spec, view) (s : Subjects.t) ->
-        (Spec_compose.pair spec s.spec, Spec_compose.pair_views view s.view))
-      (s0.spec, s0.view) rest
-
 let pipeline_soak seeds =
-  let spec, view = composed () in
   let spool = Filename.temp_file "vyrd_soak" ".seg" in
   let any_failure = ref false in
   let capacity = 512 in
   Fmt.pr "pipeline soak: %d seeds, %d shards, ring capacity %d@.@." seeds
-    (List.length pipeline_subjects)
+    (List.length Workload.composite)
     capacity;
   Fmt.pr "%6s %9s %10s %8s %8s %10s %10s@." "seed" "events" "segments" "farm"
     "offline" "roundtrip" "high-water";
   Fmt.pr "%s@." (String.make 70 '-');
   for seed = 0 to seeds - 1 do
-    let level = `View in
-    let log = Log.create ~level () in
-    let shards =
-      List.map
-        (fun (s : Subjects.t) -> Farm.shard ~mode:`View ~view:s.view s.name s.spec)
-        pipeline_subjects
+    let w =
+      Workload.v Workload.composite
+        ~config:{ Harness.default with threads = 6; ops_per_thread = 120; key_pool = 10;
+                  key_range = 16; seed }
     in
-    let farm = Farm.start ~capacity ~level shards in
+    let level = w.config.log_level in
+    let log = Log.create ~level () in
+    let farm = Farm.start ~capacity ~level (Workload.shards w level) in
     Farm.attach farm log;
-    let w = Segment.create_writer ~segment_bytes:8192 ~level spool in
-    Segment.attach w log;
-    Harness.run_into ~log
-      { Harness.default with threads = 6; ops_per_thread = 120; key_pool = 10;
-        key_range = 16; seed }
-      (List.map (fun (s : Subjects.t) -> s.build ~bug:false) pipeline_subjects);
-    Segment.close w;
+    let writer = Segment.create_writer ~segment_bytes:8192 ~level spool in
+    Segment.attach writer log;
+    Workload.run_into ~log w;
+    Segment.close writer;
     let result = Farm.finish farm in
-    let offline = Checker.check ~mode:`View ~view log spec in
+    let offline, _ = Workload.reference w log in
     let recovered = Segment.read spool in
-    let roundtrip = Checker.check ~mode:`View ~view recovered.Segment.log spec in
+    let roundtrip, _ = Workload.reference w recovered.Segment.log in
     let hw =
       List.fold_left
         (fun a (sr : Farm.shard_result) -> max a sr.Farm.sr_high_water)
@@ -165,12 +150,8 @@ let pipeline_soak seeds =
 (* ------------------------------------------------------------------ net *)
 
 let net_soak seconds json_out =
-  let spec, view = composed () in
-  let shards _level =
-    List.map
-      (fun (s : Subjects.t) -> Farm.shard ~mode:`View ~view:s.view s.name s.spec)
-      pipeline_subjects
-  in
+  (* every session is checked against the composite, as offline *)
+  let served = Workload.v Workload.composite in
   let sock = Filename.temp_file "vyrd_soak" ".sock" in
   let spill_dir = Filename.temp_file "vyrd_soak_spill" "" in
   Sys.remove spill_dir;
@@ -180,7 +161,7 @@ let net_soak seconds json_out =
   let server =
     Server.start
       (Server.config ~metrics ~max_sessions:2 ~spill_dir
-         ~addr:(Wire.Unix_socket sock) shards)
+         ~addr:(Wire.Unix_socket sock) (Workload.shards served))
   in
   let addr = Server.addr server in
   Fmt.pr "net soak: %ds against %a (max_sessions 2, spill to %s)@.@." seconds
@@ -203,21 +184,14 @@ let net_soak seconds json_out =
   let one_session seed =
     let bug = seed mod 3 = 0 in
     let log =
-      if bug then
-        Harness.run
-          { Harness.default with threads = 4; ops_per_thread = 25; key_pool = 10;
-            key_range = 16; seed }
-          (Subjects.multiset_vector.build ~bug:true)
-      else begin
-        let log = Log.create ~level:`View () in
-        Harness.run_into ~log
-          { Harness.default with threads = 4; ops_per_thread = 20; key_pool = 10;
-            key_range = 16; seed }
-          (List.map (fun (s : Subjects.t) -> s.build ~bug:false) pipeline_subjects);
-        log
-      end
+      Workload.log
+        (Workload.v ~bug
+           (if bug then [ Subjects.multiset_vector ] else Workload.composite)
+           ~config:{ Harness.default with threads = 4;
+                     ops_per_thread = (if bug then 25 else 20); key_pool = 10;
+                     key_range = 16; seed })
     in
-    let offline = Checker.check ~mode:`View ~view log spec in
+    let offline, offline_fail = Workload.reference served log in
     let batch = [| 32; 256; 1024 |].(seed mod 3) in
     match Client.submit_log ~retries:3 ~batch_events:batch addr log with
     | Client.Checked { report; fail_index } ->
@@ -240,7 +214,7 @@ let net_soak seconds json_out =
         mismatch seed
           (Printf.sprintf "spool consumed %d of %d events" n (Log.length log));
       let r = Segment.read path in
-      let rechecked = Checker.check ~mode:`View ~view r.Segment.log spec in
+      let rechecked, _ = Workload.reference served r.Segment.log in
       if r.Segment.truncated then mismatch seed "spool read back truncated";
       if not (String.equal (Report.tag rechecked) (Report.tag offline)) then
         mismatch seed
@@ -253,7 +227,7 @@ let net_soak seconds json_out =
       let events = Log.snapshot r.Segment.log in
       let half = Array.length events / 2 in
       if half > 0 then begin
-        let shards _level = [ Farm.shard ~mode:`View ~view "subject" spec ] in
+        let shards level = [ Workload.composite_shard served level ] in
         let level = Log.level r.Segment.log in
         let farm = Farm.start ~level (shards level) in
         for i = 0 to half - 1 do
@@ -269,12 +243,6 @@ let net_soak seconds json_out =
         (try ignore (Farm.finish farm : Farm.result) with Invalid_argument _ -> ());
         match Vyrd_pipeline.Resume.resume ~shards ~path () with
         | outcome ->
-          let offline_fail =
-            match offline.Report.outcome with
-            | Report.Pass -> None
-            | Report.Fail _ ->
-              Some (offline.Report.stats.Report.events_processed - 1)
-          in
           if
             not
               (String.equal
@@ -333,7 +301,7 @@ let net_soak seconds json_out =
     !sessions !spilled !events !convicted !mismatches;
   (* each lane a live session started is one spawn or one reuse of a
      parked domain in the server's registry, and sequential sessions reuse *)
-  let lanes = (!sessions - !spilled) * List.length pipeline_subjects in
+  let lanes = (!sessions - !spilled) * List.length served.subjects in
   let spawns = Pmetrics.value (Pmetrics.counter metrics "farm.lane_spawns")
   and reuses = Pmetrics.value (Pmetrics.counter metrics "farm.lane_reuses") in
   Fmt.pr "%d lanes started: %d domains spawned, %d reused@." lanes spawns reuses;
@@ -359,17 +327,13 @@ let net_soak seconds json_out =
    session keeps ~40 concurrent sessions per worker process well under the
    OCaml domain ceiling. *)
 
-let soak_subject = Subjects.multiset_vector
+let soak_subject = Workload.v [ Subjects.multiset_vector ]
 
 let cluster_worker_main sock =
   ignore
     (Server.start
        (Server.config ~max_sessions:256 ~idle_timeout:300.
-          ~addr:(Wire.Unix_socket sock) (fun _level ->
-            [
-              Farm.shard ~mode:`View ~view:soak_subject.Subjects.view
-                soak_subject.Subjects.name soak_subject.Subjects.spec;
-            ]))
+          ~addr:(Wire.Unix_socket sock) (Workload.shards soak_subject))
       : Server.t);
   while true do
     Thread.delay 3600.
@@ -394,19 +358,15 @@ let cluster_soak sessions json_out =
   let logs =
     Array.init sessions (fun seed ->
         let bug = seed mod 3 = 0 in
-        Harness.run
-          { Harness.default with threads = 4;
-            ops_per_thread = (if bug then 40 else 60); key_pool = 10;
-            key_range = 16; seed }
-          (soak_subject.Subjects.build ~bug))
+        Workload.log
+          { soak_subject with
+            bug;
+            config =
+              { Harness.default with threads = 4;
+                ops_per_thread = (if bug then 40 else 60); key_pool = 10;
+                key_range = 16; seed } })
   in
-  let reference =
-    Array.map
-      (fun log ->
-        Checker.check_indexed ~mode:`View ~view:soak_subject.Subjects.view log
-          soak_subject.Subjects.spec)
-      logs
-  in
+  let reference = Array.map (Workload.reference soak_subject) logs in
   let total = Array.fold_left (fun a l -> a + Log.length l) 0 logs in
   let members =
     List.init workers (fun i ->

@@ -59,7 +59,7 @@ let render_events ?(options = default) evs =
   List.iter (fun tid -> Buffer.add_string buf (pad (Tid.to_string tid))) tids;
   Buffer.add_char buf '\n';
   Buffer.add_string buf "      ";
-  List.iter (fun _ -> Buffer.add_string buf (pad (String.make (w - 2) '-'))) tids;
+  List.iter (fun _ -> Buffer.add_string buf (pad (String.make (max 0 (w - 2)) '-'))) tids;
   Buffer.add_char buf '\n';
   List.iteri
     (fun i ev ->

@@ -32,8 +32,12 @@ let make_pool config =
   let rng = Prng.create (config.seed * 31 + 17) in
   Array.init (max 2 config.key_pool) (fun _ -> Prng.int rng config.key_range)
 
-let run_on_into ~spawn_engine ~log config builds =
+let run_into ?(native = false) ~log config builds =
   if builds = [] then invalid_arg "Harness.run_into: no builds";
+  let spawn_engine =
+    if native then Vyrd_sched.Native.run
+    else fun main -> Vyrd_sched.Coop.run ~seed:config.seed ~max_steps:200_000_000 main
+  in
   spawn_engine (fun (sched : Sched.t) ->
       let ctx = Instrument.make sched log in
       let bs = Array.of_list (List.map (fun build -> build ctx) builds) in
@@ -71,21 +75,7 @@ let run_on_into ~spawn_engine ~log config builds =
             if !remaining = 0 then stop := true)
       done)
 
-let run_on ~spawn_engine config build =
+let run ?native config build =
   let log = Log.create ~level:config.log_level () in
-  run_on_into ~spawn_engine ~log config [ build ];
+  run_into ?native ~log config [ build ];
   log
-
-let coop_engine config main =
-  Vyrd_sched.Coop.run ~seed:config.seed ~max_steps:200_000_000 main
-
-let run config build = run_on config build ~spawn_engine:(coop_engine config)
-
-let run_native config build =
-  run_on config build ~spawn_engine:Vyrd_sched.Native.run
-
-let run_into ?(native = false) ~log config builds =
-  let spawn_engine =
-    if native then Vyrd_sched.Native.run else coop_engine config
-  in
-  run_on_into ~spawn_engine ~log config builds

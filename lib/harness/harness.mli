@@ -28,12 +28,12 @@ type config = {
 
 val default : config
 
-(** [run config build] executes the workload on the deterministic engine and
-    returns the log.  [build] constructs the instrumented data structure. *)
-val run : config -> (Vyrd.Instrument.ctx -> built) -> Vyrd.Log.t
-
-(** Same workload under real system threads (non-deterministic). *)
-val run_native : config -> (Vyrd.Instrument.ctx -> built) -> Vyrd.Log.t
+(** [run config build] executes the workload and returns the log.  [build]
+    constructs the instrumented data structure.
+    @param native run under system threads (non-deterministic) instead of
+      the deterministic engine (default [false]). *)
+val run :
+  ?native:bool -> config -> (Vyrd.Instrument.ctx -> built) -> Vyrd.Log.t
 
 (** [run_into ~log config builds] runs the workload over one or more data
     structures appending into a caller-supplied log, so listeners (an online

@@ -232,7 +232,7 @@ let native_cell cfg (s : Subjects.t) =
   let found = ref None and runs = ref 0 in
   while !found = None && !runs < cfg.native_runs do
     incr runs;
-    let log = Harness.run_native (harness_cfg cfg !runs) (s.build ~bug:false) in
+    let log = Harness.run ~native:true (harness_cfg cfg !runs) (s.build ~bug:false) in
     let r = check_mode ~mode:`View s log in
     if not (Report.is_pass r) then found := Some r
   done;

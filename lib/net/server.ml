@@ -23,6 +23,8 @@ type config = {
 let config ?(capacity = 4096) ?(window = 8192) ?(max_sessions = 8) ?spill_dir
     ?(idle_timeout = 30.) ?(recheck_spills = false) ?(checkpoint_events = 50_000)
     ?(analyze = false) ?(monitors = fun () -> []) ?metrics ~addr shards =
+  if capacity <= 0 then invalid_arg "Server.config: capacity";
+  if window <= 0 then invalid_arg "Server.config: window";
   if checkpoint_events <= 0 then invalid_arg "Server.config: checkpoint_events";
   let spill_dir =
     match spill_dir with Some d -> d | None -> Filename.get_temp_dir_name ()

@@ -61,7 +61,9 @@ type config = {
   metrics : Metrics.t;
 }
 
-(** [config ~addr shards] with the defaults above. *)
+(** [config ~addr shards] with the defaults above.
+    @raise Invalid_argument when [capacity], [window] or
+      [checkpoint_events] is not positive. *)
 val config :
   ?capacity:int ->
   ?window:int ->

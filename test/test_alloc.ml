@@ -17,19 +17,19 @@ open Vyrd_pipeline
 open Vyrd_net
 module Coop = Vyrd_sched.Coop
 module Harness = Vyrd_harness.Harness
+module Workload = Vyrd_harness.Workload
 module Pass = Vyrd_analysis.Pass
 
-let spec, view = Test_compose.compose3 ()
+let spec, view = Workload.product (Workload.v Workload.composite)
 
 (* [Test_frames.composite_log]'s program, long enough that a farm's
    start-up allocation is noise next to its per-event share. *)
 let composite_log level seed =
-  let log = Log.create ~level () in
-  Harness.run_into ~log
-    { Harness.threads = 4; ops_per_thread = 300; key_pool = 8; key_range = 16; seed;
-      log_level = level }
-    (List.map (fun (s : Vyrd_harness.Subjects.t) -> s.build ~bug:false) Test_compose.three);
-  Log.snapshot log
+  Log.snapshot
+    (Workload.log
+       (Workload.v Workload.composite
+          ~config:{ Harness.threads = 4; ops_per_thread = 300; key_pool = 8; key_range = 16;
+                    seed; log_level = level }))
 
 let logs level = List.map (composite_log level) [ 1; 2; 3 ]
 let io_logs = lazy (logs `Io)

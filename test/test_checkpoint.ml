@@ -359,29 +359,16 @@ let test_corrupt_checkpoint_never_changes_verdict () =
 
 (* --- farm checkpoint/restore --------------------------------------------- *)
 
-let pipeline_subjects =
-  [ Subjects.multiset_vector; Subjects.jvector; Subjects.string_buffer ]
-
-let farm_shards () =
-  List.map
-    (fun (s : Subjects.t) ->
-      Farm.shard ~mode:`View ~view:s.Subjects.view s.Subjects.name
-        s.Subjects.spec)
-    pipeline_subjects
-
-let multi_log () =
-  let log = Log.create ~level:`View () in
-  Harness.run_into ~log
-    { Harness.default with threads = 6; ops_per_thread = 60; key_pool = 10;
-      key_range = 16; seed = 3 }
-    (List.map (fun (s : Subjects.t) -> s.Subjects.build ~bug:false) pipeline_subjects);
-  log
+let multi =
+  Workload.v Workload.composite
+    ~config:{ Harness.default with threads = 6; ops_per_thread = 60; key_pool = 10;
+              key_range = 16; seed = 3 }
 
 let test_farm_checkpoint_restore_equivalence () =
-  let events = Log.snapshot (multi_log ()) in
+  let events = Log.snapshot (Workload.log multi) in
   let n = Array.length events in
   let run_farm ?restore ~from () =
-    let farm = Farm.start ?restore ~capacity:1024 ~level:`View (farm_shards ()) in
+    let farm = Farm.start ?restore ~capacity:1024 ~level:`View (Workload.shards multi `View) in
     let mid = ref None in
     for i = from to n - 1 do
       Farm.feed farm events.(i);
@@ -411,7 +398,7 @@ let test_farm_checkpoint_restore_equivalence () =
    explicit batch-boundary flush would, and resuming from it must agree
    with the straight-through run. *)
 let test_farm_checkpoint_mid_batch () =
-  let events = Log.snapshot (multi_log ()) in
+  let events = Log.snapshot (Workload.log multi) in
   let n = Array.length events in
   let feed_range farm i0 i1 =
     for i = i0 to i1 - 1 do
@@ -419,7 +406,7 @@ let test_farm_checkpoint_mid_batch () =
     done
   in
   let full =
-    let farm = Farm.start ~capacity:1024 ~level:`View (farm_shards ()) in
+    let farm = Farm.start ~capacity:1024 ~level:`View (Workload.shards multi `View) in
     feed_range farm 0 n;
     Farm.finish farm
   in
@@ -429,12 +416,12 @@ let test_farm_checkpoint_mid_batch () =
       (* checkpoint with slices in flight: [feed] alone never flushes the
          final partial slice, so at an off-boundary cut the lanes have not
          seen every routed event yet *)
-      let f1 = Farm.start ~capacity:1024 ~level:`View (farm_shards ()) in
+      let f1 = Farm.start ~capacity:1024 ~level:`View (Workload.shards multi `View) in
       feed_range f1 0 cut;
       let s1 = Farm.checkpoint f1 in
       ignore (Farm.finish f1 : Farm.result);
       (* same prefix, but force the batch boundary first *)
-      let f2 = Farm.start ~capacity:1024 ~level:`View (farm_shards ()) in
+      let f2 = Farm.start ~capacity:1024 ~level:`View (Workload.shards multi `View) in
       feed_range f2 0 cut;
       Farm.flush f2;
       let s2 = Farm.checkpoint f2 in
@@ -444,7 +431,7 @@ let test_farm_checkpoint_mid_batch () =
         Alcotest.(check bool)
           (name ^ ": mid-batch snapshot = batch-boundary snapshot")
           true (Repr.equal a b);
-        let f3 = Farm.start ~restore:a ~capacity:1024 ~level:`View (farm_shards ()) in
+        let f3 = Farm.start ~restore:a ~capacity:1024 ~level:`View (Workload.shards multi `View) in
         feed_range f3 cut n;
         let resumed = Farm.finish f3 in
         Alcotest.(check string) (name ^ ": resumed verdict")
@@ -460,12 +447,12 @@ let test_farm_checkpoint_mid_batch () =
     [ 7; (n / 2) + 13; n - 3 ]
 
 let test_resume_farm_annotates_then_resumes () =
-  let log = multi_log () in
+  let log = Workload.log multi in
   with_spool @@ fun path ->
   let w = Segment.create_writer ~level:`View path in
   Log.iter (Segment.append w) log;
   Segment.close w;
-  let shards _level = farm_shards () in
+  let shards = Workload.shards multi in
   (* first pass: nothing to resume from; annotates as it replays *)
   let o1 = Resume.resume ~annotate_every:200 ~shards ~path () in
   Alcotest.(check (option int)) "first pass replays from zero" None
@@ -770,6 +757,166 @@ let test_cli_unwritable_metrics_json () =
   Alcotest.(check bool) ("exit 0, stderr: " ^ err) true (status = Unix.WEXITED 0);
   Alcotest.(check bool) "says it cannot write" true (contains ~affix:"cannot write" err)
 
+(* [exe args] to completion: its exit status, standard output and standard
+   error. *)
+let run_cli args =
+  let exe = cli_exe () in
+  let out_path = Filename.temp_file "vyrd_cli" ".out" in
+  let err_path = Filename.temp_file "vyrd_cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove out_path; Sys.remove err_path) @@ fun () ->
+  let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let out_fd = fd out_path and err_fd = fd err_path in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_fd err_fd in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let _, status = Unix.waitpid [] pid in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  (status, read out_path, read err_path)
+
+(* Input the command cannot run with is rejected before any work: a
+   non-zero status other than 125 (an uncaught exception), and a first line
+   on stderr that names the offending flag or path.  No daemon binds. *)
+let test_cli_rejects_bad_input () =
+  let dir = Filename.temp_file "vyrd_cli_bad" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  let sock = Filename.concat dir "d.sock" in
+  let missing = Filename.concat (Filename.concat dir "missing") "S" in
+  List.iter
+    (fun (args, names) ->
+      let what = String.concat " " args in
+      let status, _, err = run_cli args in
+      let first = List.hd (String.split_on_char '\n' err) in
+      Alcotest.(check bool) (what ^ ": rejected, not crashed") true
+        (match status with Unix.WEXITED n -> n <> 0 && n <> 125 | _ -> false);
+      Alcotest.(check bool) (what ^ ": names " ^ names ^ " in: " ^ first) true
+        (contains ~affix:names first))
+    [
+      ([ "record"; "-s"; "Cache"; "-o"; Filename.concat dir "r.seg"; "--rotate-bytes"; "0" ],
+       "--rotate-bytes");
+      ([ "record"; "-s"; "Cache"; "-o"; Filename.concat dir "r.seg"; "--rotate-bytes=-5" ],
+       "--rotate-bytes");
+      ([ "pipeline"; "--ops"; "5"; "--segments"; missing ], missing);
+      ([ "pipeline"; "--ops"; "5"; "--rotate-bytes"; "4096" ], "--rotate-bytes");
+      ([ "serve"; "-l"; sock; "--checkpoint-events"; "0" ], "--checkpoint-events");
+      ([ "cluster"; "-l"; sock; "--vnodes"; "0"; "--spool-dir"; dir ], "--vnodes");
+      ([ "submit"; "--to"; sock; "--batch"; "0"; "unread.log" ], "--batch");
+      ([ "timeline"; "--width"; "0"; "unread.log" ], "--width");
+    ];
+  Alcotest.(check bool) "no daemon left a socket file" false (Sys.file_exists sock);
+  Alcotest.(check bool) "no spool written" false (Sys.file_exists (Filename.concat dir "r.seg"))
+
+(* The daemon's own config refuses a ring or a credit window it could not
+   run a single session with. *)
+let test_server_config_rejects_nonpositive () =
+  let addr = Vyrd_net.Wire.Unix_socket "unused.sock" and shards _level = [] in
+  Alcotest.check_raises "capacity 0" (Invalid_argument "Server.config: capacity") (fun () ->
+      ignore (Vyrd_net.Server.config ~capacity:0 ~addr shards : Vyrd_net.Server.config));
+  Alcotest.check_raises "window 0" (Invalid_argument "Server.config: window") (fun () ->
+      ignore (Vyrd_net.Server.config ~window:0 ~addr shards : Vyrd_net.Server.config))
+
+let flag_name signature = List.hd (String.split_on_char ' ' (List.hd (String.split_on_char '=' signature)))
+
+(* The long flags of [cmd --help=plain], each with its docv and default as
+   the help prints them: ("--capacity", "--capacity=N (absent=4096)"). *)
+let help_flags cmd =
+  let _, text, _ = run_cli [ cmd; "--help=plain" ] in
+  let rec options inside = function
+    | [] -> []
+    | "OPTIONS" :: rest -> options true rest
+    | "COMMON OPTIONS" :: _ -> []
+    | l :: rest -> if inside then l :: options inside rest else options inside rest
+  in
+  (* a flag line is indented 7; a long default wraps onto its own line *)
+  let heads =
+    List.fold_left
+      (fun acc l ->
+        if String.length l < 8 || String.sub l 0 7 <> "       " then acc
+        else
+          match (l.[7], acc) with
+          | '-', _ -> String.trim l :: acc
+          | '(', h :: t -> (h ^ " " ^ String.trim l) :: t
+          | _ -> acc)
+      []
+      (options false (String.split_on_char '\n' text))
+  in
+  List.concat_map
+    (fun head ->
+      let names, suffix =
+        match String.index_opt head '(' with
+        | Some i -> (String.sub head 0 (i - 1), String.sub head (i - 1) (String.length head - i + 1))
+        | None -> (head, "")
+      in
+      List.filter_map
+        (fun token ->
+          if String.starts_with ~prefix:"--" token then Some (flag_name token, token ^ suffix)
+          else None)
+        (String.split_on_char ' ' (String.concat "" (String.split_on_char ',' names))))
+    heads
+  |> List.sort compare
+
+(* The flag surface of the commands that share the workload, session and
+   service terms: each command's flag set, and one docv and default for
+   every flag more than one of them takes (only --ops and
+   --checkpoint-events have per-command defaults). *)
+let test_cli_flag_surface () =
+  let expected =
+    [
+      ( "record",
+        [ "--binary"; "--bug"; "--level"; "--ops"; "--output"; "--rotate-bytes"; "--seed";
+          "--subject"; "--threads" ] );
+      ( "pipeline",
+        [ "--analyze"; "--backend"; "--bug"; "--capacity"; "--checkpoint-events"; "--fault";
+          "--invariants"; "--level"; "--lin-budget"; "--metrics-json"; "--monitor"; "--native";
+          "--ops"; "--rotate-bytes"; "--seed"; "--segments"; "--subjects"; "--threads" ] );
+      ( "serve",
+        [ "--analyze"; "--capacity"; "--checkpoint-events"; "--idle-timeout"; "--invariants";
+          "--listen"; "--max-sessions"; "--metrics-json"; "--monitor"; "--recheck-spills";
+          "--spill-dir"; "--subjects"; "--to"; "--window" ] );
+      ( "cluster",
+        [ "--analyze"; "--capacity"; "--checkpoint-events"; "--idle-timeout"; "--invariants";
+          "--keep-spools"; "--listen"; "--metrics-json"; "--ring-seed"; "--spool-dir";
+          "--subjects"; "--to"; "--vnodes"; "--window"; "--worker"; "--worker-slots";
+          "--workers" ] );
+    ]
+  in
+  let shared =
+    [
+      "--subjects=NAMES (absent=Multiset-Vector,java.util.Vector,java.util.StringBuffer)";
+      "--capacity=N (absent=4096)"; "--invariants"; "--metrics-json=FILE"; "--analyze";
+      "--window=N (absent=8192)"; "--idle-timeout=SECONDS (absent=30.)";
+      "--seed=N (absent=0)"; "--threads=N (absent=4)"; "--bug";
+      "--level=LEVEL (absent=view)"; "--rotate-bytes=N";
+    ]
+  in
+  let surfaces = List.map (fun (cmd, _) -> (cmd, help_flags cmd)) expected in
+  List.iter
+    (fun (cmd, names) ->
+      Alcotest.(check (list string)) (cmd ^ " flags") names
+        (List.map fst (List.assoc cmd surfaces)))
+    expected;
+  List.iter
+    (fun (cmd, flags) ->
+      List.iter
+        (fun (name, signature) ->
+          (match List.find_opt (fun s -> flag_name s = name) shared with
+          | Some want -> Alcotest.(check string) (cmd ^ " " ^ name) want signature
+          | None -> ());
+          if name <> "--ops" && name <> "--checkpoint-events" then
+            List.iter
+              (fun (other, oflags) ->
+                match List.assoc_opt name oflags with
+                | Some s -> Alcotest.(check string) (cmd ^ " vs " ^ other ^ " " ^ name) signature s
+                | None -> ())
+              surfaces)
+        flags)
+    surfaces
+
 let suite =
   [
     checkpoint_frame_roundtrip;
@@ -812,4 +959,9 @@ let suite =
     ( "pipeline --metrics-json to an unwritable path exits 0",
       `Quick,
       test_cli_unwritable_metrics_json );
+    ("CLI rejects bad input before any work", `Quick, test_cli_rejects_bad_input);
+    ( "Server.config rejects capacity and window 0",
+      `Quick,
+      test_server_config_rejects_nonpositive );
+    ("CLI flag surface of the shared terms pinned", `Quick, test_cli_flag_surface);
   ]

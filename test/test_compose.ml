@@ -109,29 +109,17 @@ let test_composite_unknown_method_ill_formed () =
 (* --- the three-way product of the benchmark ------------------------------ *)
 
 module Harness = Vyrd_harness.Harness
-module Subjects = Vyrd_harness.Subjects
+module Workload = Vyrd_harness.Workload
 
-let three = [ Subjects.multiset_vector; Subjects.jvector; Subjects.string_buffer ]
+let three ?(bug = false) seed =
+  Workload.v ~bug Workload.composite
+    ~config:{ Harness.threads = 4; ops_per_thread = 40; key_pool = 8; key_range = 16; seed;
+              log_level = `View }
 
-let compose3 () =
-  match three with
-  | [] -> assert false
-  | s0 :: rest ->
-    List.fold_left
-      (fun (spec, view) (s : Subjects.t) ->
-        (Spec_compose.pair spec s.spec, Spec_compose.pair_views view s.view))
-      (s0.spec, s0.view) rest
-
-let three_log ~bug seed =
-  let log = Log.create ~level:`View () in
-  Harness.run_into ~log
-    { Harness.threads = 4; ops_per_thread = 40; key_pool = 8; key_range = 16; seed;
-      log_level = `View }
-    (List.map (fun (s : Subjects.t) -> s.build ~bug) three);
-  log
+let three_log ~bug seed = Workload.log (three ~bug seed)
 
 let test_routing_memo () =
-  let spec, _ = compose3 () in
+  let spec, _ = Workload.product (three 0) in
   let module P = (val spec) in
   let raises mid =
     match P.meth mid with
@@ -153,7 +141,7 @@ let test_routing_memo () =
    farm lanes and the benchmark's set-up do) gives the verdicts of checking
    alone, and so does the from-scratch reference. *)
 let test_shared_spec_across_domains () =
-  let spec, view = compose3 () in
+  let spec, view = Workload.product (three 0) in
   let logs =
     Array.init 16 (fun i -> three_log ~bug:(i mod 2 = 1) (i + 1))
   in
@@ -166,7 +154,7 @@ let test_shared_spec_across_domains () =
     |> List.sort compare
   in
   let forward = List.init (Array.length logs) Fun.id in
-  let alone = verdicts (fst (compose3 ())) forward in
+  let alone = verdicts (fst (Workload.product (three 0))) forward in
   Alcotest.(check bool) "some seeded fault is convicted" true
     (List.exists (fun (_, tag, _) -> tag <> "pass") alone);
   let other = Domain.spawn (fun () -> verdicts spec (List.rev forward)) in
@@ -243,7 +231,7 @@ let test_farm_overlap_first_shard () =
    the names the program logged: resolving them by contents must give the
    same verdict, index and statistics. *)
 let test_fresh_name_strings () =
-  let spec, view = compose3 () in
+  let spec, view = Workload.product (three 0) in
   let render (r, idx) =
     let s = r.Report.stats in
     Printf.sprintf "%s@%s methods=%d events=%d per_method=%s" (Report.tag r)

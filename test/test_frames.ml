@@ -9,23 +9,18 @@ open Vyrd
 open Vyrd_pipeline
 open Vyrd_net
 module Harness = Vyrd_harness.Harness
-module Subjects = Vyrd_harness.Subjects
+module Workload = Vyrd_harness.Workload
 
 let md5 s = Digest.to_hex (Digest.string s)
 
 (* The benchmark's service-io shape: a §7.1 program over the composite's
    three subjects, logged at [level]. *)
 let composite_log ~level ~bug seed =
-  let log = Log.create ~level () in
-  let cfg =
-    { Harness.threads = 4; ops_per_thread = 40; key_pool = 8; key_range = 16; seed;
-      log_level = level }
-  in
-  Harness.run_into ~log cfg
-    (List.map
-       (fun (s : Subjects.t) -> s.build ~bug)
-       [ Subjects.multiset_vector; Subjects.jvector; Subjects.string_buffer ]);
-  Log.snapshot log
+  Log.snapshot
+    (Workload.log
+       (Workload.v ~bug Workload.composite
+          ~config:{ Harness.threads = 4; ops_per_thread = 40; key_pool = 8; key_range = 16;
+                    seed; log_level = level }))
 
 let long = String.init 40 (fun i -> Char.chr (97 + (i mod 26)))
 

@@ -260,15 +260,18 @@ let view_subsumes_io =
          let vw = Checker.check ~mode:`View ~view log spec in
          Report.is_pass io || not (Report.is_pass vw)))
 
-(* the timeline renderer must be total on anything the checker accepts *)
+(* the timeline renderer must be total on anything the checker accepts, at
+   any positive column width *)
 let timeline_total =
   qcheck
     (QCheck2.Test.make ~name:"timeline renderer total" ~count:100
-       QCheck2.Gen.(list_size (int_range 0 40) arbitrary_event_gen)
-       (fun evs ->
+       QCheck2.Gen.(pair (list_size (int_range 0 40) arbitrary_event_gen) (int_range 1 30))
+       (fun (evs, col_width) ->
          let log = Log.of_events evs in
          let rendered =
-           Timeline.render ~options:{ Timeline.default with show_writes = true } log
+           Timeline.render
+             ~options:{ Timeline.default with show_writes = true; col_width }
+             log
          in
          let w = Timeline.witness log in
          String.length rendered >= 0 && String.length w >= 0))

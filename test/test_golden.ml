@@ -12,6 +12,7 @@ open Vyrd_sched
 module Harness = Vyrd_harness.Harness
 module Subjects = Vyrd_harness.Subjects
 module Mutants = Vyrd_harness.Mutants
+module Workload = Vyrd_harness.Workload
 
 let digest_lines add =
   let buf = Buffer.create 4096 in
@@ -26,13 +27,9 @@ let config seed =
   { Harness.threads = 4; ops_per_thread = 40; key_pool = 8; key_range = 16; seed;
     log_level = `Full }
 
-(* The three disjoint-namespace subjects of the benchmark's composite. *)
-let composite = [ Subjects.multiset_vector; Subjects.jvector; Subjects.string_buffer ]
-
-let run_subjects subjects ~bug seed =
-  let log = Log.create ~level:`Full () in
-  Harness.run_into ~log (config seed) (List.map (fun (s : Subjects.t) -> s.build ~bug) subjects);
-  log_digest log
+let composite = Workload.composite
+let full_log subjects ~bug seed = Workload.log (Workload.v ~config:(config seed) ~bug subjects)
+let run_subjects subjects ~bug seed = log_digest (full_log subjects ~bug seed)
 
 let seeds = List.init 8 (fun i -> i + 1)
 
@@ -331,20 +328,6 @@ let test_quick_matrix_pinned () =
 
 module Farm = Vyrd_pipeline.Farm
 
-let full_log subjects ~bug seed =
-  let log = Log.create ~level:`Full () in
-  Harness.run_into ~log (config seed) (List.map (fun (s : Subjects.t) -> s.build ~bug) subjects);
-  log
-
-let product subjects =
-  match subjects with
-  | [] -> assert false
-  | (s0 : Subjects.t) :: rest ->
-    List.fold_left
-      (fun (spec, view) (s : Subjects.t) ->
-        (Spec_compose.pair spec s.spec, Spec_compose.pair_views view s.view))
-      (s0.spec, s0.view) rest
-
 (* Feed [log] through a farm of [shards], checkpointing after a sixteenth,
    a third and two thirds of the stream; each checkpoint renders as the MD5 of
    its textual [Repr] (or "none" once a lane has convicted). *)
@@ -370,17 +353,12 @@ let checkpoint_digests shards log =
         (match Farm.min_fail_index r with Some i -> string_of_int i | None -> "-") ])
 
 let checkpoint_case seed ~bug =
-  let log = full_log composite ~bug seed in
-  let spec, view = product composite in
+  let w = Workload.v ~config:(config seed) ~bug composite in
+  let log = Workload.log w in
   digest_lines (fun emit ->
-      emit (checkpoint_digests [ Farm.shard ~mode:`Io "composite" spec ] log);
-      emit (checkpoint_digests [ Farm.shard ~mode:`View ~view "composite" spec ] log);
-      emit
-        (checkpoint_digests
-           (List.map
-              (fun (s : Subjects.t) -> Farm.shard ~mode:`View ~view:s.view s.name s.spec)
-              composite)
-           log))
+      emit (checkpoint_digests [ Workload.composite_shard w `Io ] log);
+      emit (checkpoint_digests [ Workload.composite_shard w `View ] log);
+      emit (checkpoint_digests (Workload.shards w `View) log))
 
 let render_stats (r : Report.t) idx =
   let s = r.Report.stats in
@@ -391,7 +369,7 @@ let render_stats (r : Report.t) idx =
        (List.map (fun (m, n) -> Printf.sprintf "%s:%d" m n) s.Report.per_method))
 
 let stats_case (name, subjects) ~bug () =
-  let spec, view = product subjects in
+  let spec, view = Workload.product (Workload.v subjects) in
   let invariants = List.concat_map (fun (s : Subjects.t) -> s.invariants) subjects in
   digest_lines (fun emit ->
       List.iter

@@ -57,7 +57,7 @@ let test_native_engine_run () =
      passing run of a correct subject *)
   let subject = Subjects.multiset_vector in
   let log =
-    Harness.run_native
+    Harness.run ~native:true
       { Harness.default with threads = 4; ops_per_thread = 20 }
       (subject.build ~bug:false)
   in

@@ -370,7 +370,7 @@ let test_scanning_lookup_is_weakly_consistent () =
      false answer is a refinement violation — correctly reported. *)
   assert_tag "weak scan flagged" "observer" (check_io log);
   (* The snapshot lookup of the shipped implementation cannot produce this
-     trace; a long random sweep stays clean (see dev/sweep.ml). *)
+     trace; the subject soak (dev/soak.exe) keeps it clean across seeds. *)
   for seed = 0 to 4 do
     let log = run_vector ~seed ~threads:6 ~ops:40 ~keys:4 () in
     assert_pass (Printf.sprintf "snapshot observers seed %d" seed) (check_io log)

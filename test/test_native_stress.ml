@@ -17,7 +17,7 @@ let test_all_subjects_native () =
         { Harness.default with threads = 4; ops_per_thread = 25; key_pool = 10;
           key_range = 16; seed = 11 }
       in
-      let log = Harness.run_native cfg (s.build ~bug:false) in
+      let log = Harness.run ~native:true cfg (s.build ~bug:false) in
       assert_pass
         (Printf.sprintf "%s native io" s.name)
         (Checker.check ~mode:`Io log s.spec);
@@ -36,7 +36,7 @@ let test_online_native () =
   in
   Vyrd_pipeline.Farm.attach online log;
   let cfg = { Harness.default with threads = 4; ops_per_thread = 25; seed = 3 } in
-  (* run_native builds its own log, so drive the engine directly *)
+  (* Harness.run builds its own log, so drive the engine directly *)
   ignore cfg;
   Vyrd_sched.Native.run (fun sched ->
       let ctx = Instrument.make sched log in
