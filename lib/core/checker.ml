@@ -20,37 +20,46 @@ type 'm slot = { s_name : string; s_meth : 'm; s_kind : Spec.kind; mutable s_cou
 
 module Names = Hashtbl.Make (String)
 
-(* One committed mutator execution waiting for its specification transition.
-   Transitions happen in commit order; [ret] arrives with the method's
-   return event. *)
-type 'm pending_commit = {
-  pc_tid : Tid.t;
-  pc_slot : 'm slot;
-  pc_args : Repr.t list;
-  mutable pc_ret : Repr.t option;
-  pc_view_i : Repr.t option;  (* viewI snapshot taken at the commit action *)
+(* One method execution, from its call to the verdict on it.  The one
+   record serves every role the execution plays: its thread's open call
+   until the return, a queued commit awaiting its specification transition
+   (transitions happen in commit order; [x_ret] arrives with the return
+   event) and, for an execution that returned without committing, a
+   pending observer whose eligible state ordinals are [x_start..x_end]
+   (Fig. 7), with [x_next] the next one to test. *)
+type 'm exec = {
+  x_tid : Tid.t;
+  x_slot : 'm slot;
+  x_args : Repr.t list;
+  x_start : int;  (* commits logged when the call was made *)
+  mutable x_committed : bool;
+  mutable x_returned : bool;
+  mutable x_ret : Repr.t;  (* the return value, once [x_returned] *)
+  mutable x_view_i : Repr.t option;  (* viewI snapshot taken at the commit action *)
+  mutable x_end : int;
+  mutable x_next : int;
 }
 
-(* An observer whose return value still awaits a matching spec state.
-   Eligible state ordinals are [o_start..o_end] (Fig. 7). *)
-type 'm pending_observer = {
-  o_tid : Tid.t;
-  o_slot : 'm slot;
-  o_args : Repr.t list;
-  o_ret : Repr.t;
-  o_start : int;
-  o_end : int;
-  mutable o_next : int;
-}
-
-type 'm open_exec = {
-  oe_slot : 'm slot;
-  oe_args : Repr.t list;
-  oe_start : int;  (* commits logged when the call was made *)
-  mutable oe_commit : 'm pending_commit option;
-}
+let exec tid slot args start =
+  { x_tid = tid; x_slot = slot; x_args = args; x_start = start; x_committed = false;
+    x_returned = false; x_ret = Repr.Unit; x_view_i = None; x_end = start;
+    x_next = start }
 
 type invariant = string * (View.lookup -> bool)
+
+let memo_size = 64
+let memo_probes = 4
+
+(* A memo slot from a name's length and three of its characters: cheap, and
+   spread enough that two hot names rarely share a slot. *)
+let memo_index mid =
+  let n = String.length mid in
+  if n < 2 then n
+  else
+    ((n * 31) + (Char.code (String.unsafe_get mid 0) * 7)
+     + (Char.code (String.unsafe_get mid 1) * 3)
+     + Char.code (String.unsafe_get mid (n - 1)))
+    land (memo_size - 1)
 
 (* Reports name the execution; the record is built only for a verdict. *)
 let exec_of tid slot args ret : Report.exec =
@@ -86,7 +95,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
      first call and found here by every later one.  Unknown names are not
      kept, so they raise at every resolution. *)
   let methods : Sp.meth slot Names.t = Names.create 16 in
-  let slot_of mid =
+  let resolve_name mid =
     match Names.find methods mid with
     | slot -> slot
     | exception Not_found ->
@@ -95,9 +104,41 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
       Names.add methods mid slot;
       slot
   in
-  let open_execs : Sp.meth open_exec Tid.Tbl.t = Tid.Tbl.create 16 in
-  let pending_commits : Sp.meth pending_commit Queue.t = Queue.create () in
-  let pending_observers : Sp.meth pending_observer Vec.t = Vec.create () in
+  (* Names arrive physically shared — decoders intern them and instrumented
+     programs pass literals — so a memo of the strings already resolved,
+     compared with [==], answers a call without hashing the name.  The memo
+     is open-addressed over a few slots from [memo_index]; a name that finds
+     them all taken by other strings (or by other copies of itself) goes to
+     the table. *)
+  let memo = Array.make memo_size None in
+  let rec probe mid h k =
+    if k = memo_probes then resolve_name mid
+    else
+      match Array.unsafe_get memo h with
+      | Some (name, slot) when name == mid -> slot
+      | Some _ -> probe mid ((h + 1) land (memo_size - 1)) (k + 1)
+      | None ->
+        let slot = resolve_name mid in
+        Array.unsafe_set memo h (Some (mid, slot));
+        slot
+  in
+  let slot_of mid = probe mid (memo_index mid) 0 in
+
+  (* [execs] maps a thread to a cell holding its latest execution, which is
+     its open call unless it has returned; the cell is overwritten at the
+     next call.  [calls] holds executions in call order, returned ones dropped
+     from the front; [commits] holds committed executions in commit order
+     until their transitions resolve; [observers] holds executions that
+     returned without committing and still wait for a matching state. *)
+  let execs : Sp.meth exec ref Tid.Tbl.t = Tid.Tbl.create 16 in
+  let calls : Sp.meth exec Vec.t = Vec.create () in
+  let commits : Sp.meth exec Vec.t = Vec.create () in
+  let observers : Sp.meth exec Vec.t = Vec.create () in
+  (* [tid]'s open execution; raises [Not_found] when it has none *)
+  let open_exec tid =
+    let x = !(Tid.Tbl.find execs tid) in
+    if x.x_returned then raise_notrace Not_found else x
+  in
   let commits_logged = ref 0 in
   let commits_resolved = ref 0 in
   let events_processed = ref 0 in
@@ -113,58 +154,56 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
 
   (* Advance one pending observer as far as current resolution allows;
      true when it reached a verdict and should be dropped. *)
-  let step_observer o =
-    let limit = Int.min !commits_resolved o.o_end in
-    let rec go () =
-      if o.o_next > o.o_end then begin
-        fail
-          (Report.Observer_violation
-             { exec = exec_of o.o_tid o.o_slot o.o_args (Some o.o_ret);
-               window = (o.o_start, o.o_end) });
-        true
-      end
-      else if o.o_next > limit then false (* wait for more resolutions *)
-      else if
-        Sp.observe (state_at o.o_next) ~mid:o.o_slot.s_meth ~args:o.o_args ~ret:o.o_ret
-      then begin
-        count_method o.o_slot;
-        true
-      end
-      else begin
-        o.o_next <- o.o_next + 1;
-        go ()
-      end
-    in
-    go ()
+  let rec step_observer o =
+    if o.x_next > o.x_end then begin
+      fail
+        (Report.Observer_violation
+           { exec = exec_of o.x_tid o.x_slot o.x_args (Some o.x_ret);
+             window = (o.x_start, o.x_end) });
+      true
+    end
+    else if o.x_next > !commits_resolved then false (* wait for more resolutions *)
+    else if Sp.observe (state_at o.x_next) ~mid:o.x_slot.s_meth ~args:o.x_args ~ret:o.x_ret
+    then begin
+      count_method o.x_slot;
+      true
+    end
+    else begin
+      o.x_next <- o.x_next + 1;
+      step_observer o
+    end
   in
   let prune_states () =
     (* keep from the lowest index any live observer may still test — either
        a pending observer's cursor or the window start of an execution that
        has not returned yet; the current state is always retained.  Only a
        return can raise that index (it closes an execution, resolves
-       commits and retires observers), so [on_return] calls this last. *)
+       commits and retires observers), so [on_return] calls this last.
+       Window starts grow in call order, so the lowest start of an open
+       execution is the oldest open call's: returned calls leave the front
+       of [calls] here, each once. *)
+    let closed = ref 0 in
+    while !closed < Vec.length calls && (Vec.get calls !closed).x_returned do
+      incr closed
+    done;
+    if !closed > 0 then Vec.drop_prefix calls !closed;
     if !state_base < !commits_resolved then begin
-      let lowest =
-        Vec.fold_left
-          (fun acc o -> if o.o_next < acc then o.o_next else acc)
-          !commits_resolved pending_observers
-      in
-      let lowest =
-        Tid.Tbl.fold
-          (fun _ oe acc -> if oe.oe_start < acc then oe.oe_start else acc)
-          open_execs lowest
-      in
-      if lowest > !state_base then begin
-        Vec.drop_prefix state_window (lowest - !state_base);
-        state_base := lowest
+      let lowest = ref !commits_resolved in
+      for i = 0 to Vec.length observers - 1 do
+        let next = (Vec.get observers i).x_next in
+        if next < !lowest then lowest := next
+      done;
+      if Vec.length calls > 0 then lowest := Int.min !lowest (Vec.get calls 0).x_start;
+      if !lowest > !state_base then begin
+        Vec.drop_prefix state_window (!lowest - !state_base);
+        state_base := !lowest
       end
     end
   in
   let advance_observers () =
     let i = ref 0 in
-    while clean () && !i < Vec.length pending_observers do
-      if step_observer (Vec.get pending_observers !i) then
-        ignore (Vec.swap_remove pending_observers !i)
+    while clean () && !i < Vec.length observers do
+      if step_observer (Vec.get observers !i) then ignore (Vec.swap_remove observers !i)
       else incr i
     done
   in
@@ -172,74 +211,80 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
   (* Resolve specification transitions for committed executions whose return
      value has arrived, in commit order. *)
   let rec resolve () =
-    match !violation with
-    | Some _ -> ()
-    | None when Queue.is_empty pending_commits -> ()
-    | None -> (
-      let pc = Queue.peek pending_commits in
-      match pc.pc_ret with
-      | None -> ()
-      | Some ret -> (
-        ignore (Queue.pop pending_commits);
+    if clean () && Vec.length commits > 0 then begin
+      let x = Vec.get commits 0 in
+      if x.x_returned then begin
+        Vec.drop_prefix commits 1;
         let ordinal = !commits_resolved + 1 in
         let cur = state_at !commits_resolved in
-        match Sp.apply cur ~mid:pc.pc_slot.s_meth ~args:pc.pc_args ~ret with
+        match Sp.apply cur ~mid:x.x_slot.s_meth ~args:x.x_args ~ret:x.x_ret with
         | Error reason ->
           fail
             (Report.Io_violation
-               { exec = exec_of pc.pc_tid pc.pc_slot pc.pc_args pc.pc_ret;
+               { exec = exec_of x.x_tid x.x_slot x.x_args (Some x.x_ret);
                  commit_ordinal = ordinal; reason })
         | Ok next ->
           push_state (Sp.snapshot next);
           commits_resolved := ordinal;
-          (match pc.pc_view_i with
+          (match x.x_view_i with
           | Some view_i ->
             let view_s = Sp.view next in
             if not (Repr.equal view_i view_s) then
               fail
                 (Report.View_violation
-                   { exec = exec_of pc.pc_tid pc.pc_slot pc.pc_args pc.pc_ret;
+                   { exec = exec_of x.x_tid x.x_slot x.x_args (Some x.x_ret);
                      commit_ordinal = ordinal; view_i; view_s })
           | None -> ());
           if clean () then begin
-            count_method pc.pc_slot;
+            count_method x.x_slot;
             advance_observers ();
             resolve ()
-          end))
+          end
+      end
+    end
   in
 
+  (* a new execution; raises [Invalid_argument] for an unknown method *)
+  let start tid mid args =
+    let x = exec tid (slot_of mid) args !commits_logged in
+    Vec.push calls x;
+    x
+  in
   let on_call ev tid mid args =
-    if Tid.Tbl.mem open_execs tid then
+    match Tid.Tbl.find execs tid with
+    | { contents = x } when not x.x_returned ->
       ill_formed ~event:ev
         (Printf.sprintf "%s called %s while %s is still executing"
-           (Tid.to_string tid) mid (Tid.Tbl.find open_execs tid).oe_slot.s_name)
-    else
-      match slot_of mid with
-      | slot ->
-        Tid.Tbl.add open_execs tid
-          { oe_slot = slot; oe_args = args; oe_start = !commits_logged; oe_commit = None }
-      | exception Invalid_argument m -> ill_formed ~event:ev m
+           (Tid.to_string tid) mid x.x_slot.s_name)
+    | cur -> (
+      match start tid mid args with
+      | x -> cur := x
+      | exception Invalid_argument m -> ill_formed ~event:ev m)
+    | exception Not_found -> (
+      match start tid mid args with
+      | x -> Tid.Tbl.add execs tid (ref x)
+      | exception Invalid_argument m -> ill_formed ~event:ev m)
   in
 
   let on_commit ev tid =
-    match Tid.Tbl.find open_execs tid with
+    match open_exec tid with
     | exception Not_found ->
       ill_formed ~event:ev
         (Tid.to_string tid ^ " committed outside any method execution")
-    | oe -> (
-      match (oe.oe_slot.s_kind, oe.oe_commit) with
+    | x -> (
+      match (x.x_slot.s_kind, x.x_committed) with
       | Spec.Observer, _ ->
         ill_formed ~event:ev
-          (Printf.sprintf "observer %s carries a commit annotation" oe.oe_slot.s_name)
-      | (Spec.Mutator | Spec.Internal), Some _ ->
+          (Printf.sprintf "observer %s carries a commit annotation" x.x_slot.s_name)
+      | (Spec.Mutator | Spec.Internal), true ->
         ill_formed ~event:ev
           (Printf.sprintf "%s has two commit actions in one execution of %s"
-             (Tid.to_string tid) oe.oe_slot.s_name)
-      | (Spec.Mutator | Spec.Internal), None ->
+             (Tid.to_string tid) x.x_slot.s_name)
+      | (Spec.Mutator | Spec.Internal), false ->
         Replay.commit replay tid;
-        let view_i =
-          match view_eval with Some e -> Some (View.recompute e replay) | None -> None
-        in
+        (match view_eval with
+        | Some e -> x.x_view_i <- Some (View.recompute e replay)
+        | None -> ());
         (match invariants with
         | [] -> ()
         | _ -> (
@@ -247,44 +292,36 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
           | Some (name, _) ->
             fail
               (Report.Invariant_violation
-                 { exec = exec_of tid oe.oe_slot oe.oe_args None;
+                 { exec = exec_of tid x.x_slot x.x_args None;
                    commit_ordinal = !commits_logged + 1;
                    invariant = name })
           | None -> ()));
         incr commits_logged;
-        let pc =
-          { pc_tid = tid; pc_slot = oe.oe_slot; pc_args = oe.oe_args; pc_ret = None;
-            pc_view_i = view_i }
-        in
-        Queue.push pc pending_commits;
-        oe.oe_commit <- Some pc)
+        x.x_committed <- true;
+        Vec.push commits x)
   in
 
   let on_return ev tid mid value =
-    match Tid.Tbl.find open_execs tid with
+    match open_exec tid with
     | exception Not_found ->
       ill_formed ~event:ev (Tid.to_string tid ^ " returned from " ^ mid ^ " without a call")
-    | oe when not (String.equal oe.oe_slot.s_name mid) ->
+    | x when not (String.equal x.x_slot.s_name mid) ->
       ill_formed ~event:ev
         (Printf.sprintf "%s returned from %s while executing %s" (Tid.to_string tid)
-           mid oe.oe_slot.s_name)
-    | oe ->
-      Tid.Tbl.remove open_execs tid;
-      (match (oe.oe_slot.s_kind, oe.oe_commit) with
-      | (Spec.Mutator | Spec.Internal), Some pc ->
-        pc.pc_ret <- Some value;
-        resolve ()
-      | (Spec.Mutator | Spec.Internal), None | Spec.Observer, _ ->
+           mid x.x_slot.s_name)
+    | x ->
+      x.x_returned <- true;
+      x.x_ret <- value;
+      (match (x.x_slot.s_kind, x.x_committed) with
+      | (Spec.Mutator | Spec.Internal), true -> resolve ()
+      | (Spec.Mutator | Spec.Internal), false | Spec.Observer, _ ->
         (* An execution that never committed performed no transition: it is
            checked like an observer (window semantics).  The specification's
            [observe] rejects return values that would have required a
            mutation, so a genuinely missing commit annotation still
            surfaces as a violation. *)
-        let o =
-          { o_tid = tid; o_slot = oe.oe_slot; o_args = oe.oe_args; o_ret = value;
-            o_start = oe.oe_start; o_end = !commits_logged; o_next = oe.oe_start }
-        in
-        if not (step_observer o) then Vec.push pending_observers o);
+        x.x_end <- !commits_logged;
+        if not (step_observer x) then Vec.push observers x);
       prune_states ()
   in
 
@@ -311,7 +348,7 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
      ([commits_logged]/[commits_resolved]), the retained specification-state
      window with its base ordinal, the commit queue, still-open method
      executions, pending observers (an observer whose call straddles the
-     checkpoint keeps its whole [o_start..o_end] window, §4.3), the shadow
+     checkpoint keeps its whole [x_start..x_end] window, §4.3), the shadow
      replay including open commit blocks, and the statistics.  The keyed
      view cache is NOT serialized: restore resets it and the replay restore
      marks every variable dirty, so the first recomputation rebuilds it. *)
@@ -349,34 +386,31 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
       with
       | exception Exit -> None (* the specification does not checkpoint *)
       | states ->
-        let enc_pc pc =
+        let enc_pc x =
           Repr.List
-            [ Repr.Int pc.pc_tid; Repr.Str pc.pc_slot.s_name; Repr.List pc.pc_args;
-              Repr.Int (kind_code pc.pc_slot.s_kind); Ckpt.of_opt pc.pc_ret;
-              Ckpt.of_opt pc.pc_view_i ]
+            [ Repr.Int x.x_tid; Repr.Str x.x_slot.s_name; Repr.List x.x_args;
+              Repr.Int (kind_code x.x_slot.s_kind);
+              Ckpt.of_opt (if x.x_returned then Some x.x_ret else None);
+              Ckpt.of_opt x.x_view_i ]
         in
-        let pcs =
-          List.rev (Queue.fold (fun acc pc -> enc_pc pc :: acc) [] pending_commits)
-        in
+        let pcs = List.map enc_pc (Vec.to_list commits) in
         let oes =
-          Tid.Tbl.fold (fun tid oe acc -> (tid, oe) :: acc) open_execs []
+          Tid.Tbl.fold (fun tid x acc -> if !x.x_returned then acc else (tid, !x) :: acc) execs []
           |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-          |> List.map (fun (tid, oe) ->
+          |> List.map (fun (tid, x) ->
                  Repr.List
-                   [ Repr.Int tid; Repr.Str oe.oe_slot.s_name; Repr.List oe.oe_args;
-                     Repr.Int (kind_code oe.oe_slot.s_kind); Repr.Int oe.oe_start;
-                     Repr.Bool (Option.is_some oe.oe_commit) ])
+                   [ Repr.Int tid; Repr.Str x.x_slot.s_name; Repr.List x.x_args;
+                     Repr.Int (kind_code x.x_slot.s_kind); Repr.Int x.x_start;
+                     Repr.Bool x.x_committed ])
         in
         let obs =
-          List.rev
-            (Vec.fold_left
-               (fun acc o ->
-                 Repr.List
-                   [ Repr.Int o.o_tid; Repr.Str o.o_slot.s_name; Repr.List o.o_args;
-                     Ckpt.of_opt (Some o.o_ret); Repr.Int o.o_start; Repr.Int o.o_end;
-                     Repr.Int o.o_next ]
-                 :: acc)
-               [] pending_observers)
+          List.map
+            (fun o ->
+              Repr.List
+                [ Repr.Int o.x_tid; Repr.Str o.x_slot.s_name; Repr.List o.x_args;
+                  Ckpt.of_opt (Some o.x_ret); Repr.Int o.x_start; Repr.Int o.x_end;
+                  Repr.Int o.x_next ])
+            (Vec.to_list observers)
         in
         let pm =
           List.map (fun (mid, n) -> Repr.Pair (Repr.Str mid, Repr.Int n)) (per_method ())
@@ -415,21 +449,28 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
       let dec_pc r =
         match Ckpt.list r with
         | [ tid; mid; args; kind; ret; view_i ] ->
-          { pc_tid = Ckpt.int tid; pc_slot = slot_in mid ~kind; pc_args = Ckpt.list args;
-            pc_ret = Ckpt.opt ret; pc_view_i = Ckpt.opt view_i }
+          let x = exec (Ckpt.int tid) (slot_in mid ~kind) (Ckpt.list args) 0 in
+          x.x_committed <- true;
+          (match Ckpt.opt ret with
+          | Some v ->
+            x.x_returned <- true;
+            x.x_ret <- v
+          | None -> ());
+          x.x_view_i <- Ckpt.opt view_i;
+          x
         | _ -> Ckpt.malformed "checker snapshot: bad pending commit"
       in
       let pcs = List.map dec_pc (Ckpt.list pcs) in
       (* a pending commit whose return has not arrived belongs to exactly
-         one still-open execution of the same thread: re-link the alias *)
+         one still-open execution of the same thread: one record plays both *)
       let pc_by_tid = Tid.Tbl.create 8 in
       List.iter
-        (fun pc ->
-          if Option.is_none pc.pc_ret then begin
-            if Tid.Tbl.mem pc_by_tid pc.pc_tid then
+        (fun x ->
+          if not x.x_returned then begin
+            if Tid.Tbl.mem pc_by_tid x.x_tid then
               Ckpt.malformed "checker snapshot: two open commits on %s"
-                (Tid.to_string pc.pc_tid);
-            Tid.Tbl.replace pc_by_tid pc.pc_tid pc
+                (Tid.to_string x.x_tid);
+            Tid.Tbl.replace pc_by_tid x.x_tid x
           end)
         pcs;
       let dec_oe r =
@@ -440,21 +481,26 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
           if start < sb then
             Ckpt.malformed "checker snapshot: execution window start %d below base %d"
               start sb;
-          let commit =
-            if Ckpt.bool has_commit then (
-              match Tid.Tbl.find_opt pc_by_tid tid with
-              | Some pc -> Some pc
-              | None ->
-                Ckpt.malformed "checker snapshot: open execution on %s has no commit"
-                  (Tid.to_string tid))
-            else None
-          in
-          ( tid,
-            { oe_slot = slot_in mid ~kind; oe_args = Ckpt.list args; oe_start = start;
-              oe_commit = commit } )
+          let slot = slot_in mid ~kind in
+          if Ckpt.bool has_commit then (
+            match Tid.Tbl.find_opt pc_by_tid tid with
+            | Some pc when pc.x_slot == slot ->
+              let x = { pc with x_start = start } in
+              Tid.Tbl.replace pc_by_tid tid x;
+              x
+            | Some _ ->
+              Ckpt.malformed "checker snapshot: open execution on %s commits another method"
+                (Tid.to_string tid)
+            | None ->
+              Ckpt.malformed "checker snapshot: open execution on %s has no commit"
+                (Tid.to_string tid))
+          else exec tid slot (Ckpt.list args) start
         | _ -> Ckpt.malformed "checker snapshot: bad open execution"
       in
       let oes = List.map dec_oe (Ckpt.list oes) in
+      let pcs =
+        List.map (fun x -> if x.x_returned then x else Tid.Tbl.find pc_by_tid x.x_tid) pcs
+      in
       let dec_ob r =
         match Ckpt.list r with
         | [ tid; mid; args; ret; start; end_; next ] ->
@@ -463,11 +509,12 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
             | Some v -> v
             | None -> Ckpt.malformed "checker snapshot: observer without return value"
           in
-          let o =
-            { o_tid = Ckpt.int tid; o_slot = slot_in mid; o_args = Ckpt.list args; o_ret = ret;
-              o_start = Ckpt.int start; o_end = Ckpt.int end_; o_next = Ckpt.int next }
-          in
-          if o.o_next < sb || o.o_next < o.o_start || o.o_end > cl then
+          let o = exec (Ckpt.int tid) (slot_in mid) (Ckpt.list args) (Ckpt.int start) in
+          o.x_returned <- true;
+          o.x_ret <- ret;
+          o.x_end <- Ckpt.int end_;
+          o.x_next <- Ckpt.int next;
+          if o.x_next < sb || o.x_next < o.x_start || o.x_end > cl then
             Ckpt.malformed "checker snapshot: observer window outside retained states";
           o
         | _ -> Ckpt.malformed "checker snapshot: bad pending observer"
@@ -490,12 +537,16 @@ let create ?(mode = `Io) ?view ?(invariants = []) (spec : Spec.t) : t =
       state_base := sb;
       Vec.clear state_window;
       List.iter (Vec.push state_window) states;
-      Queue.clear pending_commits;
-      List.iter (fun pc -> Queue.push pc pending_commits) pcs;
-      Tid.Tbl.reset open_execs;
-      List.iter (fun (tid, oe) -> Tid.Tbl.replace open_execs tid oe) oes;
-      Vec.clear pending_observers;
-      List.iter (Vec.push pending_observers) obs;
+      Vec.clear commits;
+      List.iter (Vec.push commits) pcs;
+      Tid.Tbl.reset execs;
+      List.iter (fun x -> Tid.Tbl.replace execs x.x_tid (ref x)) oes;
+      Vec.clear calls;
+      Tid.Tbl.fold (fun _ x acc -> !x :: acc) execs []
+      |> List.sort (fun a b -> Int.compare a.x_start b.x_start)
+      |> List.iter (Vec.push calls);
+      Vec.clear observers;
+      List.iter (Vec.push observers) obs;
       (* the restored replay reports every reader bit stale, so the view
          evaluator recomputes all its components at the next commit *)
       Replay.restore replay rp

@@ -30,10 +30,14 @@ let publish t var v =
     t.stale <- t.stale lor c.readers
   | exception Not_found -> Vars.add t.visible var { value = Some v; readers = 0 }
 
+(* Most writes and commits happen outside any commit block, so [write] and
+   [commit] test membership before a [find], which would raise on a miss. *)
 let write t tid var v =
-  match Tid.Tbl.find t.blocks tid with
-  | b when not b.published -> Vec.push b.buffered (var, v)
-  | _ | (exception Not_found) -> publish t var v
+  if Tid.Tbl.mem t.blocks tid then begin
+    let b = Tid.Tbl.find t.blocks tid in
+    if b.published then publish t var v else Vec.push b.buffered (var, v)
+  end
+  else publish t var v
 
 let block_begin t tid =
   if Tid.Tbl.mem t.blocks tid then
@@ -46,9 +50,10 @@ let drain t b =
   b.published <- true
 
 let commit t tid =
-  match Tid.Tbl.find t.blocks tid with
-  | b when not b.published -> drain t b
-  | _ | (exception Not_found) -> ()
+  if Tid.Tbl.mem t.blocks tid then begin
+    let b = Tid.Tbl.find t.blocks tid in
+    if not b.published then drain t b
+  end
 
 let block_end t tid =
   match Tid.Tbl.find t.blocks tid with

@@ -205,13 +205,14 @@ let viewdef ~capacity : View.t =
 let unsafe_contents t =
   List.init (Cell.peek t.count) (fun i -> Cell.peek t.elems.(i))
 
-(* Specification: the sequence of elements. ------------------------------ *)
+(* Specification: the sequence of elements, as an immutable array — a
+   transition copies it once, and observers read it in place. *)
 
 module S = struct
-  type state = int list
+  type state = int array
 
   let name = "vector"
-  let init () = []
+  let init () = [||]
 
   let kind = function
     | "add" | "remove_last" | "insert_at" | "remove_at" | "set" | "clear" ->
@@ -225,82 +226,94 @@ module S = struct
 
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt
 
+  (* [st] with [x] inserted before index [i] *)
+  let insert st i x =
+    let len = Array.length st in
+    let st' = Array.make (len + 1) x in
+    Array.blit st 0 st' 0 i;
+    Array.blit st i st' (i + 1) (len - i);
+    st'
+
+  let remove st i =
+    let len = Array.length st in
+    let st' = Array.sub st 0 (len - 1) in
+    Array.blit st (i + 1) st' i (len - i - 1);
+    st'
+
+  let in_bounds st i = i >= 0 && i < Array.length st
+
   let apply st ~mid ~args ~ret =
     match (mid, args, ret) with
-    | "add", [ Repr.Int x ], ret when Repr.is_success ret -> Ok (st @ [ x ])
+    | "add", [ Repr.Int x ], ret when Repr.is_success ret ->
+      Ok (insert st (Array.length st) x)
     | "add", [ Repr.Int _ ], ret when Repr.equal ret Repr.failure -> Ok st
-    | "remove_last", [], Repr.Bool true -> (
-      match List.rev st with
-      | _ :: rest -> Ok (List.rev rest)
-      | [] -> bad "remove_last returned true on an empty vector")
+    | "remove_last", [], Repr.Bool true ->
+      if Array.length st > 0 then Ok (remove st (Array.length st - 1))
+      else bad "remove_last returned true on an empty vector"
     | "remove_last", [], Repr.Bool false ->
-      if st = [] then Ok st else bad "remove_last returned false on a non-empty vector"
+      if Array.length st = 0 then Ok st
+      else bad "remove_last returned false on a non-empty vector"
     | "insert_at", [ Repr.Int i; Repr.Int x ], ret when Repr.is_success ret ->
-      let len = List.length st in
-      if i < 0 || i > len then bad "insert_at(%d) succeeded out of bounds" i
-      else
-        Ok (List.filteri (fun j _ -> j < i) st @ [ x ] @ List.filteri (fun j _ -> j >= i) st)
+      if i < 0 || i > Array.length st then bad "insert_at(%d) succeeded out of bounds" i
+      else Ok (insert st i x)
     | "insert_at", _, ret when Repr.equal ret Repr.failure -> Ok st
     | "remove_at", [ Repr.Int i ], Repr.Bool true ->
-      if i >= 0 && i < List.length st then Ok (List.filteri (fun j _ -> j <> i) st)
+      if in_bounds st i then Ok (remove st i)
       else bad "remove_at(%d) returned true out of bounds" i
     | "remove_at", [ Repr.Int i ], Repr.Bool false ->
-      if i < 0 || i >= List.length st then Ok st
+      if not (in_bounds st i) then Ok st
       else bad "remove_at(%d) returned false in bounds" i
     | "set", [ Repr.Int i; Repr.Int x ], Repr.Bool true ->
-      if i >= 0 && i < List.length st then
-        Ok (List.mapi (fun j v -> if j = i then x else v) st)
+      if in_bounds st i then begin
+        let st' = Array.copy st in
+        st'.(i) <- x;
+        Ok st'
+      end
       else bad "set(%d) returned true out of bounds" i
     | "set", [ Repr.Int i; Repr.Int _ ], Repr.Bool false ->
-      if i < 0 || i >= List.length st then Ok st
+      if not (in_bounds st i) then Ok st
       else bad "set(%d) returned false in bounds" i
-    | "clear", [], Repr.Unit -> Ok []
+    | "clear", [], Repr.Unit -> Ok [||]
     | mid, _, _ -> bad "no %s transition matches the observed arguments/return" mid
 
+  (* the lowest (highest) index of [x] from [i] upwards (downwards), or -1 *)
+  let rec first st x i =
+    if i >= Array.length st then -1 else if st.(i) = x then i else first st x (i + 1)
+
+  let rec last st x i = if i < 0 then -1 else if st.(i) = x then i else last st x (i - 1)
+
   let observe st ~mid ~args ~ret =
-    let len = List.length st in
+    let len = Array.length st in
     match (mid, args, ret) with
     | "size", [], Repr.Int n -> n = len
-    | "get", [ Repr.Int i ], Repr.Int v -> i >= 0 && i < len && List.nth st i = v
-    | "get", [ Repr.Int i ], Repr.Str "out_of_bounds" -> i < 0 || i >= len
-    | "contains", [ Repr.Int x ], Repr.Bool b -> b = List.mem x st
-    | "last_index_of", [ Repr.Int x ], Repr.Int r ->
-      let last =
-        List.fold_left
-          (fun (i, acc) v -> (i + 1, if v = x then i else acc))
-          (0, -1) st
-        |> snd
-      in
-      r = last
+    | "get", [ Repr.Int i ], Repr.Int v -> in_bounds st i && st.(i) = v
+    | "get", [ Repr.Int i ], Repr.Str "out_of_bounds" -> not (in_bounds st i)
+    | "contains", [ Repr.Int x ], Repr.Bool b -> b = (first st x 0 >= 0)
+    | "last_index_of", [ Repr.Int x ], Repr.Int r -> r = last st x (len - 1)
     | "is_empty", [], Repr.Bool b -> b = (len = 0)
-    | "index_of", [ Repr.Int x ], Repr.Int r ->
-      let rec first i = function
-        | [] -> -1
-        | v :: _ when v = x -> i
-        | _ :: rest -> first (i + 1) rest
-      in
-      r = first 0 st
+    | "index_of", [ Repr.Int x ], Repr.Int r -> r = first st x 0
     (* non-committing mutator executions *)
     | "add", _, ret -> Repr.equal ret Repr.failure
     | "remove_last", [], Repr.Bool false -> len = 0
     (* insert_at may also fail on a full vector, which the specification
        cannot observe, so any failure is admissible *)
     | "insert_at", _, ret -> Repr.equal ret Repr.failure
-    | "remove_at", [ Repr.Int i ], Repr.Bool false -> i < 0 || i >= len
-    | "set", [ Repr.Int i; _ ], Repr.Bool false -> i < 0 || i >= len
+    | "remove_at", [ Repr.Int i ], Repr.Bool false -> not (in_bounds st i)
+    | "set", [ Repr.Int i; _ ], Repr.Bool false -> not (in_bounds st i)
     | _ -> false
 
-  let view st = Repr.List (List.map Repr.int st)
+  let view st = Repr.List (Array.fold_right (fun x acc -> Repr.int x :: acc) st [])
   let snapshot st = st
   let save st = Some (view st)
 
   let load = function
     | Repr.List xs ->
-      List.map
-        (function
-          | Repr.Int x -> x
-          | v -> invalid_arg ("vector spec: bad saved element " ^ Repr.to_string v))
-        xs
+      Array.of_list
+        (List.map
+           (function
+             | Repr.Int x -> x
+             | v -> invalid_arg ("vector spec: bad saved element " ^ Repr.to_string v))
+           xs)
     | v -> invalid_arg ("vector spec: bad saved state " ^ Repr.to_string v)
 end
 

@@ -52,7 +52,7 @@ val last_index_of : t -> int -> int
 
 val viewdef : capacity:int -> Vyrd.View.t
 
-(** The sequence specification: state is the list of elements in order. *)
+(** The sequence specification: state is the array of elements in order. *)
 val spec : Vyrd.Spec.t
 
 val unsafe_contents : t -> int list

@@ -138,6 +138,7 @@ type t = {
   current : int Tid.Tbl.t;  (* thread -> lane of its open call, or [no_call] *)
   mutable fed : int;
   mutable fed_unsynced : int;  (* events not yet folded into [m_events] *)
+  mutable commits_unsynced : int;  (* commits not yet folded into [m_commits] *)
   metrics : Metrics.t;
   m_events : Metrics.counter;
   m_commits : Metrics.counter;
@@ -349,6 +350,7 @@ let start ?(capacity = 4096) ?metrics ?restore ?(passes = []) ~level shards =
       current = Tid.Tbl.create 16;
       fed = (match restore with Some (fed, _, _) -> fed | None -> 0);
       fed_unsynced = 0;
+      commits_unsynced = 0;
       metrics;
       m_events = Metrics.counter metrics "farm.events_fed";
       m_commits = Metrics.counter metrics "farm.commits";
@@ -367,23 +369,26 @@ let start ?(capacity = 4096) ?metrics ?restore ?(passes = []) ~level shards =
    Spec_compose routing.  Each known name is resolved once and remembered,
    because a [meth] probe costs an exception on every miss.  Unknown names
    go to lane 0, whose checker reports the ill-formed log; they are not
-   remembered, so the table holds only names some specification knows. *)
+   remembered, so the table holds only names some specification knows.
+   With one shard every name goes to lane 0, so nothing is looked up. *)
 let owner t mid =
-  match Owners.find t.owners mid with
-  | i -> i
-  | exception Not_found ->
-    let n = Array.length t.shards in
-    let rec probe i =
-      if i >= n then 0
-      else
-        let module S = (val t.shards.(i).sh_spec : Spec.S) in
-        match S.meth mid with
-        | (_ : S.meth) ->
-          Owners.add t.owners mid i;
-          i
-        | exception Invalid_argument _ -> probe (i + 1)
-    in
-    probe 0
+  let n = Array.length t.shards in
+  if n = 1 then 0
+  else
+    match Owners.find t.owners mid with
+    | i -> i
+    | exception Not_found ->
+      let rec probe i =
+        if i >= n then 0
+        else
+          let module S = (val t.shards.(i).sh_spec : Spec.S) in
+          match S.meth mid with
+          | (_ : S.meth) ->
+            Owners.add t.owners mid i;
+            i
+          | exception Invalid_argument _ -> probe (i + 1)
+      in
+      probe 0
 
 let flush_lane l =
   if l.l_pending > 0 then begin
@@ -391,22 +396,33 @@ let flush_lane l =
     l.l_pending <- 0
   end
 
-let flush t =
-  Array.iter flush_lane t.lanes;
-  Option.iter flush_lane t.analysis;
+(* Fold the counts routed since the last sync into the registry. *)
+let sync_counters t =
   if t.fed_unsynced > 0 then begin
     Metrics.add t.m_events t.fed_unsynced;
     t.fed_unsynced <- 0
+  end;
+  if t.commits_unsynced > 0 then begin
+    Metrics.add t.m_commits t.commits_unsynced;
+    t.commits_unsynced <- 0
   end
+
+let flush t =
+  Array.iter flush_lane t.lanes;
+  Option.iter flush_lane t.analysis;
+  sync_counters t
 
 let push l m =
   l.l_buf.(l.l_pending) <- m;
   l.l_pending <- l.l_pending + 1;
   if l.l_pending = Array.length l.l_buf then flush_lane l
 
-(* The lane of [tid]'s open call, or [no_call]. *)
+(* The lane of [tid]'s open call, or [no_call].  With one lane every event
+   goes to lane 0 whatever the answer, so there is nothing to look up;
+   [current] is still kept, for checkpoints. *)
 let open_call t tid =
-  match Tid.Tbl.find t.current tid with i -> i | exception Not_found -> no_call
+  if Array.length t.lanes = 1 then 0
+  else match Tid.Tbl.find t.current tid with i -> i | exception Not_found -> no_call
 
 (* The one box of event [idx], shared by every lane it goes to: the
    analysis lane, which sees the whole stream in feed order, gets it here. *)
@@ -421,12 +437,10 @@ let feed t ev =
   | None -> ());
   let idx = t.fed in
   t.fed <- idx + 1;
-  (* the events-fed counter is synced in slices, like the rings *)
+  (* the events-fed and commit counters are synced in slices, like the
+     rings *)
   t.fed_unsynced <- t.fed_unsynced + 1;
-  if t.fed_unsynced >= route_batch then begin
-    Metrics.add t.m_events t.fed_unsynced;
-    t.fed_unsynced <- 0
-  end;
+  if t.fed_unsynced >= route_batch then sync_counters t;
   match ev with
   | Event.Call { tid; mid; _ } ->
     let i = owner t mid in
@@ -437,7 +451,7 @@ let feed t ev =
     Tid.Tbl.replace t.current tid no_call;
     push t.lanes.(if i = no_call then owner t mid else i) (boxed t idx ev)
   | Event.Commit { tid } ->
-    Metrics.incr t.m_commits;
+    t.commits_unsynced <- t.commits_unsynced + 1;
     let i = open_call t tid in
     (* commit outside any execution: lane 0's checker reports it *)
     push t.lanes.(if i = no_call then 0 else i) (boxed t idx ev)

@@ -917,6 +917,87 @@ let test_cli_flag_surface () =
         flags)
     surfaces
 
+(* The retention rule, read back from snapshots of random composite runs:
+   a checker keeps exactly the specification states from the lowest index
+   something live may still test — the resolved-commit cursor, a pending
+   observer's next index or an open execution's window start — so a
+   snapshot's [state_base] is the minimum of those values, all of them
+   found in the snapshot itself.  Restoring the snapshot and feeding the
+   rest of the log ends with the straight run's outcome, first-violation
+   index and statistics.  Logs at [`Io] and [`View], with and without the
+   subjects' bugs, each cut at three seeded positions before its first
+   violation. *)
+let window_rule_and_resume =
+  let open QCheck2.Gen in
+  let gen =
+    tup4 (int_range 1 100_000) (oneofl [ `Io; `View ]) bool
+      (triple (float_bound_inclusive 1.) (float_bound_inclusive 1.)
+         (float_bound_inclusive 1.))
+  in
+  let print (seed, level, bug, (a, b, c)) =
+    Printf.sprintf "seed %d, %s, bug %b, cuts at %.3f %.3f %.3f" seed
+      (match level with `Io -> "io" | `View -> "view")
+      bug a b c
+  in
+  let ints what r = List.map (fun r -> Ckpt.int (List.nth (Ckpt.list r) what)) (Ckpt.list r) in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+    (QCheck2.Test.make ~name:"snapshot window = eager rule; resume = straight run"
+       ~count:24 ~print gen (fun (seed, level, bug, (a, b, c)) ->
+         let w =
+           Workload.v ~bug Workload.composite
+             ~config:{ Harness.threads = 4; ops_per_thread = 40; key_pool = 8;
+                       key_range = 16; seed; log_level = (level :> Log.level) }
+         in
+         let spec, view = Workload.product w in
+         let mode = match level with `Io -> `Io | `View -> `View in
+         let fresh () = Checker.create ~mode ~view spec in
+         let events = Log.snapshot (Workload.log w) in
+         let n = Array.length events in
+         (* feed [events.(from) ..] to [c]: its first violating index *)
+         let run c from =
+           let fail = ref None in
+           for i = from to n - 1 do
+             match Checker.feed c events.(i) with
+             | Some _ when !fail = None -> fail := Some i
+             | _ -> ()
+           done;
+           !fail
+         in
+         let straight = fresh () in
+         let straight_fail = run straight 0 in
+         let straight = Checker.report straight in
+         let limit = match straight_fail with Some i -> i | None -> n in
+         List.for_all
+           (fun frac ->
+             let cut = int_of_float (frac *. float_of_int limit) in
+             let prefix = fresh () in
+             for i = 0 to cut - 1 do
+               ignore (Checker.feed prefix events.(i))
+             done;
+             match Checker.snapshot prefix with
+             | None -> QCheck2.Test.fail_reportf "no snapshot at %d of %d" cut n
+             | Some st ->
+               let fields = Ckpt.list (Ckpt.untag "checker/1" st) in
+               let field i = List.nth fields i in
+               (* open executions: (tid, mid, args, kind, start, committed);
+                  pending observers: (tid, mid, args, ret, start, end, next) *)
+               let lowest =
+                 List.fold_left Int.min (Ckpt.int (field 2))
+                   (ints 4 (field 8) @ ints 6 (field 9))
+               in
+               let restored = fresh () in
+               Checker.restore restored st;
+               let resumed_fail = run restored cut in
+               let resumed = Checker.report restored in
+               if Ckpt.int (field 5) <> lowest then
+                 QCheck2.Test.fail_reportf "cut %d: state base %d, lowest live index %d" cut
+                   (Ckpt.int (field 5)) lowest
+               else
+                 resumed_fail = straight_fail
+                 && resumed.Report.outcome = straight.Report.outcome
+                 && resumed.Report.stats = straight.Report.stats)
+           [ a; b; c ]))
+
 let suite =
   [
     checkpoint_frame_roundtrip;
@@ -964,4 +1045,5 @@ let suite =
       `Quick,
       test_server_config_rejects_nonpositive );
     ("CLI flag surface of the shared terms pinned", `Quick, test_cli_flag_surface);
+    window_rule_and_resume;
   ]

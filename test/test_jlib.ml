@@ -255,6 +255,79 @@ let test_sb_capacity_failure_allowed () =
   assert_pass "overflow is exceptional termination"
     (Checker.check ~mode:`Io log (String_buffer.spec ~buffers:1))
 
+(* The array-based Vector specification against the list-based oracle it
+   replaced: on random states and random (method, arguments, return)
+   triples — well-shaped ones mostly, so transitions succeed as well as
+   fail — [apply] gives the same successor (compared by view and saved
+   form) or the same error text, [observe] the same answer, and [view],
+   [save] and [load] after [save] the same values. *)
+let vector_spec_matches_list_oracle =
+  let module A = (val Vector.spec) in
+  let module L = (val Vector_list_spec.spec) in
+  let open QCheck2.Gen in
+  let value =
+    oneof
+      [ map Repr.int (int_range (-1) 8); map Repr.bool bool; return Repr.Unit;
+        return Repr.success; return Repr.failure; return (Repr.Str "out_of_bounds") ]
+  in
+  (* arguments and a return value shaped for [mid], indices around [len] *)
+  let shaped len mid =
+    let index = map Repr.int (int_range (-1) (len + 1)) in
+    let elt = map Repr.int (int_range 0 5) in
+    let outcome = oneofl [ Repr.success; Repr.failure ] in
+    let one g = map (fun a -> [ a ]) g and two g h = map2 (fun a b -> [ a; b ]) g h in
+    match mid with
+    | "add" -> pair (one elt) outcome
+    | "insert_at" -> pair (two index elt) outcome
+    | "remove_last" | "is_empty" -> pair (return []) (map Repr.bool bool)
+    | "remove_at" -> pair (one index) (map Repr.bool bool)
+    | "set" -> pair (two index elt) (map Repr.bool bool)
+    | "clear" -> return ([], Repr.Unit)
+    | "get" -> pair (one index) (oneof [ elt; return (Repr.Str "out_of_bounds") ])
+    | "size" -> pair (return []) index
+    | "contains" -> pair (one elt) (map Repr.bool bool)
+    | _ (* index_of, last_index_of *) -> pair (one elt) index
+  in
+  let mids =
+    [ "add"; "remove_last"; "insert_at"; "remove_at"; "set"; "clear"; "get"; "size";
+      "is_empty"; "contains"; "index_of"; "last_index_of" ]
+  in
+  let gen =
+    let* st = list_size (int_range 0 10) (int_range 0 5) in
+    let* mid = oneofl mids in
+    let* args, ret =
+      frequency
+        [ (4, shaped (List.length st) mid);
+          (1, pair (list_size (int_range 0 2) value) value) ]
+    in
+    return (st, mid, args, ret)
+  in
+  let print (st, mid, args, ret) =
+    Printf.sprintf "state [%s], %s(%s) -> %s"
+      (String.concat "; " (List.map string_of_int st))
+      mid
+      (String.concat ", " (List.map Repr.to_string args))
+      (Repr.to_string ret)
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+    (QCheck2.Test.make ~name:"vector spec = list-based oracle" ~count:3000 ~print gen
+       (fun (st, mid, args, ret) ->
+         let saved = Repr.List (List.map Repr.int st) in
+         let a = A.load saved and l = L.load saved in
+         let same_state a l =
+           Repr.equal (A.view a) (L.view l) && A.save a = L.save l
+           && Repr.equal (A.view (A.load (Option.get (A.save a)))) (L.view l)
+         in
+         let ma = A.meth mid and ml = L.meth mid in
+         same_state a l
+         && A.kind ma = L.kind ml
+         && A.observe a ~mid:ma ~args ~ret = L.observe l ~mid:ml ~args ~ret
+         &&
+         match (A.apply a ~mid:ma ~args ~ret, L.apply l ~mid:ml ~args ~ret) with
+         | Ok a', Ok l' -> same_state a' l'
+         | Error ea, Error el -> String.equal ea el
+         | Ok _, Error _ | Error _, Ok _ -> false))
+
 let suite =
   [
     ("vector correct", `Quick, test_vector_correct);
@@ -266,4 +339,5 @@ let suite =
     ("vector sequential semantics", `Quick, test_vector_sequential_semantics);
     ("sb sequential semantics", `Quick, test_sb_sequential_semantics);
     ("sb capacity failure allowed", `Quick, test_sb_capacity_failure_allowed);
+    vector_spec_matches_list_oracle;
   ]

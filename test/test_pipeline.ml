@@ -965,6 +965,48 @@ let test_hostile_last_length_allocates_nothing () =
         true
         (grew < float_of_int (String.length whole + (1 lsl 20))))
 
+(* The router folds its counters into the registry in slices; by [finish]
+   they read the stream's totals, whatever the slice boundaries: every
+   event fed, every commit, and every read or lock event the refinement
+   lanes skip.  One composite shard at [`Io] and per-subject shards at
+   [`Full], on whole logs (lengths not a multiple of a slice) and on a
+   window of exactly one 256-event slice that ends with a commit. *)
+let test_farm_counters_read_totals () =
+  let check what level shards events =
+    let count p = Array.fold_left (fun n ev -> if p ev then n + 1 else n) 0 events in
+    let metrics = Metrics.create () in
+    let farm = Farm.start ~metrics ~level shards in
+    Array.iter (Farm.feed farm) events;
+    ignore (Farm.finish farm : Farm.result);
+    let read name = Metrics.value (Metrics.counter metrics name) in
+    Alcotest.(check int) (what ^ ": events fed") (Array.length events) (read "farm.events_fed");
+    Alcotest.(check int) (what ^ ": commits")
+      (count (function Event.Commit _ -> true | _ -> false))
+      (read "farm.commits");
+    Alcotest.(check int) (what ^ ": skipped")
+      (count (function Event.Read _ | Event.Acquire _ | Event.Release _ -> true | _ -> false))
+      (read "farm.events_skipped")
+  in
+  List.iter
+    (fun (level, seed) ->
+      let w =
+        Workload.v Workload.composite
+          ~config:{ Harness.default with threads = 3; ops_per_thread = 37; seed; log_level = level }
+      in
+      let events = Log.snapshot (Workload.log w) in
+      let rec commit_from i =
+        match events.(i) with Event.Commit _ -> i | _ -> commit_from (i + 1)
+      in
+      let last = commit_from 255 in
+      let window = Array.sub events (last - 255) 256 in
+      List.iter
+        (fun shards ->
+          let what = Printf.sprintf "%d shard(s), seed %d" (List.length shards) seed in
+          check what level shards events;
+          check (what ^ ", one slice") level shards window)
+        [ [ Workload.composite_shard w level ]; Workload.shards w level ])
+    [ (`Io, 5); (`Full, 6) ]
+
 let suite =
   [
     varint_roundtrip;
@@ -1008,4 +1050,5 @@ let suite =
       `Quick,
       test_hostile_last_length_allocates_nothing );
     ("farm finish re-raises a failing analysis pass", `Quick, test_finish_reraises_failing_pass);
+    ("farm counters read the stream's totals at finish", `Quick, test_farm_counters_read_totals);
   ]
