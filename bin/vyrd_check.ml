@@ -989,15 +989,24 @@ let addr_arg =
    workers), so dumping from inside a handler could re-enter a thread's
    locked section and deadlock the daemon.  SIGUSR1 dumps happen here, on
    the main wait loop.  [drain] stops accepting, finishes the open sessions
-   and returns the final metrics. *)
-let run_until_signalled ~name ~metrics ~active ~drain metrics_json =
-  let stop = ref false in
+   and returns the final metrics.
+
+   [catch_signals] runs before the daemon listens: once a client can
+   connect, it may signal the daemon at any time, and a SIGUSR1 that found
+   the default action would kill the daemon. *)
+type signals = { stop : bool ref; dump_requested : bool ref }
+
+let catch_signals () =
+  let stop = ref false and dump_requested = ref false in
   let handle _ = stop := true in
   Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle handle);
-  let dump_requested = ref false in
   Sys.set_signal Sys.sigusr1
     (Sys.Signal_handle (fun _ -> dump_requested := true));
+  { stop; dump_requested }
+
+let run_until_signalled { stop; dump_requested } ~name ~metrics ~active ~drain
+    metrics_json =
   let dump_if_requested () =
     if !dump_requested then begin
       dump_requested := false;
@@ -1063,6 +1072,7 @@ let serve_cmd =
             ~recheck_spills ~checkpoint_events ~analyze:session.analyze ~monitors
             ~metrics ~addr (session_shards session))
     in
+    let signals = catch_signals () in
     let server =
       match Server.start cfg with
       | server -> server
@@ -1076,7 +1086,7 @@ let serve_cmd =
       Wire.pp_addr (Server.addr server)
       (List.length session.subjects) service.window max_sessions;
     Fmt.pr "vyrdd: SIGUSR1 dumps metrics; SIGINT/SIGTERM drains and exits@.";
-    run_until_signalled ~name:"vyrdd"
+    run_until_signalled signals ~name:"vyrdd"
       ~metrics:(fun () -> metrics)
       ~active:(fun () -> Server.active server)
       ~drain:(fun () ->
@@ -1179,6 +1189,7 @@ let cluster_cmd =
     in
     if fresh_dir then (
       try Unix.mkdir spool_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    let signals = catch_signals () in
     let coord =
       match Coordinator.start cfg with
       | coord -> coord
@@ -1224,7 +1235,7 @@ let cluster_cmd =
       spool_dir;
     Fmt.pr "vyrdc: SIGUSR1 dumps cluster-wide metrics; SIGINT/SIGTERM drains \
             and exits@.";
-    run_until_signalled ~name:"vyrdc"
+    run_until_signalled signals ~name:"vyrdc"
       ~metrics:(fun () -> Coordinator.aggregate coord)
       ~active:(fun () -> Coordinator.active coord)
       ~drain:(fun () ->

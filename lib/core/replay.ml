@@ -65,15 +65,21 @@ let block_end t tid =
 let lookup t var = match Vars.find t.visible var with c -> c.value | exception Not_found -> None
 
 (* The same probe as [lookup]; a miss leaves a value-less cell behind so
-   that the variable's first publish still finds the reader. *)
-let read t ~reader var =
+   that the variable's first publish still finds the reader.  A cell stays
+   in the table until [restore], so a reader may keep it and read its
+   value later without a probe. *)
+let cell t ~reader var =
   match Vars.find t.visible var with
   | c ->
     c.readers <- c.readers lor reader;
-    c.value
+    c
   | exception Not_found ->
-    Vars.add t.visible var { value = None; readers = reader };
-    None
+    let c = { value = None; readers = reader } in
+    Vars.add t.visible var c;
+    c
+
+let value c = c.value
+let read t ~reader var = (cell t ~reader var).value
 
 let take_stale t ~owner =
   let stale = if t.owner = owner then t.stale else -1 in

@@ -39,6 +39,19 @@ val lookup : t -> string -> Repr.t option
     registers the reader too, for the variable's first write. *)
 val read : t -> reader:int -> string -> Repr.t option
 
+(** A variable's slot in the replay, as {!cell} returns it. *)
+type cell
+
+(** [cell t ~reader var] is the probe behind {!read}: it registers [reader]
+    on [var] (creating a value-less cell on a miss) and returns the cell.
+    The cell stays [var]'s until {!restore}, so a reader that keeps it may
+    read it later with {!value} instead of probing again: its reader bit
+    is still registered. *)
+val cell : t -> reader:int -> string -> cell
+
+(** Current visible value of a cell, [None] until first published. *)
+val value : cell -> Repr.t option
+
 (** [take_stale t ~owner] returns the reader bits of every variable
     published with a changed value since [owner]'s previous call, and
     clears them.  One reader at a time owns the bits: when [owner] did not
@@ -55,8 +68,10 @@ val fold : (string -> Repr.t -> 'a -> 'a) -> t -> 'a -> 'a
 val snapshot : t -> Repr.t
 
 (** [restore t repr] replaces [t]'s contents with a snapshot.  Reader
-    registrations are dropped, so the next {!take_stale} reports every bit
-    and every memoized view component, key projections included, is
-    recomputed from the restored variables.
+    registrations are dropped with the old cells, so the next
+    {!take_stale} reports every bit and every memoized view component, key
+    projections included, is recomputed from the restored variables.  A
+    cell kept from before is no longer its variable's: a reader must drop
+    the cells it kept when {!take_stale} reports [-1].
     @raise Ckpt.Malformed when [repr] is not a replay snapshot. *)
 val restore : t -> Repr.t -> unit

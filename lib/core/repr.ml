@@ -27,6 +27,19 @@ and equal_list xs ys =
   match (xs, ys) with
   | x :: xs, y :: ys -> equal x y && equal_list xs ys
   | [], _ | _ :: _, _ -> false
+
+(* [pa] and [pb] are known equal; [a] and [b] are often built from them by
+   replacing a few subtrees.  A subtree pair that is physically the known
+   pair's is equal; only [Pair] nodes where either side changed need a
+   look, and below anything else [equal] decides. *)
+let rec equal_since pa pb a b =
+  (a == pa && b == pb)
+  ||
+  match (a, b, pa, pb) with
+  | Pair (a1, a2), Pair (b1, b2), Pair (pa1, pa2), Pair (pb1, pb2) ->
+    equal_since pa1 pb1 a1 b1 && equal_since pa2 pb2 a2 b2
+  | _ -> equal a b
+
 let compare a b = if a == b then 0 else Stdlib.compare a b
 
 let rec pp ppf = function

@@ -21,6 +21,14 @@ type t =
     physically equal subtrees on the way down. *)
 val equal : t -> t -> bool
 
+(** [equal_since pa pb a b] is [equal a b], given that [equal pa pb]: it
+    descends only through [Pair] nodes where [a] or [b] is not physically
+    the known pair's, and takes a pair of subtrees that physically are as
+    equal.  The checker keeps the last viewI/viewS pair that compared equal
+    and compares the next pair against it, so a commit costs what it
+    changed. *)
+val equal_since : t -> t -> t -> t -> bool
+
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -23,7 +23,24 @@
     taken are recorded.  Since a miss is recorded too, a key whose
     variables are not written yet becomes stale at their first write.
     Each component owns one reader bit; past [Sys.int_size] components,
-    bits are shared, which only adds recomputes. *)
+    bits are shared, which only adds recomputes.
+
+    {b Lookup trails.}  A component also remembers the names its last
+    evaluation looked up, in order, with the replay cell each one found.
+    When a recompute looks up a name that is {e physically} ([==]) the
+    name at the same position of that trail, it reads the remembered cell
+    without hashing the name.  So a view should look its variables up
+    through names built once, with the definition (an array of precomputed
+    names, say); a name built per call ([Printf.sprintf] inside the
+    closure) is still correct, but simply misses and takes the hashed
+    probe every time (a component whose recompute had no hit stops
+    keeping a trail).  A {!Replay.restore} drops every trail.
+
+    {b No scratch state.}  One view definition may serve several checkers
+    at once, on different domains (a benchmark's set-up checks units on
+    two).  So a [Full] closure or a [Keyed] projection must not keep
+    mutable scratch (a buffer, a table, a counter) across calls: what it
+    mutates it allocates per call. *)
 
 type lookup = string -> Repr.t option
 

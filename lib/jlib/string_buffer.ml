@@ -185,27 +185,31 @@ let unsafe_contents p b =
   String.init (Cell.peek d.len) (fun j -> Cell.peek d.chars.(j))
 
 let viewdef ~buffers ~buf_capacity : View.t =
-  (* precomputed var names: the closure runs at every commit, and a sprintf
-     per character per commit dominates the checker's view path *)
+  (* precomputed var names: a projection runs at every commit that touched
+     its buffer, and a sprintf per character per commit dominates the
+     checker's view path *)
   let len_vars = Array.init buffers len_var in
   let char_vars =
     Array.init buffers (fun b -> Array.init buf_capacity (char_var b))
   in
-  View.Full
-    (fun lookup ->
-      let contents b =
-        let l =
-          match lookup len_vars.(b) with Some (Repr.Int l) -> min l buf_capacity | _ -> 0
-        in
-        let ch j =
-          match lookup char_vars.(b).(j) with
-          | Some (Repr.Str s) when String.length s = 1 -> s.[0]
-          | _ -> '\000'
-        in
-        Repr.Str (String.init l ch)
-      in
-      View.canonical_of_assoc
-        (List.init buffers (fun b -> (Repr.int b, contents b))))
+  let contents lookup b =
+    let l =
+      match lookup len_vars.(b) with Some (Repr.Int l) -> min l buf_capacity | _ -> 0
+    in
+    let ch j =
+      match lookup char_vars.(b).(j) with
+      | Some (Repr.Str s) when String.length s = 1 -> s.[0]
+      | _ -> '\000'
+    in
+    Repr.Str (String.init l ch)
+  in
+  (* one key per buffer: a commit recomputes only the buffers it wrote *)
+  View.Keyed
+    { keys = List.init buffers Repr.int;
+      project =
+        (fun lookup -> function
+          | Repr.Int b -> Some (contents lookup b)
+          | _ -> None) }
 
 (* Specification: a map from buffer id to contents. ---------------------- *)
 
@@ -295,9 +299,11 @@ let spec ~buffers : Spec.t =
         pos < 0 || len < 0 || pos + len > String.length (contents st b)
       | _ -> false
 
+    (* [IntMap.fold] visits the buffers in ascending order: the canonical
+       order, without a sort *)
     let view st =
-      View.canonical_of_assoc
-        (IntMap.fold (fun b s acc -> (Repr.int b, Repr.Str s) :: acc) st [])
+      Repr.List
+        (List.rev (IntMap.fold (fun b s acc -> Repr.Pair (Repr.int b, Repr.Str s) :: acc) st []))
 
     let snapshot st = st
 

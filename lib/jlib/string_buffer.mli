@@ -44,6 +44,11 @@ val length : pool -> int -> int
 
 (** [char_at p b i] returns [None] out of bounds (the JDK throws). *)
 val char_at : pool -> int -> int -> char option
+
+(** [viewdef ~buffers ~buf_capacity] is the [viewI]: each buffer's
+    contents, as a canonical (buffer, contents) list.  It is a
+    [View.Keyed] view with one key per buffer, so a commit recomputes only
+    the buffers whose variables it changed. *)
 val viewdef : buffers:int -> buf_capacity:int -> Vyrd.View.t
 val spec : buffers:int -> Vyrd.Spec.t
 val unsafe_contents : pool -> int -> string

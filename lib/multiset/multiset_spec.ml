@@ -18,9 +18,11 @@ let remove st x =
   | 1 -> Some (IntMap.remove x st)
   | n -> Some (IntMap.add x (n - 1) st)
 
+(* [IntMap.fold] visits the elements in ascending order: the canonical
+   order, without a sort *)
 let view_of_state st =
-  View.canonical_of_assoc
-    (IntMap.fold (fun x n acc -> (Repr.int x, Repr.int n) :: acc) st [])
+  Repr.List
+    (List.rev (IntMap.fold (fun x n acc -> Repr.Pair (Repr.int x, Repr.int n) :: acc) st []))
 
 let bad fmt = Printf.ksprintf (fun m -> Error m) fmt
 

@@ -268,16 +268,34 @@ let viewdef ~capacity : View.t =
   let elt_vars = Array.init capacity elt_var in
   View.Full
     (fun lookup ->
-      let counts = Hashtbl.create 16 in
+      (* the valid elements, kept in ascending order as they are found,
+         [elts.(0 .. !n - 1)]; the array is the call's own, since one view
+         definition may serve checkers on several domains *)
+      let elts = Array.make capacity 0 and n = ref 0 in
       for i = 0 to capacity - 1 do
         match (lookup valid_vars.(i), lookup elt_vars.(i)) with
         | Some (Repr.Bool true), Some (Repr.Int x) ->
-          Hashtbl.replace counts x
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts x))
+          let j = ref !n in
+          while !j > 0 && elts.(!j - 1) > x do
+            elts.(!j) <- elts.(!j - 1);
+            decr j
+          done;
+          elts.(!j) <- x;
+          incr n
         | _ -> ()
       done;
-      View.canonical_of_assoc
-        (Hashtbl.fold (fun x n acc -> (Repr.int x, Repr.int n) :: acc) counts []))
+      (* one (element, multiplicity) entry per run, built from the last *)
+      let rec entries acc j =
+        if j < 0 then acc
+        else
+          let x = elts.(j) in
+          let k = ref j in
+          while !k > 0 && elts.(!k - 1) = x do
+            decr k
+          done;
+          entries (Repr.Pair (Repr.int x, Repr.int (j - !k + 1)) :: acc) (!k - 1)
+      in
+      Repr.List (entries [] (!n - 1)))
 
 let unsafe_contents t =
   Array.to_list t.slots

@@ -200,7 +200,7 @@ let rec read_repr c =
   | '\000' -> Repr.Unit
   | '\001' -> Repr.Bool false
   | '\002' -> Repr.Bool true
-  | '\003' -> Repr.Int (read_varint c)
+  | '\003' -> Repr.int (read_varint c) (* 0-255 come from a shared table *)
   | '\004' -> Repr.Str (read_string c)
   | '\005' ->
     let x = read_repr c in

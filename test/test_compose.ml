@@ -259,6 +259,108 @@ let test_fresh_name_strings () =
     [ (false, 1); (false, 2); (true, 1); (true, 2); (true, 3) ];
   Alcotest.(check bool) "the bug seeds convict" true (!convicted > 0)
 
+(* The incremental view definitions against the oracles they replaced
+   ([View_oracles]), on random composite logs with and without the
+   subjects' bugs.  At every commit event, the memoized viewI of a replay
+   fed the log equals, and prints as, the oracle view computed from
+   scratch; halfway through, the replay is restored from its own snapshot,
+   which drops every lookup trail.  Every specification view the checker
+   takes equals, and prints as, the oracle specification view of the same
+   state.  A checker on the oracle definitions gives the same report and
+   first-violation index, viewI and viewS included, and so does a checker
+   restored from a [Checker.snapshot] taken at a seeded cut. *)
+let incremental_views_equal_oracles =
+  let open QCheck2.Gen in
+  let gen = triple (int_range 1 100_000) bool (float_bound_inclusive 1.) in
+  let print (seed, bug, cut) = Printf.sprintf "seed %d, bug %b, cut at %.3f" seed bug cut in
+  (* the sizes [Subjects] gives the composite's subjects *)
+  let ms_view = View_oracles.multiset_vector_viewdef ~capacity:32 in
+  let sb_view = View_oracles.string_buffer_viewdef ~buffers:3 ~buf_capacity:64 in
+  let oracle_view = View.Pair (View.Pair (ms_view, Vector.viewdef ~capacity:64), sb_view) in
+  let rec from_scratch lookup = function
+    | View.Full f -> f lookup
+    | View.Pair (a, b) -> Repr.Pair (from_scratch lookup a, from_scratch lookup b)
+    | View.Keyed _ -> invalid_arg "the oracle views are Full"
+  in
+  let mismatches = ref [] in
+  let differ what a b =
+    if not (Repr.equal a b && Repr.to_string a = Repr.to_string b) then
+      mismatches := Printf.sprintf "%s: %s vs %s" what (Repr.to_string a) (Repr.to_string b)
+                    :: !mismatches
+  in
+  (* [spec] with its view replaced by [view], given the state's saved form
+     and the view it had *)
+  let with_view (spec : Spec.t) f : Spec.t =
+    let module S = (val spec) in
+    (module struct
+      include S
+
+      let view st = f (S.save st) (S.view st)
+    end)
+  in
+  let checked oracle spec =
+    with_view spec (fun saved v ->
+        differ "viewS" v (oracle saved);
+        v)
+  in
+  let oracle oracle spec = with_view spec (fun saved _ -> oracle saved) in
+  let ms saved = View_oracles.(multiset_spec_view (multiset_of_saved saved)) in
+  let sb saved = View_oracles.(string_buffer_spec_view (string_buffer_of_saved saved)) in
+  let product make =
+    Spec_compose.pair
+      (Spec_compose.pair (make ms Multiset_spec.spec) Vector.spec)
+      (make sb (String_buffer.spec ~buffers:3))
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
+    (QCheck2.Test.make ~name:"incremental views = oracle views at every commit" ~count:24
+       ~print gen (fun (seed, bug, frac) ->
+         mismatches := [];
+         let _, view = Workload.product (three 0) in
+         let log = three_log ~bug seed in
+         let events = Log.snapshot log in
+         let n = Array.length events in
+         let replay = Replay.create () and eval = View.make_eval view in
+         Array.iteri
+           (fun i ev ->
+             if i = n / 2 then Replay.restore replay (Replay.snapshot replay);
+             match ev with
+             | Event.Write { tid; var; value } -> Replay.write replay tid var value
+             | Event.Block_begin { tid } -> Replay.block_begin replay tid
+             | Event.Block_end { tid } -> Replay.block_end replay tid
+             | Event.Commit { tid } ->
+               Replay.commit replay tid;
+               differ
+                 (Printf.sprintf "viewI at event %d" i)
+                 (View.recompute eval replay)
+                 (from_scratch (Replay.lookup replay) oracle_view)
+             | _ -> ())
+           events;
+         let spec = product checked in
+         let report = Checker.check_indexed ~mode:`View ~view log spec in
+         let reference = Checker.check_indexed ~mode:`View ~view:oracle_view log (product oracle) in
+         (* the cut falls before the first violation, where a snapshot exists *)
+         let cut = int_of_float (frac *. float_of_int (Option.value (snd report) ~default:n)) in
+         let prefix = Checker.create ~mode:`View ~view spec in
+         for i = 0 to cut - 1 do
+           ignore (Checker.feed prefix events.(i))
+         done;
+         let resumed = Checker.create ~mode:`View ~view spec in
+         (match Checker.snapshot prefix with
+         | Some st -> Checker.restore resumed st
+         | None -> mismatches := "no snapshot" :: !mismatches);
+         let fail = ref None in
+         for i = cut to n - 1 do
+           match Checker.feed resumed events.(i) with
+           | Some _ when !fail = None -> fail := Some i
+           | _ -> ()
+         done;
+         let resumed = (Checker.report resumed, !fail) in
+         if report <> reference then mismatches := "report vs oracle report" :: !mismatches;
+         if resumed <> report then mismatches := "resumed report vs straight" :: !mismatches;
+         match !mismatches with
+         | [] -> true
+         | m -> QCheck2.Test.fail_reportf "%s" (String.concat "\n" (List.rev m))))
+
 let suite =
   [
     ("composite correct", `Quick, test_composite_correct);
@@ -271,4 +373,5 @@ let suite =
     ("farm routes a shared name to the first shard", `Quick, test_farm_overlap_first_shard);
     ("verdicts and stats do not depend on shared name strings", `Quick,
       test_fresh_name_strings);
+    incremental_views_equal_oracles;
   ]

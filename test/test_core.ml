@@ -613,6 +613,77 @@ let checker_deterministic =
          Report.tag a = Report.tag b
          && a.Report.stats.methods_checked = b.Report.stats.methods_checked))
 
+(* [Repr.equal_since] as the checker uses it: a chain of pairs, each made
+   from the last pair that compared equal by rebuilding some [Pair] nodes,
+   replacing subtrees with equal copies or with unrelated trees, and
+   sometimes changing one side only; a pair that compares unequal is not
+   kept, so later pairs are compared after a mismatch against an older
+   reference.  Every answer must be [Repr.equal]'s. *)
+let repr_equal_since_incremental =
+  let open QCheck2.Gen in
+  let gen = pair (int_range 0 1_000_000) (int_range 1 40) in
+  let rec copy = function
+    | Repr.Pair (a, b) -> Repr.Pair (copy a, copy b)
+    | Repr.List vs -> Repr.List (List.map copy vs)
+    | Repr.Int i -> Repr.Int i
+    | Repr.Str s -> Repr.Str (String.init (String.length s) (String.get s))
+    | (Repr.Unit | Repr.Bool _) as v -> v
+  in
+  let rec tree rng depth =
+    match Random.State.int rng (if depth = 0 then 3 else 5) with
+    | 0 -> Repr.Int (Random.State.int rng 3)
+    | 1 -> Repr.Str (if Random.State.bool rng then "a" else "b")
+    | 2 -> Repr.Unit
+    | 3 -> Repr.List (List.init (Random.State.int rng 3) (fun _ -> tree rng (depth - 1)))
+    | _ -> Repr.Pair (tree rng (depth - 1), tree rng (depth - 1))
+  in
+  (* a pair of equal trees built from the equal pair [(a, b)] *)
+  let rec edit rng a b =
+    match (Random.State.int rng 5, a, b) with
+    | 0, _, _ -> (a, b)
+    | 1, _, _ ->
+      let t = tree rng 3 in
+      (t, copy t)
+    | 2, _, _ -> (a, copy b)
+    | _, Repr.Pair (a1, a2), Repr.Pair (b1, b2) ->
+      let x1, y1 = edit rng a1 b1 in
+      let x2, y2 = edit rng a2 b2 in
+      (Repr.Pair (x1, x2), Repr.Pair (y1, y2))
+    | _ -> (copy a, b)
+  in
+  (* [t] with one subtree replaced: usually, not always, a different tree *)
+  let rec perturb rng t =
+    match t with
+    | Repr.Pair (a, b) when Random.State.int rng 3 > 0 ->
+      if Random.State.bool rng then Repr.Pair (perturb rng a, b) else Repr.Pair (a, perturb rng b)
+    | _ -> tree rng 2
+  in
+  qcheck
+    (QCheck2.Test.make ~name:"Repr.equal_since = Repr.equal along a chain of shared pairs"
+       ~count:500
+       ~print:(fun (seed, steps) -> Printf.sprintf "seed %d, %d steps" seed steps)
+       gen
+       (fun (seed, steps) ->
+         let rng = Random.State.make [| seed |] in
+         let t = tree rng 4 in
+         let last = ref (t, copy t) in
+         let rec go k =
+           k = 0
+           ||
+           let pa, pb = !last in
+           let a, b = edit rng pa pb in
+           let a, b =
+             match Random.State.int rng 4 with
+             | 0 -> (perturb rng a, b)
+             | 1 -> (a, perturb rng b)
+             | _ -> (a, b)
+           in
+           let want = Repr.equal a b in
+           if want then last := (a, b);
+           Repr.equal_since pa pb a b = want && go (k - 1)
+         in
+         go steps))
+
 let suite =
   [
     repr_roundtrip;
@@ -645,4 +716,5 @@ let suite =
     ("memo recomputes stale components only", `Quick, test_memo_recomputes_stale_only);
     memo_differential;
     memo_keyed_differential;
+    repr_equal_since_incremental;
   ]
