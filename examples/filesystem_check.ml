@@ -23,7 +23,7 @@ let run_with_online ~bugs ~seed =
      farm is the paper's single verification thread *)
   let farm =
     Farm.start ~level:`View
-      [ Farm.shard ~mode:`View ~view:Scanfs.viewdef "ScanFS" Scanfs.spec ]
+      [ Farm.shard ~mode:`View ~view:(Scanfs.viewdef ~disk_blocks) "ScanFS" Scanfs.spec ]
   in
   Farm.attach farm log;
   Coop.run ~seed (fun s ->

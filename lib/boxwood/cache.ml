@@ -286,15 +286,28 @@ let evict t h =
 
 (* Views ------------------------------------------------------------------ *)
 
-let lookup_state lookup h =
-  match lookup (state_var h) with
+(* The view's variable names, built once with the definition: a view looks
+   them up at every recompute, and a component's lookup trail reads its
+   cell directly only for a name it has seen physically before. *)
+type names = { state : string array; data : string array array; chunk : string array }
+
+let names ~chunks ~buf_size =
+  {
+    state = Array.init chunks state_var;
+    data = Array.init chunks (fun h -> Array.init buf_size (data_var h));
+    chunk = Array.init chunks Chunk_manager.var;
+  }
+
+let lookup_state names lookup h =
+  match lookup names.state.(h) with
   | Some (Repr.Str "clean") -> Clean
   | Some (Repr.Str "dirty") -> Dirty
   | Some _ | None -> Absent
 
-let lookup_entry_bytes lookup ~buf_size h =
-  String.init buf_size (fun j ->
-      match lookup (data_var h j) with
+let lookup_entry_bytes names lookup h =
+  let data = names.data.(h) in
+  String.init (Array.length data) (fun j ->
+      match lookup data.(j) with
       | Some (Repr.Str s) when String.length s = 1 -> s.[0]
       | _ -> '\000')
 
@@ -304,52 +317,53 @@ let pad_to n s =
   else if l >= n then String.sub s 0 n
   else s ^ String.make (n - l) '\000'
 
-let lookup_chunk_bytes lookup ~buf_size h =
-  match lookup (Chunk_manager.var h) with
-  | Some (Repr.Str s) -> pad_to buf_size s
+let lookup_chunk_bytes names lookup h =
+  match lookup names.chunk.(h) with
+  | Some (Repr.Str s) -> pad_to (Array.length names.data.(h)) s
   | Some _ | None -> ""
 
 (* Handle [h]'s abstract bytes; handles never written map to [None] and
    are omitted, so the Full and Keyed views and the specification all agree
    on the canonical form: the assoc of written handles only. *)
-let abstract_value lookup ~buf_size h =
+let abstract_value names lookup h =
   let bytes =
-    match lookup_state lookup h with
-    | Clean | Dirty -> lookup_entry_bytes lookup ~buf_size h
-    | Absent -> lookup_chunk_bytes lookup ~buf_size h
+    match lookup_state names lookup h with
+    | Clean | Dirty -> lookup_entry_bytes names lookup h
+    | Absent -> lookup_chunk_bytes names lookup h
   in
   if bytes = "" then None else Some (Repr.Str bytes)
 
 let viewdef ~chunks ~buf_size : View.t =
+  let names = names ~chunks ~buf_size in
   View.Full
     (fun lookup ->
       View.canonical_of_assoc
         (List.filter_map
            (fun h ->
-             match abstract_value lookup ~buf_size h with
+             match abstract_value names lookup h with
              | Some v -> Some (Repr.Int h, v)
              | None -> None)
            (List.init chunks Fun.id)))
 
 let viewdef_keyed ~chunks ~buf_size : View.t =
+  let names = names ~chunks ~buf_size in
   View.Keyed
     {
       keys = List.init chunks (fun h -> Repr.Int h);
       project =
         (fun lookup -> function
-          | Repr.Int h -> abstract_value lookup ~buf_size h
+          | Repr.Int h -> abstract_value names lookup h
           | _ -> None);
     }
 
 let invariant_clean_matches_chunk ~chunks ~buf_size : Checker.invariant =
+  let names = names ~chunks ~buf_size in
   ( "clean cache entry matches chunk manager",
     fun lookup ->
       List.for_all
         (fun h ->
-          match lookup_state lookup h with
-          | Clean ->
-            lookup_entry_bytes lookup ~buf_size h
-            = lookup_chunk_bytes lookup ~buf_size h
+          match lookup_state names lookup h with
+          | Clean -> lookup_entry_bytes names lookup h = lookup_chunk_bytes names lookup h
           | Dirty | Absent -> true)
         (List.init chunks Fun.id) )
 

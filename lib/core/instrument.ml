@@ -117,22 +117,26 @@ let log_write_commit ctx ~var value =
         Log.append ctx.log (Event.Write { tid; var; value });
       if Log.records_io ctx.log then Log.append ctx.log (Event.Commit { tid }))
 
+(* A log's level is fixed at creation, so below [`Full], where no lock event
+   is recorded, the engine's mutex serves unwrapped. *)
 let mutex ctx ~name =
   let inner = ctx.sched.Sched.new_mutex ~name () in
-  let log_full ev = if Log.records_reads ctx.log then Log.append ctx.log ev in
-  {
-    inner with
-    Sched.lock =
-      (fun () ->
-        inner.Sched.lock ();
-        log_full (Event.Acquire { tid = tid ctx; lock = name }));
-    Sched.unlock =
-      (fun () ->
-        log_full (Event.Release { tid = tid ctx; lock = name });
-        inner.Sched.unlock ());
-    Sched.try_lock =
-      (fun () ->
-        let ok = inner.Sched.try_lock () in
-        if ok then log_full (Event.Acquire { tid = tid ctx; lock = name });
-        ok);
-  }
+  if not (Log.records_reads ctx.log) then inner
+  else
+    let log ev = Log.append ctx.log ev in
+    {
+      inner with
+      Sched.lock =
+        (fun () ->
+          inner.Sched.lock ();
+          log (Event.Acquire { tid = tid ctx; lock = name }));
+      Sched.unlock =
+        (fun () ->
+          log (Event.Release { tid = tid ctx; lock = name });
+          inner.Sched.unlock ());
+      Sched.try_lock =
+        (fun () ->
+          let ok = inner.Sched.try_lock () in
+          if ok then log (Event.Acquire { tid = tid ctx; lock = name });
+          ok);
+    }

@@ -92,5 +92,6 @@ val log_write_commit : ctx -> var:string -> Repr.t -> unit
 
 (** [mutex ctx ~name] is a scheduler mutex whose transitions are logged as
     [Acquire]/[Release] at level [`Full] (consumed by the reduction
-    baseline, not by refinement checking). *)
+    baseline, not by refinement checking).  Below [`Full] it is the
+    engine's mutex itself. *)
 val mutex : ctx -> name:string -> Vyrd_sched.Sched.mutex

@@ -205,7 +205,7 @@ let scanfs =
     name = "ScanFS";
     bug_description = "Writing an unprotected dirty cache block";
     spec = Scanfs.spec;
-    view = Scanfs.viewdef;
+    view = Scanfs.viewdef ~disk_blocks:fs_disk_blocks;
     invariants = [ Scanfs.invariant_clean_matches_disk ~disk_blocks:fs_disk_blocks ];
     build =
       (fun ~bug ctx ->

@@ -312,28 +312,49 @@ let evict t b =
 
 (* --- view and specification --------------------------------------------- *)
 
-let viewdef : View.t =
+(* The view's per-block variable names, built once with the definition: a
+   view looks them up at every recompute, and a component's lookup trail
+   reads its cell directly only for a name it has seen physically before.
+   A block past [disk_blocks], which only a damaged log can name, builds its
+   names at each lookup. *)
+type block_names = { states : string array; datas : string array array; disks : string array }
+
+let block_names ~disk_blocks =
+  {
+    states = Array.init disk_blocks state_var;
+    datas = Array.init disk_blocks (fun b -> Array.init block_size (data_var b));
+    disks = Array.init disk_blocks disk_var;
+  }
+
+let known names b = b >= 0 && b < Array.length names.states
+
+let block_state names lookup b =
+  lookup (if known names b then names.states.(b) else state_var b)
+
+let entry_bytes names lookup b =
+  String.init block_size (fun j ->
+      match lookup (if known names b then names.datas.(b).(j) else data_var b j) with
+      | Some (Repr.Str s) when String.length s = 1 -> s.[0]
+      | _ -> '\000')
+
+let disk_bytes names lookup b =
+  match lookup (if known names b then names.disks.(b) else disk_var b) with
+  | Some (Repr.Str s) when s <> "" -> s
+  | _ -> String.make block_size '\000'
+
+let lookup_names lookup =
+  match lookup "fs.names" with
+  | Some (Repr.List ns) -> List.filter_map (function Repr.Str n -> Some n | _ -> None) ns
+  | Some _ | None -> []
+
+let viewdef ~disk_blocks : View.t =
+  let names = block_names ~disk_blocks in
   View.Full
     (fun lookup ->
-      let names =
-        match lookup "fs.names" with
-        | Some (Repr.List ns) ->
-          List.filter_map (function Repr.Str n -> Some n | _ -> None) ns
-        | Some _ | None -> []
-      in
       let block_bytes b =
-        let from_entry () =
-          String.init block_size (fun j ->
-              match lookup (data_var b j) with
-              | Some (Repr.Str s) when String.length s = 1 -> s.[0]
-              | _ -> '\000')
-        in
-        match lookup (state_var b) with
-        | Some (Repr.Str ("clean" | "dirty")) -> from_entry ()
-        | _ -> (
-          match lookup (disk_var b) with
-          | Some (Repr.Str s) when s <> "" -> s
-          | _ -> String.make block_size '\000')
+        match block_state names lookup b with
+        | Some (Repr.Str ("clean" | "dirty")) -> entry_bytes names lookup b
+        | _ -> disk_bytes names lookup b
       in
       let file name =
         match Option.bind (lookup (dir_var name)) entry_of_repr with
@@ -343,7 +364,7 @@ let viewdef : View.t =
           Some (Repr.Str name, Repr.Str (String.sub content 0 len))
       in
       View.canonical_of_assoc
-        (List.filter_map file (List.sort_uniq compare names)))
+        (List.filter_map file (List.sort_uniq compare (lookup_names lookup))))
 
 (* Only blocks referenced by a committed directory entry are constrained: a
    copy-on-write update buffers its cache mutations until the directory
@@ -351,37 +372,20 @@ let viewdef : View.t =
    replay while the flush daemon has already pushed its in-flight bytes to
    disk. *)
 let invariant_clean_matches_disk ~disk_blocks : Checker.invariant =
-  ignore disk_blocks;
+  let names = block_names ~disk_blocks in
   ( "clean cached file block matches disk",
     fun lookup ->
-      let entry_bytes b =
-        String.init block_size (fun j ->
-            match lookup (data_var b j) with
-            | Some (Repr.Str s) when String.length s = 1 -> s.[0]
-            | _ -> '\000')
-      in
-      let disk_bytes b =
-        match lookup (disk_var b) with
-        | Some (Repr.Str s) when s <> "" -> s
-        | _ -> String.make block_size '\000'
-      in
       let block_ok b =
-        match lookup (state_var b) with
-        | Some (Repr.Str "clean") -> entry_bytes b = disk_bytes b
+        match block_state names lookup b with
+        | Some (Repr.Str "clean") -> entry_bytes names lookup b = disk_bytes names lookup b
         | _ -> true
-      in
-      let names =
-        match lookup "fs.names" with
-        | Some (Repr.List ns) ->
-          List.filter_map (function Repr.Str n -> Some n | _ -> None) ns
-        | Some _ | None -> []
       in
       List.for_all
         (fun name ->
           match Option.bind (lookup (dir_var name)) entry_of_repr with
           | Some (_, blocks) -> List.for_all block_ok blocks
           | None -> true)
-        (List.sort_uniq compare names) )
+        (List.sort_uniq compare (lookup_names lookup)) )
 
 module SMap = Map.Make (String)
 

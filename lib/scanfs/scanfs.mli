@@ -67,7 +67,11 @@ val sync : t -> unit
 (** Drop block [b]'s cache entry (write-back only when dirty).  Internal. *)
 val evict : t -> int -> unit
 
-val viewdef : Vyrd.View.t
+(** [viewdef ~disk_blocks] — every named file's contents: a block's bytes
+    come from its cache entry when clean or dirty, from disk otherwise.
+    [disk_blocks] sizes the table of precomputed variable names; the view
+    reads any block a directory entry names. *)
+val viewdef : disk_blocks:int -> Vyrd.View.t
 val spec : Vyrd.Spec.t
 
 (** The cache-consistency invariant the Scan prototype checked (cf. §7.2.1

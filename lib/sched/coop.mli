@@ -8,7 +8,18 @@
 
     This is what makes the paper's measurements reproducible: "number of
     methods executed before the first refinement violation" (Table 1) is
-    obtained by sweeping seeds rather than by racing a real machine. *)
+    obtained by sweeping seeds rather than by racing a real machine.
+
+    {b How a switch happens.}  At a scheduling point a fiber performs an
+    effect.  Its handler queues the fiber's continuation (at the end of the
+    run queue, or among a lock's waiters), then takes one step in tail
+    position: count it, check [max_steps], draw the pick and [continue]
+    the picked fiber, or start it with [match_with] if it never ran.  So
+    control passes from fiber to fiber inside the handler, and a switch
+    that resumes a fiber nests no frame; each fiber's start nests one
+    until the run ends.  When the run queue is empty the chain of switches
+    unwinds to {!run}, which returns, re-raises the first exception a fiber
+    raised, or raises {!Deadlock}. *)
 
 exception Deadlock of string
 (** All unfinished threads are blocked on locks. *)

@@ -151,6 +151,23 @@ let coop_yield () =
   in
   words_per (fun () -> !steps) run
 
+(* Four fibers taking one instrumented mutex in turn at [`View]: minor
+   words per lock plus unlock, the scheduling points included. *)
+let instrumented_lock () =
+  let fibers = 4 and rounds = 2_000 in
+  let run () =
+    Coop.run ~seed:1 (fun s ->
+        let m = Instrument.mutex (Instrument.make s (Log.create ~level:`View ())) ~name:"m" in
+        for _ = 1 to fibers do
+          s.spawn (fun () ->
+              for _ = 1 to rounds do
+                m.lock ();
+                m.unlock ()
+              done)
+        done)
+  in
+  words_per (fun () -> fibers * rounds) run
+
 (* Stage, minor-heap figure measured on OCaml 5.1.1 and its slack, direct
    major-heap figure and its slack, and the measurement, per event (per
    scheduler step for the Coop yield).  The three farm figures were 7.33,
@@ -186,6 +203,14 @@ let budgets =
     ("Wire.write_batch to a socketpair", (0.03, 0.5), (0.0, 0.5), lazy (wire_write_batch ()));
     ("Coop yield step, 4 fibers", (5.21, 1.5), (0.0, 0.5), lazy (coop_yield ())) ]
 
+(* Stages added since, per the same columns; their two tests follow all of
+   [budgets]' so every earlier test keeps its place in the suite.  The
+   instrumented lock's figure (per lock plus unlock) was 13.20 while
+   [Instrument.mutex] built its lock events at every level. *)
+let later_budgets =
+  [ ("Coop lock + unlock via Instrument.mutex, view", (7.19, 1.5), (0.0, 0.5),
+     lazy (instrumented_lock ())) ]
+
 let within what ~heap (measured, slack) words =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.2f %s words each, within %.2f + %.2f" what words heap measured
@@ -194,8 +219,9 @@ let within what ~heap (measured, slack) words =
     (words <= measured +. slack)
 
 (* Each stage is measured once: its minor-heap budget is checked where the
-   suite always checked it, its direct major-heap budget after them all. *)
-let suite =
+   suite always checked it, its direct major-heap budget after all of its
+   list's minor-heap budgets. *)
+let tests budgets =
   List.map
     (fun (what, minor, _, figures) ->
       Alcotest.test_case (what ^ " allocation budget") `Quick (fun () ->
@@ -206,3 +232,5 @@ let suite =
         Alcotest.test_case (what ^ " direct major-heap budget") `Quick (fun () ->
             within what ~heap:"direct major" major (Lazy.force figures).direct_major))
       budgets
+
+let suite = tests budgets @ tests later_budgets

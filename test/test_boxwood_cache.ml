@@ -250,6 +250,26 @@ let test_keyed_projection_bound () =
     true
     (commits > 1 && commits + chunks < chunks * commits)
 
+(* The full and keyed views and the invariant, on precomputed names, equal
+   their former definitions ([View_oracles]) at every commit of seeded runs
+   with and without the bug. *)
+let test_views_equal_oracles () =
+  let oracle = View_oracles.cache_viewdef ~chunks ~buf_size in
+  let invariants = [ (invariant, View_oracles.cache_invariant ~chunks ~buf_size) ] in
+  List.iter
+    (fun (bugs, seed) ->
+      let events = Log.snapshot (run_cache ~bugs ~seed ~threads:4 ~ops:30 ()) in
+      List.iter
+        (fun (what, view) ->
+          match View_oracles.agree_at_every_commit events ~view ~oracle ~invariants with
+          | Ok commits ->
+            Alcotest.(check bool) (Printf.sprintf "seed %d: commits" seed) true (commits > 0)
+          | Error m -> Alcotest.failf "seed %d, %s view: %s" seed what m)
+        [ ("full", full_view); ("keyed", keyed_view) ])
+    (List.concat_map
+       (fun seed -> [ ([], seed); ([ Cache.Unprotected_dirty_copy ], seed) ])
+       (List.init 8 Fun.id))
+
 let suite =
   [
     ("cache correct", `Quick, test_cache_correct);
@@ -262,4 +282,5 @@ let suite =
     ("cache sequential semantics", `Quick, test_cache_sequential_semantics);
     ("cache keyed view agrees with full on buggy runs", `Quick, test_keyed_agrees_on_buggy_runs);
     ("cache keyed view projection bound", `Quick, test_keyed_projection_bound);
+    ("cache views equal their former definitions", `Quick, test_views_equal_oracles);
   ]

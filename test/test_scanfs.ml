@@ -9,7 +9,7 @@ let assert_pass what report =
     Alcotest.failf "%s: expected pass, got %a" what Report.pp report
 
 let check_io log = Checker.check ~mode:`Io log Scanfs.spec
-let check_view log = Checker.check ~mode:`View ~view:Scanfs.viewdef log Scanfs.spec
+let check_view log = Checker.check ~mode:`View ~view:(Scanfs.viewdef ~disk_blocks:16) log Scanfs.spec
 
 let names = [| "alpha"; "beta"; "gamma"; "delta" |]
 
@@ -145,7 +145,7 @@ let test_invariant_detects_bug_early () =
         run_fs ~bugs:[ Scanfs.Unprotected_dirty_copy ] ~seed ~threads:4 ~ops:20 ()
       in
       let r =
-        Checker.check ~mode:`View ~view:Scanfs.viewdef ~invariants:[ invariant ] log
+        Checker.check ~mode:`View ~view:(Scanfs.viewdef ~disk_blocks:16) ~invariants:[ invariant ] log
           Scanfs.spec
       in
       go (seed + 1) (if Report.is_pass r then hits else hits + 1)
@@ -159,7 +159,7 @@ let test_invariant_detects_bug_early () =
     let log = run_fs ~seed ~threads:4 ~ops:20 () in
     assert_pass
       (Printf.sprintf "correct with invariant seed %d" seed)
-      (Checker.check ~mode:`View ~view:Scanfs.viewdef ~invariants:[ invariant ] log
+      (Checker.check ~mode:`View ~view:(Scanfs.viewdef ~disk_blocks:16) ~invariants:[ invariant ] log
          Scanfs.spec)
   done
 
@@ -186,6 +186,27 @@ let test_bug_needs_flush_interleaving () =
     assert_pass (Printf.sprintf "no-flush seed %d" seed) (check_view log)
   done
 
+(* The view and the invariant, on precomputed names, equal their former
+   definitions ([View_oracles]) at every commit of seeded runs with and
+   without the bug. *)
+let test_view_equals_oracle () =
+  let invariants =
+    [ (Scanfs.invariant_clean_matches_disk ~disk_blocks:16, View_oracles.scanfs_invariant) ]
+  in
+  List.iter
+    (fun (bugs, seed) ->
+      let events = Log.snapshot (run_fs ~bugs ~seed ~threads:4 ~ops:30 ()) in
+      match
+        View_oracles.agree_at_every_commit events ~view:(Scanfs.viewdef ~disk_blocks:16)
+          ~oracle:View_oracles.scanfs_viewdef ~invariants
+      with
+      | Ok commits ->
+        Alcotest.(check bool) (Printf.sprintf "seed %d: commits" seed) true (commits > 0)
+      | Error m -> Alcotest.failf "seed %d: %s" seed m)
+    (List.concat_map
+       (fun seed -> [ ([], seed); ([ Scanfs.Unprotected_dirty_copy ], seed) ])
+       (List.init 8 Fun.id))
+
 let suite =
   [
     ("sequential semantics", `Quick, test_sequential_semantics);
@@ -194,4 +215,5 @@ let suite =
     ("cache bug detected by view", `Quick, test_cache_bug_detected);
     ("invariant detects bug at flush", `Quick, test_invariant_detects_bug_early);
     ("bug needs flush interleaving", `Quick, test_bug_needs_flush_interleaving);
+    ("view equals its former definition", `Quick, test_view_equals_oracle);
   ]

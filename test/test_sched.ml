@@ -478,6 +478,182 @@ let prng_determinism_prop =
       let a = Prng.create seed and b = Prng.create seed in
       List.for_all (fun _ -> Prng.bits64 a = Prng.bits64 b) (List.init 20 Fun.id))
 
+(* --- long runs ------------------------------------------------------------ *)
+
+(* A fiber's start runs [match_with] from inside the handler that picked it,
+   one nested frame per start; these runs start 20,000 fibers.  Every
+   spawn, yield and start is one step, and so is the pick after each
+   fiber's finish but the last. *)
+let test_long_runs () =
+  let n = 20_000 in
+  let stats =
+    Coop.run_with_stats ~seed:3 (fun s ->
+        for _ = 1 to n do
+          s.spawn (fun () ->
+              for _ = 1 to 3 do
+                s.yield ()
+              done)
+        done)
+  in
+  Alcotest.(check int) "sequential spawns: threads" (n + 1) stats.Coop.threads;
+  Alcotest.(check int) "sequential spawns: steps" ((5 * n) + 1) stats.Coop.steps;
+  let stats =
+    Coop.run_with_stats ~seed:3 (fun s ->
+        let rec chain k () = if k > 0 then s.spawn (chain (k - 1)) in
+        chain n ())
+  in
+  Alcotest.(check int) "spawn chain: threads" (n + 1) stats.Coop.threads;
+  Alcotest.(check int) "spawn chain: steps" ((2 * n) + 1) stats.Coop.steps
+
+(* --- the engine against its trampoline oracle ----------------------------- *)
+
+(* A small random program for the main fiber: every scheduling point of the
+   engine (yields, spawns, blocking lock and rwlock acquisitions) appears,
+   with reentrant locking, [try_lock], [atomically] sections, a raising
+   fiber and an ABBA pair that deadlocks under some schedules. *)
+type op =
+  | Yield
+  | Spawn of op list
+  | Locked of int * op list  (* [with_lock] on one of two mutexes *)
+  | Try_locked of int * op list  (* the body runs, and unlocks, if [try_lock] won *)
+  | Read of op list
+  | Write of op list
+  | Atomic of op list
+  | Raise
+  | Abba  (* two fibers taking the two mutexes in opposite orders *)
+
+let rec show_op = function
+  | Yield -> "yield"
+  | Spawn b -> "spawn" ^ show_body b
+  | Locked (m, b) -> Printf.sprintf "lock%d%s" m (show_body b)
+  | Try_locked (m, b) -> Printf.sprintf "try%d%s" m (show_body b)
+  | Read b -> "read" ^ show_body b
+  | Write b -> "write" ^ show_body b
+  | Atomic b -> "atomic" ^ show_body b
+  | Raise -> "raise"
+  | Abba -> "abba"
+
+and show_body b = "[" ^ String.concat "; " (List.map show_op b) ^ "]"
+
+let gen_program =
+  let open QCheck2.Gen in
+  sized_size (int_bound 16)
+  @@ fix (fun self n ->
+         let leaf = frequency [ (16, pure Yield); (1, pure Raise); (1, pure Abba) ] in
+         if n <= 0 then list_size (int_bound 3) leaf
+         else
+           let body = self (n / 2) in
+           list_size (int_range 1 4)
+             (frequency
+                [
+                  (5, leaf);
+                  (3, map (fun b -> Spawn b) body);
+                  (2, map2 (fun m b -> Locked (m, b)) (int_bound 1) body);
+                  (1, map2 (fun m b -> Try_locked (m, b)) (int_bound 1) body);
+                  (1, map (fun b -> Read b) body);
+                  (1, map (fun b -> Write b) body);
+                  (1, map (fun b -> Atomic b) body);
+                ]))
+
+(* Runs [program] on [s], writing the running thread before every operation
+   and at every fiber's end. *)
+let exec_program trace program (s : Sched.t) =
+  let mutexes = [| s.new_mutex ~name:"a" (); s.new_mutex ~name:"b" () |] in
+  let rw = s.new_rwlock ~name:"rw" () in
+  let mark () = Buffer.add_string trace (Printf.sprintf "%d " (s.self ())) in
+  let rec body ops =
+    List.iter exec ops;
+    mark ()
+  and exec op =
+    mark ();
+    match op with
+    | Yield -> s.yield ()
+    | Spawn b -> s.spawn (fun () -> body b)
+    | Locked (m, b) -> Sched.with_lock mutexes.(m) (fun () -> body b)
+    | Try_locked (m, b) ->
+      if mutexes.(m).try_lock () then begin
+        body b;
+        mutexes.(m).unlock ()
+      end
+    | Read b -> Sched.with_read rw (fun () -> body b)
+    | Write b -> Sched.with_write rw (fun () -> body b)
+    | Atomic b -> Sched.atomic s (fun () -> body b)
+    | Raise -> failwith (Printf.sprintf "raised by %d" (s.self ()))
+    | Abba ->
+      let pair x y () = Sched.with_lock x (fun () -> s.yield (); body [ Locked (y, []) ]) in
+      s.spawn (pair mutexes.(0) 1);
+      s.spawn (pair mutexes.(1) 0)
+  in
+  body program
+
+type outcome =
+  | Finished of Coop.stats
+  | Livelocked of int
+  | Deadlocked of string
+  | Raised of string
+
+let show_outcome = function
+  | Finished { Coop.steps; threads } -> Printf.sprintf "finished: %d steps, %d threads" steps threads
+  | Livelocked n -> Printf.sprintf "livelock at %d" n
+  | Deadlocked m -> m
+  | Raised e -> "raised " ^ e
+
+(* One run under [engine]: the thread trace and the outcome.  With
+   [explore], decisions come from a [decide] that sometimes keeps the
+   running thread, the path [Explore] takes. *)
+let outcome_of engine ~seed ~max_steps ~explore program =
+  let trace = Buffer.create 256 in
+  let decide =
+    if not explore then None
+    else
+      let rng = Prng.create seed in
+      Some
+        (fun (c : Coop.choice) ->
+          let n = Array.length c.candidates in
+          match c.running with
+          | Some t when Prng.int rng 3 = 0 ->
+            let rec index i = if c.candidates.(i) = t then i else index (i + 1) in
+            index 0
+          | Some _ | None -> Prng.int rng n)
+  in
+  let outcome =
+    match engine ~seed ~max_steps ?decide (exec_program trace program) with
+    | stats -> Finished stats
+    | exception Coop.Livelock n -> Livelocked n
+    | exception Coop.Deadlock m -> Deadlocked m
+    | exception e -> Raised (Printexc.to_string e)
+  in
+  (Buffer.contents trace, outcome)
+
+let engine_matches_trampoline =
+  let open QCheck2 in
+  let gen =
+    Gen.(
+      quad (int_bound 1_000_000) (opt (int_range 1 60)) bool gen_program)
+  in
+  let print (seed, max_steps, explore, program) =
+    Printf.sprintf "seed %d, max_steps %s, explore %b, program %s" seed
+      (match max_steps with Some m -> string_of_int m | None -> "default")
+      explore (show_body program)
+  in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+    (Test.make ~name:"coop makes the trampoline's scheduling decisions" ~count:500 ~print gen
+       (fun (seed, max_steps, explore, program) ->
+         let run engine = outcome_of engine ~seed ~max_steps ~explore program in
+         let trace, outcome =
+           run (fun ~seed ~max_steps ?decide main ->
+               Coop.run_with_stats ~seed ?max_steps ?decide main)
+         and oracle_trace, oracle_outcome =
+           run (fun ~seed ~max_steps ?decide main ->
+               Coop_trampoline.run_with_stats ~seed ?max_steps ?decide main)
+         in
+         if trace <> oracle_trace then
+           Test.fail_reportf "trace %S, trampoline %S" trace oracle_trace
+         else if outcome <> oracle_outcome then
+           Test.fail_reportf "%s, trampoline %s" (show_outcome outcome)
+             (show_outcome oracle_outcome)
+         else true))
+
 let suite =
   [
     ("coop spawn runs all fibers", `Quick, test_spawn_all_run);
@@ -509,4 +685,6 @@ let suite =
     vec_window_prop;
     prng_bound_prop;
     prng_determinism_prop;
+    ("coop long runs", `Quick, test_long_runs);
+    engine_matches_trampoline;
   ]
