@@ -513,35 +513,6 @@ let explore_bounds () =
     "@.Unbounded, the same scenario exceeds 200k schedules; with bound 1 the@.\
      space is exhausted in a couple dozen runs and already reaches the bug.@."
 
-(* -------------------------------- ground truth: mutant detection matrix *)
-
-(* Table 1 measures time-to-detection against the paper's injected bugs;
-   the lib/faults registry re-measures it against mutants whose ground truth
-   we control, and fails loudly if any mutant escapes deterministic
-   view-mode detection — the checker validating itself. *)
-let mutants ~json_out () =
-  Fmt.pr "@.Ground truth: seeded-mutant detection matrix (lib/faults)@.@.";
-  let rows = Vyrd_harness.Mutants.run_all Vyrd_harness.Mutants.full in
-  Fmt.pr "%a@." Vyrd_harness.Mutants.pp_matrix rows;
-  (match json_out with
-  | Some file -> (
-    match open_out file with
-    | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Vyrd_harness.Mutants.to_json rows));
-      Fmt.pr "matrix written to %s@." file
-    | exception Sys_error msg -> Fmt.epr "cannot write %s: %s@." file msg)
-  | None -> ());
-  let detected = List.filter Vyrd_harness.Mutants.deterministic_view_detection rows in
-  let beats = List.filter Vyrd_harness.Mutants.view_beats_io rows in
-  Fmt.pr
-    "@.%d/%d mutants deterministically detected in `View mode; view-mode@.\
-     time-to-detection <= io-mode (or io missed outright) for %d/%d —@.\
-     Table 1's asymmetry reproduced with ground truth.@."
-    (List.length detected) (List.length rows) (List.length beats) (List.length rows);
-  if List.length detected < List.length rows then exit 1
-
 (* ---------------------------------------------- baseline: §8 atomicity *)
 
 let baseline_atomizer () =
@@ -1465,8 +1436,7 @@ let all () =
   hotpath ~baseline:None ~min_evps:1e6;
   lane_overhead analysis_lane ~baseline:None;
   lane_overhead monitor_lane ~baseline:None;
-  lin_bench ~baseline:None;
-  mutants ~json_out:(Some "detection_matrix.json") ()
+  lin_bench ~baseline:None
 
 let () =
   (* hidden re-exec mode for [cluster_bench]'s worker processes; never
@@ -1570,17 +1540,6 @@ let () =
            BENCH_cluster.json)."
           "2-worker throughput" no_extra
           (fun baseline () -> cluster_bench ~baseline);
-        Cmd.v
-          (Cmd.info "mutants"
-             ~doc:
-               "Seeded-mutant detection matrix: every lib/faults mutant vs \
-                regime and refinement mode (ground truth for Table 1).")
-          Term.(
-            const (fun json -> mutants ~json_out:json ())
-            $ Arg.(
-                value
-                & opt (some string) None
-                & info [ "json" ] ~docv:"FILE" ~doc:"Also write the matrix as JSON."));
         cmd "all" "Run every experiment." all;
       ]
   in

@@ -41,4 +41,3 @@ type epoch = { etid : Tid.t; eclock : int }
 
 let epoch t tid = { etid = tid; eclock = get t tid }
 let epoch_leq e t = e.eclock <= get t e.etid
-let pp_epoch ppf e = Fmt.pf ppf "%d@%s" e.eclock (Tid.to_string e.etid)

@@ -38,6 +38,3 @@ val epoch : t -> Vyrd_sched.Tid.t -> epoch
 (** [epoch_leq e t] iff the access stamped [e] happens before the point
     stamped [t] — the O(1) race check. *)
 val epoch_leq : epoch -> t -> bool
-
-(** Renders as [c@Tn], the FastTrack paper's notation. *)
-val pp_epoch : Format.formatter -> epoch -> unit

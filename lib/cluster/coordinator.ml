@@ -11,9 +11,7 @@ type config = {
   c_spool_dir : string;
   c_checkpoint_events : int;
   c_worker_slots : int;
-  c_health_period : float;
   c_idle_timeout : float;
-  c_leg_timeout : float;
   c_keep_spools : bool;
   c_vnodes : int;
   c_seed : int;
@@ -21,9 +19,8 @@ type config = {
 }
 
 let config ?(window = 8192) ?(checkpoint_events = 25_000) ?(worker_slots = 4)
-    ?(health_period = 1.0) ?(idle_timeout = 30.) ?(leg_timeout = 60.)
-    ?(keep_spools = false) ?(vnodes = 128) ?(seed = 0) ?metrics ~addr
-    ~spool_dir () =
+    ?(idle_timeout = 30.) ?(keep_spools = false) ?(vnodes = 128) ?(seed = 0) ?metrics
+    ~addr ~spool_dir () =
   if window <= 0 then invalid_arg "Coordinator.config: window";
   if worker_slots <= 0 then invalid_arg "Coordinator.config: worker_slots";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
@@ -33,9 +30,7 @@ let config ?(window = 8192) ?(checkpoint_events = 25_000) ?(worker_slots = 4)
     c_spool_dir = spool_dir;
     c_checkpoint_events = checkpoint_events;
     c_worker_slots = worker_slots;
-    c_health_period = health_period;
     c_idle_timeout = idle_timeout;
-    c_leg_timeout = leg_timeout;
     c_keep_spools = keep_spools;
     c_vnodes = vnodes;
     c_seed = seed;
@@ -48,10 +43,6 @@ type t = {
   mutable health_thread : Thread.t option;
   members : Member.t;
   ctrl_lock : Mutex.t;  (** serializes RPCs on workers' control connections *)
-  m_events : Metrics.counter;
-  m_batches : Metrics.counter;
-  m_bytes : Metrics.counter;
-  m_verdicts : Metrics.counter;
   m_routed : Metrics.counter;
   m_leg_failures : Metrics.counter;
   m_reassignments : Metrics.counter;
@@ -211,8 +202,14 @@ let drain t name =
       if w.w_state = Member.Alive then Member.mark t.members name Member.Draining;
       Metrics.incr t.m_drained
 
+(* seconds between health polls *)
+let health_period = 1.0
+
+(* [SO_RCVTIMEO]/[SO_SNDTIMEO] on worker legs: a hung worker surfaces as a
+   leg failure instead of pinning the session *)
+let leg_timeout = 60.
+
 let health_loop t =
-  let period = max 0.05 t.cfg.c_health_period in
   while not (Listener.stopping t.listener) do
     List.iter
       (fun (w : Member.worker) ->
@@ -220,7 +217,7 @@ let health_loop t =
       (Member.workers t.members);
     (* sleep in slices so stop doesn't wait out a full period *)
     let slept = ref 0.0 in
-    while !slept < period && not (Listener.stopping t.listener) do
+    while !slept < health_period && not (Listener.stopping t.listener) do
       Thread.delay 0.05;
       slept := !slept +. 0.05
     done
@@ -248,7 +245,7 @@ let open_leg t ~key ~level ~writer =
     | Some w -> (
         match Client.connect ~level ~producer:"vyrdc" w.Member.w_addr with
         | c -> (
-            Client.set_timeout c t.cfg.c_leg_timeout;
+            Client.set_timeout c leg_timeout;
             match
               let spooled = Segment.writer_events writer in
               if spooled > 0 then begin
@@ -329,8 +326,17 @@ let drop_leg t leg =
   | None -> note_dead t leg.l_worker
   | Some st -> scrape t leg.l_worker st
 
-let serve_data_session t (s : Listener.session) r (hello : Wire.hello) =
-  let fd = s.fd in
+(* What a worker leg raises when it fails mid-session. *)
+let leg_failure = function
+  | Client.Server_error _ | Unix.Unix_error _ | Wire.Closed | Wire.Timeout
+  | Bincodec.Corrupt _ ->
+      true
+  | _ -> false
+
+(* A client session spools every batch, then forwards it over a leg to
+   its worker; [close] closes the leg and reclaims the spool of a verdicted
+   session. *)
+let data_sink t (s : Listener.session) (hello : Wire.hello) =
   if Listener.stopping t.listener then
     raise (Bincodec.Corrupt "coordinator is stopping");
   let level = hello.Wire.h_level in
@@ -343,26 +349,6 @@ let serve_data_session t (s : Listener.session) r (hello : Wire.hello) =
   let writer = Segment.create_writer ~level spool in
   let leg = ref None in
   let clean = ref false in
-  let cleanup () =
-    (match !leg with Some l -> close_leg t l | None -> ());
-    leg := None;
-    (try Segment.close writer with Invalid_argument _ -> ());
-    (* spools of verdicted sessions are pure replay insurance — reclaim
-       them; failed sessions keep theirs for forensics *)
-    if !clean && not t.cfg.c_keep_spools then
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (Segment.writer_files writer)
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  Wire.send_server fd
-    (Wire.Hello_ack
-       {
-         a_version = Wire.version;
-         a_session = s.id;
-         a_credit = t.cfg.c_window;
-         a_spilling = false;
-       });
   let ensure_leg () =
     match !leg with
     | Some l -> l
@@ -386,131 +372,89 @@ let serve_data_session t (s : Listener.session) r (hello : Wire.hello) =
     let l = ensure_leg () in
     match f l.l_client with
     | v -> v
-    | exception
-        (( Client.Server_error _ | Unix.Unix_error _ | Wire.Closed
-         | Wire.Timeout | Bincodec.Corrupt _ ) as e) ->
+    | exception e when leg_failure e ->
         reassign l;
         if attempts <= 1 then raise e;
         forwarding ~attempts:(attempts - 1) f
   in
-  (* batches are NOT idempotent: the failed batch is already in the spool,
-     so the reopening resume replays it into the replacement worker —
-     re-sending it on the wire would feed those events twice *)
-  let forward_batch evs n =
-    let l = ensure_leg () in
-    try Client.send_batch ~len:n l.l_client evs
-    with
-    | Client.Server_error _ | Unix.Unix_error _ | Wire.Closed | Wire.Timeout
-    | Bincodec.Corrupt _
-    ->
-      reassign l;
-      ignore (ensure_leg ())
-  in
-  ignore (ensure_leg ());
-  let ungranted = ref 0 in
-  let grant_at = max 1 (t.cfg.c_window / 2) in
   let last_ck = ref 0 in
+  (* a barrier snapshot covering the whole spool is appended to it *)
+  let checkpoint () =
+    let events, state = forwarding Client.request_checkpoint in
+    (match state with
+    | Some repr when events = Segment.writer_events writer ->
+        Segment.append_checkpoint writer repr;
+        last_ck := Segment.writer_events writer;
+        Metrics.incr t.m_checkpoints
+    | _ -> ());
+    state
+  in
   let maybe_checkpoint () =
     if
       t.cfg.c_checkpoint_events > 0
       && Segment.writer_events writer - !last_ck >= t.cfg.c_checkpoint_events
     then begin
-      let events, state = forwarding Client.request_checkpoint in
+      ignore (checkpoint () : Vyrd.Repr.t option);
       (* advance the cursor even on None so a non-snapshottable farm is not
          re-asked every batch *)
-      last_ck := Segment.writer_events writer;
-      match state with
-      | Some repr when events = Segment.writer_events writer ->
-          Segment.append_checkpoint writer repr;
-          Metrics.incr t.m_checkpoints
-      | _ -> ()
+      last_ck := Segment.writer_events writer
     end
   in
-  let finished = ref false in
   (* [evs.(0 .. n - 1)] may be the reader's array: spooled and forwarded
      (both encode synchronously) before the next [recv] reuses it *)
-  let on_batch evs n =
-    Metrics.incr t.m_batches;
-    Metrics.add t.m_events n;
+  let batch evs n =
+    (* the leg opens before the batch is spooled: a leg opened after would
+       replay the batch from the spool and then receive it again *)
+    let l = ensure_leg () in
     (* spool before forward: the spool must be a superset of whatever
        any worker ever saw, or failover could lose events *)
     for i = 0 to n - 1 do
       Segment.append writer evs.(i)
     done;
-    forward_batch evs n;
-    maybe_checkpoint ();
-    ungranted := !ungranted + n;
-    if !ungranted >= grant_at then begin
-      Wire.send_server fd (Wire.Credit !ungranted);
-      ungranted := 0
-    end
+    (* batches are NOT idempotent: the failed batch is already in the
+       spool, so the reopening resume replays it into the replacement
+       worker — re-sending it on the wire would feed those events twice *)
+    (try Client.send_batch ~len:n l.l_client evs
+     with e when leg_failure e ->
+       reassign l;
+       ignore (ensure_leg ()));
+    maybe_checkpoint ()
   in
-  while not !finished do
-    let msg = Wire.recv r fd in
-    Metrics.add t.m_bytes (Wire.frame_bytes r);
-    match msg with
-    | Wire.Events (evs, n) -> on_batch evs n
-    | Wire.Message (Wire.Batch evs) -> on_batch evs (Array.length evs)
-    | Wire.Message Wire.Heartbeat ->
-        (* keep both the client session and the worker leg alive *)
-        (match !leg with
-        | Some l -> (
-            try Client.heartbeat l.l_client
-            with
-            | Client.Server_error _ | Unix.Unix_error _ | Wire.Closed
-            | Wire.Timeout | Bincodec.Corrupt _
-            ->
-              drop_leg t l;
-              leg := None;
-              Metrics.incr t.m_reassignments)
-        | None -> ());
-        Wire.send_server fd Wire.Heartbeat_ack
-    | Wire.Message Wire.Checkpoint_request ->
-        let events, state = forwarding Client.request_checkpoint in
-        (match state with
-        | Some repr when events = Segment.writer_events writer ->
-            Segment.append_checkpoint writer repr;
-            last_ck := Segment.writer_events writer;
-            Metrics.incr t.m_checkpoints
-        | _ -> ());
-        Wire.send_server fd
-          (Wire.Checkpoint_state
-             { cs_events = Segment.writer_events writer; cs_state = state })
-    | Wire.Message Wire.Finish ->
-        Segment.flush writer;
-        let outcome = forwarding Client.finish in
-        (match !leg with
-        | Some l ->
-            Member.release t.members l.l_worker;
-            leg := None
-        | None -> ());
-        let verdict =
-          match outcome with
-          | Client.Checked { report; fail_index } ->
-              Wire.Verdict
-                {
-                  v_report = report;
-                  v_fail_index = fail_index;
-                  v_events = Segment.writer_events writer;
-                  v_spilled = None;
-                }
-          | Client.Spilled { path; events } ->
-              Wire.Verdict (Wire.spilled_verdict ~events path)
-        in
-        (* Count before sending: once the client sees the verdict frame it may
-           scrape [cluster.verdicts], and the increment must already be
-           visible. *)
-        Metrics.incr t.m_verdicts;
-        clean := true;
-        Wire.send_server fd verdict;
-        finished := true
-    | Wire.Message (Wire.Hello _) ->
-        raise (Bincodec.Corrupt "unexpected second hello")
-    | Wire.Message (Wire.Resume_session _) ->
-        raise (Bincodec.Corrupt "resume is not supported on a coordinator session")
-    | Wire.Message (Wire.Drain | Wire.Status_request | Wire.Register _) ->
-        raise (Bincodec.Corrupt "control message on a data session")
-  done
+  (* keep the worker leg alive along with the client session *)
+  let heartbeat () =
+    match !leg with
+    | Some l -> (
+        try Client.heartbeat l.l_client with e when leg_failure e -> reassign l)
+    | None -> ()
+  in
+  let finish ~events =
+    Segment.flush writer;
+    let outcome = forwarding Client.finish in
+    (match !leg with
+    | Some l ->
+        Member.release t.members l.l_worker;
+        leg := None
+    | None -> ());
+    clean := true;
+    match outcome with
+    | Client.Checked { report; fail_index } ->
+        { Wire.v_report = report; v_fail_index = fail_index; v_events = events;
+          v_spilled = None }
+    | Client.Spilled { path; events } -> Wire.spilled_verdict ~events path
+  in
+  let close () =
+    Option.iter (close_leg t) !leg;
+    leg := None;
+    (try Segment.close writer with Invalid_argument _ -> ());
+    (* spools of verdicted sessions are pure replay insurance — reclaim
+       them; failed sessions keep theirs for forensics *)
+    if !clean && not t.cfg.c_keep_spools then
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        (Segment.writer_files writer);
+    ignore
+  in
+  { Listener.spilling = false; batch; heartbeat; checkpoint; resume = None; finish; close }
 
 let status t =
   let live = active t in
@@ -525,7 +469,7 @@ let start cfg =
   if not (Sys.file_exists cfg.c_spool_dir) then Unix.mkdir cfg.c_spool_dir 0o755;
   let listener =
     Listener.bind ~family:"cluster" ~metrics:cfg.c_metrics
-      ~idle_timeout:cfg.c_idle_timeout cfg.c_addr
+      ~idle_timeout:cfg.c_idle_timeout ~window:cfg.c_window cfg.c_addr
   in
   let m = cfg.c_metrics in
   let t =
@@ -535,10 +479,6 @@ let start cfg =
       health_thread = None;
       members = Member.create ~vnodes:cfg.c_vnodes ~seed:cfg.c_seed ();
       ctrl_lock = Mutex.create ();
-      m_events = Metrics.counter m "cluster.events";
-      m_batches = Metrics.counter m "cluster.batches";
-      m_bytes = Metrics.counter m "cluster.bytes_in";
-      m_verdicts = Metrics.counter m "cluster.verdicts";
       m_routed = Metrics.counter m "cluster.sessions_routed";
       m_leg_failures = Metrics.counter m "cluster.leg_failures";
       m_reassignments = Metrics.counter m "cluster.reassignments";
@@ -554,10 +494,7 @@ let start cfg =
   in
   Listener.serve listener
     {
-      Listener.data =
-        (fun s r hello ->
-          serve_data_session t s r hello;
-          ignore);
+      Listener.data = data_sink t;
       status = (fun () -> status t);
       control = (fun _ -> false);
     };

@@ -1,10 +1,13 @@
 (** The vyrdc cluster coordinator.
 
-    Speaks the plain {!Vyrd_net.Wire} server protocol to clients — an
+    Speaks the plain {!Vyrd_net.Wire} server protocol to clients — the
+    session loop is {!Vyrd_net.Listener}'s, the one vyrdd runs, so an
     existing {!Vyrd_net.Client} connects to a coordinator with no source
     changes — and proxies each session to one of N attached [vyrdd]
     workers, chosen by consistent hashing with bounded loads
-    ({!Member.acquire}).
+    ({!Member.acquire}).  The leg to the worker opens at the session's
+    first batch, checkpoint or finish.  A coordinator session does not
+    accept {!Wire.Resume_session}.
 
     {b Failover.}  Every client batch is appended to a per-session segment
     spool {e before} it is forwarded, and the coordinator periodically asks
@@ -19,7 +22,7 @@
     recovers fewer events than were spooled fails the session honestly.
 
     {b Health.}  A background thread polls each worker's control
-    connection ({!Wire.Status_request}) every [health_period] seconds,
+    connection ({!Wire.Status_request}) every second,
     piggybacking a metrics scrape on the liveness check; {!aggregate}
     merges the coordinator's own [cluster.*] registry with every worker's
     last snapshot into one cluster-wide view. *)
@@ -36,13 +39,8 @@ type config = {
           events and append it to the spool; [0] disables (default 25_000) *)
   c_worker_slots : int;
       (** default concurrent-session capacity per worker (default 4) *)
-  c_health_period : float;  (** seconds between health polls (default 1) *)
   c_idle_timeout : float;
       (** seconds without a client frame before a session fails (default 30) *)
-  c_leg_timeout : float;
-      (** [SO_RCVTIMEO]/[SO_SNDTIMEO] armed on worker legs, so a hung
-          worker surfaces as a leg failure instead of pinning the session
-          (default 60) *)
   c_keep_spools : bool;
       (** keep verdicted sessions' spool files instead of deleting them
           (default false) *)
@@ -56,9 +54,7 @@ val config :
   ?window:int ->
   ?checkpoint_events:int ->
   ?worker_slots:int ->
-  ?health_period:float ->
   ?idle_timeout:float ->
-  ?leg_timeout:float ->
   ?keep_spools:bool ->
   ?vnodes:int ->
   ?seed:int ->
@@ -71,12 +67,13 @@ val config :
 type t
 
 (** [start config] creates the spool directory, binds and listens through
-    {!Vyrd_net.Listener} (the accept loop, first-frame dispatch, failure
-    containment and [cluster.sessions*] / [cluster.accept_errors] metrics
-    are the ones vyrdd uses), and spawns the health-poll thread.  A
-    [Status_request] opens a control connection answered with the
-    aggregated cluster status; it is not counted by {!active}.  Workers are
-    attached separately with {!attach}.
+    {!Vyrd_net.Listener} (the accept loop, first-frame dispatch, session
+    protocol, failure containment and [cluster.*] session metrics are the
+    ones vyrdd uses), and spawns the health-poll thread.  A
+    [Status_request] opening a connection makes it a control connection,
+    not counted by {!active}; one inside a session is answered too.  Both
+    get the aggregated cluster status.  Workers are attached separately
+    with {!attach}.
     @raise Unix.Unix_error when the address cannot be bound. *)
 val start : config -> t
 

@@ -3,11 +3,6 @@ module Metrics = Vyrd_pipeline.Metrics
 
 type state = Alive | Draining | Dead
 
-let state_name = function
-  | Alive -> "alive"
-  | Draining -> "draining"
-  | Dead -> "dead"
-
 type worker = {
   w_name : string;
   w_addr : Wire.addr;

@@ -15,8 +15,6 @@ type state =
   | Draining  (** finishing in-flight sessions; owns no new keys *)
   | Dead  (** unreachable or killed; owns no keys *)
 
-val state_name : state -> string
-
 type worker = {
   w_name : string;
   w_addr : Wire.addr;

@@ -610,16 +610,8 @@ let require_view_level ~who log =
          | `View -> "View"
          | `Full -> "Full"))
 
-let check ?mode ?view ?invariants log spec =
-  (match mode with Some `View -> require_view_level ~who:"Checker.check" log | _ -> ());
-  let t = create ?mode ?view ?invariants spec in
-  Log.iter (fun ev -> ignore (feed t ev)) log;
-  report t
-
 let check_indexed ?mode ?view ?invariants log spec =
-  (match mode with
-  | Some `View -> require_view_level ~who:"Checker.check_indexed" log
-  | _ -> ());
+  (match mode with Some `View -> require_view_level ~who:"Checker.check" log | _ -> ());
   let t = create ?mode ?view ?invariants spec in
   let idx = ref 0 in
   let fail_at = ref None in
@@ -631,3 +623,6 @@ let check_indexed ?mode ?view ?invariants log spec =
       incr idx)
     log;
   (report t, !fail_at)
+
+let check ?mode ?view ?invariants log spec =
+  fst (check_indexed ?mode ?view ?invariants log spec)

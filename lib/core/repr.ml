@@ -64,7 +64,6 @@ let int i = if i >= 0 && i < 256 then Array.unsafe_get interned_ints i else Int 
 let str s = Str s
 let pair a b = Pair (a, b)
 let list vs = List vs
-let of_bytes b = Str (Bytes.to_string b)
 let success = Str "success"
 let failure = Str "failure"
 let is_success v = equal v success

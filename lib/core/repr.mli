@@ -42,9 +42,6 @@ val str : string -> t
 val pair : t -> t -> t
 val list : t list -> t
 
-(** Bytes are stored as an immutable string copy. *)
-val of_bytes : bytes -> t
-
 (** Method outcome conventions used throughout the substrates: mirrors the
     paper's [success] / [failure] return values. *)
 val success : t

@@ -1,9 +1,5 @@
 type kind = Mutator | Observer | Internal
 
-let pp_kind ppf k =
-  Fmt.string ppf
-    (match k with Mutator -> "mutator" | Observer -> "observer" | Internal -> "internal")
-
 module type S = sig
   type state
   type meth

@@ -17,8 +17,6 @@ type kind =
           compression step): treated like a mutator whose transition must
           leave the abstract view unchanged (§7.2.3) *)
 
-val pp_kind : Format.formatter -> kind -> unit
-
 module type S = sig
   type state
 

@@ -173,11 +173,6 @@ let pp_witness ppf w =
     Fmt.(option (fun ppf d -> pf ppf " — %s" d))
     w.detail
 
-let pp_verdict ppf = function
-  | Sat -> Fmt.string ppf "sat"
-  | Pending -> Fmt.string ppf "pending"
-  | Viol w -> Fmt.pf ppf "violated %a" pp_witness w
-
 (* ------------------------------------------------------------- monitors *)
 
 type instance = {

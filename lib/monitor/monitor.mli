@@ -67,7 +67,6 @@ type witness = {
 type verdict = Sat | Viol of witness | Pending
 
 val pp_witness : Format.formatter -> witness -> unit
-val pp_verdict : Format.formatter -> verdict -> unit
 
 (** {1 Monitors} *)
 

@@ -23,8 +23,6 @@ type t = { ctx : Instrument.ctx; slots : slot array; bugs : bug list }
 
 type outcome = Success | Failure
 
-let outcome_repr = function Success -> Repr.success | Failure -> Repr.failure
-
 let elt_repr = function None -> Repr.Unit | Some x -> Repr.Int x
 
 let elt_var i = Printf.sprintf "A[%d].elt" i

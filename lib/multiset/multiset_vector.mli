@@ -28,7 +28,6 @@ val create : ?bugs:bug list -> capacity:int -> Vyrd.Instrument.ctx -> t
 
 type outcome = Success | Failure
 
-val outcome_repr : outcome -> Vyrd.Repr.t
 val insert : t -> int -> outcome
 val insert_pair : t -> int -> int -> outcome
 

@@ -3,8 +3,18 @@ module Bincodec = Vyrd_pipeline.Bincodec
 
 type session = { id : int; fd : Unix.file_descr; mutable control : bool }
 
+type sink = {
+  spilling : bool;
+  batch : Vyrd.Event.t array -> int -> unit;
+  heartbeat : unit -> unit;
+  checkpoint : unit -> Vyrd.Repr.t option;
+  resume : (string -> int * int option * int) option;
+  finish : events:int -> Wire.verdict;
+  close : unit -> unit -> unit;
+}
+
 type handlers = {
-  data : session -> Wire.reader -> Wire.hello -> unit -> unit;
+  data : session -> Wire.hello -> sink;
   status : unit -> Wire.status;
   control : Wire.client_msg -> bool;
 }
@@ -13,6 +23,7 @@ type t = {
   listen_fd : Unix.file_descr;
   bound : Wire.addr;
   idle_timeout : float;
+  window : int;
   lock : Mutex.t;
   live : (int, session) Hashtbl.t;
   threads : (int, Thread.t) Hashtbl.t;
@@ -25,6 +36,13 @@ type t = {
   m_failed : Metrics.counter;
   m_accept_errors : Metrics.counter;
   m_peak : Metrics.gauge;
+  m_events : Metrics.counter;
+  m_batches : Metrics.counter;
+  m_bytes : Metrics.counter;
+  m_credits : Metrics.counter;
+  m_heartbeats : Metrics.counter;
+  m_verdicts : Metrics.counter;
+  m_batch_events : Metrics.histogram;
 }
 
 let with_lock t f =
@@ -67,6 +85,79 @@ let control_loop t h (s : session) r first =
   in
   answer first
 
+(* A data session, from the version-checked hello to the verdict.  Raises
+   on any protocol failure; the caller contains it.  Returns the sink's
+   post-close step. *)
+let data_session t h s r hello =
+  let sink = h.data s hello in
+  let send m = Wire.send_server s.fd m in
+  let after_close = ref ignore in
+  Fun.protect ~finally:(fun () -> after_close := sink.close ()) (fun () ->
+      send
+        (Wire.Hello_ack
+           { a_version = Wire.version; a_session = s.id; a_credit = t.window;
+             a_spilling = sink.spilling });
+      let events = ref 0 and ungranted = ref 0 in
+      let grant_at = max 1 (t.window / 2) in
+      let rec next () =
+        let msg = Wire.recv r s.fd in
+        Metrics.add t.m_bytes (Wire.frame_bytes r);
+        match msg with
+        | Wire.Events (evs, n) ->
+          (* [evs.(0 .. n - 1)] live in the reader's array: the sink is done
+             with them before the next [recv] overwrites it *)
+          sink.batch evs n;
+          events := !events + n;
+          ungranted := !ungranted + n;
+          Metrics.add t.m_events n;
+          Metrics.incr t.m_batches;
+          Metrics.observe t.m_batch_events n;
+          if !ungranted >= grant_at then begin
+            send (Wire.Credit !ungranted);
+            Metrics.add t.m_credits !ungranted;
+            ungranted := 0
+          end;
+          next ()
+        | Wire.Message Wire.Finish ->
+          let verdict = sink.finish ~events:!events in
+          (* count before sending: once the client holds the verdict it may
+             scrape [<family>.verdicts], and the increment must be visible *)
+          Metrics.incr t.m_verdicts;
+          send (Wire.Verdict verdict)
+        | Wire.Message Wire.Heartbeat ->
+          Metrics.incr t.m_heartbeats;
+          sink.heartbeat ();
+          send Wire.Heartbeat_ack;
+          next ()
+        | Wire.Message Wire.Checkpoint_request ->
+          (* in-band barrier: by protocol order every batch before this
+             request has reached the sink, so the state covers [events] *)
+          let state = sink.checkpoint () in
+          send (Wire.Checkpoint_state { cs_events = !events; cs_state = state });
+          next ()
+        | Wire.Message Wire.Status_request ->
+          send (Wire.Status (h.status ()));
+          next ()
+        | Wire.Message (Wire.Resume_session path) ->
+          (match sink.resume with
+          | None -> raise (Bincodec.Corrupt "resume on a session that cannot resume")
+          | Some _ when !events > 0 ->
+            raise (Bincodec.Corrupt "resume after events were received")
+          | Some resume ->
+            let total, resumed_at, replayed = resume path in
+            events := total;
+            send
+              (Wire.Resume_ack
+                 { ra_events = total; ra_resumed_at = resumed_at;
+                   ra_replayed = replayed }));
+          next ()
+        | Wire.Message (Wire.Hello _) ->
+          raise (Bincodec.Corrupt "unexpected second hello")
+        | Wire.Message _ -> raise (Bincodec.Corrupt "control message on a data session")
+      in
+      next ());
+  !after_close
+
 let serve_connection t h s =
   Unix.setsockopt_float s.fd Unix.SO_RCVTIMEO t.idle_timeout;
   (* a peer that stops *reading* must not pin this thread in a blocking
@@ -80,7 +171,7 @@ let serve_connection t h s =
         (Bincodec.Corrupt
            (Printf.sprintf "protocol version %d, expected %d" hello.Wire.h_version
               Wire.version));
-    h.data s r hello
+    data_session t h s r hello
   | Wire.Message ((Wire.Status_request | Wire.Register _) as m) ->
     control_loop t h s r m;
     ignore
@@ -153,7 +244,7 @@ let accept_loop t h =
       end
   done
 
-let bind ~family ~metrics ~idle_timeout addr =
+let bind ~family ~metrics ~idle_timeout ~window addr =
   (* a dead peer surfaces as EPIPE from write, not a process-killing signal *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let domain =
@@ -180,6 +271,7 @@ let bind ~family ~metrics ~idle_timeout addr =
         | Unix.ADDR_UNIX path -> Wire.Unix_socket path
         | Unix.ADDR_INET (ip, port) -> Wire.Tcp (Unix.string_of_inet_addr ip, port));
       idle_timeout;
+      window;
       lock = Mutex.create ();
       live = Hashtbl.create 16;
       threads = Hashtbl.create 16;
@@ -192,6 +284,13 @@ let bind ~family ~metrics ~idle_timeout addr =
       m_failed = Metrics.counter metrics (name "sessions_failed");
       m_accept_errors = Metrics.counter metrics (name "accept_errors");
       m_peak = Metrics.gauge metrics (name "sessions_peak");
+      m_events = Metrics.counter metrics (name "events");
+      m_batches = Metrics.counter metrics (name "batches");
+      m_bytes = Metrics.counter metrics (name "bytes_in");
+      m_credits = Metrics.counter metrics (name "credits_granted");
+      m_heartbeats = Metrics.counter metrics (name "heartbeats");
+      m_verdicts = Metrics.counter metrics (name "verdicts");
+      m_batch_events = Metrics.histogram metrics (name "batch_events");
     }
 
 let serve t h = t.accept_thread <- Some (Thread.create (accept_loop t) h)

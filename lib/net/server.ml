@@ -42,13 +42,6 @@ type t = {
   mutable registered : string option;
   (* metrics handles, registered once *)
   m_spilled : Metrics.counter;
-  m_events : Metrics.counter;
-  m_batches : Metrics.counter;
-  m_bytes : Metrics.counter;
-  m_credits : Metrics.counter;
-  m_heartbeats : Metrics.counter;
-  m_verdicts : Metrics.counter;
-  m_batch_events : Metrics.histogram;
   m_rechecks : Metrics.counter;
   m_recheck_replayed : Metrics.counter;
   m_recheck_resumed : Metrics.counter;
@@ -107,9 +100,6 @@ let status t =
     st_metrics = Metrics.encode t.cfg.metrics;
   }
 
-(* A session in checking mode owns a farm; in spill mode, a segment writer.
-   [checking] is decided at hello time from the live checking count. *)
-
 (* Offline re-check of one spilled spool through the session farm template,
    resuming from its latest usable checkpoint and leaving fresh checkpoint
    frames behind so the *next* pass over the same spool is O(suffix). *)
@@ -139,159 +129,6 @@ let control t = function
     true
   | _ -> false
 
-(* Everything a data connection does, from hello to verdict.  Raises on
-   any protocol failure; the caller contains it.  Returns the spool path
-   when the session was spilled and reached its verdict, so the caller can
-   re-check it offline. *)
-let serve_data_session t (s : Listener.session) r hello =
-  let fd = s.fd in
-  if draining t then raise (Bincodec.Corrupt "server is draining");
-  let level = hello.Wire.h_level in
-  let checking = take_slot t in
-  Fun.protect ~finally:(fun () -> if checking then release_slot t) @@ fun () ->
-  (* The sink this session feeds: a farm, or a segment spool under overload.
-     Both are torn down through [cleanup] on any exit path. *)
-  let farm = ref None in
-  let writer = ref None in
-  let spill_path = ref None in
-  if checking then
-    (* Invalid_argument (e.g. a `View shard template refusing an `Io-level
-       hello) must fail this session, not kill the server *)
-    match Farm.start ~capacity:t.cfg.capacity ~metrics:t.cfg.metrics
-            ~passes:(session_passes t level) ~level (t.cfg.shards level) with
-    | f -> farm := Some f
-    | exception Invalid_argument msg -> raise (Bincodec.Corrupt msg)
-  else begin
-    let path =
-      Filename.concat t.cfg.spill_dir (Printf.sprintf "vyrdd-spill-%06d.seg" s.id)
-    in
-    writer := Some (Segment.create_writer ~level path);
-    spill_path := Some path;
-    Metrics.incr t.m_spilled
-  end;
-  let cleanup () =
-    (match !farm with
-    | Some f -> count_monitor_summaries t (Farm.finish f)
-    | None -> ());
-    match !writer with Some w -> Segment.close w | None -> ()
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  Wire.send_server fd
-    (Wire.Hello_ack
-       {
-         a_version = Wire.version;
-         a_session = s.id;
-         a_credit = t.cfg.window;
-         a_spilling = not checking;
-       });
-  let consumed = ref 0 in
-  let ungranted = ref 0 in
-  let grant_at = max 1 (t.cfg.window / 2) in
-  let finished = ref false in
-  (* [evs.(0 .. n - 1)] live in the reader's array: both sinks are done
-     with them (the farm routed each event, the writer encoded it) before
-     the next [recv] overwrites it *)
-  let on_batch evs n =
-    (match !farm with
-    | Some f ->
-      for i = 0 to n - 1 do
-        Farm.feed f evs.(i)
-      done
-    | None ->
-      let w = Option.get !writer in
-      for i = 0 to n - 1 do
-        Segment.append w evs.(i)
-      done);
-    consumed := !consumed + n;
-    ungranted := !ungranted + n;
-    Metrics.add t.m_events n;
-    Metrics.incr t.m_batches;
-    Metrics.observe t.m_batch_events n;
-    if !ungranted >= grant_at then begin
-      Wire.send_server fd (Wire.Credit !ungranted);
-      Metrics.add t.m_credits !ungranted;
-      ungranted := 0
-    end
-  in
-  while not !finished do
-    let msg = Wire.recv r fd in
-    Metrics.add t.m_bytes (Wire.frame_bytes r);
-    match msg with
-    | Wire.Events (evs, n) -> on_batch evs n
-    | Wire.Message (Wire.Batch evs) -> on_batch evs (Array.length evs)
-    | Wire.Message (Wire.Hello _) -> raise (Bincodec.Corrupt "unexpected second hello")
-    | Wire.Message Wire.Heartbeat ->
-      Metrics.incr t.m_heartbeats;
-      Wire.send_server fd Wire.Heartbeat_ack
-    | Wire.Message Wire.Finish ->
-      let verdict =
-        match !farm with
-        | Some f ->
-          let result = Farm.finish f in
-          farm := None;
-          count_monitor_summaries t result;
-          {
-            Wire.v_report = result.Farm.merged;
-            v_fail_index = Farm.min_fail_index result;
-            v_events = !consumed;
-            v_spilled = None;
-          }
-        | None ->
-          let w = Option.get !writer in
-          Segment.close w;
-          writer := None;
-          Wire.spilled_verdict ~events:!consumed (Option.get !spill_path)
-      in
-      Wire.send_server fd (Wire.Verdict verdict);
-      Metrics.incr t.m_verdicts;
-      finished := true
-    | Wire.Message (Wire.Resume_session path) ->
-      (* cluster failover: adopt the half-streamed session spooled by the
-         coordinator.  Only valid as the session's first traffic — the
-         fresh farm from the hello is replaced by one restored from the
-         spool's newest usable checkpoint, and the router's global cursor
-         carries over, so the eventual verdict (fail index included) is the
-         one an uninterrupted session would have produced. *)
-      if not checking then
-        raise (Bincodec.Corrupt "resume on a spilling session");
-      if !consumed > 0 then
-        raise (Bincodec.Corrupt "resume after events were received");
-      (match !farm with
-      | Some f ->
-        ignore (Farm.finish f : Farm.result);
-        farm := None
-      | None -> ());
-      (match
-         Resume.resume_open ~capacity:t.cfg.capacity ~metrics:t.cfg.metrics
-           ~passes:(session_passes t level) ~shards:t.cfg.shards ~path ()
-       with
-      | rf ->
-        farm := Some rf.Resume.rf_farm;
-        consumed := rf.Resume.rf_total;
-        Metrics.incr t.m_resumes;
-        Metrics.add t.m_resume_replayed rf.Resume.rf_replayed;
-        Wire.send_server fd
-          (Wire.Resume_ack
-             {
-               ra_events = rf.Resume.rf_total;
-               ra_resumed_at = rf.Resume.rf_resumed_at;
-               ra_replayed = rf.Resume.rf_replayed;
-             })
-      | exception Sys_error msg -> raise (Bincodec.Corrupt ("resume: " ^ msg))
-      | exception Invalid_argument msg ->
-        raise (Bincodec.Corrupt ("resume: " ^ msg)))
-    | Wire.Message Wire.Checkpoint_request ->
-      (* in-band barrier: by protocol order every batch before this request
-         has been fed, so the snapshot covers exactly [consumed] events *)
-      let state = match !farm with Some f -> Farm.checkpoint f | None -> None in
-      Wire.send_server fd
-        (Wire.Checkpoint_state { cs_events = !consumed; cs_state = state })
-    | Wire.Message Wire.Status_request -> Wire.send_server fd (Wire.Status (status t))
-    | Wire.Message (Wire.Drain | Wire.Register _) ->
-      raise (Bincodec.Corrupt "control message on a data session")
-  done;
-  if checking then None else !spill_path
-
 (* Opportunistic spill re-check, run once the client holds its Spilled
    verdict and its fd is closed, so it costs the client nothing — but under
    the same slot accounting as live checking, so concurrent hellos still
@@ -312,15 +149,96 @@ let recheck_spill t path =
       | _ -> ()
     with Bincodec.Corrupt _ | Invalid_argument _ | Sys_error _ | Unix.Unix_error _ -> ()
 
-let data_session t s r hello =
-  match serve_data_session t s r hello with
-  | Some path when t.cfg.recheck_spills -> fun () -> recheck_spill t path
-  | _ -> ignore
+(* A checking session feeds a farm of its own, holding one of the
+   [max_sessions] slots, which [close] gives back. *)
+let farm_sink t level =
+  let farm =
+    (* Invalid_argument (e.g. a `View shard template refusing an `Io-level
+       hello) must fail this session, not kill the server *)
+    match
+      Farm.start ~capacity:t.cfg.capacity ~metrics:t.cfg.metrics
+        ~passes:(session_passes t level) ~level (t.cfg.shards level)
+    with
+    | f -> ref (Some f)
+    | exception Invalid_argument msg ->
+      release_slot t;
+      raise (Bincodec.Corrupt msg)
+  in
+  let the_farm () = Option.get !farm in
+  (* cluster failover: adopt the half-streamed session spooled by the
+     coordinator.  The fresh farm from the hello is replaced by one restored
+     from the spool's newest usable checkpoint, and the router's global
+     cursor carries over, so the eventual verdict (fail index included) is
+     the one an uninterrupted session would have produced. *)
+  let resume path =
+    ignore (Farm.finish (the_farm ()) : Farm.result);
+    farm := None;
+    match
+      Resume.resume_open ~capacity:t.cfg.capacity ~metrics:t.cfg.metrics
+        ~passes:(session_passes t level) ~shards:t.cfg.shards ~path ()
+    with
+    | rf ->
+      farm := Some rf.Resume.rf_farm;
+      Metrics.incr t.m_resumes;
+      Metrics.add t.m_resume_replayed rf.Resume.rf_replayed;
+      (rf.Resume.rf_total, rf.Resume.rf_resumed_at, rf.Resume.rf_replayed)
+    | exception (Sys_error msg | Invalid_argument msg) ->
+      raise (Bincodec.Corrupt ("resume: " ^ msg))
+  in
+  let finish ~events =
+    let result = Farm.finish (the_farm ()) in
+    farm := None;
+    count_monitor_summaries t result;
+    { Wire.v_report = result.Farm.merged; v_fail_index = Farm.min_fail_index result;
+      v_events = events; v_spilled = None }
+  in
+  let close () =
+    Fun.protect ~finally:(fun () -> release_slot t) (fun () ->
+        Option.iter (fun f -> count_monitor_summaries t (Farm.finish f)) !farm);
+    ignore
+  in
+  { Listener.spilling = false;
+    batch =
+      (fun evs n ->
+        let f = the_farm () in
+        for i = 0 to n - 1 do Farm.feed f evs.(i) done);
+    heartbeat = ignore;
+    checkpoint = (fun () -> Farm.checkpoint (the_farm ()));
+    resume = Some resume; finish; close }
+
+(* A session over the slot limit spools its stream to a segment file; once
+   its Spilled verdict is out, the spool may be re-checked. *)
+let spill_sink t (s : Listener.session) level =
+  let path =
+    Filename.concat t.cfg.spill_dir (Printf.sprintf "vyrdd-spill-%06d.seg" s.id)
+  in
+  let w = Segment.create_writer ~level path in
+  Metrics.incr t.m_spilled;
+  let verdicted = ref false in
+  let finish ~events =
+    Segment.close w;
+    verdicted := true;
+    Wire.spilled_verdict ~events path
+  in
+  let close () =
+    if not !verdicted then (Segment.close w; ignore)
+    else if t.cfg.recheck_spills then fun () -> recheck_spill t path
+    else ignore
+  in
+  { Listener.spilling = true;
+    batch = (fun evs n -> for i = 0 to n - 1 do Segment.append w evs.(i) done);
+    heartbeat = ignore; checkpoint = (fun () -> None); resume = None; finish; close }
+
+(* Checking or spilling is decided at hello time from the slots in use. *)
+let data_sink t s (hello : Wire.hello) =
+  if draining t then raise (Bincodec.Corrupt "server is draining");
+  let level = hello.Wire.h_level in
+  if take_slot t then farm_sink t level else spill_sink t s level
 
 let start cfg =
   let listener =
     Listener.bind ~family:"net" ~metrics:cfg.metrics ~idle_timeout:cfg.idle_timeout
-      cfg.addr
+      ~window:cfg.window cfg.addr
   in
   let m = cfg.metrics in
   let t =
@@ -332,13 +250,6 @@ let start cfg =
       draining = false;
       registered = None;
       m_spilled = Metrics.counter m "net.sessions_spilled";
-      m_events = Metrics.counter m "net.events";
-      m_batches = Metrics.counter m "net.batches";
-      m_bytes = Metrics.counter m "net.bytes_in";
-      m_credits = Metrics.counter m "net.credits_granted";
-      m_heartbeats = Metrics.counter m "net.heartbeats";
-      m_verdicts = Metrics.counter m "net.verdicts";
-      m_batch_events = Metrics.histogram m "net.batch_events";
       m_rechecks = Metrics.counter m "net.spill_rechecks";
       m_recheck_replayed = Metrics.counter m "net.spill_recheck_replayed";
       m_recheck_resumed = Metrics.counter m "net.spill_recheck_resumed";
@@ -351,7 +262,7 @@ let start cfg =
     }
   in
   Listener.serve listener
-    { Listener.data = data_session t; status = (fun () -> status t); control = control t };
+    { Listener.data = data_sink t; status = (fun () -> status t); control = control t };
   t
 
 let stop ?deadline t = Listener.stop ?deadline t.listener

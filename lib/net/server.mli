@@ -1,12 +1,14 @@
 (** The vyrdd verification daemon.
 
-    One accept loop on a Unix-domain (or loopback TCP) stream socket; each
-    connection becomes a {e session}: the client's {!Wire.Hello} names the
-    {!Vyrd.Log.level} of the stream, the server builds a per-session
-    {!Vyrd_pipeline.Farm} from its shard template at that level, feeds every
-    {!Wire.Batch} through it, and answers {!Wire.Finish} with the merged
-    verdict — the two-phase architecture of the paper (§4.2, §6.1) with the
-    log finally crossing a process (and potentially machine) boundary.
+    A {!Listener} on a Unix-domain (or loopback TCP) stream socket, under
+    the [net] metrics family; it runs each connection's session protocol.
+    The client's {!Wire.Hello} names the {!Vyrd.Log.level} of the stream;
+    the server's session sink is a {!Vyrd_pipeline.Farm} built from its
+    shard template at that level, fed every batch, whose merged verdict
+    answers {!Wire.Finish} — the two-phase architecture of the paper
+    (§4.2, §6.1) with the log crossing a process (and potentially machine)
+    boundary.  A checking session also answers a checkpoint barrier from
+    its farm and resumes a coordinator's spool ({!Wire.Resume_session}).
 
     {b Flow control.}  Each session starts with a credit window of [window]
     events and is re-credited only as the farm consumes; a checker that
@@ -18,7 +20,9 @@
     checking concurrently, additional sessions are not refused and not
     dropped: their streams are spilled to {!Vyrd_pipeline.Segment} files
     under [spill_dir] for later offline checking ([vyrd-check check] reads
-    them directly), and their verdict names the spool file.
+    them directly), and their verdict names the spool file.  With
+    [recheck_spills], the spool is re-checked after the session's fd is
+    closed.
 
     {b Failure containment.}  A torn frame, CRC mismatch, malformed payload,
     protocol-order violation or idle timeout fails {e that session} cleanly:

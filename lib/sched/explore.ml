@@ -129,6 +129,3 @@ let replay ?(max_steps = 1_000_000) (schedule : int array) main =
     if i < Array.length schedule then schedule.(i) else 0
   in
   Coop.run ~max_steps ~decide main
-
-let count_schedules ?max_schedules make_main =
-  (explore ?max_schedules make_main).schedules

@@ -70,7 +70,3 @@ val explore :
     certificate.  Raises whatever the run raises — for a deadlock
     certificate, {!Coop.Deadlock}. *)
 val replay : ?max_steps:int -> int array -> (Sched.t -> unit) -> unit
-
-(** [count_schedules make_main] = [(explore make_main).schedules]; handy in
-    tests. *)
-val count_schedules : ?max_schedules:int -> (unit -> Sched.t -> unit) -> int

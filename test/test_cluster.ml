@@ -397,14 +397,14 @@ let rm_rf dir =
   end
 
 let with_cluster ?(workers = 2) ?(slots = 4) ?checkpoint_events ?keep_spools
-    ?idle_timeout f =
+    ?idle_timeout ?window f =
   let dir = temp_dir "vyrd_cluster" in
   let sup = Supervisor.start ~count:workers ~max_sessions:slots ~dir ~shards () in
   let sock = Filename.concat dir "vyrdc.sock" in
   let metrics = Metrics.create () in
   let coord =
     Coordinator.start
-      (Coordinator.config ?checkpoint_events ?keep_spools ?idle_timeout
+      (Coordinator.config ?checkpoint_events ?keep_spools ?idle_timeout ?window
          ~worker_slots:slots
          ~metrics ~addr:(Wire.Unix_socket sock)
          ~spool_dir:(Filename.concat dir "spool") ())
@@ -774,6 +774,77 @@ let test_cluster_status_connection_not_a_session () =
         (Metrics.value
            (Metrics.counter (Coordinator.metrics coord) "cluster.sessions_failed")))
 
+let test_cluster_counts_session_traffic () =
+  (* one session that heartbeats and outruns a small credit window: the
+     coordinator counts what vyrdd counts on the same protocol *)
+  let log = buggy_log () in
+  with_cluster ~window:16 (fun coord _sup ->
+      let t =
+        Client.connect ~level:(Log.level log) ~batch_events:8 (Coordinator.addr coord)
+      in
+      Client.heartbeat t;
+      Log.iter (Client.send t) log;
+      (match Client.finish t with
+      | Client.Checked _ -> ()
+      | Client.Spilled _ -> Alcotest.fail "cluster session spilled");
+      let m = Coordinator.metrics coord in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " counted") true
+            (Metrics.value (Metrics.counter m name) > 0))
+        [ "cluster.credits_granted"; "cluster.heartbeats" ];
+      Alcotest.(check bool) "cluster.batch_events observed" true
+        (Metrics.hist_count (Metrics.histogram m "cluster.batch_events") > 0))
+
+let test_cluster_heartbeat_drop_feeds_once () =
+  (* the dead worker's leg fails at a forwarded heartbeat, so the next
+     batch opens the replacement leg: that leg replays the spool, and the
+     batch must reach it once — not once in the replay and once more on
+     the wire *)
+  let log =
+    Harness.run
+      { Harness.default with threads = 4; ops_per_thread = 40; log_level = `View }
+      (subject.Subjects.build ~bug:false)
+  in
+  let dir = temp_dir "vyrd_hb_failover" in
+  let sup = Supervisor.start ~count:2 ~dir ~shards () in
+  let metrics = Metrics.create () in
+  let coord =
+    Coordinator.start
+      (Coordinator.config ~metrics
+         ~addr:(Wire.Unix_socket (Filename.concat dir "vyrdc.sock"))
+         ~spool_dir:(Filename.concat dir "spool") ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Coordinator.stop ~deadline:5. coord;
+      Supervisor.stop sup;
+      rm_rf (Filename.concat dir "spool");
+      rm_rf dir)
+    (fun () ->
+      let w0_name, w0_addr = List.nth (Supervisor.workers sup) 0 in
+      let w1_name, w1_addr = List.nth (Supervisor.workers sup) 1 in
+      Coordinator.attach coord ~name:w0_name ~addr:w0_addr;
+      let t =
+        Client.connect ~level:(Log.level log) ~batch_events:16 (Coordinator.addr coord)
+      in
+      let evs = Log.snapshot log in
+      let half = Array.length evs / 2 in
+      Client.send_batch t (Array.sub evs 0 half);
+      (* barrier: the first half is on w0 before it dies *)
+      ignore (Client.request_checkpoint t);
+      Supervisor.kill sup w0_name;
+      Client.heartbeat t;
+      Coordinator.attach coord ~name:w1_name ~addr:w1_addr;
+      Client.send_batch t (Array.sub evs half (Array.length evs - half));
+      match Client.finish t with
+      | Client.Spilled _ -> Alcotest.fail "failover session spilled"
+      | Client.Checked { report; fail_index } ->
+          Alcotest.(check bool) "clean run still passes" true (Report.is_pass report);
+          Alcotest.(check (option int)) "no fail index" None fail_index;
+          Alcotest.(check bool) "the heartbeat dropped the leg" true
+            (Metrics.value (Metrics.counter metrics "cluster.reassignments") >= 1))
+
 let suite =
   [
     Alcotest.test_case "ring: deterministic placement" `Quick test_ring_deterministic;
@@ -804,4 +875,8 @@ let suite =
     Alcotest.test_case "cluster: status scrape" `Quick test_cluster_status_scrape;
     Alcotest.test_case "cluster: status connections are not sessions" `Quick
       test_cluster_status_connection_not_a_session;
+    Alcotest.test_case "cluster: sessions count credits, heartbeats, batch sizes" `Quick
+      test_cluster_counts_session_traffic;
+    Alcotest.test_case "cluster: a leg dropped at a heartbeat feeds each batch once"
+      `Quick test_cluster_heartbeat_drop_feeds_once;
   ]

@@ -745,10 +745,31 @@ let contains hay needle =
 let quiet_status () =
   { Wire.st_draining = false; st_active = 0; st_checking = 0; st_metrics = "" }
 
+(* a sink that drops its events and passes *)
+let quiet_sink =
+  {
+    Listener.spilling = false;
+    batch = (fun _ _ -> ());
+    heartbeat = ignore;
+    checkpoint = (fun () -> None);
+    resume = None;
+    finish =
+      (fun ~events ->
+        {
+          Wire.v_report = { Report.outcome = Report.Pass; stats };
+          v_fail_index = None;
+          v_events = events;
+          v_spilled = None;
+        });
+    close = (fun () -> ignore);
+  }
+
 let with_listener ?(idle_timeout = 30.) ?(status = quiet_status) data f =
   let sock = Filename.temp_file "vyrd_listener" ".sock" in
   let metrics = Metrics.create () in
-  let l = Listener.bind ~family:"test" ~metrics ~idle_timeout (Wire.Unix_socket sock) in
+  let l =
+    Listener.bind ~family:"test" ~metrics ~idle_timeout ~window:64 (Wire.Unix_socket sock)
+  in
   Listener.serve l { Listener.data; status; control = (fun _ -> false) };
   Fun.protect
     ~finally:(fun () ->
@@ -781,15 +802,16 @@ let replies fd =
 let test_listener_data_timeouts () =
   let seen = ref None in
   with_listener ~idle_timeout:0.5
-    (fun s _ _ ->
+    (fun s _ ->
       seen :=
         Some
           ( Unix.getsockopt_float s.Listener.fd Unix.SO_RCVTIMEO,
             Unix.getsockopt_float s.Listener.fd Unix.SO_SNDTIMEO );
-      ignore)
+      quiet_sink)
     (fun l _ ->
       with_conn l (fun fd ->
           send_hello fd;
+          Wire.send_client fd Wire.Finish;
           ignore (replies fd : Wire.server_msg list));
       match !seen with
       | None -> Alcotest.fail "the data handler never ran"
@@ -804,7 +826,7 @@ let test_listener_control_untimed () =
   let big = String.make 65536 'x' in
   with_listener ~idle_timeout:0.2
     ~status:(fun () -> { (quiet_status ()) with Wire.st_metrics = big })
-    (fun _ _ _ -> ignore)
+    (fun _ _ -> quiet_sink)
     (fun l failed ->
       with_conn l (fun fd ->
           let polled () =
@@ -831,7 +853,7 @@ let test_listener_control_untimed () =
       Alcotest.(check int) "nothing failed" 0 (Metrics.value failed))
 
 let test_listener_contains_handler_failure () =
-  with_listener (fun _ _ _ -> failwith "handler blew up") (fun l failed ->
+  with_listener (fun _ _ -> failwith "handler blew up") (fun l failed ->
       let before = count_fds () in
       let got =
         with_conn l (fun fd ->
@@ -1126,6 +1148,51 @@ let test_cli_check_resumes_every_spool () =
          "30"; "--segments"; piped; "--checkpoint-events"; "200" ]);
   resumes (run [ "check"; "-s"; "Multiset-Vector"; "--resume"; piped ])
 
+(* --- the shared data-session loop ------------------------------------------ *)
+
+let family = function `Vyrdd -> "net" | `Vyrdc -> "cluster"
+
+let test_verdict_counted_before_sent daemon () =
+  with_daemon daemon (fun addr _ metrics ->
+      (match Client.submit_log addr (correct_log ()) with
+      | Client.Checked _ -> ()
+      | Client.Spilled _ -> Alcotest.fail "unloaded daemon spilled");
+      (* the client holds its verdict: no wait before reading the count *)
+      let name = family daemon ^ ".verdicts" in
+      Alcotest.(check int) name 1 (Metrics.value (Metrics.counter metrics name)))
+
+let test_status_mid_session daemon () =
+  let log = correct_log () in
+  let evs = Log.snapshot log in
+  let half = Array.length evs / 2 in
+  with_daemon daemon (fun addr _ _ ->
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Wire.sockaddr_of_addr addr);
+          Wire.send_client fd
+            (Wire.Hello
+               { h_version = Wire.version; h_level = Log.level log; h_producer = "status" });
+          (match Wire.recv_server fd with
+          | Wire.Hello_ack _ -> ()
+          | _ -> Alcotest.fail "expected a hello ack");
+          Wire.send_client fd (Wire.Batch (Array.sub evs 0 half));
+          Wire.send_client fd Wire.Status_request;
+          (* the window outlasts the log, so no credit comes first *)
+          (match Wire.recv_server fd with
+          | Wire.Status st ->
+            Alcotest.(check bool) "the open session is active" true (st.Wire.st_active >= 1)
+          | _ -> Alcotest.fail "expected a status reply");
+          Wire.send_client fd (Wire.Batch (Array.sub evs half (Array.length evs - half)));
+          Wire.send_client fd Wire.Finish;
+          match Wire.recv_server fd with
+          | Wire.Verdict v ->
+            Alcotest.(check bool) "the session still passes" true
+              (Report.is_pass v.Wire.v_report);
+            Alcotest.(check int) "every event counted" (Array.length evs) v.Wire.v_events
+          | _ -> Alcotest.fail "expected the verdict"))
+
 let suite =
   [
     ("report codec round trip", `Quick, test_report_roundtrip);
@@ -1191,4 +1258,12 @@ let suite =
     ( "check --resume reads recorded and pipeline spools",
       `Quick,
       test_cli_check_resumes_every_spool );
+    ( "vyrdd: net.verdicts counts before the verdict is sent",
+      `Quick,
+      test_verdict_counted_before_sent `Vyrdd );
+    ( "vyrdc: cluster.verdicts counts before the verdict is sent",
+      `Quick,
+      test_verdict_counted_before_sent `Vyrdc );
+    ("vyrdd: status request mid-session", `Quick, test_status_mid_session `Vyrdd);
+    ("vyrdc: status request mid-session", `Quick, test_status_mid_session `Vyrdc);
   ]
